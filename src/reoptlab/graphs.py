@@ -3,7 +3,12 @@
 Node ids are opaque, whitespace-free string labels so that construction
 roles stay directly addressable in tests and DOT output.  The exhaustive
 minimum-cover search is the oracle; the budgeted branch-and-bound answers
-the at-most-k decision on graphs too large for subset enumeration.
+the at-most-k decision on graphs too large for subset enumeration.  It
+cuts a search node when a packing of disjoint triangles and edges already
+needs more cover nodes than the budget left, which refutes a CNF gadget
+one node short (a union of such cliques) in a few dozen nodes.  It keeps
+its own stack, so long paths do not hit the recursion limit, and it
+returns the same cover as the search without the bound.
 """
 
 from __future__ import annotations
@@ -104,62 +109,125 @@ def decide_cover(g: Graph, budget: int) -> frozenset[str] | None:
 def decide_cover_stats(g: Graph, budget: int) -> tuple[frozenset[str] | None, int]:
     """Branch-and-bound at-most-k cover decision; returns (cover, nodes explored).
 
-    Branching picks the highest-degree endpoint u of an uncovered edge
-    (ties broken by label) and tries "u in the cover" before "u excluded,
-    so all of u's neighbours are in the cover"; budget exhaustion prunes.
+    Branching picks the highest-degree node u of the live graph (ties
+    broken by smallest label) and tries "u in the cover" before "u
+    excluded, so all of u's neighbours are in the cover", the second only
+    when u has at most k neighbours.  The search runs on an explicit stack
+    with an undo trail, so its depth is not limited by recursion.
+
+    A search node is cut when a packing of vertex-disjoint cliques in its
+    live graph needs more than k cover nodes (a clique of s nodes needs
+    s - 1).  The packing is greedy, triangles before edges: one is built
+    once at the root, its live part is kept up to date in O(1) per removed
+    node, and each search node extends it greedily over the live nodes it
+    no longer covers.  A cut subtree holds no cover within budget, so the
+    depth-first search reaches the same first cover as without the bound,
+    and the witness does not change.  ``explored`` counts the search nodes
+    entered, cut ones included.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    adj: dict[str, set[str]] = {n: set() for n in g.nodes}
+    labels = sorted(g.nodes)
+    index = {label: i for i, label in enumerate(labels)}
+    adj: list[set[int]] = [set() for _ in labels]
     for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    chosen: list[str] = []
+        adj[index[u]].add(index[v])
+        adj[index[v]].add(index[u])
+    # Live nodes with at least one live edge; isolated ones never matter.
+    active = {i for i, nbrs in enumerate(adj) if nbrs}
+    # Root packing: every node starts as its own singleton clique.  Its
+    # bound counts live members minus one over cliques with a live member.
+    clique_of = list(range(len(labels)))
+    live_in = [1] * len(labels)
+    root_bound = 0
+    by_degree = sorted(active, key=lambda i: (len(adj[i]), i))
+    for members in _greedy_cliques(adj, by_degree):
+        for i in members:
+            clique_of[i] = len(live_in)
+        live_in.append(len(members))
+        root_bound += len(members) - 1
+    trail: list[int] = []  # removed nodes, all in the cover, in removal order
+    stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), budget)]
     explored = 0
-
-    def detach(node):
-        neighbours = adj.pop(node)
-        for other in neighbours:
-            adj[other].discard(node)
-        return neighbours
-
-    def attach(node, neighbours):
-        adj[node] = neighbours
-        for other in neighbours:
-            adj[other].add(node)
-
-    def search(k) -> bool:
-        nonlocal explored
+    while stack:
+        mark, take, k = stack.pop()
+        while len(trail) > mark:
+            node = trail.pop()
+            c = clique_of[node]
+            live_in[c] += 1
+            if live_in[c] > 1:
+                root_bound += 1
+            if adj[node]:
+                active.add(node)
+            for other in adj[node]:
+                if not adj[other]:
+                    active.add(other)
+                adj[other].add(node)
+        for node in take:
+            trail.append(node)
+            c = clique_of[node]
+            live_in[c] -= 1
+            if live_in[c] > 0:
+                root_bound -= 1
+            active.discard(node)
+            for other in adj[node]:
+                adj[other].discard(node)
+                if not adj[other]:
+                    active.discard(other)
         explored += 1
-        pick, degree = None, 0
-        for node in sorted(adj):
+        if not active:
+            return frozenset(labels[i] for i in trail), explored
+        if root_bound > k:
+            continue
+        pick, degree = -1, 0
+        uncovered = []  # live nodes whose root clique has no other live member
+        for node in active:
             d = len(adj[node])
-            if d > degree:
+            if d > degree or (d == degree and node < pick):
                 pick, degree = node, d
-        if pick is None:
-            return True
-        if k <= 0:
-            return False
-        neighbours = sorted(adj[pick])
-        saved = detach(pick)
-        chosen.append(pick)
-        if search(k - 1):
-            return True
-        chosen.pop()
-        attach(pick, saved)
-        if len(neighbours) <= k:
-            saved_all = [detach(n) for n in neighbours]
-            chosen.extend(neighbours)
-            if search(k - len(neighbours)):
-                return True
-            del chosen[-len(neighbours):]
-            for node, nbrs in zip(reversed(neighbours), reversed(saved_all)):
-                attach(node, nbrs)
-        return False
-
-    if search(budget):
-        return frozenset(chosen), explored
+            if live_in[clique_of[node]] == 1:
+                uncovered.append(node)
+        if _packing_exceeds(adj, uncovered, k - root_bound):
+            continue
+        mark = len(trail)
+        if degree <= k:
+            stack.append((mark, tuple(adj[pick]), k - degree))
+        stack.append((mark, (pick,), k - 1))
     return None, explored
+
+
+def _greedy_cliques(adj: list[set[int]], order: list[int]):
+    """Disjoint triangles, then edges, among ``order``'s nodes, taken greedily in that order."""
+    free = set(order)
+    for u in order:
+        if u not in free:
+            continue
+        near = adj[u] & free
+        for v in near:
+            common = adj[v] & near
+            if common:
+                w = min(common)
+                free -= {u, v, w}
+                yield (u, v, w)
+                break
+    for u in order:
+        if u not in free:
+            continue
+        for v in adj[u]:
+            if v in free:
+                free -= {u, v}
+                yield (u, v)
+                break
+
+
+def _packing_exceeds(adj: list[set[int]], order: list[int], k: int) -> bool:
+    """True when the greedy clique packing of ``order``'s nodes needs more than k cover nodes."""
+    total = 0
+    for clique in _greedy_cliques(adj, order):
+        total += len(clique) - 1
+        if total > k:
+            return True
+    return False
 
 
 def warm_start_cover(g: Graph, old_cover, added_edges, budget: int) -> frozenset[str] | None:

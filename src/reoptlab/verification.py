@@ -106,26 +106,37 @@ def sweep_vc_gadget(max_vars: int = 3, max_clauses: int = 3,
     must make this sweep fail.
     """
     failures = []
+    for f, tag, gadget, target in gadget_cases(max_vars, max_clauses, random_samples,
+                                               random_vars, seed):
+        if _covers(gadget, budget_offset) != _satisfiable(target):
+            where = "for" if tag is None else f"after {tag} on"
+            failures.append(f"gadget verdict wrong {where} {describe_formula(f)}")
+    return failures
+
+
+def gadget_cases(max_vars: int = 3, max_clauses: int = 3, random_samples: int = 500,
+                 random_vars: int = 4, seed: int = DEFAULT_SEED):
+    """The gadgets ``sweep_vc_gadget`` decides, as (formula, edit, gadget, target).
+
+    For each formula, exhaustive ones first and then seeded random ones,
+    this yields its own gadget (edit None) and then each single unit-clause
+    edit of it (edit "add 2", "remove -1", ...); ``target`` is the formula
+    the gadget encodes.
+    """
     rng = random.Random(seed)
     sampled = (random_formula(rng, random_vars, max_clauses) for _ in range(random_samples))
     for f in chain(iter_small_formulas(max_vars, max_clauses), sampled):
         gadget = build_gadget(f)
-        if _covers(gadget, budget_offset) != _satisfiable(f):
-            failures.append(f"gadget verdict wrong for {describe_formula(f)}")
+        yield f, None, gadget, f
         for v in sorted(f.alphabet):
             for lit in (v, -v):
                 unit = clause(lit)
                 if unit in f.clauses:
-                    mutated = gadget_remove_unit(gadget, lit)
-                    target = CnfFormula(f.alphabet, f.clauses - {unit})
-                    tag = f"remove {lit}"
+                    yield (f, f"remove {lit}", gadget_remove_unit(gadget, lit),
+                           CnfFormula(f.alphabet, f.clauses - {unit}))
                 else:
-                    mutated = gadget_add_unit(gadget, lit)
-                    target = CnfFormula(f.alphabet, f.clauses | {unit})
-                    tag = f"add {lit}"
-                if _covers(mutated, budget_offset) != _satisfiable(target):
-                    failures.append(f"gadget verdict wrong after {tag} on {describe_formula(f)}")
-    return failures
+                    yield (f, f"add {lit}", gadget_add_unit(gadget, lit),
+                           CnfFormula(f.alphabet, f.clauses | {unit}))
 
 
 def _covers(gadget, budget_offset: int) -> bool:

@@ -75,3 +75,57 @@ def plan_reachable(conditions, operators, initial, goal_true, goal_false, max_no
         return False
 
     return explore(set(initial))
+
+
+def reference_decide_cover(nodes, edges, budget):
+    """Recursive at-most-k cover branch-and-bound with no lower bound.
+
+    Branches on the highest-degree node (smallest label on ties): first
+    "node in the cover", then "all its neighbours in the cover".  The
+    library's bounded search must reach the same first cover, so its
+    witnesses are compared for equality against this function.
+    """
+    adj = {n: set() for n in nodes}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    chosen = []
+
+    def detach(node):
+        neighbours = adj.pop(node)
+        for other in neighbours:
+            adj[other].discard(node)
+        return neighbours
+
+    def attach(node, neighbours):
+        adj[node] = neighbours
+        for other in neighbours:
+            adj[other].add(node)
+
+    def search(k):
+        pick, degree = None, 0
+        for node in sorted(adj):
+            if len(adj[node]) > degree:
+                pick, degree = node, len(adj[node])
+        if pick is None:
+            return True
+        if k <= 0:
+            return False
+        neighbours = sorted(adj[pick])
+        saved = detach(pick)
+        chosen.append(pick)
+        if search(k - 1):
+            return True
+        chosen.pop()
+        attach(pick, saved)
+        if len(neighbours) <= k:
+            saved_all = [detach(n) for n in neighbours]
+            chosen.extend(neighbours)
+            if search(k - len(neighbours)):
+                return True
+            del chosen[-len(neighbours):]
+            for node, nbrs in zip(reversed(neighbours), reversed(saved_all)):
+                attach(node, nbrs)
+        return False
+
+    return frozenset(chosen) if search(budget) else None

@@ -145,6 +145,14 @@ def test_solve_sat_reports_model(tmp_path, capsys):
     assert payload["model"] == [1]
 
 
+def test_solve_vc_on_long_path(tmp_path, capsys):
+    edges = tmp_path / "path.txt"
+    edges.write_text("".join(f"p{i:04d} p{i + 1:04d}\n" for i in range(4000)))
+    assert run(["solve", "--problem", "vc", "--input", edges, "--budget", 2000]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["within_budget"] and len(result["cover"]) == 2000
+
+
 def test_solve_vc_needs_budget(tmp_path, capsys):
     edges = tmp_path / "g.edges"
     edges.write_text("a b\nb c\n")

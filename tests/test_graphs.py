@@ -1,9 +1,14 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reoptlab.dimacs import parse_dimacs
 from reoptlab.enumeration import random_graph
 from reoptlab.errors import InvalidHintError
+from reoptlab.gadgets import build_gadget, gadget_add_unit
 from reoptlab.graphs import (
     Graph,
     GraphTooLargeError,
@@ -21,10 +26,36 @@ from reoptlab.graphs import (
     warm_start_cover,
     warm_start_cover_stats,
 )
+from reoptlab.solvers import solve_dpll
+from reoptlab.verification import gadget_cases
 
-from oracles import brute_min_cover_size
+from oracles import brute_min_cover_size, reference_decide_cover
 
 TRIANGLE = graph(edges=[("a", "b"), ("b", "c"), ("a", "c")])
+PATH = graph(edges=[(f"p{i:04d}", f"p{i + 1:04d}") for i in range(4000)])
+
+# A pure 3-CNF over four variables that is satisfiable until the unit
+# clause -1 is added.  Its gadget is one cover node short after that edit;
+# the same search without a lower bound runs for more than 25 s on it.
+CLIFF = """p cnf 4 17
+1 2 -3 0
+-1 -3 -4 0
+1 -2 -4 0
+2 3 4 0
+-1 2 -4 0
+1 -2 -3 0
+1 2 4 0
+-2 -3 -4 0
+1 2 -4 0
+2 -3 -4 0
+-1 -2 3 0
+1 -2 3 0
+-1 -2 -4 0
+-1 -2 4 0
+1 2 3 0
+-1 3 -4 0
+-2 3 4 0
+"""
 
 
 def test_edge_canonical_and_self_loop():
@@ -92,6 +123,55 @@ def test_decide_cover_agrees_with_brute_oracle():
             assert (got is not None) == (best <= budget)
             if got is not None:
                 assert is_cover(g, got) and len(got) <= budget
+
+
+def test_decide_cover_witness_matches_unbounded_search():
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 16)
+        g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+        for budget in range(n + 1):
+            assert decide_cover(g, budget) == reference_decide_cover(g.nodes, g.edges, budget)
+
+
+def test_decide_cover_witness_matches_unbounded_search_on_gadget_edits():
+    for _, _, gadget, _ in gadget_cases():
+        g = gadget.graph
+        expected = reference_decide_cover(g.nodes, g.edges, gadget.budget)
+        assert decide_cover(g, gadget.budget) == expected
+
+
+@st.composite
+def small_graphs(draw):
+    labels = [f"n{i:02d}" for i in range(draw(st.integers(1, 12)))]
+    pairs = list(combinations(labels, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return graph(labels, chosen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_decide_cover_verdict_matches_brute_oracle_property(g):
+    best = min_cover_brute(g).size
+    for budget in range(max(best - 1, 0), best + 2):
+        got = decide_cover(g, budget)
+        assert (got is not None) == (best <= budget)
+        if got is not None:
+            assert is_cover(g, got) and len(got) <= budget
+
+
+def test_decide_cover_on_long_path_needs_no_recursion():
+    cover = decide_cover(PATH, 2000)
+    assert cover is not None and len(cover) == 2000 and is_cover(PATH, cover)
+    assert decide_cover(PATH, 1999) is None
+
+
+def test_decide_cover_refutes_gadget_cliff_within_100_nodes():
+    gadget = gadget_add_unit(build_gadget(parse_dimacs(CLIFF)), -1)
+    cover, explored = decide_cover_stats(gadget.graph, gadget.budget)
+    assert cover is None and explored <= 100
+    assert solve_dpll(gadget.source) is None
+    assert solve_dpll(parse_dimacs(CLIFF)) is not None
 
 
 def test_min_cover_monotone_under_edge_addition():
