@@ -13,6 +13,7 @@ from reoptlab import (
     ChangeSet,
     apply_changes,
     cnf,
+    count_models,
     evaluate,
     reduce_fixed_model,
     reduce_unique_model,
@@ -53,7 +54,8 @@ print("after adding", inst.change_clause, "-> hint used:", outcome.hint_used,
 # The single-model construction removes that freedom: the formula below
 # has exactly one model, so "choose a better model" is not an option, yet
 # swapping {a} for {not a} again reduces to solving g from scratch.
-uniq = reduce_unique_model(g, verify=True)
+uniq = reduce_unique_model(g)
+assert count_models(uniq.formula) == 1
 only = unique_model(uniq)
 print("\nsingle-model formula has", len(uniq.formula.clauses), "clauses")
 print("its only model:", sorted(only))

@@ -24,7 +24,6 @@ from .experiments import (
     report_to_csv,
     report_to_json,
     run_experiment,
-    validate_config,
 )
 from .gadgets import (
     apply_unit_changes,
@@ -285,7 +284,6 @@ def cmd_experiment(args) -> int:
         operators=args.operators,
         oracle_limit=args.oracle_limit,
     )
-    validate_config(config)
     report = run_experiment(config)
     summary = report.summary()
     if args.out is None:

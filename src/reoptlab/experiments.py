@@ -31,13 +31,6 @@ from .replanning import apply_initial_change, sat_to_replanning
 from .solvers import DEFAULT_ORACLE_LIMIT, solve_dpll_stats
 from .strips import instance_to_json, plan_exists_stats
 
-SCENARIOS = {
-    "sat": ("add-clause", "unique-swap"),
-    "vc": ("edge-add",),
-    "strips": ("initial-removal",),
-}
-
-
 class InvalidConfigError(ValueError):
     """A configuration field is out of range; ``field`` names it."""
 
@@ -66,7 +59,7 @@ class ExperimentConfig:
     oracle_limit: int = DEFAULT_ORACLE_LIMIT
 
     def resolved_scenario(self) -> str:
-        return self.scenario or SCENARIOS[self.problem][0]
+        return self.scenario or next(iter(SCENARIOS[self.problem]))
 
 
 def validate_config(config: ExperimentConfig) -> None:
@@ -134,12 +127,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     validate_config(config)
     scenario = config.resolved_scenario()
     rng = random.Random(config.seed)
-    trial_fn = {
-        ("sat", "add-clause"): _sat_add_clause_trial,
-        ("sat", "unique-swap"): _sat_unique_swap_trial,
-        ("vc", "edge-add"): _vc_edge_add_trial,
-        ("strips", "initial-removal"): _strips_removal_trial,
-    }[(config.problem, scenario)]
+    trial_fn = SCENARIOS[config.problem][scenario]
     report = ExperimentReport(config)
     for trial in range(config.trials):
         change_id, cold_verdict, cold_work, hinted_verdict, hinted_work, hint_used, reproducer = (
@@ -215,6 +203,14 @@ def _strips_removal_trial(rng, config):
     reproducer = f"changed instance:\n{instance_to_json(changed)}"
     return (change_id, cold_plan is not None, cold_work,
             outcome.solution is not None, outcome.work_units, outcome.hint_used, reproducer)
+
+
+# Each problem's scenarios and their trial functions; the first is the default.
+SCENARIOS = {
+    "sat": {"add-clause": _sat_add_clause_trial, "unique-swap": _sat_unique_swap_trial},
+    "vc": {"edge-add": _vc_edge_add_trial},
+    "strips": {"initial-removal": _strips_removal_trial},
+}
 
 
 def report_to_csv(report: ExperimentReport) -> str:

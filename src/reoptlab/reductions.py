@@ -24,7 +24,6 @@ from .cnf import (
     disjoin_literal,
     evaluate,
 )
-from .solvers import count_models
 
 
 def fresh_variable(formula: CnfFormula) -> int:
@@ -66,7 +65,7 @@ class UniqueModelInstance:
     del_clause: Clause
 
 
-def reduce_unique_model(g: CnfFormula, verify: bool = False) -> UniqueModelInstance:
+def reduce_unique_model(g: CnfFormula) -> UniqueModelInstance:
     """Embed satisfiability of ``g`` into a single-model instance.
 
     With fresh ``a`` and alphabet X of ``g``, the formula is
@@ -74,9 +73,6 @@ def reduce_unique_model(g: CnfFormula, verify: bool = False) -> UniqueModelInsta
     and (clauses of g plus {-a}).  Its only model makes ``a`` and all of X
     true.  Swapping the clause {a} for {-a} yields a formula that is
     satisfiable iff ``g`` is.
-
-    ``verify=True`` confirms the single-model property by exhaustive
-    enumeration, which is exponential; leave it off outside tests.
     """
     if any(len(cl) == 0 for cl in g.clauses):
         raise ValueError("the construction does not support empty clauses")
@@ -86,12 +82,7 @@ def reduce_unique_model(g: CnfFormula, verify: bool = False) -> UniqueModelInsta
     right = cnf(list(g.clauses) + [(-a,)], alphabet=full)
     product = cross_disjoin(left, right)
     formula = CnfFormula(product.alphabet | {a}, product.clauses | {clause(a)})
-    instance = UniqueModelInstance(formula, clause(-a), clause(a))
-    if verify:
-        n = count_models(formula)
-        if n != 1:
-            raise AssertionError(f"expected exactly one model, found {n}")
-    return instance
+    return UniqueModelInstance(formula, clause(-a), clause(a))
 
 
 def unique_model(instance: UniqueModelInstance) -> Assignment:

@@ -88,9 +88,8 @@ def apply_initial_change(case: ReplanningCase) -> StripsInstance:
     return StripsInstance(case.instance.conditions, case.instance.operators, initial, case.instance.goal)
 
 
-def count_irredundant_plans(instance: StripsInstance, max_len: int | None = None,
-                            max_nodes: int = 100_000) -> int:
-    """Count valid plans (length <= max_len) with no removable single step.
+def count_irredundant_plans(instance: StripsInstance, max_nodes: int = 100_000) -> int:
+    """Count valid plans with no removable single step.
 
     Only add-only instances are supported: there every prefix of a valid
     plan stays executable and every irredundant plan grows the state each
@@ -99,8 +98,7 @@ def count_irredundant_plans(instance: StripsInstance, max_len: int | None = None
     """
     if not check_positive_postconditions(instance):
         raise NegativePostconditionError("irredundant-plan counting needs an add-only instance")
-    if max_len is None:
-        max_len = len(instance.conditions)
+    max_len = len(instance.conditions)
     names = sorted(instance.operators)
     nodes = 0
     count = 0
@@ -128,16 +126,15 @@ def count_irredundant_plans(instance: StripsInstance, max_len: int | None = None
     return count
 
 
-def goal_compilation(instance: StripsInstance, goal_name: str = "g",
-                     operator_name: str = "o") -> StripsInstance:
+def goal_compilation(instance: StripsInstance) -> StripsInstance:
     """Fold the goal into one new operator and a constant single-condition goal.
 
     The new operator is applicable exactly in goal states of the original
     instance and produces the new goal condition, so plan existence is
     preserved.  Name collisions get a numeric suffix and a warning.
     """
-    g = _fresh_name(goal_name, instance.conditions)
-    o = _fresh_name(operator_name, instance.operators.keys())
+    g = _fresh_name("g", instance.conditions)
+    o = _fresh_name("o", instance.operators.keys())
     operators = dict(instance.operators)
     operators[o] = StripsOperator(
         instance.goal.must_true, instance.goal.must_false, frozenset({g}), frozenset()

@@ -2,16 +2,19 @@
 
 Each sweep returns a list of failure strings, one minimal reproducer per
 counterexample; an empty list is a pass.  The sweeps drive every
-construction against the exhaustive oracles, and they are exactly what
-the ``verify`` command and the acceptance tests run.
+construction against the exhaustive oracles.  The acceptance tests run
+them at ``DEFAULT_SEED``; the ``verify`` command passes its global
+``--seed`` (default 0) through ``run_suite``, so its random samples
+differ from theirs unless that seed is given.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 from itertools import chain
 
-from .cnf import ChangeSet, CnfFormula, clause, evaluate
+from .cnf import ChangeSet, CnfFormula, apply_changes, clause, evaluate
 from .dimacs import serialize_dimacs
 from .enumeration import (
     iter_small_formulas,
@@ -63,7 +66,7 @@ def sweep_fixed_model(max_vars: int = 3, max_clauses: int = 3) -> list[str]:
     for g in iter_small_formulas(max_vars, max_clauses):
         inst = reduce_fixed_model(g)
         fresh = abs(inst.change_clause[0])
-        modified = _apply_quietly(inst.formula, ChangeSet(additions=(inst.change_clause,)))
+        modified = apply_changes(inst.formula, ChangeSet(additions=(inst.change_clause,)))
         problems = []
         if not evaluate(inst.formula, inst.hint_model):
             problems.append("hint fails the base formula")
@@ -86,7 +89,7 @@ def sweep_unique_model(max_vars: int = 3, max_clauses: int = 3) -> list[str]:
             problems.append("model count is not 1")
         if not evaluate(inst.formula, unique_model(inst)):
             problems.append("the designated model is not a model")
-        swapped = _apply_quietly(
+        swapped = apply_changes(
             inst.formula,
             ChangeSet(additions=(inst.add_clause,), deletions=(inst.del_clause,)),
         )
@@ -98,23 +101,19 @@ def sweep_unique_model(max_vars: int = 3, max_clauses: int = 3) -> list[str]:
 
 
 def sweep_vc_gadget(max_vars: int = 3, max_clauses: int = 3,
-                    random_samples: int = 500, random_vars: int = 4,
-                    seed: int = DEFAULT_SEED, budget_offset: int = 0) -> list[str]:
-    """Cover threshold tracks satisfiability, for base formulas and unit edits.
-
-    ``budget_offset`` exists for fault-injection tests: any nonzero offset
-    must make this sweep fail.
-    """
+                    samples: int = 500, random_vars: int = 4,
+                    seed: int = DEFAULT_SEED) -> list[str]:
+    """Cover threshold tracks satisfiability, for base formulas and unit edits."""
     failures = []
-    for f, tag, gadget, target in gadget_cases(max_vars, max_clauses, random_samples,
+    for f, tag, gadget, target in gadget_cases(max_vars, max_clauses, samples,
                                                random_vars, seed):
-        if _covers(gadget, budget_offset) != _satisfiable(target):
+        if (decide_cover(gadget.graph, gadget.budget) is not None) != _satisfiable(target):
             where = "for" if tag is None else f"after {tag} on"
             failures.append(f"gadget verdict wrong {where} {describe_formula(f)}")
     return failures
 
 
-def gadget_cases(max_vars: int = 3, max_clauses: int = 3, random_samples: int = 500,
+def gadget_cases(max_vars: int = 3, max_clauses: int = 3, samples: int = 500,
                  random_vars: int = 4, seed: int = DEFAULT_SEED):
     """The gadgets ``sweep_vc_gadget`` decides, as (formula, edit, gadget, target).
 
@@ -124,7 +123,7 @@ def gadget_cases(max_vars: int = 3, max_clauses: int = 3, random_samples: int = 
     the gadget encodes.
     """
     rng = random.Random(seed)
-    sampled = (random_formula(rng, random_vars, max_clauses) for _ in range(random_samples))
+    sampled = (random_formula(rng, random_vars, max_clauses) for _ in range(samples))
     for f in chain(iter_small_formulas(max_vars, max_clauses), sampled):
         gadget = build_gadget(f)
         yield f, None, gadget, f
@@ -139,22 +138,8 @@ def gadget_cases(max_vars: int = 3, max_clauses: int = 3, random_samples: int = 
                            CnfFormula(f.alphabet, f.clauses | {unit}))
 
 
-def _covers(gadget, budget_offset: int) -> bool:
-    return decide_cover(gadget.graph, max(gadget.budget + budget_offset, 0)) is not None
-
-
 def _satisfiable(f: CnfFormula) -> bool:
     return solve_brute(f) is not None
-
-
-def _apply_quietly(f: CnfFormula, changes: ChangeSet) -> CnfFormula:
-    # The sweeps delete clauses that are knowingly present; rebuild without
-    # going through the warning-emitting path.
-    cls = (set(f.clauses) - set(changes.deletions)) | set(changes.additions)
-    alphabet = set(f.alphabet)
-    for cl in changes.additions:
-        alphabet.update(abs(lit) for lit in cl)
-    return CnfFormula(frozenset(alphabet), frozenset(cls))
 
 
 def sweep_replanning(max_vars: int = 3, max_clauses: int = 3) -> list[str]:
@@ -193,13 +178,13 @@ def sweep_goal_compilation(samples: int = 200, max_conditions: int = 6,
     return failures
 
 
-def sweep_hint_tables(configs: int = 50, seed: int = DEFAULT_SEED) -> list[str]:
+def sweep_hint_tables(samples: int = 50, seed: int = DEFAULT_SEED) -> list[str]:
     """Every table lookup matches the exhaustive verdict on the changed formula."""
     from itertools import combinations
 
     failures = []
     rng = random.Random(seed)
-    for _ in range(configs):
+    for _ in range(samples):
         base, candidates, bound = random_hint_setup(
             rng,
             num_vars=rng.randint(1, 4),
@@ -215,12 +200,13 @@ def sweep_hint_tables(configs: int = 50, seed: int = DEFAULT_SEED) -> list[str]:
                 if got is MISS:
                     failures.append(f"unexpected miss for subset {combo} of {candidates}")
                     continue
-                expected = solve_brute(_apply_quietly(base, changes))
+                changed = apply_changes(base, changes)
+                expected = solve_brute(changed)
                 if (got is None) != (expected is None):
                     failures.append(
                         f"table verdict wrong for subset {combo} on {describe_formula(base)}"
                     )
-                elif got is not None and not evaluate(_apply_quietly(base, changes), got):
+                elif got is not None and not evaluate(changed, got):
                     failures.append(
                         f"table stores a non-model for subset {combo} on {describe_formula(base)}"
                     )
@@ -237,24 +223,17 @@ SUITES = {
 
 def run_suite(name: str, max_vars: int | None = None, max_clauses: int | None = None,
               samples: int | None = None, seed: int | None = None) -> list[str]:
-    """Run one named suite with optional scale overrides; returns failures."""
+    """Run one named suite with optional scale overrides; returns failures.
+
+    Each sweep receives the non-``None`` overrides its signature declares.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    overrides = {}
-    if max_vars is not None:
-        overrides["max_vars"] = max_vars
-    if max_clauses is not None:
-        overrides["max_clauses"] = max_clauses
-    if seed is not None:
-        overrides["seed"] = seed
+    overrides = {"max_vars": max_vars, "max_clauses": max_clauses,
+                 "samples": samples, "seed": seed}
     failures = []
     for sweep in SUITES[name]:
-        kwargs = dict(overrides)
-        names = sweep.__code__.co_varnames[: sweep.__code__.co_argcount]
-        if samples is not None:
-            for alias in ("samples", "random_samples", "configs"):
-                if alias in names:
-                    kwargs[alias] = samples
-        kwargs = {k: v for k, v in kwargs.items() if k in names}
-        failures.extend(sweep(**kwargs))
+        declared = inspect.signature(sweep).parameters
+        failures.extend(sweep(**{k: v for k, v in overrides.items()
+                                 if v is not None and k in declared}))
     return failures

@@ -59,7 +59,7 @@ def test_criterion_1_worked_gadget_example():
 
 def test_criterion_2_gadget_equivalence_sweep():
     start = time.perf_counter()
-    failures = sweep_vc_gadget(max_vars=3, max_clauses=3, random_samples=500,
+    failures = sweep_vc_gadget(max_vars=3, max_clauses=3, samples=500,
                                random_vars=4, seed=SEED)
     report("2 gadget equivalence sweep", failures, time.perf_counter() - start, 300.0)
 
@@ -85,7 +85,7 @@ def test_criterion_5_goal_compilation():
 
 def test_criterion_6_hint_tables():
     start = time.perf_counter()
-    failures = sweep_hint_tables(configs=50, seed=SEED)
+    failures = sweep_hint_tables(samples=50, seed=SEED)
     report("6 hint tables", failures, time.perf_counter() - start, 60.0)
 
 

@@ -200,6 +200,16 @@ def test_verify_counterexample_exit_code(monkeypatch, capsys):
     assert "FAIL" in out and "witness formula" in out
 
 
+def test_verify_forwards_the_global_seed(monkeypatch):
+    import reoptlab.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, **kw: seen.append((name, kw)) or [])
+    assert run(["--seed", 5, "verify", "--suite", "vc-gadget"]) == 0
+    assert seen == [("vc-gadget",
+                     {"max_vars": None, "max_clauses": None, "samples": None, "seed": 5})]
+
+
 def test_verify_usage_errors():
     assert run(["verify", "--suite", "nonsense"]) == 1
     assert run(["verify"]) == 1

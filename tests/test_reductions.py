@@ -58,7 +58,8 @@ def test_fixed_model_rejects_bad_hint():
 
 
 def test_unique_model_example():
-    inst = reduce_unique_model(cnf([(1,)]), verify=True)
+    inst = reduce_unique_model(cnf([(1,)]))
+    assert count_models(inst.formula) == 1
     assert inst.formula.clauses == frozenset({(2,), (1,), (1, -2), (1, 2), (2, -2)})
     assert inst.add_clause == (-2,)
     assert inst.del_clause == (2,)
@@ -67,12 +68,14 @@ def test_unique_model_example():
 
 
 def test_unique_model_unsatisfiable_source():
-    inst = reduce_unique_model(cnf([(1,), (-1,)]), verify=True)
+    inst = reduce_unique_model(cnf([(1,), (-1,)]))
+    assert count_models(inst.formula) == 1
     assert solve_brute(swapped(inst)) is None
 
 
 def test_unique_model_degenerate_alphabet():
-    inst = reduce_unique_model(cnf(), verify=True)
+    inst = reduce_unique_model(cnf())
+    assert count_models(inst.formula) == 1
     # the product contributes the tautology (a or not a) alongside {a}
     assert inst.formula.clauses == frozenset({(1,), (1, -1)})
     assert unique_model(inst) == frozenset({1})
