@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Mapping
 
@@ -75,6 +75,11 @@ class HintTable:
     candidates: tuple[ElementaryChange, ...]
     bound: int
     entries: Mapping[int, Assignment | None]
+    # Candidate -> bit position, built once for ``lookup``.
+    index: Mapping[ElementaryChange, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", {c: i for i, c in enumerate(self.candidates)})
 
 
 def subset_changes(candidates, indices) -> ChangeSet:
@@ -124,10 +129,9 @@ def lookup(table: HintTable, changes: ChangeSet):
     elements |= {ElementaryChange("del", cl) for cl in changes.deletions}
     if len(elements) > table.bound:
         return MISS
-    index = {candidate: i for i, candidate in enumerate(table.candidates)}
     mask = 0
     for element in elements:
-        i = index.get(element)
+        i = table.index.get(element)
         if i is None:
             return MISS
         mask |= 1 << i

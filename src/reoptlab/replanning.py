@@ -93,13 +93,15 @@ def count_irredundant_plans(instance: StripsInstance, max_nodes: int = 100_000) 
 
     Only add-only instances are supported: there every prefix of a valid
     plan stays executable and every irredundant plan grows the state each
-    step, so enumerating applicability-respecting sequences up to
-    |conditions| steps is exhaustive.
+    step (a step that adds nothing could be removed), so enumerating the
+    applicability-respecting sequences that grow the state each step is
+    exhaustive, and no sequence is longer than |conditions|.  The
+    enumeration runs depth-first on an explicit stack, operators in name
+    order.
     """
     if not check_positive_postconditions(instance):
         raise NegativePostconditionError("irredundant-plan counting needs an add-only instance")
-    max_len = len(instance.conditions)
-    names = sorted(instance.operators)
+    ops = sorted(instance.operators.items())
     nodes = 0
     count = 0
 
@@ -108,21 +110,20 @@ def count_irredundant_plans(instance: StripsInstance, max_nodes: int = 100_000) 
             validate_plan(instance, plan[:i] + plan[i + 1:]) for i in range(len(plan))
         )
 
-    def explore(state, plan):
-        nonlocal nodes, count
+    stack: list[tuple[frozenset[str], Plan]] = [(instance.initial, ())]
+    while stack:
+        state, plan = stack.pop()
         nodes += 1
         if nodes > max_nodes:
             raise SearchBudgetError(f"more than {max_nodes} plan prefixes explored")
         if satisfies_goal(state, instance.goal) and is_irredundant(plan):
             count += 1
-        if len(plan) == max_len:
-            return
-        for name in names:
-            op = instance.operators[name]
-            if is_applicable(state, op):
-                explore(state | op.pos_post, plan + (name,))
-
-    explore(instance.initial, ())
+        children = [
+            (state | op.pos_post, plan + (name,))
+            for name, op in ops
+            if is_applicable(state, op) and not op.pos_post <= state
+        ]
+        stack.extend(reversed(children))
     return count
 
 

@@ -3,10 +3,12 @@
 An operator carries positive/negative preconditions and positive/negative
 postconditions over a fixed condition set.  Plans are sequences of
 operator names.  ``plan_exists`` handles only instances whose operators
-have no negative postconditions: states then only grow along a plan, so a
-breadth-first search over the reachable state lattice with memoization is
-complete.  General execution (negative postconditions included) is still
-supported by ``apply_operator`` and ``validate_plan``.
+have no negative postconditions: states then only grow along a plan.  It
+applies, to closure, every operator that adds no condition named by a
+negative precondition or by the goal's ``must_false``, and searches
+breadth-first, with memoization, only over the other operators.  General
+execution (negative postconditions included) is still supported by
+``apply_operator`` and ``validate_plan``.
 """
 
 from __future__ import annotations
@@ -151,10 +153,27 @@ def plan_exists(instance: StripsInstance, max_states: int = DEFAULT_SEARCH_BUDGE
 def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH_BUDGET) -> tuple[Plan | None, int]:
     """Breadth-first plan search for add-only instances; returns (plan, states expanded).
 
-    Operators are expanded in name order, so the witness plan is
-    deterministic.  Raises ``NegativePostconditionError`` on instances
-    outside the add-only fragment and ``SearchBudgetError`` past
-    ``max_states`` expansions.
+    States are bitmasks over the sorted conditions.  A condition is
+    *watched* when some operator's negative precondition or the goal's
+    ``must_false`` names it, and an operator is *safe* when it adds no
+    watched condition.  Each state is saturated: safe operators are
+    applied in name order until they add nothing new or the goal holds.
+    The search then branches only on unsafe operators, in name order, so
+    the witness plan is deterministic.
+
+    Saturation is sound and complete.  Let T be the saturation of S.
+    Then T contains S and agrees with it on every watched condition, and
+    that relation survives applying one operator to both and saturating
+    again.  So every operator applicable in S is applicable in T, a goal
+    that holds in S holds in T, and a safe step applicable in S has
+    already been applied in T.  Every plan from S therefore has a
+    counterpart that branches on its unsafe steps alone, and every path
+    of the search is itself a plan.
+
+    Each state keeps a pointer to its parent and the steps that led to
+    it; the plan is rebuilt once, at the goal.  Raises
+    ``NegativePostconditionError`` on instances outside the add-only
+    fragment and ``SearchBudgetError`` past ``max_states`` expansions.
     """
     offenders = sorted(n for n, op in instance.operators.items() if op.neg_post)
     if offenders:
@@ -166,27 +185,66 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
         return None, 0
     if satisfies_goal(instance.initial, goal):
         return (), 0
-    names = sorted(instance.operators)
-    visited = {instance.initial}
-    queue: deque[tuple[frozenset[str], Plan]] = deque([(instance.initial, ())])
+    bits = {c: 1 << i for i, c in enumerate(sorted(instance.conditions))}
+
+    def mask(conditions) -> int:
+        return sum(bits[c] for c in conditions)
+
+    ops = [(name, mask(op.pos_pre), mask(op.neg_pre), mask(op.pos_post))
+           for name, op in sorted(instance.operators.items())]
+    need, forbid = mask(goal.must_true), mask(goal.must_false)
+    watched = forbid
+    for _, _, neg, _ in ops:
+        watched |= neg
+    safe = [op for op in ops if not op[3] & watched]
+    unsafe = [op for op in ops if op[3] & watched]
+
+    def saturate(state: int) -> tuple[int, Plan]:
+        # Safe steps add no watched condition, so none can reach must_false.
+        steps: list[str] = []
+        grew = True
+        while grew and state & need != need:
+            grew = False
+            for name, pre, neg, post in safe:
+                if post & ~state and state & pre == pre and not state & neg:
+                    state |= post
+                    steps.append(name)
+                    grew = True
+                    if state & need == need:
+                        break
+        return state, tuple(steps)
+
+    def plan_to(state: int) -> Plan:
+        parts = []
+        while state is not None:
+            state, steps = parents[state]
+            parts.append(steps)
+        return tuple(name for steps in reversed(parts) for name in steps)
+
+    root, steps = saturate(mask(instance.initial))
+    parents: dict[int, tuple[int | None, Plan]] = {root: (None, steps)}
+    if root & need == need:
+        return plan_to(root), 0
+    queue = deque([root])
     expanded = 0
     while queue:
-        state, plan = queue.popleft()
+        state = queue.popleft()
         expanded += 1
         if expanded > max_states:
             raise SearchBudgetError(f"more than {max_states} states expanded")
-        for name in names:
-            op = instance.operators[name]
-            if not is_applicable(state, op):
+        for name, pre, neg, post in unsafe:
+            if state & pre != pre or state & neg:
                 continue
-            successor = state | op.pos_post
-            if successor in visited or goal.must_false & successor:
+            successor = state | post
+            if successor in parents or successor & forbid:
                 continue
-            extended = plan + (name,)
-            if satisfies_goal(successor, goal):
-                return extended, expanded
-            visited.add(successor)
-            queue.append((successor, extended))
+            successor, steps = saturate(successor)
+            if successor in parents:
+                continue
+            parents[successor] = (state, (name,) + steps)
+            if successor & need == need:
+                return plan_to(successor), expanded
+            queue.append(successor)
     return None, expanded
 
 

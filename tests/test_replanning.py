@@ -120,6 +120,18 @@ def test_count_irredundant_plans_budget_and_preconditions():
         count_irredundant_plans(chain, max_nodes=2)
 
 
+def test_count_irredundant_plans_long_chain_needs_no_recursion():
+    # s_i: p_i -> p_{i+1}; the goal also asks for z, which nothing adds.
+    steps = 1500
+    chain = make_instance(
+        [f"p{i}" for i in range(steps + 1)] + ["z"],
+        {f"s{i}": make_operator(pos_pre=[f"p{i}"], pos_post=[f"p{i + 1}"]) for i in range(steps)},
+        initial=["p0"],
+        goal_true=[f"p{steps}", "z"],
+    )
+    assert count_irredundant_plans(chain) == 0
+
+
 def test_replanning_sweep_small():
     for f in iter_small_formulas(2, 2):
         case = sat_to_replanning(f)

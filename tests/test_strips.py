@@ -1,8 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reoptlab.cnf import cnf
 from reoptlab.enumeration import random_plansat_instance
+from reoptlab.replanning import apply_initial_change, sat_to_replanning
+from reoptlab.solvers import solve_brute
 from reoptlab.strips import (
     Goal,
     NegativePostconditionError,
@@ -147,7 +152,8 @@ def test_plan_exists_must_false_prunes():
     assert plan_exists(inst) is None
 
 
-def test_plan_exists_budget():
+def test_plan_exists_saturates_safe_chain_at_root():
+    # No operator watches p or q, so both steps are safe and no state is expanded.
     inst = make_instance(
         ["p", "q"],
         {
@@ -156,6 +162,21 @@ def test_plan_exists_budget():
         },
         goal_true=["q"],
     )
+    assert plan_exists_stats(inst) == (("one", "two"), 0)
+
+
+def test_plan_exists_budget():
+    # "stop" watches p and q, so "one" and "two" are unsafe and must be searched.
+    inst = make_instance(
+        ["p", "q"],
+        {
+            "one": make_operator(pos_post=["p"]),
+            "two": make_operator(pos_pre=["p"], pos_post=["q"]),
+            "stop": make_operator(neg_pre=["p", "q"]),
+        },
+        goal_true=["q"],
+    )
+    assert plan_exists_stats(inst) == (("one", "two"), 2)
     with pytest.raises(SearchBudgetError):
         plan_exists(inst, max_states=1)
 
@@ -174,22 +195,73 @@ def test_states_grow_monotonically_along_plans():
             state = following
 
 
+def assert_plan_search_matches_sequence_oracle(inst):
+    plan = plan_exists(inst)
+    simplified = {
+        name: (sorted(op.pos_pre), sorted(op.neg_pre), sorted(op.pos_post))
+        for name, op in inst.operators.items()
+    }
+    expected = plan_reachable(
+        inst.conditions, simplified, inst.initial,
+        inst.goal.must_true, inst.goal.must_false,
+    )
+    assert (plan is not None) == expected
+    if plan is not None:
+        assert validate_plan(inst, plan)
+
+
 def test_plan_search_matches_sequence_oracle():
     rng = random.Random(31)
     for _ in range(150):
-        inst = random_plansat_instance(rng, rng.randint(1, 8), rng.randint(1, 8))
-        plan, _ = plan_exists_stats(inst)
-        simplified = {
-            name: (sorted(op.pos_pre), sorted(op.neg_pre), sorted(op.pos_post))
-            for name, op in inst.operators.items()
-        }
-        expected = plan_reachable(
-            inst.conditions, simplified, inst.initial,
-            inst.goal.must_true, inst.goal.must_false,
-        )
-        assert (plan is not None) == expected
-        if plan is not None:
-            assert validate_plan(inst, plan)
+        assert_plan_search_matches_sequence_oracle(
+            random_plansat_instance(rng, rng.randint(1, 8), rng.randint(1, 8)))
+
+
+@st.composite
+def addonly_instances(draw):
+    conditions = [f"p{i}" for i in range(draw(st.integers(1, 6)))]
+
+    def subsets(low, high):
+        return st.sets(st.sampled_from(conditions), min_size=low, max_size=high)
+
+    # At most one negative precondition each, so that safe and unsafe
+    # operators both occur often.
+    operators = {}
+    for i in range(draw(st.integers(0, 8))):
+        pos_pre = draw(subsets(0, 2))
+        operators[f"op{i}"] = make_operator(pos_pre, draw(subsets(0, 1)) - pos_pre, draw(subsets(1, 2)))
+    goal_true = draw(subsets(1, 3))
+    goal_false = draw(subsets(0, 2)) - goal_true
+    return make_instance(conditions, operators, draw(subsets(0, 3)), goal_true, goal_false)
+
+
+@settings(max_examples=300, deadline=None)
+@given(addonly_instances())
+def test_plan_search_matches_sequence_oracle_property(inst):
+    assert_plan_search_matches_sequence_oracle(inst)
+
+
+@st.composite
+def small_3cnfs(draw):
+    variables = range(1, draw(st.integers(3, 5)) + 1)
+    three = st.lists(st.sampled_from(variables), min_size=3, max_size=3, unique=True)
+    clauses = []
+    for _ in range(draw(st.integers(1, 16))):
+        clauses.append(tuple(v if draw(st.booleans()) else -v for v in draw(three)))
+    return cnf(clauses)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_3cnfs())
+def test_guard_removal_search_stays_within_partial_assignments(f):
+    # Every clause-target operator and e are safe, so only the 3^n partial
+    # assignments of the truth tokens are ever expanded.
+    changed = apply_initial_change(sat_to_replanning(f))
+    plan, expanded = plan_exists_stats(changed)
+    assert expanded <= 3 ** len(f.alphabet)
+    assert (plan is not None) == (solve_brute(f) is not None)
+    if plan is not None:
+        assert validate_plan(changed, plan)
 
 
 def test_instance_json_round_trip():
