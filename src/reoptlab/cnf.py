@@ -34,10 +34,6 @@ def clause_sort_key(cl: Clause) -> tuple[tuple[int, int], ...]:
     return tuple(_literal_key(lit) for lit in cl)
 
 
-def clause_vars(cl: Clause) -> frozenset[int]:
-    return frozenset(abs(lit) for lit in cl)
-
-
 def is_tautology(cl: Clause) -> bool:
     lits = set(cl)
     return any(-lit in lits for lit in lits)

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Mapping
 
 from .cnf import ChangeSet, Clause, CnfFormula, clause, clause_sort_key, cnf, is_tautology
 from .dimacs import parse_dimacs, serialize_dimacs
+from .enumeration import all_clauses
 from .graphs import Graph, add_edges, edge, graph, remove_edges
 
 ROLE_LITERAL = "literal"
@@ -170,23 +171,13 @@ def gadget_remove_unit(g: Gadget, lit: int) -> Gadget:
     return Gadget(new_graph, g.budget + 1, g.roles, new_source)
 
 
-def clause_universe(alphabet) -> list[Clause]:
-    """All non-tautological clauses of three distinct variables."""
-    out = []
-    for combo in combinations(sorted(alphabet), 3):
-        for signs in product((1, -1), repeat=3):
-            out.append(clause(*(s * v for s, v in zip(signs, combo))))
-    return out
-
-
 def build_full_gadget(alphabet) -> Gadget:
     """Gadget of every three-literal clause over the alphabet.
 
     The node count depends only on the alphabet size, so any formula over
     the alphabet can be carved out of this one graph by edge deletions.
     """
-    universe = clause_universe(alphabet)
-    return build_gadget(cnf(universe, alphabet=alphabet))
+    return build_gadget(cnf(all_clauses(alphabet, 3, 3), alphabet=alphabet))
 
 
 def project_formula(full: Gadget, f: CnfFormula) -> Graph:
@@ -240,9 +231,25 @@ def gadget_to_json(g: Gadget) -> str:
 
 
 def gadget_from_json(text: str) -> Gadget:
+    """Load a gadget, rejecting a budget that its source and graph contradict.
+
+    Building and every unit edit keep ``budget == |alphabet| + literal
+    occurrences - |clauses| + relaxing edges (l', l'') present``.  The
+    alphabet is the variables with literal nodes, since the embedded DIMACS
+    header keeps only the largest variable id.
+    """
     obj = json.loads(text)
     try:
         g = Graph(frozenset(obj["nodes"]), frozenset(edge(u, v) for u, v in obj["edges"]))
-        return Gadget(g, obj["budget"], dict(obj["roles"]), parse_dimacs(obj["source"]))
-    except KeyError as exc:
-        raise ValueError(f"missing gadget field: {exc}") from None
+        gadget = Gadget(g, obj["budget"], dict(obj["roles"]), parse_dimacs(obj["source"]))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"missing or malformed gadget field: {exc}") from None
+    source = gadget.source
+    alphabet = [v for v in source.alphabet if literal_node(v) in g.nodes]
+    relaxing = sum(edge(prime_node(lit), double_prime_node(lit)) in g.edges
+                   for v in alphabet for lit in (v, -v))
+    expected = len(alphabet) + sum(map(len, source.clauses)) - len(source.clauses) + relaxing
+    if gadget.budget != expected:
+        raise ValueError(f"gadget budget {gadget.budget!r} contradicts its source and graph "
+                         f"(expected {expected})")
+    return gadget

@@ -213,9 +213,17 @@ def table_from_json(text: str) -> HintTable:
             for key, model in obj["entries"].items()
         }
         bound = obj["bound"]
-    except KeyError as exc:
-        raise ValueError(f"missing table field: {exc}") from None
-    for mask in entries:
-        if mask.bit_count() > bound:
-            raise ValueError(f"entry {mask:#x} selects more than {bound} changes")
+        size = min(bound, len(candidates))
+        subsets = sum(math.comb(len(candidates), k) for k in range(size + 1))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"missing or malformed table field: {exc}") from None
+    # Distinct in-range masks of at most ``size`` bits, as many as there are
+    # such subsets, are exactly the subsets ``compile_table`` stores.
+    stray = sorted(mask for mask in entries if mask >> len(candidates) or mask.bit_count() > size)
+    if stray:
+        raise ValueError(f"entries {[hex(m) for m in stray]} are not candidate subsets "
+                         f"of at most {size} changes")
+    if len(entries) != subsets:
+        raise ValueError(f"table has {len(entries)} entries, the {subsets} candidate subsets "
+                         f"of at most {size} changes need one each")
     return HintTable(base, candidates, bound, entries)

@@ -2,7 +2,9 @@
 
 Both solvers exist to cross-check constructions at desk scale, not to
 compete: no clause learning, no preprocessing beyond clause
-canonicalization.
+canonicalization.  DPLL backtracks over an undo trail with an explicit
+stack of open decisions, so its depth is bounded by memory, not by the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -56,63 +58,55 @@ def solve_dpll(formula: CnfFormula) -> Assignment | None:
 def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
     """DPLL with unit propagation; returns (model, work).
 
-    Branching is deterministic: lowest unassigned variable id first,
-    positive polarity first.  ``work`` counts decisions plus unit
-    propagations, which is the solver-step currency used by the hint
-    reuse measurements.
+    One loop over the assignment, a trail of assigned variables and a
+    stack of ``(trail length, variable)`` for decisions whose false branch
+    is untried.  Each pass over the clauses finds a conflict (pop the
+    newest decision, undo the trail to its mark, set the variable false),
+    else propagates the first unit literal, else decides the lowest
+    unassigned variable true, so branching is lowest id first, positive
+    first.  ``work`` counts decisions plus unit propagations, the
+    solver-step currency of the hint reuse measurements.
     """
     ordered = sorted(formula.clauses, key=clause_sort_key)
+    assign: dict[int, bool] = {}
+    trail: list[int] = []
+    open_decisions: list[tuple[int, int]] = []
     work = 0
-
-    def scan(assign):
-        # Single pass over the clauses: detect conflicts, find the first
-        # unit literal, and track the lowest branchable variable.
-        unit = None
-        branch = None
-        satisfied = True
+    while True:
+        unit = branch = None
+        conflict = False
         for cl in ordered:
-            cl_sat = False
             unassigned = []
             for lit in cl:
                 val = assign.get(abs(lit))
                 if val is None:
                     unassigned.append(lit)
                 elif val == (lit > 0):
-                    cl_sat = True
                     break
-            if cl_sat:
-                continue
-            if not unassigned:
-                return "conflict", None, None
-            satisfied = False
-            if unit is None and len(unassigned) == 1:
-                unit = unassigned[0]
-            low = min(abs(lit) for lit in unassigned)
-            if branch is None or low < branch:
-                branch = low
-        if satisfied:
-            return "sat", None, None
-        return "open", unit, branch
-
-    def search(assign):
-        nonlocal work
-        while True:
-            state, unit, branch = scan(assign)
-            if state == "conflict":
-                return None
-            if state == "sat":
-                return frozenset(v for v, b in assign.items() if b)
-            if unit is None:
-                break
-            assign[abs(unit)] = unit > 0
-            work += 1
-        for value in (True, False):
-            work += 1
-            child = dict(assign)
-            child[branch] = value
-            model = search(child)
-            if model is not None:
-                return model
-        return None
-
-    return search({}), work
+            else:  # no literal of the clause is true
+                if not unassigned:
+                    conflict = True
+                    break
+                if unit is None and len(unassigned) == 1:
+                    unit = unassigned[0]
+                low = min(abs(lit) for lit in unassigned)
+                if branch is None or low < branch:
+                    branch = low
+        if conflict:
+            if not open_decisions:
+                return None, work
+            mark, var = open_decisions.pop()
+            for undone in trail[mark:]:
+                del assign[undone]
+            del trail[mark:]
+            value = False
+        elif branch is None:  # every clause is satisfied
+            return frozenset(v for v, b in assign.items() if b), work
+        elif unit is not None:
+            var, value = abs(unit), unit > 0
+        else:
+            open_decisions.append((len(trail), branch))
+            var, value = branch, True
+        assign[var] = value
+        trail.append(var)
+        work += 1

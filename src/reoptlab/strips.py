@@ -280,5 +280,5 @@ def instance_from_json(text: str) -> StripsInstance:
             obj["goal"]["must_true"],
             obj["goal"]["must_false"],
         )
-    except KeyError as exc:
-        raise ValueError(f"missing instance field: {exc}") from None
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"missing or malformed instance field: {exc}") from None

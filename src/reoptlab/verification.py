@@ -43,13 +43,11 @@ def describe_formula(f: CnfFormula) -> str:
 
 
 def sweep_solver_agreement(max_vars: int = 3, max_clauses: int = 3,
-                           samples: int = 1000, sample_vars: int = 6,
-                           sample_clauses: int = 6, seed: int = DEFAULT_SEED) -> list[str]:
+                           samples: int = 1000, seed: int = DEFAULT_SEED) -> list[str]:
     """DPLL verdicts must match exhaustive search; returned models must satisfy."""
     failures = []
     rng = random.Random(seed)
-    sampled = (random_formula(rng, rng.randint(0, sample_vars), rng.randint(0, sample_clauses))
-               for _ in range(samples))
+    sampled = (random_formula(rng, rng.randint(0, 6), rng.randint(0, 6)) for _ in range(samples))
     for f in chain(iter_small_formulas(max_vars, max_clauses), sampled):
         fast = solve_dpll(f)
         slow = solve_brute(f)
@@ -101,12 +99,10 @@ def sweep_unique_model(max_vars: int = 3, max_clauses: int = 3) -> list[str]:
 
 
 def sweep_vc_gadget(max_vars: int = 3, max_clauses: int = 3,
-                    samples: int = 500, random_vars: int = 4,
-                    seed: int = DEFAULT_SEED) -> list[str]:
+                    samples: int = 500, seed: int = DEFAULT_SEED) -> list[str]:
     """Cover threshold tracks satisfiability, for base formulas and unit edits."""
     failures = []
-    for f, tag, gadget, target in gadget_cases(max_vars, max_clauses, samples,
-                                               random_vars, seed):
+    for f, tag, gadget, target in gadget_cases(max_vars, max_clauses, samples, seed):
         if (decide_cover(gadget.graph, gadget.budget) is not None) != _satisfiable(target):
             where = "for" if tag is None else f"after {tag} on"
             failures.append(f"gadget verdict wrong {where} {describe_formula(f)}")
@@ -114,16 +110,16 @@ def sweep_vc_gadget(max_vars: int = 3, max_clauses: int = 3,
 
 
 def gadget_cases(max_vars: int = 3, max_clauses: int = 3, samples: int = 500,
-                 random_vars: int = 4, seed: int = DEFAULT_SEED):
+                 seed: int = DEFAULT_SEED):
     """The gadgets ``sweep_vc_gadget`` decides, as (formula, edit, gadget, target).
 
     For each formula, exhaustive ones first and then seeded random ones,
     this yields its own gadget (edit None) and then each single unit-clause
     edit of it (edit "add 2", "remove -1", ...); ``target`` is the formula
-    the gadget encodes.
+    the gadget encodes.  Random formulas are over four variables.
     """
     rng = random.Random(seed)
-    sampled = (random_formula(rng, random_vars, max_clauses) for _ in range(samples))
+    sampled = (random_formula(rng, 4, max_clauses) for _ in range(samples))
     for f in chain(iter_small_formulas(max_vars, max_clauses), sampled):
         gadget = build_gadget(f)
         yield f, None, gadget, f
@@ -160,15 +156,15 @@ def sweep_replanning(max_vars: int = 3, max_clauses: int = 3) -> list[str]:
     return failures
 
 
-def sweep_goal_compilation(samples: int = 200, max_conditions: int = 6,
-                           max_operators: int = 6, seed: int = DEFAULT_SEED) -> list[str]:
-    """Folding the goal into a fresh operator preserves plan existence."""
+def sweep_goal_compilation(samples: int = 200, seed: int = DEFAULT_SEED) -> list[str]:
+    """Folding the goal into a fresh operator preserves plan existence.
+
+    Each sample has one to six conditions and one to six operators.
+    """
     failures = []
     rng = random.Random(seed)
     for _ in range(samples):
-        instance = random_plansat_instance(
-            rng, rng.randint(1, max_conditions), rng.randint(1, max_operators)
-        )
+        instance = random_plansat_instance(rng, rng.randint(1, 6), rng.randint(1, 6))
         before = plan_exists(instance) is not None
         after = plan_exists(goal_compilation(instance)) is not None
         if before != after:

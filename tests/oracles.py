@@ -7,6 +7,8 @@ in the library cannot hide itself.
 
 from itertools import combinations, product
 
+from reoptlab.cnf import clause_sort_key
+
 
 def truth_assignments(variables):
     variables = sorted(variables)
@@ -129,3 +131,68 @@ def reference_decide_cover(nodes, edges, budget):
         return False
 
     return frozenset(chosen) if search(budget) else None
+
+
+def reference_dpll(formula):
+    """Recursive DPLL with unit propagation, copying the assignment per branch.
+
+    Branches on the lowest unassigned variable, true first, after
+    propagating the first unit literal of each pass over the clauses.  The
+    library's trail-based DPLL must return the same ``(model, work)``, so
+    the two are compared for equality.
+    """
+    ordered = sorted(formula.clauses, key=clause_sort_key)
+    work = 0
+
+    def scan(assign):
+        # Single pass over the clauses: detect conflicts, find the first
+        # unit literal, and track the lowest branchable variable.
+        unit = None
+        branch = None
+        satisfied = True
+        for cl in ordered:
+            cl_sat = False
+            unassigned = []
+            for lit in cl:
+                val = assign.get(abs(lit))
+                if val is None:
+                    unassigned.append(lit)
+                elif val == (lit > 0):
+                    cl_sat = True
+                    break
+            if cl_sat:
+                continue
+            if not unassigned:
+                return "conflict", None, None
+            satisfied = False
+            if unit is None and len(unassigned) == 1:
+                unit = unassigned[0]
+            low = min(abs(lit) for lit in unassigned)
+            if branch is None or low < branch:
+                branch = low
+        if satisfied:
+            return "sat", None, None
+        return "open", unit, branch
+
+    def search(assign):
+        nonlocal work
+        while True:
+            state, unit, branch = scan(assign)
+            if state == "conflict":
+                return None
+            if state == "sat":
+                return frozenset(v for v, b in assign.items() if b)
+            if unit is None:
+                break
+            assign[abs(unit)] = unit > 0
+            work += 1
+        for value in (True, False):
+            work += 1
+            child = dict(assign)
+            child[branch] = value
+            model = search(child)
+            if model is not None:
+                return model
+        return None
+
+    return search({}), work

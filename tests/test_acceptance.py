@@ -59,8 +59,7 @@ def test_criterion_1_worked_gadget_example():
 
 def test_criterion_2_gadget_equivalence_sweep():
     start = time.perf_counter()
-    failures = sweep_vc_gadget(max_vars=3, max_clauses=3, samples=500,
-                               random_vars=4, seed=SEED)
+    failures = sweep_vc_gadget(max_vars=3, max_clauses=3, samples=500, seed=SEED)
     report("2 gadget equivalence sweep", failures, time.perf_counter() - start, 300.0)
 
 
@@ -78,8 +77,7 @@ def test_criterion_4_replanning_reduction():
 
 def test_criterion_5_goal_compilation():
     start = time.perf_counter()
-    failures = sweep_goal_compilation(samples=200, max_conditions=6,
-                                      max_operators=6, seed=SEED)
+    failures = sweep_goal_compilation(samples=200, seed=SEED)
     report("5 goal compilation", failures, time.perf_counter() - start, 120.0)
 
 
@@ -91,8 +89,7 @@ def test_criterion_6_hint_tables():
 
 def test_criterion_7_solver_cross_check():
     start = time.perf_counter()
-    failures = sweep_solver_agreement(max_vars=3, max_clauses=3, samples=1000,
-                                      sample_vars=6, seed=SEED)
+    failures = sweep_solver_agreement(max_vars=3, max_clauses=3, samples=1000, seed=SEED)
     report("7 solver cross-check", failures, time.perf_counter() - start, 60.0)
 
 

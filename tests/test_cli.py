@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from reoptlab.cli import main
 
 PAPER_CNF = "p cnf 2 2\n1 2 0\n-1 0\n"
@@ -239,3 +241,41 @@ def test_experiment_stdout_json(capsys):
 
 def test_missing_input_file_is_a_usage_error(tmp_path):
     assert run(["solve", "--problem", "sat", "--input", tmp_path / "nope.cnf"]) == 1
+
+
+def test_solve_sat_on_long_chain(tmp_path, capsys):
+    chain = tmp_path / "chain.cnf"
+    chain.write_text("p cnf 3000 1500\n" + "".join(f"{2 * i + 1} {2 * i + 2} 0\n" for i in range(1500)))
+    assert run(["solve", "--problem", "sat", "--input", chain]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["satisfiable"] is True
+    assert payload["work"] == 1500
+
+
+@pytest.mark.parametrize("command, text", [
+    (["solve", "--problem", "strips"], "[]"),
+    (["solve", "--problem", "strips"], '"x"'),
+    (["solve", "--problem", "strips"],
+     '{"operators": 5, "conditions": [], "initial": [], "goal": {"must_true": [], "must_false": []}}'),
+    (["export-dot"], '{"nodes": 5, "edges": [], "budget": 0, "roles": {}, "source": "p cnf 0 0\\n"}'),
+    (["mutate", "--gadget"], '"x"'),
+], ids=["strips-list", "strips-string", "strips-operators-int", "gadget-nodes-int",
+        "mutate-gadget-string"])
+def test_wrong_shaped_json_is_an_input_error(tmp_path, capsys, command, text):
+    source = tmp_path / "input.json"
+    source.write_text(text)
+    assert run([*command, "--input", source]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("offset", [-1, 1])
+def test_export_dot_rejects_a_hand_edited_budget(tmp_path, offset):
+    source = tmp_path / "f.cnf"
+    source.write_text(PAPER_CNF)
+    gadget_file = tmp_path / "gadget.json"
+    assert run(["--out", gadget_file, "reduce", "--kind", "vc-gadget", "--input", source]) == 0
+    assert run(["export-dot", "--input", gadget_file]) == 0
+    payload = json.loads(gadget_file.read_text())
+    payload["budget"] += offset
+    gadget_file.write_text(json.dumps(payload))
+    assert run(["export-dot", "--input", gadget_file]) == 1

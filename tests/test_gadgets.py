@@ -3,7 +3,7 @@ import random
 import pytest
 
 from reoptlab.cnf import clause, cnf
-from reoptlab.enumeration import iter_small_formulas, random_formula
+from reoptlab.enumeration import all_clauses, iter_small_formulas, random_formula
 from reoptlab.gadgets import (
     ClauseOutsideUniverseError,
     ClauseTooLargeError,
@@ -13,7 +13,6 @@ from reoptlab.gadgets import (
     UnknownVariableError,
     build_full_gadget,
     build_gadget,
-    clause_universe,
     gadget_add_unit,
     gadget_from_json,
     gadget_remove_unit,
@@ -21,6 +20,7 @@ from reoptlab.gadgets import (
     project_formula,
 )
 from reoptlab.graphs import decide_cover, min_cover_brute
+from reoptlab.verification import gadget_cases
 
 from oracles import brute_min_cover_size, brute_sat
 
@@ -165,9 +165,9 @@ def test_gadget_equisatisfiability_sweep():
 
 
 def test_clause_universe_counts():
-    assert len(clause_universe({1, 2, 3})) == 8
-    assert clause_universe({1, 2}) == []
-    assert clause_universe(set()) == []
+    assert len(all_clauses({1, 2, 3}, 3, 3)) == 8
+    assert all_clauses({1, 2}, 3, 3) == []
+    assert all_clauses(set(), 3, 3) == []
 
 
 def test_full_gadget_shape():
@@ -207,7 +207,7 @@ def test_projection_tracks_satisfiability():
 def test_projection_never_adds_edges():
     full = build_full_gadget({1, 2, 3})
     rng = random.Random(2)
-    universe = clause_universe({1, 2, 3})
+    universe = all_clauses({1, 2, 3}, 3, 3)
     for _ in range(20):
         subset = rng.sample(universe, rng.randint(0, len(universe)))
         projected = project_formula(full, cnf(subset, alphabet={1, 2, 3}))
@@ -230,6 +230,16 @@ def test_gadget_json_round_trip():
     g = gadget_add_unit(build_gadget(PAPER_FORMULA), -2)
     # the source alphabet is contiguous, so the DIMACS embedding is exact
     assert gadget_from_json(gadget_to_json(g)) == g
+
+
+def test_gadget_json_checks_the_budget():
+    for _, _, gadget, _ in gadget_cases(2, 2, 20):
+        text = gadget_to_json(gadget)
+        gadget_from_json(text)
+        budget = f'"budget": {gadget.budget},'
+        for wrong in (gadget.budget - 1, gadget.budget + 1):
+            with pytest.raises(ValueError, match="budget"):
+                gadget_from_json(text.replace(budget, f'"budget": {wrong},'))
 
 
 def test_apply_unit_changes_runs_removals_then_additions():

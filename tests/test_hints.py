@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -198,6 +199,18 @@ def test_table_json_round_trip():
     text = table_to_json(table)
     assert table_from_json(text) == table
     assert '"0x3"' in text  # hex-keyed entries
+
+
+@pytest.mark.parametrize("missing, stray", [("0x3", None), (None, "0x10"), ("0x3", "0x10")])
+def test_table_json_rejects_missing_or_stray_entries(missing, stray):
+    base = cnf([(1,), (1, -2)])
+    obj = json.loads(table_to_json(compile_table(base, [add_change(2), del_change(1)], 2)))
+    if missing:
+        del obj["entries"][missing]
+    if stray:
+        obj["entries"][stray] = None
+    with pytest.raises(ValueError):
+        table_from_json(json.dumps(obj))
 
 
 def test_table_json_rejects_oversized_entry():

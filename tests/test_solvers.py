@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from reoptlab.cnf import cnf, evaluate
+from reoptlab.cnf import ChangeSet, apply_changes, clause, cnf, evaluate
 from reoptlab.enumeration import iter_small_formulas, random_formula
+from reoptlab.reductions import reduce_unique_model
 from reoptlab.solvers import (
     OracleLimitError,
     count_models,
@@ -13,7 +14,10 @@ from reoptlab.solvers import (
     solve_dpll_stats,
 )
 
-from oracles import brute_sat
+from oracles import brute_sat, reference_dpll
+
+# (x1 or x2)(x3 or x4)...(x2999 or x3000): 1,500 decisions deep.
+CHAIN = cnf([(2 * i + 1, 2 * i + 2) for i in range(1500)])
 
 
 def test_enumeration_order_is_binary_counting():
@@ -85,3 +89,42 @@ def test_solvers_agree_small_enumeration_and_random():
         assert (fast is None) == (not brute_sat(f.clauses, f.alphabet))
         if fast is not None:
             assert evaluate(f, fast)
+
+
+def random_3cnf(rng, num_vars, num_clauses):
+    clauses = set()
+    while len(clauses) < num_clauses:
+        variables = rng.sample(range(1, num_vars + 1), 3)
+        clauses.add(clause(*(v if rng.random() < 0.5 else -v for v in variables)))
+    return cnf(clauses, alphabet=range(1, num_vars + 1))
+
+
+def test_dpll_matches_recursive_reference_on_small_formulas():
+    for f in iter_small_formulas(3, 3):
+        assert solve_dpll_stats(f) == reference_dpll(f)
+
+
+def test_dpll_matches_recursive_reference_on_random_formulas():
+    rng = random.Random(11)
+    for _ in range(1000):
+        f = random_formula(rng, rng.randint(0, 10), rng.randint(0, 30))
+        assert solve_dpll_stats(f) == reference_dpll(f)
+    # pure 3-CNF near the threshold ratio backtracks deeply
+    for _ in range(10):
+        f = random_3cnf(rng, 25, 106)
+        assert solve_dpll_stats(f) == reference_dpll(f)
+
+
+def test_dpll_matches_recursive_reference_on_unique_swaps():
+    rng = random.Random(12)
+    for _ in range(20):
+        inst = reduce_unique_model(random_3cnf(rng, 12, 51))
+        swap = ChangeSet(additions=(inst.add_clause,), deletions=(inst.del_clause,))
+        swapped = apply_changes(inst.formula, swap)
+        assert solve_dpll_stats(swapped) == reference_dpll(swapped)
+
+
+def test_dpll_on_long_chain_needs_no_recursion():
+    model, work = solve_dpll_stats(CHAIN)
+    assert model == frozenset(range(1, 3000, 2))
+    assert work == 1500  # one decision per clause, no propagation
