@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -46,8 +47,6 @@ from .solvers import DEFAULT_ORACLE_LIMIT, OracleLimitError, solve_brute, solve_
 from .strips import SearchBudgetError, instance_from_json, instance_to_json, plan_exists_stats
 from .verification import SUITES, run_suite
 
-import random
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -67,6 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--gadget", action="store_true",
                      help="with --problem vc: emit the cover gadget of a random formula")
     _add_scale_options(gen)
+    gen.add_argument("--conditions", type=int, default=6)
+    gen.add_argument("--operators", type=int, default=6)
     gen.add_argument("--count", type=int, default=1, help="number of instances")
     gen.set_defaults(func=cmd_generate)
 
@@ -119,8 +120,6 @@ def _add_scale_options(parser) -> None:
     parser.add_argument("--clause-size", type=int, default=3)
     parser.add_argument("--nodes", type=int, default=10)
     parser.add_argument("--edges", type=int, default=14)
-    parser.add_argument("--conditions", type=int, default=6)
-    parser.add_argument("--operators", type=int, default=6)
 
 
 def _emit(args, text: str, path: Path | None = None) -> None:
@@ -280,8 +279,6 @@ def cmd_experiment(args) -> int:
         clause_size=args.clause_size,
         nodes=args.nodes,
         edges=args.edges,
-        conditions=args.conditions,
-        operators=args.operators,
         oracle_limit=args.oracle_limit,
     )
     report = run_experiment(config)

@@ -35,6 +35,8 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"malformed problem line: {line!r}")
             nvars, nclauses = int(parts[2]), int(parts[3])
+            if nvars < 0 or nclauses < 0:
+                raise ValueError(f"negative count in problem line: {line!r}")
             continue
         literals.extend(int(tok) for tok in line.split())
     if nvars is None:

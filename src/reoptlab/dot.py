@@ -1,8 +1,8 @@
-"""DOT rendering for cover gadgets, with node styling keyed by role."""
+"""DOT rendering for cover gadgets, with node styling keyed by label role."""
 
 from __future__ import annotations
 
-from .gadgets import Gadget
+from .gadgets import Gadget, node_role
 
 _ROLE_STYLE = {
     "literal": 'shape=ellipse, style=filled, fillcolor="#aaccff"',
@@ -17,7 +17,7 @@ def gadget_to_dot(g: Gadget) -> str:
     lines = ["graph gadget {"]
     lines.append(f'  label="cover budget {g.budget}";')
     for node in sorted(g.graph.nodes):
-        style = _ROLE_STYLE.get(g.roles.get(node, ""), "")
+        style = _ROLE_STYLE.get(node_role(node), "")
         attrs = f" [{style}]" if style else ""
         lines.append(f'  "{node}"{attrs};')
     for u, v in sorted(g.graph.edges):

@@ -12,6 +12,7 @@ from itertools import combinations, product
 
 from .cnf import Clause, CnfFormula, clause, cnf
 from .graphs import Graph, graph
+from .hints import ElementaryChange
 from .solvers import solve_dpll
 from .strips import StripsInstance, make_instance, make_operator
 
@@ -105,8 +106,6 @@ def random_hint_setup(rng: random.Random, num_vars: int = 3, num_clauses: int = 
     Deletion candidates target clauses of the base; addition candidates
     are fresh clauses, so no clause is offered as both.
     """
-    from .hints import ElementaryChange  # local import to avoid a cycle
-
     base = random_formula(rng, num_vars, num_clauses)
     existing = sorted(base.clauses)
     num_dels = rng.randint(0, min(len(existing), num_candidates))

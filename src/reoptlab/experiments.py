@@ -54,8 +54,6 @@ class ExperimentConfig:
     clause_size: int = 3
     nodes: int = 10
     edges: int = 14
-    conditions: int = 6
-    operators: int = 6
     oracle_limit: int = DEFAULT_ORACLE_LIMIT
 
     def resolved_scenario(self) -> str:

@@ -7,14 +7,15 @@ literals becomes a clique whose members attach to their literal nodes; a
 unit clause is just the edge between its literal node and the literal's
 first reserve node.  With n variables, m literal occurrences and r
 clauses, the graph has a vertex cover of n + m - r nodes exactly when the
-formula is satisfiable.
+formula is satisfiable.  A gadget holds only its graph and source: the
+budget is derived from both, and a node's role is read off its label.
 
 Edits keep that correspondence:
 
 * adding the unit clause l adds the edge (l, l') and leaves the budget
   alone (the clause contributes one occurrence and one clause, a wash);
-* removing the unit clause l adds the edge (l', l'') and raises the
-  budget by one, freeing l' to neutralize the forcing edge (l, l');
+* removing the unit clause l adds the relaxing edge (l', l''), which the
+  budget counts as one more node, freeing l' to neutralize (l, l');
 * re-adding a previously removed unit deletes its (l', l'') edge again,
   restoring the original graph and budget, since the forcing edge is
   still in place and merely needs to bite.
@@ -28,9 +29,9 @@ the alphabet is a subgraph of one fixed graph with one fixed budget.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping
 
 from .cnf import ChangeSet, Clause, CnfFormula, clause, clause_sort_key, cnf, is_tautology
 from .dimacs import parse_dimacs, serialize_dimacs
@@ -41,6 +42,7 @@ ROLE_LITERAL = "literal"
 ROLE_PRIME = "prime"
 ROLE_DOUBLE_PRIME = "double_prime"
 ROLE_CLAUSE = "clause_member"
+_LABEL = re.compile(r"-?x[1-9][0-9]*('{0,2})|c[1-9][0-9]*_[1-9][0-9]*")
 
 
 class ClauseTooLargeError(ValueError):
@@ -83,12 +85,30 @@ def clause_node(index: int, position: int) -> str:
     return f"c{index}_{position}"
 
 
+def node_role(label: str) -> str | None:
+    """The role a node label names, or None for a label outside the grammar."""
+    match = _LABEL.fullmatch(label)
+    if match is None:
+        return None
+    if match.group(1) is None:
+        return ROLE_CLAUSE
+    return (ROLE_LITERAL, ROLE_PRIME, ROLE_DOUBLE_PRIME)[len(match.group(1))]
+
+
 @dataclass(frozen=True)
 class Gadget:
+    """A cover graph and the formula it encodes; the budget follows from both."""
+
     graph: Graph
-    budget: int
-    roles: Mapping[str, str]
     source: CnfFormula
+
+    @property
+    def budget(self) -> int:
+        """|alphabet| + literal occurrences - |clauses| + relaxing edges present."""
+        clauses = self.source.clauses
+        relaxing = sum(edge(prime_node(lit), double_prime_node(lit)) in self.graph.edges
+                       for v in self.source.alphabet for lit in (v, -v))
+        return len(self.source.alphabet) + sum(map(len, clauses)) - len(clauses) + relaxing
 
 
 def ordered_clauses(formula: CnfFormula) -> list[Clause]:
@@ -105,39 +125,27 @@ def build_gadget(f: CnfFormula) -> Gadget:
 
     nodes: list[str] = []
     edges: list[tuple[str, str]] = []
-    roles: dict[str, str] = {}
     for v in sorted(f.alphabet):
         for lit in (v, -v):
-            nodes.append(literal_node(lit))
-            roles[literal_node(lit)] = ROLE_LITERAL
-            nodes.append(prime_node(lit))
-            roles[prime_node(lit)] = ROLE_PRIME
-            nodes.append(double_prime_node(lit))
-            roles[double_prime_node(lit)] = ROLE_DOUBLE_PRIME
+            nodes.extend((literal_node(lit), prime_node(lit), double_prime_node(lit)))
         edges.append(edge(literal_node(v), literal_node(-v)))
 
-    occurrences = 0
     for index, cl in enumerate(ordered_clauses(f), start=1):
-        occurrences += len(cl)
         if len(cl) == 1:
             edges.append(edge(literal_node(cl[0]), prime_node(cl[0])))
             continue
         members = [clause_node(index, pos) for pos in range(1, len(cl) + 1)]
-        for member in members:
-            nodes.append(member)
-            roles[member] = ROLE_CLAUSE
+        nodes.extend(members)
         edges.extend(edge(a, b) for a, b in combinations(members, 2))
         edges.extend(edge(member, literal_node(lit)) for member, lit in zip(members, cl))
-
-    budget = len(f.alphabet) + occurrences - len(f.clauses)
-    return Gadget(graph(nodes, edges), budget, roles, f)
+    return Gadget(graph(nodes, edges), f)
 
 
 def gadget_add_unit(g: Gadget, lit: int) -> Gadget:
-    """Add the unit clause ``lit``: one new edge, budget unchanged.
+    """Add the unit clause ``lit``: one new forcing edge (l, l').
 
-    Re-adding a unit that was removed earlier instead cancels the removal
-    edge and gives the budget increment back.
+    Re-adding a unit that was removed earlier instead deletes its relaxing
+    edge (l', l''), which gives the budget increment back.
     """
     if abs(lit) not in g.source.alphabet:
         raise UnknownVariableError(f"variable {abs(lit)} is not in the gadget alphabet")
@@ -148,27 +156,23 @@ def gadget_add_unit(g: Gadget, lit: int) -> Gadget:
     relaxing = edge(prime_node(lit), double_prime_node(lit))
     if forcing not in g.graph.edges:
         new_graph = add_edges(g.graph, [forcing])
-        new_budget = g.budget
+    elif relaxing not in g.graph.edges:
+        raise AssertionError("inconsistent gadget: forcing edge without its unit or removal")
     else:
-        if relaxing not in g.graph.edges:
-            raise AssertionError("inconsistent gadget: forcing edge without its unit or removal")
         new_graph = remove_edges(g.graph, [relaxing])
-        new_budget = g.budget - 1
-    new_source = CnfFormula(g.source.alphabet, g.source.clauses | {unit})
-    return Gadget(new_graph, new_budget, g.roles, new_source)
+    return Gadget(new_graph, CnfFormula(g.source.alphabet, g.source.clauses | {unit}))
 
 
 def gadget_remove_unit(g: Gadget, lit: int) -> Gadget:
-    """Remove the unit clause ``lit``: one new edge, budget raised by one."""
+    """Remove the unit clause ``lit``: one new relaxing edge (l', l'')."""
     unit = clause(lit)
     if unit not in g.source.clauses:
         raise UnitNotPresentError(f"unit clause {unit} not present")
     relaxing = edge(prime_node(lit), double_prime_node(lit))
     if relaxing in g.graph.edges:
         raise AssertionError("inconsistent gadget: unit present with its removal edge")
-    new_graph = add_edges(g.graph, [relaxing])
-    new_source = CnfFormula(g.source.alphabet, g.source.clauses - {unit})
-    return Gadget(new_graph, g.budget + 1, g.roles, new_source)
+    return Gadget(add_edges(g.graph, [relaxing]),
+                  CnfFormula(g.source.alphabet, g.source.clauses - {unit}))
 
 
 def build_full_gadget(alphabet) -> Gadget:
@@ -225,31 +229,27 @@ def gadget_to_json(g: Gadget) -> str:
         "budget": g.budget,
         "nodes": sorted(g.graph.nodes),
         "edges": [list(e) for e in sorted(g.graph.edges)],
-        "roles": dict(sorted(g.roles.items())),
     }
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def gadget_from_json(text: str) -> Gadget:
-    """Load a gadget, rejecting a budget that its source and graph contradict.
+    """Load a gadget, rejecting a ``"budget"`` other than the derived one.
 
-    Building and every unit edit keep ``budget == |alphabet| + literal
-    occurrences - |clauses| + relaxing edges (l', l'') present``.  The
-    alphabet is the variables with literal nodes, since the embedded DIMACS
-    header keeps only the largest variable id.
+    The alphabet is the DIMACS variables that have literal nodes, since the
+    header keeps only the largest variable id.  Any other key, such as the
+    role map of older files, is ignored.
     """
     obj = json.loads(text)
     try:
         g = Graph(frozenset(obj["nodes"]), frozenset(edge(u, v) for u, v in obj["edges"]))
-        gadget = Gadget(g, obj["budget"], dict(obj["roles"]), parse_dimacs(obj["source"]))
+        parsed = parse_dimacs(obj["source"])
+        budget = obj["budget"]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"missing or malformed gadget field: {exc}") from None
-    source = gadget.source
-    alphabet = [v for v in source.alphabet if literal_node(v) in g.nodes]
-    relaxing = sum(edge(prime_node(lit), double_prime_node(lit)) in g.edges
-                   for v in alphabet for lit in (v, -v))
-    expected = len(alphabet) + sum(map(len, source.clauses)) - len(source.clauses) + relaxing
-    if gadget.budget != expected:
-        raise ValueError(f"gadget budget {gadget.budget!r} contradicts its source and graph "
-                         f"(expected {expected})")
+    alphabet = frozenset(v for v in parsed.alphabet if literal_node(v) in g.nodes)
+    gadget = Gadget(g, CnfFormula(alphabet, parsed.clauses))
+    if budget != gadget.budget:
+        raise ValueError(f"gadget budget {budget!r} contradicts its source and graph "
+                         f"(expected {gadget.budget})")
     return gadget

@@ -89,12 +89,12 @@ def subset_changes(candidates, indices) -> ChangeSet:
     return ChangeSet(additions=adds, deletions=dels)
 
 
-def compile_table(base: CnfFormula, candidates, bound: int,
-                  max_entries: int = DEFAULT_TABLE_BUDGET, verify: bool = False) -> HintTable:
+def compile_table(base: CnfFormula, candidates, bound: int, verify: bool = False) -> HintTable:
     """Solve the changed formula for every candidate subset up to the bound.
 
-    ``verify=True`` additionally cross-checks each verdict against the
-    exhaustive oracle; use it in tests only.
+    A table of more than ``DEFAULT_TABLE_BUDGET`` entries is refused before
+    any solve.  ``verify=True`` additionally cross-checks each verdict
+    against the exhaustive oracle; use it in tests only.
     """
     candidates = tuple(candidates)
     if len(set(candidates)) != len(candidates):
@@ -106,8 +106,9 @@ def compile_table(base: CnfFormula, candidates, bound: int,
         raise ValueError(f"clauses offered both as addition and deletion: {sorted(conflict)}")
     effective = min(bound, len(candidates))
     total = sum(math.comb(len(candidates), size) for size in range(effective + 1))
-    if total > max_entries:
-        raise TableBudgetError(f"{total} entries exceed the table budget of {max_entries}")
+    if total > DEFAULT_TABLE_BUDGET:
+        raise TableBudgetError(
+            f"{total} entries exceed the table budget of {DEFAULT_TABLE_BUDGET}")
     entries: dict[int, Assignment | None] = {}
     for size in range(effective + 1):
         for combo in combinations(range(len(candidates)), size):

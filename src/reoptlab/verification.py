@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import inspect
 import random
-from itertools import chain
+from itertools import chain, combinations
 
 from .cnf import ChangeSet, CnfFormula, apply_changes, clause, evaluate
 from .dimacs import serialize_dimacs
@@ -176,8 +176,6 @@ def sweep_goal_compilation(samples: int = 200, seed: int = DEFAULT_SEED) -> list
 
 def sweep_hint_tables(samples: int = 50, seed: int = DEFAULT_SEED) -> list[str]:
     """Every table lookup matches the exhaustive verdict on the changed formula."""
-    from itertools import combinations
-
     failures = []
     rng = random.Random(seed)
     for _ in range(samples):

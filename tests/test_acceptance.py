@@ -17,7 +17,7 @@ from reoptlab.enumeration import (
     random_hint_setup,
     random_plansat_instance,
 )
-from reoptlab.gadgets import build_gadget
+from reoptlab.gadgets import build_gadget, gadget_from_json, gadget_to_json
 from reoptlab.graphs import min_cover_brute, parse_edge_list, serialize_edge_list
 from reoptlab.hints import compile_table, table_from_json, table_to_json
 from reoptlab.strips import instance_from_json, instance_to_json
@@ -128,6 +128,9 @@ def test_criterion_9_format_round_trips():
         f = random_formula(rng, rng.randint(1, 8), rng.randint(0, 8))
         if parse_dimacs(serialize_dimacs(f)) != f:
             failures.append(f"DIMACS round trip broke on artifact {index}")
+        gadget = build_gadget(f)
+        if gadget_from_json(gadget_to_json(gadget)) != gadget:
+            failures.append(f"gadget JSON round trip broke on artifact {index}")
 
         n = rng.randint(1, 10)
         g = random_graph(rng, n, rng.randint(0, n * (n - 1) // 2))

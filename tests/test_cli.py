@@ -252,6 +252,13 @@ def test_solve_sat_on_long_chain(tmp_path, capsys):
     assert payload["work"] == 1500
 
 
+def test_solve_sat_rejects_a_negative_header_count(tmp_path, capsys):
+    source = tmp_path / "neg.cnf"
+    source.write_text("p cnf -1 0\n")
+    assert run(["solve", "--problem", "sat", "--input", source]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command, text", [
     (["solve", "--problem", "strips"], "[]"),
     (["solve", "--problem", "strips"], '"x"'),
@@ -279,3 +286,13 @@ def test_export_dot_rejects_a_hand_edited_budget(tmp_path, offset):
     payload["budget"] += offset
     gadget_file.write_text(json.dumps(payload))
     assert run(["export-dot", "--input", gadget_file]) == 1
+
+
+def test_planning_sizes_belong_to_generate_only(tmp_path):
+    instance = tmp_path / "p.json"
+    assert run(["--out", instance, "generate", "--problem", "strips",
+                "--conditions", 3, "--operators", 2]) == 0
+    payload = json.loads(instance.read_text())
+    assert len(payload["conditions"]) == 3
+    assert len(payload["operators"]) == 2
+    assert run(["experiment", "--problem", "strips", "--conditions", 99]) == 1

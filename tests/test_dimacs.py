@@ -42,6 +42,8 @@ def test_round_trip_random_formulas():
     "1 2 0\n",                      # missing header
     "p cnf x 1\n1 0\n",             # malformed header
     "p dnf 1 1\n1 0\n",             # wrong format tag
+    "p cnf -1 0\n",                 # negative variable count
+    "p cnf 1 -1\n",                 # negative clause count
     "p cnf 1 1\n2 0\n",             # literal outside declared variables
     "p cnf 2 1\n1 2\n",             # unterminated clause
     "p cnf 2 2\n1 0\n",             # clause count mismatch

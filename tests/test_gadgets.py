@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from reoptlab.cli import main
 from reoptlab.cnf import clause, cnf
 from reoptlab.enumeration import all_clauses, iter_small_formulas, random_formula
 from reoptlab.gadgets import (
@@ -17,6 +19,7 @@ from reoptlab.gadgets import (
     gadget_from_json,
     gadget_remove_unit,
     gadget_to_json,
+    node_role,
     project_formula,
 )
 from reoptlab.graphs import decide_cover, min_cover_brute
@@ -37,10 +40,21 @@ def test_worked_example_shape():
     assert ("c1_2", "x2") in g.graph.edges
     # the unit clause -x1 is the forcing edge, not a clique
     assert ("-x1", "-x1'") in g.graph.edges
-    assert g.roles["x1"] == "literal"
-    assert g.roles["x1'"] == "prime"
-    assert g.roles["-x2''"] == "double_prime"
-    assert g.roles["c1_1"] == "clause_member"
+    assert node_role("x1") == "literal"
+    assert node_role("x1'") == "prime"
+    assert node_role("-x2''") == "double_prime"
+    assert node_role("c1_1") == "clause_member"
+
+
+@pytest.mark.parametrize("label, role", [
+    ("x3", "literal"), ("-x3", "literal"), ("x12", "literal"),
+    ("x3'", "prime"), ("-x3'", "prime"),
+    ("x3''", "double_prime"), ("-x3''", "double_prime"),
+    ("c1_2", "clause_member"), ("c10_3", "clause_member"),
+    ("x3'''", None), ("x0", None), ("x", None), ("c1", None), ("c1_", None), ("a", None),
+])
+def test_node_role_reads_the_label(label, role):
+    assert node_role(label) == role
 
 
 def test_worked_example_minimum_cover():
@@ -228,8 +242,42 @@ def test_projection_requires_clique_only_universe():
 
 def test_gadget_json_round_trip():
     g = gadget_add_unit(build_gadget(PAPER_FORMULA), -2)
-    # the source alphabet is contiguous, so the DIMACS embedding is exact
     assert gadget_from_json(gadget_to_json(g)) == g
+
+
+def test_gadget_json_round_trips_every_case():
+    for f, tag, gadget, _ in gadget_cases(2, 2, 20):
+        assert gadget_from_json(gadget_to_json(gadget)) == gadget, (f, tag)
+
+
+def test_gapped_alphabet_survives_the_round_trip(tmp_path):
+    g = build_gadget(cnf([(2,)]))
+    loaded = gadget_from_json(gadget_to_json(g))
+    assert loaded.source.alphabet == frozenset({2})
+    for gadget in (g, loaded):
+        with pytest.raises(UnknownVariableError):
+            gadget_add_unit(gadget, -1)
+    gadget_file = tmp_path / "gadget.json"
+    gadget_file.write_text(gadget_to_json(g))
+    assert main(["mutate", "--gadget", "--input", str(gadget_file), "--add-unit", "-1"]) == 1
+
+
+def test_gadget_file_without_roles_loads():
+    g = build_gadget(PAPER_FORMULA)
+    obj = json.loads(gadget_to_json(g))
+    assert "roles" not in obj
+    assert gadget_from_json(json.dumps(obj)) == g
+    legacy = dict(obj, roles={node: node_role(node) for node in obj["nodes"]})
+    assert gadget_from_json(json.dumps(legacy)) == g
+
+
+def test_gadget_json_rejects_a_clause_without_literal_nodes():
+    obj = json.loads(gadget_to_json(build_gadget(PAPER_FORMULA)))
+    gone = {"x2", "-x2"}
+    obj["nodes"] = [n for n in obj["nodes"] if n not in gone]
+    obj["edges"] = [e for e in obj["edges"] if not gone & set(e)]
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        gadget_from_json(json.dumps(obj))
 
 
 def test_gadget_json_checks_the_budget():

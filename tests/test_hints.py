@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from reoptlab import hints
 from reoptlab.cnf import ChangeSet, apply_changes, cnf, evaluate
 from reoptlab.enumeration import iter_small_formulas, random_hint_setup
 from reoptlab.errors import InvalidHintError
@@ -61,10 +62,14 @@ def test_compile_table_rejects_bad_candidates():
         compile_table(cnf([(1,)]), [add_change(1), del_change(1)], 1)
 
 
-def test_compile_table_budget():
-    candidates = [add_change(v) for v in range(1, 6)]
-    with pytest.raises(TableBudgetError):
-        compile_table(cnf(), candidates, 5, max_entries=8)
+def test_compile_table_budget(monkeypatch):
+    def no_solve(formula):
+        raise AssertionError("the budget check must come before any solve")
+
+    monkeypatch.setattr(hints, "solve_dpll", no_solve)
+    candidates = [add_change(v) for v in range(1, 18)]  # 2**17 = 131,072 entries
+    with pytest.raises(TableBudgetError, match="131072 entries"):
+        compile_table(cnf(), candidates, 17)
 
 
 def test_lookup_hit_miss_and_bound():
