@@ -19,6 +19,7 @@ from .dimacs import parse_changes, parse_dimacs, serialize_dimacs
 from .dot import gadget_to_dot
 from .enumeration import random_formula, random_graph, random_plansat_instance
 from .experiments import (
+    SCALE_FIELDS,
     ExperimentConfig,
     InvalidConfigError,
     VerdictMismatchError,
@@ -105,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--problem", choices=("sat", "vc", "strips"), required=True)
     exp.add_argument("--scenario", default="")
     exp.add_argument("--trials", type=int, default=20)
-    _add_scale_options(exp)
+    _add_scale_options(exp, leave_unset=True)
     exp.set_defaults(func=cmd_experiment)
 
     dot = sub.add_parser("export-dot", help="render a gadget file as DOT")
@@ -114,12 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_scale_options(parser) -> None:
-    parser.add_argument("--variables", type=int, default=4)
-    parser.add_argument("--clauses", type=int, default=4)
-    parser.add_argument("--clause-size", type=int, default=3)
-    parser.add_argument("--nodes", type=int, default=10)
-    parser.add_argument("--edges", type=int, default=14)
+SCALE_DEFAULTS = {"variables": 4, "clauses": 4, "clause_size": 3, "nodes": 10, "edges": 14}
+
+
+def _add_scale_options(parser, leave_unset: bool = False) -> None:
+    """Instance-size options; with ``leave_unset`` an option not given stays off the namespace."""
+    for name, default in SCALE_DEFAULTS.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=int,
+                            default=argparse.SUPPRESS if leave_unset else default)
 
 
 def _emit(args, text: str, path: Path | None = None) -> None:
@@ -269,17 +272,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    scale = {name: getattr(args, name) for name in SCALE_DEFAULTS if hasattr(args, name)}
+    unread = sorted(scale.keys() - SCALE_FIELDS[args.problem])
+    if unread:
+        raise InvalidConfigError(unread[0], f"the {args.problem} experiment does not read it")
     config = ExperimentConfig(
         seed=args.seed,
         problem=args.problem,
         scenario=args.scenario,
         trials=args.trials,
-        variables=args.variables,
-        clauses=args.clauses,
-        clause_size=args.clause_size,
-        nodes=args.nodes,
-        edges=args.edges,
         oracle_limit=args.oracle_limit,
+        **scale,
     )
     report = run_experiment(config)
     summary = report.summary()

@@ -18,8 +18,9 @@ Clause = tuple[int, ...]
 Assignment = frozenset[int]
 
 
-def _literal_key(lit: int) -> tuple[int, int]:
-    return (abs(lit), 0 if lit > 0 else 1)
+def _literal_key(lit: int) -> int:
+    # Variable id first, the positive literal before the negative one.
+    return 2 * abs(lit) + (lit < 0)
 
 
 def clause(*literals: int) -> Clause:
@@ -29,9 +30,9 @@ def clause(*literals: int) -> Clause:
     return tuple(sorted(set(literals), key=_literal_key))
 
 
-def clause_sort_key(cl: Clause) -> tuple[tuple[int, int], ...]:
+def clause_sort_key(cl: Clause) -> tuple[int, ...]:
     """Total order on canonical clauses, used wherever clauses get indexed."""
-    return tuple(_literal_key(lit) for lit in cl)
+    return tuple(2 * abs(lit) + (lit < 0) for lit in cl)
 
 
 def is_tautology(cl: Clause) -> bool:

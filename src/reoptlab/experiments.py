@@ -210,6 +210,13 @@ SCENARIOS = {
     "strips": {"initial-removal": _strips_removal_trial},
 }
 
+# The scale fields each problem's trials read.
+SCALE_FIELDS = {
+    "sat": {"variables", "clauses", "clause_size"},
+    "vc": {"nodes", "edges"},
+    "strips": {"variables", "clauses", "clause_size"},
+}
+
 
 def report_to_csv(report: ExperimentReport) -> str:
     buffer = io.StringIO()

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -234,7 +235,8 @@ def gadget_to_json(g: Gadget) -> str:
 
 
 def gadget_from_json(text: str) -> Gadget:
-    """Load a gadget, rejecting a ``"budget"`` other than the derived one.
+    """Load a gadget, rejecting a ``"budget"`` other than the derived one
+    and edges other than those unit edits of the source's gadget reach.
 
     The alphabet is the DIMACS variables that have literal nodes, since the
     header keeps only the largest variable id.  Any other key, such as the
@@ -252,4 +254,49 @@ def gadget_from_json(text: str) -> Gadget:
     if budget != gadget.budget:
         raise ValueError(f"gadget budget {budget!r} contradicts its source and graph "
                          f"(expected {gadget.budget})")
+    if _shape(g) != _shape(_expected_graph(gadget)):
+        raise ValueError("gadget edges contradict its source")
     return gadget
+
+
+def _expected_graph(g: Gadget) -> Graph:
+    """The graph unit edits of ``build_gadget(g.source)`` reach with g's relaxing edges.
+
+    A removed unit l leaves its forcing edge (l, l') and adds (l', l'').
+    """
+    removed = [lit for v in g.source.alphabet for lit in (v, -v)
+               if clause(lit) not in g.source.clauses
+               and edge(prime_node(lit), double_prime_node(lit)) in g.graph.edges]
+    kept = [(literal_node(lit), prime_node(lit)) for lit in removed]
+    relaxing = [(prime_node(lit), double_prime_node(lit)) for lit in removed]
+    return add_edges(build_gadget(g.source).graph, kept + relaxing)
+
+
+def _shape(g: Graph) -> tuple:
+    """The graph up to clause-node labels, which unit edits leave shifted.
+
+    Other nodes, and the edges among them, stay as they are.  A clique is
+    the clause nodes sharing a ``c{i}_`` prefix; it becomes the sorted
+    list of its members' outside neighbours and inside degrees.  When the
+    cliques of one graph are complete, as in every built gadget, another
+    graph has its shape exactly when renaming clause nodes maps one onto
+    the other.
+    """
+    clique = {n: n.split("_")[0] for n in g.nodes if node_role(n) == ROLE_CLAUSE}
+    outside: defaultdict[str, list[str]] = defaultdict(list)
+    inside: Counter[str] = Counter()
+    plain = set()
+    for u, v in g.edges:
+        if u in clique and v in clique and clique[u] == clique[v]:
+            inside.update((u, v))
+        elif u in clique or v in clique:
+            for end, other in ((u, v), (v, u)):
+                if end in clique:
+                    outside[end].append(other)
+        else:
+            plain.add((u, v))
+    members = defaultdict(list)
+    for n, key in clique.items():
+        members[key].append((tuple(sorted(outside[n])), inside[n]))
+    cliques = Counter(tuple(sorted(m)) for m in members.values())
+    return g.nodes - clique.keys(), plain, cliques

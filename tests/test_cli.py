@@ -296,3 +296,22 @@ def test_planning_sizes_belong_to_generate_only(tmp_path):
     assert len(payload["conditions"]) == 3
     assert len(payload["operators"]) == 2
     assert run(["experiment", "--problem", "strips", "--conditions", 99]) == 1
+
+
+@pytest.mark.parametrize("problem, unread", [
+    ("sat", ["--nodes", 2]),
+    ("sat", ["--edges", 999]),
+    ("strips", ["--nodes", 5]),
+    ("vc", ["--variables", 3]),
+    ("vc", ["--clauses", 99, "--clause-size", 7]),
+])
+def test_experiment_rejects_scale_options_its_problem_does_not_read(capsys, problem, unread):
+    assert run(["experiment", "--problem", problem, "--trials", 1, *unread]) == 1
+    assert "does not read" in capsys.readouterr().err
+
+
+def test_experiment_takes_the_scale_options_its_problem_reads(capsys):
+    assert run(["--format", "json", "experiment", "--problem", "vc", "--trials", 1,
+                "--nodes", 6, "--edges", 5]) == 0
+    config = json.loads(capsys.readouterr().out.rsplit("\n", 2)[0])["config"]
+    assert (config["nodes"], config["edges"], config["variables"]) == (6, 5, 4)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from reoptlab.cnf import (
@@ -5,6 +7,7 @@ from reoptlab.cnf import (
     CnfFormula,
     apply_changes,
     clause,
+    clause_sort_key,
     cnf,
     cross_disjoin,
     disjoin_literal,
@@ -13,6 +16,7 @@ from reoptlab.cnf import (
     is_tautology,
     mentioned_vars,
 )
+from reoptlab.enumeration import all_clauses
 
 from oracles import brute_models, truth_assignments
 
@@ -22,6 +26,24 @@ def test_clause_canonical_form():
     assert clause(1, -1) == (1, -1)  # positive polarity sorts first
     assert clause() == ()
     assert clause(3, 1, -2) == (1, -2, 3)
+
+
+def _pair_key(cl):
+    # The clause order spelled as (variable, 0 if positive else 1) pairs.
+    return tuple((abs(lit), 0 if lit > 0 else 1) for lit in cl)
+
+
+def test_clause_sort_key_orders_like_literal_pairs():
+    rng = random.Random(5)
+    clauses = all_clauses(range(1, 5), 1, 3)
+    for _ in range(3000):
+        size = rng.randrange(6)
+        variables = [rng.choice((1, 2, 3, rng.randrange(1, 10**12))) for _ in range(size)]
+        clauses.append(clause(*(v * rng.choice((1, -1)) for v in variables)))
+    rng.shuffle(clauses)
+    assert sorted(clauses, key=clause_sort_key) == sorted(clauses, key=_pair_key)
+    for cl in clauses:
+        assert list(cl) == sorted(set(cl), key=lambda lit: _pair_key((lit,)))
 
 
 def test_clause_rejects_zero():

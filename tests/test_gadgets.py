@@ -280,6 +280,53 @@ def test_gadget_json_rejects_a_clause_without_literal_nodes():
         gadget_from_json(json.dumps(obj))
 
 
+def _unsat_units_without_forcing_edge() -> str:
+    # (x1) and (not x1) with the forcing edge (-x1, -x1') deleted: the
+    # budget still reads 1, and {x1} would cover the graph.
+    obj = json.loads(gadget_to_json(build_gadget(cnf([(1,), (-1,)]))))
+    obj["edges"] = [e for e in obj["edges"] if sorted(e) != ["-x1", "-x1'"]]
+    return json.dumps(obj)
+
+
+def test_gadget_json_rejects_edges_that_contradict_the_source(tmp_path):
+    text = _unsat_units_without_forcing_edge()
+    with pytest.raises(ValueError, match="edges contradict"):
+        gadget_from_json(text)
+    gadget_file = tmp_path / "gadget.json"
+    gadget_file.write_text(text)
+    assert main(["export-dot", "--input", str(gadget_file)]) == 1
+    assert main(["mutate", "--gadget", "--input", str(gadget_file), "--remove-unit", "1"]) == 1
+
+
+def test_gadget_json_rejects_any_single_edge_deleted_or_added():
+    g = gadget_remove_unit(build_gadget(cnf([(1, 2), (-1, 3), (1, -2, -3), (-2,)])), -2)
+    text = gadget_to_json(g)
+    assert gadget_from_json(text) == g
+    obj = json.loads(text)
+    nodes = obj["nodes"]
+    for dropped in range(len(obj["edges"])):
+        edges = obj["edges"][:dropped] + obj["edges"][dropped + 1:]
+        with pytest.raises(ValueError, match="contradict"):
+            gadget_from_json(json.dumps(dict(obj, edges=edges)))
+    present = {tuple(sorted(e)) for e in obj["edges"]}
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1:]:
+            if (u, v) not in present:
+                with pytest.raises(ValueError, match="contradict"):
+                    gadget_from_json(json.dumps(dict(obj, edges=obj["edges"] + [[u, v]])))
+
+
+def test_gadget_json_matches_cliques_whatever_their_index():
+    # Adding a unit shifts the clause indices build_gadget would give the
+    # cliques; the loader matches each clique by the literals it attaches to.
+    g = gadget_add_unit(build_gadget(cnf([(2, 3), (-2, -3)], alphabet={1, 2, 3})), 1)
+    assert "c1_1" in g.graph.nodes and "c2_1" in g.graph.nodes
+    assert "c1_1" not in build_gadget(g.source).graph.nodes
+    assert gadget_from_json(gadget_to_json(g)) == g
+    swapped = gadget_to_json(g).replace("c1_", "cX_").replace("c2_", "c1_").replace("cX_", "c2_")
+    assert gadget_from_json(swapped).graph != g.graph
+
+
 def test_gadget_json_checks_the_budget():
     for _, _, gadget, _ in gadget_cases(2, 2, 20):
         text = gadget_to_json(gadget)

@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reoptlab.cnf import ChangeSet, apply_changes, clause, cnf, evaluate
 from reoptlab.enumeration import iter_small_formulas, random_formula
@@ -15,6 +18,11 @@ from reoptlab.solvers import (
 )
 
 from oracles import brute_sat, reference_dpll
+
+# Gapped and large ids, so that a solver indexing by variable id is caught.
+VARIABLE_IDS = (1, 2, 3, 4, 5, 6, 9, 17, 40, 10**9)
+LITERALS = st.builds(lambda v, sign: sign * v,
+                     st.sampled_from(VARIABLE_IDS), st.sampled_from((1, -1)))
 
 # (x1 or x2)(x3 or x4)...(x2999 or x3000): 1,500 decisions deep.
 CHAIN = cnf([(2 * i + 1, 2 * i + 2) for i in range(1500)])
@@ -91,11 +99,18 @@ def test_solvers_agree_small_enumeration_and_random():
             assert evaluate(f, fast)
 
 
-def random_3cnf(rng, num_vars, num_clauses):
+def random_3clause(rng, num_vars):
+    variables = rng.sample(range(1, num_vars + 1), 3)
+    return clause(*(v if rng.random() < 0.5 else -v for v in variables))
+
+
+def random_3cnf(rng, num_vars, num_clauses, model=None):
+    """Distinct random 3-clauses; with ``model``, only clauses it satisfies."""
     clauses = set()
     while len(clauses) < num_clauses:
-        variables = rng.sample(range(1, num_vars + 1), 3)
-        clauses.add(clause(*(v if rng.random() < 0.5 else -v for v in variables)))
+        cl = random_3clause(rng, num_vars)
+        if model is None or any((lit > 0) == (abs(lit) in model) for lit in cl):
+            clauses.add(cl)
     return cnf(clauses, alphabet=range(1, num_vars + 1))
 
 
@@ -128,3 +143,45 @@ def test_dpll_on_long_chain_needs_no_recursion():
     model, work = solve_dpll_stats(CHAIN)
     assert model == frozenset(range(1, 3000, 2))
     assert work == 1500  # one decision per clause, no propagation
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(LITERALS, max_size=4), max_size=20),
+       st.sets(st.sampled_from(VARIABLE_IDS), max_size=3))
+def test_dpll_matches_recursive_reference_on_generated_formulas(raw, unmentioned):
+    # Raw clauses may be empty, tautological or unit, and the alphabet may
+    # hold variables no clause mentions.
+    f = cnf(raw, alphabet={abs(lit) for cl in raw for lit in cl} | unmentioned)
+    assert solve_dpll_stats(f) == reference_dpll(f)
+
+
+def test_dpll_matches_recursive_reference_on_planted_additions():
+    # A planted 30-variable, 126-clause 3-CNF plus one random added clause.
+    rng = random.Random(13)
+    for _ in range(20):
+        model = {v for v in range(1, 31) if rng.random() < 0.5}
+        base = random_3cnf(rng, 30, 126, model)
+        f = apply_changes(base, ChangeSet(additions=(random_3clause(rng, 30),)))
+        assert solve_dpll_stats(f) == reference_dpll(f)
+
+
+def test_dpll_matches_recursive_reference_under_candidate_edits():
+    # A 10-variable, 40-clause base under every subset of at most two of
+    # six candidate edits: three deletions and three fresh additions.
+    rng = random.Random(14)
+    for _ in range(6):
+        base = random_3cnf(rng, 10, 40)
+        deletions = rng.sample(sorted(base.clauses), 3)
+        additions = []
+        while len(additions) < 3:
+            cl = random_3clause(rng, 10)
+            if cl not in base.clauses and cl not in additions:
+                additions.append(cl)
+        candidates = [ChangeSet(deletions=(cl,)) for cl in deletions]
+        candidates += [ChangeSet(additions=(cl,)) for cl in additions]
+        for size in range(3):
+            for combo in combinations(candidates, size):
+                changes = ChangeSet(additions=tuple(a for c in combo for a in c.additions),
+                                    deletions=tuple(d for c in combo for d in c.deletions))
+                f = apply_changes(base, changes)
+                assert solve_dpll_stats(f) == reference_dpll(f)
