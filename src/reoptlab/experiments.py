@@ -76,7 +76,7 @@ def validate_config(config: ExperimentConfig) -> None:
         raise InvalidConfigError("clauses", "must be non-negative")
     if not 1 <= config.clause_size:
         raise InvalidConfigError("clause_size", "must be at least 1")
-    if config.variables > config.oracle_limit:
+    if "variables" in SCALE_FIELDS[config.problem] and config.variables > config.oracle_limit:
         raise InvalidConfigError("variables", f"exceeds the oracle limit {config.oracle_limit}")
     if config.problem == "strips" and config.clauses < 1:
         raise InvalidConfigError("clauses", "the replanning scenario needs at least one clause")

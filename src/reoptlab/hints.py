@@ -205,6 +205,12 @@ def table_to_json(table: HintTable) -> str:
 
 
 def table_from_json(text: str) -> HintTable:
+    """Load a table, checking its entry keys and its stored models.
+
+    Every stored model must satisfy its changed formula, one linear
+    ``evaluate`` per entry.  Unsatisfiable markers cannot be checked
+    without a solve, so they are trusted.
+    """
     obj = json.loads(text)
     try:
         base = parse_dimacs(obj["base"])
@@ -227,4 +233,8 @@ def table_from_json(text: str) -> HintTable:
     if len(entries) != subsets:
         raise ValueError(f"table has {len(entries)} entries, the {subsets} candidate subsets "
                          f"of at most {size} changes need one each")
+    for mask, model in sorted(entries.items()):
+        bits = [i for i in range(len(candidates)) if mask >> i & 1]
+        if model is not None and not evaluate(apply_changes(base, subset_changes(candidates, bits)), model):
+            raise ValueError(f"entry {hex(mask)} stores a model that does not satisfy its changed formula")
     return HintTable(base, candidates, bound, entries)

@@ -4,17 +4,18 @@ An operator carries positive/negative preconditions and positive/negative
 postconditions over a fixed condition set.  Plans are sequences of
 operator names.  ``plan_exists`` handles only instances whose operators
 have no negative postconditions: states then only grow along a plan.  It
-applies, to closure, every operator that adds no condition named by a
-negative precondition or by the goal's ``must_false``, and searches
-breadth-first, with memoization, only over the other operators.  General
-execution (negative postconditions included) is still supported by
-``apply_operator`` and ``validate_plan``.
+keeps only the operators that add a condition the goal can use, applies,
+to closure, every kept operator that adds no condition named by a
+negative precondition or by the goal's ``must_false``, and searches the
+other kept operators depth-first, in name order, with memoization.  The
+plan it returns is the first one found, valid but not necessarily the
+shortest.  General execution (negative postconditions included) is still
+supported by ``apply_operator`` and ``validate_plan``.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -151,24 +152,39 @@ def plan_exists(instance: StripsInstance, max_states: int = DEFAULT_SEARCH_BUDGE
 
 
 def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH_BUDGET) -> tuple[Plan | None, int]:
-    """Breadth-first plan search for add-only instances; returns (plan, states expanded).
+    """Depth-first plan search for add-only instances; returns (plan, states expanded).
 
-    States are bitmasks over the sorted conditions.  A condition is
-    *watched* when some operator's negative precondition or the goal's
-    ``must_false`` names it, and an operator is *safe* when it adds no
-    watched condition.  Each state is saturated: safe operators are
-    applied in name order until they add nothing new or the goal holds.
-    The search then branches only on unsafe operators, in name order, so
-    the witness plan is deterministic.
+    States are bitmasks over the sorted conditions.  The *relevant*
+    conditions are the least set that holds the goal's ``must_true`` and
+    the positive preconditions of every operator that adds one of them.
+    Operators that add no relevant condition are dropped.  A condition is
+    *watched* when some operator's negative precondition (over all
+    operators, dropped ones included) or the goal's ``must_false`` names
+    it, and an operator is *safe* when it adds no watched condition.  Each
+    state is saturated: safe operators are applied in name order until
+    they add nothing new or the goal holds.  The search then branches only
+    on unsafe operators that add a relevant condition the state lacks.  It
+    generates a state's successors in operator-name order, tests each for
+    the goal as it is made, and expands the first-named one next.  The
+    witness is the first plan found, deterministic but not necessarily
+    the shortest.
+
+    Relevance is sound and complete.  Any plan can be thinned to the steps
+    that add a relevant condition not yet true.  The thinned plan has the
+    same relevant conditions as the original after every kept step, and
+    each of its states is a subset of the original one.  Its positive
+    preconditions and ``must_true`` are relevant, so they still hold, and
+    no negative precondition or ``must_false`` is newly hit.
 
     Saturation is sound and complete.  Let T be the saturation of S.
     Then T contains S and agrees with it on every watched condition, and
     that relation survives applying one operator to both and saturating
     again.  So every operator applicable in S is applicable in T, a goal
     that holds in S holds in T, and a safe step applicable in S has
-    already been applied in T.  Every plan from S therefore has a
-    counterpart that branches on its unsafe steps alone, and every path
-    of the search is itself a plan.
+    already been applied in T.  Thinning a plan from a searched state
+    therefore leaves a first step that the search branches on, and each
+    branch adds a relevant condition, so every plan has a counterpart
+    among the searched paths, and every such path is itself a plan.
 
     Each state keeps a pointer to its parent and the steps that led to
     it; the plan is rebuilt once, at the goal.  Raises
@@ -196,6 +212,15 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
     watched = forbid
     for _, _, neg, _ in ops:
         watched |= neg
+    relevant = need
+    grew = True
+    while grew:
+        grew = False
+        for _, pre, _, post in ops:
+            if post & relevant and pre & ~relevant:
+                relevant |= pre
+                grew = True
+    ops = [op for op in ops if op[3] & relevant]
     safe = [op for op in ops if not op[3] & watched]
     unsafe = [op for op in ops if op[3] & watched]
 
@@ -225,15 +250,16 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
     parents: dict[int, tuple[int | None, Plan]] = {root: (None, steps)}
     if root & need == need:
         return plan_to(root), 0
-    queue = deque([root])
+    stack = [root]
     expanded = 0
-    while queue:
-        state = queue.popleft()
+    while stack:
+        state = stack.pop()
         expanded += 1
         if expanded > max_states:
             raise SearchBudgetError(f"more than {max_states} states expanded")
+        successors = []
         for name, pre, neg, post in unsafe:
-            if state & pre != pre or state & neg:
+            if not post & relevant & ~state or state & pre != pre or state & neg:
                 continue
             successor = state | post
             if successor in parents or successor & forbid:
@@ -244,7 +270,8 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
             parents[successor] = (state, (name,) + steps)
             if successor & need == need:
                 return plan_to(successor), expanded
-            queue.append(successor)
+            successors.append(successor)
+        stack.extend(reversed(successors))
     return None, expanded
 
 

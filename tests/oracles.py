@@ -2,12 +2,22 @@
 
 These deliberately re-derive semantics from raw tuples and sets, without
 going through the package's own evaluation or search code, so that a bug
-in the library cannot hide itself.
+in the library cannot hide itself.  The ``reference_*`` functions keep
+earlier, simpler versions of the library's search cores, so that verdicts,
+witnesses or work can be compared with them.
 """
 
+from collections import deque
 from itertools import combinations, product
 
 from reoptlab.cnf import clause_sort_key
+from reoptlab.strips import (
+    DEFAULT_SEARCH_BUDGET,
+    NegativePostconditionError,
+    Plan,
+    SearchBudgetError,
+    satisfies_goal,
+)
 
 
 def truth_assignments(variables):
@@ -49,7 +59,7 @@ def plan_reachable(conditions, operators, initial, goal_true, goal_false, max_no
     Explores every operator sequence in which each step adds at least one
     new condition (any valid plan can be thinned to such a sequence), with
     no state memoization, so it is a genuinely different algorithm from
-    the breadth-first search it cross-checks.
+    the library's plan search, which it cross-checks.
     """
     goal_true = set(goal_true)
     goal_false = set(goal_false)
@@ -196,3 +206,85 @@ def reference_dpll(formula):
         return None
 
     return search({}), work
+
+
+def reference_plan_search(instance, max_states=DEFAULT_SEARCH_BUDGET):
+    """Breadth-first add-only plan search with safe-operator saturation.
+
+    Branches on every applicable unsafe operator, in name order, over
+    bitmask states, and returns ``(plan, states expanded)``; the plan has
+    the fewest branching steps.  It drops no irrelevant operator, so the
+    library's depth-first search must reach the same verdict on every
+    instance, with a witness that validates.
+    """
+    offenders = sorted(n for n, op in instance.operators.items() if op.neg_post)
+    if offenders:
+        raise NegativePostconditionError(f"operators with negative postconditions: {offenders}")
+    goal = instance.goal
+    # Conditions never become false again, so any state overlapping
+    # must_false is a dead end, the initial state included.
+    if goal.must_false & instance.initial:
+        return None, 0
+    if satisfies_goal(instance.initial, goal):
+        return (), 0
+    bits = {c: 1 << i for i, c in enumerate(sorted(instance.conditions))}
+
+    def mask(conditions) -> int:
+        return sum(bits[c] for c in conditions)
+
+    ops = [(name, mask(op.pos_pre), mask(op.neg_pre), mask(op.pos_post))
+           for name, op in sorted(instance.operators.items())]
+    need, forbid = mask(goal.must_true), mask(goal.must_false)
+    watched = forbid
+    for _, _, neg, _ in ops:
+        watched |= neg
+    safe = [op for op in ops if not op[3] & watched]
+    unsafe = [op for op in ops if op[3] & watched]
+
+    def saturate(state: int) -> tuple[int, Plan]:
+        # Safe steps add no watched condition, so none can reach must_false.
+        steps: list[str] = []
+        grew = True
+        while grew and state & need != need:
+            grew = False
+            for name, pre, neg, post in safe:
+                if post & ~state and state & pre == pre and not state & neg:
+                    state |= post
+                    steps.append(name)
+                    grew = True
+                    if state & need == need:
+                        break
+        return state, tuple(steps)
+
+    def plan_to(state: int) -> Plan:
+        parts = []
+        while state is not None:
+            state, steps = parents[state]
+            parts.append(steps)
+        return tuple(name for steps in reversed(parts) for name in steps)
+
+    root, steps = saturate(mask(instance.initial))
+    parents: dict[int, tuple[int | None, Plan]] = {root: (None, steps)}
+    if root & need == need:
+        return plan_to(root), 0
+    queue = deque([root])
+    expanded = 0
+    while queue:
+        state = queue.popleft()
+        expanded += 1
+        if expanded > max_states:
+            raise SearchBudgetError(f"more than {max_states} states expanded")
+        for name, pre, neg, post in unsafe:
+            if state & pre != pre or state & neg:
+                continue
+            successor = state | post
+            if successor in parents or successor & forbid:
+                continue
+            successor, steps = saturate(successor)
+            if successor in parents:
+                continue
+            parents[successor] = (state, (name,) + steps)
+            if successor & need == need:
+                return plan_to(successor), expanded
+            queue.append(successor)
+    return None, expanded

@@ -315,3 +315,10 @@ def test_experiment_takes_the_scale_options_its_problem_reads(capsys):
                 "--nodes", 6, "--edges", 5]) == 0
     config = json.loads(capsys.readouterr().out.rsplit("\n", 2)[0])["config"]
     assert (config["nodes"], config["edges"], config["variables"]) == (6, 5, 4)
+
+
+def test_oracle_limit_applies_only_to_problems_that_read_variables(capsys):
+    assert run(["--oracle-limit", 2, "experiment", "--problem", "vc", "--trials", 1]) == 0
+    capsys.readouterr()
+    assert run(["--oracle-limit", 2, "experiment", "--problem", "sat", "--variables", 3]) == 1
+    assert "exceeds the oracle limit 2" in capsys.readouterr().err

@@ -218,6 +218,60 @@ def test_table_json_rejects_missing_or_stray_entries(missing, stray):
         table_from_json(json.dumps(obj))
 
 
+def test_table_json_rejects_a_model_that_misses_its_changed_formula():
+    base = cnf([(1,), (1, -2)])
+    candidates = [add_change(2), del_change(1)]
+    obj = json.loads(table_to_json(compile_table(base, candidates, 2)))
+    assert obj["entries"]["0x1"] == [1, 2]
+    obj["entries"]["0x1"] = [1]  # flips variable 2; base plus (2) needs it true
+    with pytest.raises(ValueError, match="0x1"):
+        table_from_json(json.dumps(obj))
+
+
+def test_table_json_checks_every_flipped_model():
+    rng = random.Random(23)
+    for _ in range(10):
+        base, candidates, bound = random_hint_setup(
+            rng, num_vars=3, num_clauses=3, num_candidates=3, bound=2)
+        text = table_to_json(compile_table(base, candidates, bound))
+        obj = json.loads(text)
+        for key, model in obj["entries"].items():
+            if model is None:
+                continue
+            mask = int(key, 16)
+            changed = apply_changes(base, subset_changes(
+                candidates, [i for i in range(len(candidates)) if mask >> i & 1]))
+            for var in sorted(changed.alphabet):
+                flipped = sorted(set(model) ^ {var})
+                tampered = json.loads(text)
+                tampered["entries"][key] = flipped
+                if evaluate(changed, flipped):
+                    table_from_json(json.dumps(tampered))
+                else:
+                    with pytest.raises(ValueError, match="does not satisfy"):
+                        table_from_json(json.dumps(tampered))
+
+
+def test_every_compiled_table_of_these_tests_loads():
+    setups = [
+        (cnf([(1,)]), [add_change(-1)], 1),
+        (cnf([(1,)]), [add_change(-1)], 0),
+        (cnf((), alphabet={1}), [add_change(1), add_change(-1)], 2),
+        (cnf([(1,)]), [add_change(-1), add_change(2)], 1),
+        (cnf([(1,), (1, -2)]), [add_change(2), del_change(1)], 2),
+        (cnf([(1,)]), [add_change(2), add_change(-2)], 2),
+    ]
+    rng = random.Random(19)
+    for _ in range(20):
+        setups.append(random_hint_setup(
+            rng, num_vars=rng.randint(1, 4), num_clauses=rng.randint(0, 4),
+            num_candidates=rng.randint(0, 4), bound=rng.randint(0, 2),
+        ))
+    for base, candidates, bound in setups:
+        table = compile_table(base, candidates, bound)
+        assert table_from_json(table_to_json(table)) == table
+
+
 def test_table_json_rejects_oversized_entry():
     base = cnf([(1,)])
     table = compile_table(base, [add_change(2), add_change(-2)], 2)

@@ -26,7 +26,7 @@ from reoptlab.strips import (
     validate_plan_stats,
 )
 
-from oracles import plan_reachable
+from oracles import plan_reachable, reference_plan_search
 
 
 def guard_instance():
@@ -208,6 +208,7 @@ def assert_plan_search_matches_sequence_oracle(inst):
     assert (plan is not None) == expected
     if plan is not None:
         assert validate_plan(inst, plan)
+    return plan
 
 
 def test_plan_search_matches_sequence_oracle():
@@ -239,6 +240,104 @@ def addonly_instances(draw):
 @given(addonly_instances())
 def test_plan_search_matches_sequence_oracle_property(inst):
     assert_plan_search_matches_sequence_oracle(inst)
+
+
+def small_instance(rng):
+    # Up to two negative preconditions per operator, and a must_false part.
+    conditions = [f"p{i}" for i in range(rng.randint(1, 6))]
+
+    def some(low, high):
+        return rng.sample(conditions, rng.randint(low, min(high, len(conditions))))
+
+    operators = {}
+    for i in range(rng.randint(0, 8)):
+        pos_pre = some(0, 2)
+        neg_pre = [c for c in some(0, 2) if c not in pos_pre]
+        operators[f"op{i}"] = make_operator(pos_pre, neg_pre, some(1, 2))
+    goal_true = some(1, 3)
+    goal_false = [c for c in some(0, 2) if c not in goal_true]
+    return make_instance(conditions, operators, some(0, 3), goal_true, goal_false)
+
+
+def test_plan_search_matches_sequence_oracle_with_two_negative_preconditions():
+    rng = random.Random(41)
+    solvable = 0
+    for _ in range(3000):
+        solvable += assert_plan_search_matches_sequence_oracle(small_instance(rng)) is not None
+    assert 1000 < solvable < 2000
+
+
+def benchmark_shaped_instance(rng):
+    # 20 conditions, 36 operators with one negative precondition each,
+    # 4 initial and 6-7 goal conditions, like the random-edits bases.
+    conditions = [f"p{i:02d}" for i in range(20)]
+    operators = {}
+    for i in range(36):
+        pos_pre = rng.sample(conditions, rng.randint(0, 2))
+        neg_pre = rng.sample([c for c in conditions if c not in pos_pre], 1)
+        operators[f"o{i:02d}"] = make_operator(pos_pre, neg_pre, rng.sample(conditions, rng.randint(1, 2)))
+    initial = rng.sample(conditions, 4)
+    goal = rng.sample([c for c in conditions if c not in initial], rng.randint(6, 7))
+    return make_instance(conditions, operators, initial, goal)
+
+
+def test_plan_search_matches_breadth_first_reference_on_benchmark_shapes():
+    rng = random.Random(43)
+    solvable = 0
+    for _ in range(60):
+        base = benchmark_shaped_instance(rng)
+        # The base, then each one-condition removal from its initial state.
+        for removed in [None, *sorted(base.initial)]:
+            inst = base if removed is None else make_instance(
+                base.conditions, base.operators, base.initial - {removed}, base.goal.must_true)
+            plan, _ = plan_exists_stats(inst)
+            expected, _ = reference_plan_search(inst)
+            assert (plan is not None) == (expected is not None)
+            if plan is not None:
+                assert validate_plan(inst, plan)
+                solvable += 1
+    assert solvable >= 60
+
+
+@pytest.mark.parametrize("noise", [0, 1, 2, 5])
+def test_plan_search_skips_operators_that_add_no_relevant_condition(noise):
+    # "stop" watches every condition but u, so every other operator but
+    # "d" is unsafe.  a<j> adds only the irrelevant w<j>; b<j> re-adds g1
+    # beside w<j>.  Neither may be branched on, so only the chain's three
+    # states are expanded, however many of them there are.  The safe "d"
+    # adds only the irrelevant u, so saturation leaves it out of the plan.
+    noise_conditions = [f"w{j}" for j in range(noise)]
+    operators = {
+        "d": make_operator(pos_post=["u"]),
+        "c1": make_operator(pos_post=["g1"]),
+        "c2": make_operator(pos_pre=["g1"], pos_post=["g2"]),
+        "c3": make_operator(pos_pre=["g2"], pos_post=["g3"]),
+        "stop": make_operator(neg_pre=["g1", "g2", "g3", *noise_conditions]),
+    }
+    for j, w in enumerate(noise_conditions):
+        operators[f"a{j}"] = make_operator(pos_post=[w])
+        operators[f"b{j}"] = make_operator(pos_pre=["g1"], pos_post=["g1", w])
+    inst = make_instance(["g1", "g2", "g3", "u", *noise_conditions], operators, goal_true=["g3"])
+    assert plan_exists_stats(inst) == (("c1", "c2", "c3"), 3)
+
+
+def test_plan_search_expands_the_first_named_successor_first():
+    # "a" and "b" both start a route to the goal; depth-first search follows
+    # "a" to its end before it expands the state "b" made.
+    inst = make_instance(
+        ["p", "q", "r", "s"],
+        {
+            "a": make_operator(pos_post=["p"]),
+            "a2": make_operator(pos_pre=["p"], pos_post=["r"]),
+            "a3": make_operator(pos_pre=["r"], pos_post=["s"]),
+            "b": make_operator(pos_post=["q"]),
+            "b2": make_operator(pos_pre=["q"], pos_post=["s"]),
+            "stop": make_operator(neg_pre=["p", "q", "r", "s"]),
+        },
+        goal_true=["s"],
+    )
+    assert plan_exists_stats(inst) == (("a", "a2", "a3"), 3)
+    assert reference_plan_search(inst) == (("b", "b2"), 3)
 
 
 @st.composite
