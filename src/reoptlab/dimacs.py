@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from .cnf import ChangeSet, CnfFormula, clause, clause_sort_key
 
+# The alphabet is materialized from the header's variable count, so a
+# larger count is rejected before anything is allocated for it.
+MAX_DIMACS_VARIABLES = 1 << 20
+
 
 def serialize_dimacs(formula: CnfFormula) -> str:
     """Canonical DIMACS text: clauses sorted, literals in canonical order.
@@ -37,6 +41,9 @@ def parse_dimacs(text: str) -> CnfFormula:
             nvars, nclauses = int(parts[2]), int(parts[3])
             if nvars < 0 or nclauses < 0:
                 raise ValueError(f"negative count in problem line: {line!r}")
+            if nvars > MAX_DIMACS_VARIABLES:
+                raise ValueError(f"variable count in problem line exceeds "
+                                 f"{MAX_DIMACS_VARIABLES}: {line!r}")
             continue
         literals.extend(int(tok) for tok in line.split())
     if nvars is None:

@@ -8,14 +8,17 @@ interpreter's recursion limit.  It finds conflicts and unit clauses
 through two watched literals per clause (Chaff, MiniSat), takes units
 from a min-heap in ``clause_sort_key`` order and branches through
 per-variable occurrence lists, so a step never rescans every clause, yet
-it makes the same decisions as a DPLL that does.
+it makes the same decisions as a DPLL that does.  Internally literals are
+codes, as in MiniSat: the variable of rank ``i`` (by id) has the codes
+``2i`` (positive) and ``2i + 1`` (negative), so a code indexes
+per-literal lists directly and negation is ``code ^ 1``.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from .cnf import Assignment, CnfFormula, clause_sort_key, evaluate
+from .cnf import Assignment, CnfFormula, evaluate
 
 DEFAULT_ORACLE_LIMIT = 20
 
@@ -65,7 +68,7 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
     """DPLL with unit propagation; returns (model, work).
 
     One loop over the assignment, a trail of assigned literals and a
-    stack of ``(trail length, variable)`` for decisions whose false branch
+    stack of ``(trail length, variable rank)`` for decisions whose false branch
     is untried.  Each step, in this order: on a conflict, pop the newest
     decision, undo the trail to its mark and set the variable false; else
     propagate the unit clause that comes first in ``clause_sort_key``
@@ -88,24 +91,31 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
     every variable below it stays assigned or in satisfied clauses only,
     until backtracking restores the state in which that decision was
     taken.
+
+    Set-up codes the literals (see the module docstring): a decision on
+    the variable of rank ``i`` sets the code ``2i``, its false branch
+    ``2i + 1``, and the model is read off the even codes on the trail.
+    Coding is monotone in ``clause_sort_key`` (rank follows id, and the
+    positive literal comes first in both), so sorting the coded clauses
+    as plain lists gives the ``clause_sort_key`` order, and with it the
+    same clause indices and unit heap, without a key function.
     """
-    ordered = sorted(formula.clauses, key=clause_sort_key)
-    variables = sorted({abs(lit) for cl in ordered for lit in cl})
-    dense = {v: i for i, v in enumerate(variables, start=1)}
-    size = 2 * len(variables) + 1
-    # Literals are renumbered 1..n by variable order and index per-literal
-    # lists directly: a negative literal counts from the end of the list.
+    variables = sorted({abs(lit) for lit in set().union(*formula.clauses)})
+    code: dict[int, int] = {}
+    for rank, var in enumerate(variables):
+        code[var], code[-var] = 2 * rank, 2 * rank + 1
+    # Plain list order is ``clause_sort_key`` order; the empty clause sorts first.
+    clauses = sorted([list(map(code.__getitem__, cl)) for cl in formula.clauses])
+    if clauses and not clauses[0]:
+        return None, 0
+    size = len(code)
     value: list[bool | None] = [None] * size
     watches: list[list[int]] = [[] for _ in range(size)]
-    occurs: list[list[int]] = [[] for _ in range(len(variables) + 1)]
-    clauses: list[list[int]] = []
+    occurs: list[list[int]] = [[] for _ in variables]
     units: list[int] = []
-    for index, cl in enumerate(ordered):
-        if not cl:
-            return None, 0
-        lits = [dense[lit] if lit > 0 else -dense[-lit] for lit in cl]
+    for index, lits in enumerate(clauses):
         for lit in lits:
-            occurs[abs(lit)].append(index)
+            occurs[lit >> 1].append(index)
         if len(lits) == 1:
             # Stored as [l, l]: once l is false, no literal can take the
             # watch and the other watch is false too, which is a conflict.
@@ -114,42 +124,42 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
         else:
             watches[lits[1]].append(index)
         watches[lits[0]].append(index)
-        clauses.append(lits)
 
     trail: list[int] = []
     open_decisions: list[tuple[int, int]] = []
     work = 0
-    start = 1  # every variable below it is assigned or in satisfied clauses only
+    start = 0  # every variable below it is assigned or in satisfied clauses only
     while True:
         while units and value[clauses[units[0]][0]]:
             heappop(units)  # satisfied since it became unit
         if units:
             lit = clauses[heappop(units)][0]
         else:
-            for var in range(start, len(variables) + 1):
-                if value[var] is None and not all(
+            for var in range(start, len(variables)):
+                if value[2 * var] is None and not all(
                     any(value[other] for other in clauses[index]) for index in occurs[var]
                 ):
                     break
             else:  # every clause is satisfied
-                return frozenset(variables[lit - 1] for lit in trail if lit > 0), work
+                return frozenset(variables[lit >> 1] for lit in trail if not lit & 1), work
             open_decisions.append((len(trail), var))
-            lit = start = var
+            start = var
+            lit = 2 * var
         while True:
-            value[lit], value[-lit] = True, False
+            value[lit], value[lit ^ 1] = True, False
             trail.append(lit)
             work += 1
-            if _watch_false(-lit, clauses, watches, value, units):
+            if _watch_false(lit ^ 1, clauses, watches, value, units):
                 break
             if not open_decisions:
                 return None, work
             mark, var = open_decisions.pop()
             for undone in trail[mark:]:
-                value[undone] = value[-undone] = None
+                value[undone] = value[undone ^ 1] = None
             del trail[mark:]
             units.clear()
             start = var
-            lit = -var
+            lit = 2 * var + 1
 
 
 def _watch_false(false_lit: int, clauses, watches, value, units) -> bool:

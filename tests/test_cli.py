@@ -1,9 +1,15 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reoptlab.cli import main
+from reoptlab.cnf import cnf
+from reoptlab.gadgets import build_gadget, gadget_to_json
 
 PAPER_CNF = "p cnf 2 2\n1 2 0\n-1 0\n"
 
@@ -259,6 +265,13 @@ def test_solve_sat_rejects_a_negative_header_count(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_solve_sat_rejects_a_huge_header_count(tmp_path, capsys):
+    source = tmp_path / "huge.cnf"
+    source.write_text("p cnf 999999999 0\n")
+    assert run(["solve", "--problem", "sat", "--input", source]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command, text", [
     (["solve", "--problem", "strips"], "[]"),
     (["solve", "--problem", "strips"], '"x"'),
@@ -322,3 +335,106 @@ def test_oracle_limit_applies_only_to_problems_that_read_variables(capsys):
     capsys.readouterr()
     assert run(["--oracle-limit", 2, "experiment", "--problem", "sat", "--variables", 3]) == 1
     assert "exceeds the oracle limit 2" in capsys.readouterr().err
+
+
+def _token_text(tokens, max_size=40):
+    return st.lists(st.sampled_from(tokens), max_size=max_size).map("".join)
+
+
+def _clause_lines(prefixes):
+    literal = st.integers(-4, 4).filter(bool)
+    line = st.builds(lambda prefix, lits: " ".join([prefix, *map(str, lits), "0"]).strip(),
+                     st.sampled_from(prefixes), st.lists(literal, max_size=3))
+    return st.lists(line, max_size=6)
+
+
+_SMALL_INTS = [str(i) for i in range(-3, 4)]
+# Well-formed text most of the time, so that the commands get past parsing:
+# a header whose counts may be off by one, or token soup.
+DIMACS_LIKE = st.one_of(
+    st.builds(lambda v, lines, skew: "\n".join([f"p cnf {v} {len(lines) + skew}", *lines]) + "\n",
+              st.sampled_from((0, 2, 3, 4, 4, 4)), _clause_lines([""]),
+              st.sampled_from((0, 0, 0, 0, 1, -1))),
+    _token_text(["p", "cnf", "dnf", "c", "%", "x", " ", " ", "\n", "\n", *_SMALL_INTS]),
+)
+CHANGES_LIKE = st.one_of(
+    _clause_lines(["+", "-"]).map(lambda lines: "".join(line + "\n" for line in lines)),
+    _token_text(["+", "-", "c", " ", " ", "\n", "\n", "0", *_SMALL_INTS]),
+)
+EDGES_LIKE = _token_text(["a", "b", "c", "#", " ", " ", "\n", "\n"])
+_NAMES = st.sampled_from(["a", "b", "c", "d"])
+_NAME_LISTS = st.lists(_NAMES, max_size=3)
+STRIPS_LIKE = st.fixed_dictionaries({
+    "conditions": st.one_of(st.just(["a", "b", "c", "d"]), _NAME_LISTS),
+    "operators": st.dictionaries(st.sampled_from(["o1", "o2", "o3"]),
+                                 st.lists(_NAME_LISTS, min_size=3, max_size=5), max_size=3),
+    "initial": _NAME_LISTS,
+    "goal": st.fixed_dictionaries({"must_true": _NAME_LISTS, "must_false": _NAME_LISTS}),
+})
+
+
+@st.composite
+def gadget_like(draw):
+    """A gadget file built from a small formula, possibly with one field edited."""
+    signed = st.lists(st.tuples(st.integers(1, 3), st.sampled_from((1, -1))),
+                      min_size=1, max_size=3, unique_by=lambda pair: pair[0])
+    f = cnf(draw(st.lists(signed.map(lambda pairs: [v * s for v, s in pairs]), max_size=4)))
+    obj = json.loads(gadget_to_json(build_gadget(f)))
+    edit = draw(st.sampled_from(["none", "budget", "drop-edge", "drop-node", "source"]))
+    if edit == "budget":
+        obj["budget"] += draw(st.sampled_from((-1, 1)))
+    elif edit == "drop-edge" and obj["edges"]:
+        obj["edges"].pop(draw(st.integers(0, len(obj["edges"]) - 1)))
+    elif edit == "drop-node" and obj["nodes"]:
+        obj["nodes"].pop(draw(st.integers(0, len(obj["nodes"]) - 1)))
+    elif edit == "source":
+        obj["source"] = draw(DIMACS_LIKE)
+    return obj
+
+
+_JSON_KEYS = ["nodes", "edges", "budget", "source", "operators", "conditions", "initial",
+              "goal", "must_true", "must_false", "a"]
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.sampled_from(["a", "b", "x1", "-x1", "c1_1", "p cnf 0 0\n", "p cnf 1 1\n1 0\n"]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.sampled_from(_JSON_KEYS), inner, max_size=5)),
+    max_leaves=20,
+)
+JSON_LIKE = st.one_of(
+    STRIPS_LIKE.map(json.dumps),
+    gadget_like().map(json.dumps),
+    _JSON_VALUES.map(json.dumps),
+    _token_text(["{", "}", "[", "]", ",", ":", '"nodes"', '"source"', '"a"', "null", "1", " "]),
+)
+
+
+@pytest.mark.filterwarnings("ignore:deleted clause not present")
+@settings(max_examples=120, deadline=None)
+@given(dimacs=DIMACS_LIKE, changes=CHANGES_LIKE, edges=EDGES_LIKE, obj=JSON_LIKE,
+       budget=st.integers(-1, 3), unit=st.integers(-3, 3).filter(bool))
+def test_every_subcommand_exits_with_a_documented_code_on_fuzzed_files(
+        dimacs, changes, edges, obj, budget, unit):
+    with tempfile.TemporaryDirectory() as scratch:
+        folder = Path(scratch)
+        files = {"dimacs": dimacs, "changes": changes, "edges": edges, "json": obj}
+        for name, text in files.items():
+            (folder / name).write_text(text)
+        f = {name: folder / name for name in files}
+        commands = [
+            ["solve", "--problem", "sat", "--input", f["dimacs"]],
+            ["solve", "--problem", "sat", "--method", "brute", "--input", f["dimacs"]],
+            ["solve", "--problem", "vc", "--budget", budget, "--input", f["edges"]],
+            ["solve", "--problem", "strips", "--input", f["json"]],
+            *(["reduce", "--kind", kind, "--input", f["dimacs"]]
+              for kind in ("fixed-model", "unique-model", "nsat", "vc-gadget", "replanning")),
+            ["mutate", "--input", f["dimacs"], "--changes", f["changes"]],
+            ["mutate", "--gadget", "--input", f["json"], "--changes", f["changes"]],
+            ["mutate", "--gadget", "--input", f["json"], "--add-unit", unit],
+            ["export-dot", "--input", f["json"]],
+        ]
+        for command in commands:
+            assert run(["--out", folder / "out", *command]) in (0, 1, 2, 3), command

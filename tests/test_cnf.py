@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reoptlab.cnf import (
     ChangeSet,
@@ -18,7 +20,13 @@ from reoptlab.cnf import (
 )
 from reoptlab.enumeration import all_clauses
 
-from oracles import brute_models, truth_assignments
+from oracles import brute_models, clause_true, truth_assignments
+
+# Gapped and large ids; the assignment may also hold ids outside the alphabet.
+VARIABLE_IDS = (1, 2, 3, 5, 8, 40, 10**9)
+OUTSIDE_IDS = (4, 7, 10**9 - 1, 10**9 + 1)
+LITERALS = st.builds(lambda v, sign: sign * v,
+                     st.sampled_from(VARIABLE_IDS), st.sampled_from((1, -1)))
 
 
 def test_clause_canonical_form():
@@ -103,6 +111,23 @@ def test_evaluate_matches_truth_table_oracle():
             any((lit > 0) == (abs(lit) in assignment) for lit in cl) for cl in f.clauses
         )
         assert evaluate(f, assignment) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(LITERALS, max_size=4), max_size=12),
+       st.sets(st.sampled_from(VARIABLE_IDS), max_size=3),
+       st.sets(st.sampled_from(VARIABLE_IDS + OUTSIDE_IDS)))
+@example([], [], [])
+@example([[]], [], [1])
+@example([[1, -1]], [], [])
+@example([[1, -1], []], [2], [1, 10**9 + 1])
+def test_evaluate_matches_clause_oracle(raw, unmentioned, assignment):
+    # Raw clauses may be empty, tautological or unit; the alphabet may hold
+    # variables no clause mentions, and the assignment variables outside it.
+    f = cnf(raw, alphabet={abs(lit) for cl in raw for lit in cl} | set(unmentioned))
+    expected = all(clause_true(cl, assignment) for cl in f.clauses)
+    assert evaluate(f, assignment) == expected
+    assert evaluate(f, frozenset(assignment)) == expected
 
 
 def test_apply_changes_swap():

@@ -131,12 +131,17 @@ def test_dpll_matches_recursive_reference_on_random_formulas():
 
 
 def test_dpll_matches_recursive_reference_on_unique_swaps():
+    # Pure 3-CNF sources of 12 variables and 51 clauses, the size the
+    # benchmark swaps: the unique-model formula and its swapped form.
     rng = random.Random(12)
-    for _ in range(20):
+    for _ in range(40):
         inst = reduce_unique_model(random_3cnf(rng, 12, 51))
         swap = ChangeSet(additions=(inst.add_clause,), deletions=(inst.del_clause,))
         swapped = apply_changes(inst.formula, swap)
-        assert solve_dpll_stats(swapped) == reference_dpll(swapped)
+        for f in (inst.formula, swapped):
+            model, work = solve_dpll_stats(f)
+            assert (model, work) == reference_dpll(f)
+            assert model is None or evaluate(f, model)
 
 
 def test_dpll_on_long_chain_needs_no_recursion():
