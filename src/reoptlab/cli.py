@@ -3,7 +3,8 @@
 Subcommands: generate, reduce, solve, mutate, verify, experiment,
 export-dot.  Exit codes: 0 success, 1 usage or input error, 2
 verification counterexample or verdict mismatch, 3 search/oracle budget
-exceeded.
+exceeded.  Warnings raised while a subcommand runs print as
+``warning: <message>`` lines on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+import warnings
 from pathlib import Path
 
 from .cnf import apply_changes
@@ -44,7 +46,13 @@ from .graphs import (
 from .hints import TableBudgetError
 from .reductions import make_nsat_instance, reduce_fixed_model, reduce_unique_model
 from .replanning import sat_to_replanning
-from .solvers import DEFAULT_ORACLE_LIMIT, OracleLimitError, solve_brute, solve_dpll_stats
+from .solvers import (
+    DEFAULT_ORACLE_LIMIT,
+    DpllBudgetError,
+    OracleLimitError,
+    solve_brute,
+    solve_dpll_stats,
+)
 from .strips import SearchBudgetError, instance_from_json, instance_to_json, plan_exists_stats
 from .verification import SUITES, run_suite
 
@@ -313,9 +321,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints its own message
         return 0 if exc.code in (0, None) else 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = _run(args)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return status
+
+
+def _run(args) -> int:
+    """Run the chosen subcommand and map its errors to exit codes."""
     try:
         return args.func(args)
-    except (OracleLimitError, GraphTooLargeError, SearchBudgetError, TableBudgetError) as exc:
+    except (OracleLimitError, DpllBudgetError, GraphTooLargeError, SearchBudgetError,
+            TableBudgetError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     except VerdictMismatchError as exc:

@@ -188,6 +188,18 @@ def test_mutate_applies_change_file(tmp_path, capsys):
     assert capsys.readouterr().out == "p cnf 1 1\n-1 0\n"
 
 
+def test_mutate_reports_an_absent_deletion_as_one_warning_line(tmp_path, capsys):
+    source = tmp_path / "f.cnf"
+    source.write_text("p cnf 2 1\n1 2 0\n")
+    changes = tmp_path / "d.changes"
+    changes.write_text("- 1 0\n")
+    assert run(["mutate", "--input", source, "--changes", changes]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "p cnf 2 1\n1 2 0\n"
+    assert captured.err == "warning: deleted clause not present: (1,)\n"
+    assert "cli.py" not in captured.err
+
+
 def test_mutate_requires_changes_in_dimacs_mode(tmp_path):
     source = tmp_path / "f.cnf"
     source.write_text("p cnf 1 1\n1 0\n")
@@ -256,6 +268,16 @@ def test_solve_sat_on_long_chain(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["satisfiable"] is True
     assert payload["work"] == 1500
+
+
+def test_solve_sat_past_the_dpll_budget_exits_3(tmp_path, capsys):
+    # 8,193 implications over 8,194 variables: just over 2^26 variables x clauses.
+    chain = tmp_path / "chain.cnf"
+    chain.write_text("p cnf 8194 8193\n" + "".join(f"-{i} {i + 1} 0\n" for i in range(1, 8194)))
+    assert run(["solve", "--problem", "sat", "--input", chain]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: ")
 
 
 def test_solve_sat_rejects_a_negative_header_count(tmp_path, capsys):
@@ -412,7 +434,6 @@ JSON_LIKE = st.one_of(
 )
 
 
-@pytest.mark.filterwarnings("ignore:deleted clause not present")
 @settings(max_examples=120, deadline=None)
 @given(dimacs=DIMACS_LIKE, changes=CHANGES_LIKE, edges=EDGES_LIKE, obj=JSON_LIKE,
        budget=st.integers(-1, 3), unit=st.integers(-3, 3).filter(bool))

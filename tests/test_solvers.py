@@ -1,14 +1,18 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reoptlab.cnf import ChangeSet, apply_changes, clause, cnf, evaluate
+from reoptlab import solvers
+from reoptlab.cnf import ChangeSet, CnfFormula, apply_changes, clause, cnf, evaluate
 from reoptlab.enumeration import iter_small_formulas, random_formula
 from reoptlab.reductions import reduce_unique_model
 from reoptlab.solvers import (
+    DPLL_BUDGET,
+    DpllBudgetError,
     OracleLimitError,
     count_models,
     iter_assignments,
@@ -145,13 +149,55 @@ def test_dpll_matches_recursive_reference_on_unique_swaps():
 
 
 def test_dpll_on_long_chain_needs_no_recursion():
+    assert len(CHAIN.alphabet) * len(CHAIN.clauses) <= DPLL_BUDGET  # 4.5 * 10**6
     model, work = solve_dpll_stats(CHAIN)
     assert model == frozenset(range(1, 3000, 2))
     assert work == 1500  # one decision per clause, no propagation
 
 
+def test_dpll_counts_a_nine_literal_clause_down_to_its_unit():
+    # Eight unit clauses falsify eight literals of one clause; its count
+    # goes 9 -> 1 through every bit of a four-plane counter.
+    f = cnf([(-v,) for v in range(1, 9)] + [tuple(range(1, 10))])
+    assert solve_dpll_stats(f) == reference_dpll(f) == (frozenset({9}), 9)
+    g = cnf([(-v,) for v in range(1, 10)] + [tuple(range(1, 10))])
+    assert solve_dpll_stats(g) == reference_dpll(g) == (None, 9)
+
+
+def test_dpll_counts_a_literal_repeated_in_a_raw_clause_once():
+    # CnfFormula itself does not canonicalize, so a clause may repeat a literal.
+    raw = CnfFormula(frozenset({1, 2}), frozenset({(1, 1, 2), (-1,), (-2,)}))
+    assert solve_dpll(raw) is None
+    raw = CnfFormula(frozenset({1, 2}), frozenset({(1, 1, 2), (-1,)}))
+    assert solve_dpll(raw) == frozenset({2})
+
+
+def test_dpll_refuses_a_formula_past_its_budget_before_building_masks():
+    # 8,193 implications over 8,194 variables: 67,133,442 > 2^26.
+    f = cnf([(-i, i + 1) for i in range(1, 8194)])
+    assert len(f.alphabet) * len(f.clauses) > DPLL_BUDGET
+    tracemalloc.start()
+    try:
+        with pytest.raises(DpllBudgetError):
+            solve_dpll_stats(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # building the masks would peak near 17 MiB
+
+
+def test_dpll_budget_is_mentioned_variables_times_clauses(monkeypatch):
+    # Two mentioned variables and three clauses; x9 is declared but unmentioned.
+    f = cnf([(1,), (1, 2), (-2,)], alphabet={1, 2, 9})
+    monkeypatch.setattr(solvers, "DPLL_BUDGET", 6)
+    assert solve_dpll_stats(f) == (frozenset({1}), 2)
+    monkeypatch.setattr(solvers, "DPLL_BUDGET", 5)
+    with pytest.raises(DpllBudgetError):
+        solve_dpll_stats(f)
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.lists(LITERALS, max_size=4), max_size=20),
+@given(st.lists(st.lists(LITERALS, max_size=9), max_size=40),
        st.sets(st.sampled_from(VARIABLE_IDS), max_size=3))
 def test_dpll_matches_recursive_reference_on_generated_formulas(raw, unmentioned):
     # Raw clauses may be empty, tautological or unit, and the alphabet may
