@@ -34,7 +34,7 @@ candidates = (
 )
 bound = 2
 
-table = compile_table(base, candidates, bound, verify=True)
+table = compile_table(base, candidates, bound)
 print(f"compiled {len(table.entries)} entries "
       f"for {len(candidates)} candidates, bound {bound}")
 

@@ -3,8 +3,9 @@
 Subcommands: generate, reduce, solve, mutate, verify, experiment,
 export-dot.  Exit codes: 0 success, 1 usage or input error, 2
 verification counterexample or verdict mismatch, 3 search/oracle budget
-exceeded.  Warnings raised while a subcommand runs print as
-``warning: <message>`` lines on stderr.
+exceeded.  A problem-specific option that the chosen ``--problem`` does
+not read is a usage error.  Warnings raised while a subcommand runs
+print as ``warning: <message>`` lines on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import random
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 from .cnf import apply_changes
@@ -29,14 +31,7 @@ from .experiments import (
     report_to_json,
     run_experiment,
 )
-from .gadgets import (
-    apply_unit_changes,
-    build_gadget,
-    gadget_add_unit,
-    gadget_from_json,
-    gadget_remove_unit,
-    gadget_to_json,
-)
+from .gadgets import apply_unit_changes, build_gadget, gadget_from_json, gadget_to_json
 from .graphs import (
     GraphTooLargeError,
     decide_cover_stats,
@@ -72,11 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write seeded random instances")
     gen.add_argument("--problem", choices=("sat", "vc", "strips"), required=True)
-    gen.add_argument("--gadget", action="store_true",
-                     help="with --problem vc: emit the cover gadget of a random formula")
-    _add_scale_options(gen)
-    gen.add_argument("--conditions", type=int, default=6)
-    gen.add_argument("--operators", type=int, default=6)
+    _add_problem_options(gen, GENERATE_READS)
     gen.add_argument("--count", type=int, default=1, help="number of instances")
     gen.set_defaults(func=cmd_generate)
 
@@ -89,18 +80,17 @@ def build_parser() -> argparse.ArgumentParser:
     sol = sub.add_parser("solve", help="solve one instance file")
     sol.add_argument("--problem", choices=("sat", "vc", "strips"), required=True)
     sol.add_argument("--input", required=True, type=Path)
-    sol.add_argument("--method", choices=("dpll", "brute"), default="dpll")
-    sol.add_argument("--budget", type=int, default=None, help="cover budget (vc)")
+    sol.add_argument("--method", choices=("dpll", "brute"), default=argparse.SUPPRESS,
+                     help="sat only (default dpll)")
+    sol.add_argument("--budget", type=int, default=argparse.SUPPRESS,
+                     help="cover budget (vc only, required)")
     sol.set_defaults(func=cmd_solve)
 
     mut = sub.add_parser("mutate", help="apply changes to a formula or gadget")
     mut.add_argument("--input", required=True, type=Path)
-    mut.add_argument("--changes", type=Path, default=None, help="change-list file (DIMACS mode)")
+    mut.add_argument("--changes", required=True, type=Path,
+                     help="change-list file; a gadget takes unit clauses only")
     mut.add_argument("--gadget", action="store_true", help="treat input as a gadget file")
-    mut.add_argument("--add-unit", type=int, action="append", default=[],
-                     help="unit literal to add (gadget mode, repeatable)")
-    mut.add_argument("--remove-unit", type=int, action="append", default=[],
-                     help="unit literal to remove (gadget mode, repeatable)")
     mut.set_defaults(func=cmd_mutate)
 
     ver = sub.add_parser("verify", help="run oracle-equivalence sweeps")
@@ -113,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="cold-versus-hinted trials")
     exp.add_argument("--problem", choices=("sat", "vc", "strips"), required=True)
     exp.add_argument("--scenario", default="")
-    exp.add_argument("--trials", type=int, default=20)
-    _add_scale_options(exp, leave_unset=True)
+    exp.add_argument("--trials", type=int, default=CONFIG_DEFAULTS["trials"])
+    _add_problem_options(exp, EXPERIMENT_READS)
     exp.set_defaults(func=cmd_experiment)
 
     dot = sub.add_parser("export-dot", help="render a gadget file as DOT")
@@ -123,14 +113,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-SCALE_DEFAULTS = {"variables": 4, "clauses": 4, "clause_size": 3, "nodes": 10, "edges": 14}
+CONFIG_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+# The problem-specific options of each subcommand: for each problem, the
+# options it reads and their defaults.  Any other one given is refused.
+EXPERIMENT_READS = {problem: {n: d for n, d in CONFIG_DEFAULTS.items() if n in names}
+                    for problem, names in SCALE_FIELDS.items()}
+GENERATE_READS = {**EXPERIMENT_READS, "strips": {"conditions": 6, "operators": 6}}
+SOLVE_READS = {"sat": {"method": "dpll"}, "vc": {"budget": None}, "strips": {}}
 
 
-def _add_scale_options(parser, leave_unset: bool = False) -> None:
-    """Instance-size options; with ``leave_unset`` an option not given stays off the namespace."""
-    for name, default in SCALE_DEFAULTS.items():
-        parser.add_argument("--" + name.replace("_", "-"), type=int,
-                            default=argparse.SUPPRESS if leave_unset else default)
+def _add_problem_options(parser, reads) -> None:
+    """Integer options that stay off the namespace unless given."""
+    for name, default in {n: d for options in reads.values() for n, d in options.items()}.items():
+        readers = "/".join(problem for problem, options in reads.items() if name in options)
+        parser.add_argument("--" + name.replace("_", "-"), type=int, default=argparse.SUPPRESS,
+                            help=f"{readers} only (default {default})")
+
+
+def _problem_options(args, reads) -> dict:
+    """The options ``args.problem`` reads, defaults filled in; any other given is refused."""
+    given = {name: getattr(args, name)
+             for options in reads.values() for name in options if hasattr(args, name)}
+    unread = sorted(given.keys() - reads[args.problem].keys())
+    if unread:
+        raise InvalidConfigError(unread[0],
+                                 f"{args.command} --problem {args.problem} does not read it")
+    return {**reads[args.problem], **given}
 
 
 def _emit(args, text: str, path: Path | None = None) -> None:
@@ -143,10 +152,7 @@ def _emit(args, text: str, path: Path | None = None) -> None:
 
 
 def cmd_generate(args) -> int:
-    if args.gadget and args.problem != "vc":
-        raise InvalidConfigError("gadget", "only the vc problem has a gadget mode")
-    if args.problem == "vc" and args.gadget and args.clause_size > 3:
-        raise InvalidConfigError("clause_size", "gadgets take clauses of at most 3 literals")
+    size = _problem_options(args, GENERATE_READS)
     if args.count < 1:
         raise InvalidConfigError("count", "must be at least 1")
     if args.count > 1 and args.out is None:
@@ -154,15 +160,13 @@ def cmd_generate(args) -> int:
     rng = random.Random(args.seed)
     for index in range(args.count):
         if args.problem == "sat":
-            text = serialize_dimacs(random_formula(rng, args.variables, args.clauses,
-                                                   args.clause_size))
-        elif args.problem == "vc" and args.gadget:
-            f = random_formula(rng, args.variables, args.clauses, min(args.clause_size, 3))
-            text = gadget_to_json(build_gadget(f))
+            text = serialize_dimacs(random_formula(rng, size["variables"], size["clauses"],
+                                                   size["clause_size"]))
         elif args.problem == "vc":
-            text = serialize_edge_list(random_graph(rng, args.nodes, args.edges))
+            text = serialize_edge_list(random_graph(rng, size["nodes"], size["edges"]))
         else:
-            text = instance_to_json(random_plansat_instance(rng, args.conditions, args.operators))
+            text = instance_to_json(random_plansat_instance(rng, size["conditions"],
+                                                            size["operators"]))
         _emit(args, text, _indexed(args.out, index) if args.count > 1 else args.out)
     return 0
 
@@ -209,26 +213,28 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    options = _problem_options(args, SOLVE_READS)
     if args.problem == "sat":
         f = parse_dimacs(args.input.read_text())
-        if args.method == "brute":
+        if options["method"] == "brute":
             model = solve_brute(f, limit=args.oracle_limit)
             work = None
         else:
             model, work = solve_dpll_stats(f)
         obj = {
-            "method": args.method,
+            "method": options["method"],
             "satisfiable": model is not None,
             "model": None if model is None else sorted(model),
             "work": work,
         }
     elif args.problem == "vc":
-        if args.budget is None:
+        budget = options["budget"]
+        if budget is None:
             raise InvalidConfigError("budget", "--budget is required for vc solving")
         g = parse_edge_list(args.input.read_text())
-        cover, explored = decide_cover_stats(g, args.budget)
+        cover, explored = decide_cover_stats(g, budget)
         obj = {
-            "budget": args.budget,
+            "budget": budget,
             "within_budget": cover is not None,
             "cover": None if cover is None else sorted(cover),
             "work": explored,
@@ -242,21 +248,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    if args.gadget:
-        gadget = gadget_from_json(args.input.read_text())
-        for lit in args.remove_unit:
-            gadget = gadget_remove_unit(gadget, lit)
-        for lit in args.add_unit:
-            gadget = gadget_add_unit(gadget, lit)
-        if args.changes is not None:
-            gadget = apply_unit_changes(gadget, parse_changes(args.changes.read_text()))
-        _emit(args, gadget_to_json(gadget))
-        return 0
-    if args.changes is None:
-        raise InvalidConfigError("changes", "--changes is required in DIMACS mode")
-    f = parse_dimacs(args.input.read_text())
+    text = args.input.read_text()
     changes = parse_changes(args.changes.read_text())
-    _emit(args, serialize_dimacs(apply_changes(f, changes)))
+    if args.gadget:
+        _emit(args, gadget_to_json(apply_unit_changes(gadget_from_json(text), changes)))
+    else:
+        _emit(args, serialize_dimacs(apply_changes(parse_dimacs(text), changes)))
     return 0
 
 
@@ -280,10 +277,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    scale = {name: getattr(args, name) for name in SCALE_DEFAULTS if hasattr(args, name)}
-    unread = sorted(scale.keys() - SCALE_FIELDS[args.problem])
-    if unread:
-        raise InvalidConfigError(unread[0], f"the {args.problem} experiment does not read it")
+    scale = _problem_options(args, EXPERIMENT_READS)
     config = ExperimentConfig(
         seed=args.seed,
         problem=args.problem,

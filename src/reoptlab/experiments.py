@@ -24,8 +24,14 @@ from .enumeration import (
     random_graph,
     random_satisfiable_formula,
 )
-from .graphs import add_edges, decide_cover_stats, min_cover_brute, warm_start_cover_stats
-from .hints import reuse_model, reuse_plan
+from .graphs import (
+    DEFAULT_COVER_ORACLE_LIMIT,
+    add_edges,
+    decide_cover_stats,
+    min_cover_brute,
+    warm_start_cover_stats,
+)
+from .hints import ReuseOutcome, reuse_model, reuse_plan
 from .reductions import reduce_unique_model, unique_model
 from .replanning import apply_initial_change, sat_to_replanning
 from .solvers import DEFAULT_ORACLE_LIMIT, solve_dpll_stats
@@ -86,8 +92,9 @@ def validate_config(config: ExperimentConfig) -> None:
         max_edges = config.nodes * (config.nodes - 1) // 2
         if config.edges >= max_edges:
             raise InvalidConfigError("edges", "the base graph must be missing at least one edge")
-        if config.nodes > 24:
-            raise InvalidConfigError("nodes", "the cover oracle is capped at 24 nodes")
+        if config.nodes > DEFAULT_COVER_ORACLE_LIMIT:
+            raise InvalidConfigError(
+                "nodes", f"exceeds the cover oracle limit {DEFAULT_COVER_ORACLE_LIMIT}")
 
 
 @dataclass
@@ -128,9 +135,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     trial_fn = SCENARIOS[config.problem][scenario]
     report = ExperimentReport(config)
     for trial in range(config.trials):
-        change_id, cold_verdict, cold_work, hinted_verdict, hinted_work, hint_used, reproducer = (
-            trial_fn(rng, config)
-        )
+        change_id, cold_solution, cold_work, hinted, reproducer = trial_fn(rng, config)
+        cold_verdict, hinted_verdict = cold_solution is not None, hinted.solution is not None
         if cold_verdict != hinted_verdict:
             raise VerdictMismatchError(
                 f"trial {trial} (seed {config.seed}, {config.problem}/{scenario}, "
@@ -138,7 +144,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             )
         report.rows.append(
             TrialRow(trial, config.problem, change_id, cold_verdict, hinted_verdict,
-                     cold_work, hinted_work, hint_used)
+                     cold_work, hinted.work_units, hinted.hint_used)
         )
     return report
 
@@ -152,8 +158,7 @@ def _sat_add_clause_trial(rng, config):
     outcome = reuse_model(base, changes, model)
     change_id = serialize_changes(changes).strip()
     reproducer = f"base formula:\n{serialize_dimacs(base)}change: {change_id}"
-    return (change_id, cold_model is not None, cold_work,
-            outcome.solution is not None, outcome.work_units, outcome.hint_used, reproducer)
+    return change_id, cold_model, cold_work, outcome, reproducer
 
 
 def _sat_unique_swap_trial(rng, config):
@@ -165,8 +170,7 @@ def _sat_unique_swap_trial(rng, config):
     outcome = reuse_model(inst.formula, changes, hint)
     change_id = serialize_changes(changes).strip().replace("\n", " ; ")
     reproducer = f"single-model formula:\n{serialize_dimacs(inst.formula)}change: {change_id}"
-    return (change_id, cold_model is not None, cold_work,
-            outcome.solution is not None, outcome.work_units, outcome.hint_used, reproducer)
+    return change_id, cold_model, cold_work, outcome, reproducer
 
 
 def _vc_edge_add_trial(rng, config):
@@ -182,13 +186,10 @@ def _vc_edge_add_trial(rng, config):
     grown = add_edges(base, [new_edge])
     budget = old.size
     cold_cover, cold_work = decide_cover_stats(grown, budget)
-    hinted_cover, hint_used, hinted_work = warm_start_cover_stats(
-        grown, old.cover, [new_edge], budget
-    )
+    outcome = ReuseOutcome(*warm_start_cover_stats(grown, old.cover, [new_edge], budget))
     change_id = f"+{new_edge[0]}-{new_edge[1]}"
     reproducer = f"graph edges: {sorted(grown.edges)} budget: {budget}"
-    return (change_id, cold_cover is not None, cold_work,
-            hinted_cover is not None, hinted_work, hint_used, reproducer)
+    return change_id, cold_cover, cold_work, outcome, reproducer
 
 
 def _strips_removal_trial(rng, config):
@@ -199,11 +200,11 @@ def _strips_removal_trial(rng, config):
     outcome = reuse_plan(changed, case.original_plan)
     change_id = "-" + " -".join(sorted(case.remove_from_initial))
     reproducer = f"changed instance:\n{instance_to_json(changed)}"
-    return (change_id, cold_plan is not None, cold_work,
-            outcome.solution is not None, outcome.work_units, outcome.hint_used, reproducer)
+    return change_id, cold_plan, cold_work, outcome, reproducer
 
 
 # Each problem's scenarios and their trial functions; the first is the default.
+# A trial returns (change_id, cold solution, cold work, ReuseOutcome, reproducer).
 SCENARIOS = {
     "sat": {"add-clause": _sat_add_clause_trial, "unique-swap": _sat_unique_swap_trial},
     "vc": {"edge-add": _vc_edge_add_trial},

@@ -22,7 +22,7 @@ from typing import Any, Mapping
 from .cnf import Assignment, ChangeSet, Clause, CnfFormula, apply_changes, clause, evaluate
 from .dimacs import parse_dimacs, serialize_dimacs
 from .errors import InvalidHintError
-from .solvers import solve_brute, solve_dpll, solve_dpll_stats
+from .solvers import solve_dpll, solve_dpll_stats
 from .strips import StripsInstance, plan_exists_stats, validate_plan_stats
 
 DEFAULT_TABLE_BUDGET = 1 << 16
@@ -89,12 +89,11 @@ def subset_changes(candidates, indices) -> ChangeSet:
     return ChangeSet(additions=adds, deletions=dels)
 
 
-def compile_table(base: CnfFormula, candidates, bound: int, verify: bool = False) -> HintTable:
+def compile_table(base: CnfFormula, candidates, bound: int) -> HintTable:
     """Solve the changed formula for every candidate subset up to the bound.
 
     A table of more than ``DEFAULT_TABLE_BUDGET`` entries is refused before
-    any solve.  ``verify=True`` additionally cross-checks each verdict
-    against the exhaustive oracle; use it in tests only.
+    any solve.
     """
     candidates = tuple(candidates)
     if len(set(candidates)) != len(candidates):
@@ -113,10 +112,7 @@ def compile_table(base: CnfFormula, candidates, bound: int, verify: bool = False
     for size in range(effective + 1):
         for combo in combinations(range(len(candidates)), size):
             changed = apply_changes(base, subset_changes(candidates, combo))
-            model = solve_dpll(changed)
-            if verify and (model is None) != (solve_brute(changed) is None):
-                raise AssertionError(f"solver disagreement on candidate subset {combo}")
-            entries[sum(1 << i for i in combo)] = model
+            entries[sum(1 << i for i in combo)] = solve_dpll(changed)
     return HintTable(base, candidates, bound, entries)
 
 

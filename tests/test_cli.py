@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import random
 import tempfile
 from pathlib import Path
 
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 
 from reoptlab.cli import main
 from reoptlab.cnf import cnf
+from reoptlab.dimacs import parse_dimacs
+from reoptlab.enumeration import random_formula
 from reoptlab.gadgets import build_gadget, gadget_to_json
 
 PAPER_CNF = "p cnf 2 2\n1 2 0\n-1 0\n"
@@ -44,11 +48,23 @@ def test_generate_count_writes_indexed_files(tmp_path):
     assert names == ["batch-000.cnf", "batch-001.cnf", "batch-002.cnf"]
 
 
-def test_generate_vc_gadget_rejects_wide_clauses(tmp_path, capsys):
-    code = run(["--out", tmp_path / "g.json", "generate", "--problem", "vc",
-                "--gadget", "--clause-size", 4])
-    assert code == 1
-    assert "clause_size" in capsys.readouterr().err
+def test_random_gadget_is_the_gadget_of_a_generated_formula(tmp_path):
+    formula = tmp_path / "f.cnf"
+    gadget_file = tmp_path / "g.json"
+    assert run(["--seed", 3, "--out", formula, "generate", "--problem", "sat"]) == 0
+    assert run(["--out", gadget_file, "reduce", "--kind", "vc-gadget", "--input", formula]) == 0
+    expected = gadget_to_json(build_gadget(random_formula(random.Random(3), 4, 4, 3)))
+    assert gadget_file.read_text() == expected
+
+
+def test_reduce_vc_gadget_rejects_wide_clauses(tmp_path, capsys):
+    formula = tmp_path / "f.cnf"
+    assert run(["--seed", 3, "--out", formula, "generate", "--problem", "sat",
+                "--clause-size", 4]) == 0
+    assert max(map(len, parse_dimacs(formula.read_text()).clauses)) == 4
+    capsys.readouterr()
+    assert run(["reduce", "--kind", "vc-gadget", "--input", formula]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_generate_strips_and_solve(tmp_path):
@@ -79,8 +95,10 @@ def test_export_dot_gains_one_edge_after_unit_add(tmp_path):
     before = tmp_path / "before.json"
     after = tmp_path / "after.json"
     run(["--out", before, "reduce", "--kind", "vc-gadget", "--input", source])
+    changes = tmp_path / "d.changes"
+    changes.write_text("+ -2 0\n")
     assert run(["--out", after, "mutate", "--gadget", "--input", before,
-                "--add-unit", -2]) == 0
+                "--changes", changes]) == 0
     n_before = len(json.loads(before.read_text())["edges"])
     n_after = len(json.loads(after.read_text())["edges"])
     assert n_after == n_before + 1
@@ -200,10 +218,14 @@ def test_mutate_reports_an_absent_deletion_as_one_warning_line(tmp_path, capsys)
     assert "cli.py" not in captured.err
 
 
-def test_mutate_requires_changes_in_dimacs_mode(tmp_path):
+def test_mutate_requires_changes_in_dimacs_mode(tmp_path, capsys):
     source = tmp_path / "f.cnf"
     source.write_text("p cnf 1 1\n1 0\n")
     assert run(["mutate", "--input", source]) == 1
+    gadget_file = tmp_path / "g.json"
+    gadget_file.write_text(gadget_to_json(build_gadget(cnf([(1,)]))))
+    assert run(["mutate", "--gadget", "--input", gadget_file]) == 1
+    assert "--changes" in capsys.readouterr().err
 
 
 def test_verify_suite_passes_at_small_scale(capsys):
@@ -300,7 +322,7 @@ def test_solve_sat_rejects_a_huge_header_count(tmp_path, capsys):
     (["solve", "--problem", "strips"],
      '{"operators": 5, "conditions": [], "initial": [], "goal": {"must_true": [], "must_false": []}}'),
     (["export-dot"], '{"nodes": 5, "edges": [], "budget": 0, "roles": {}, "source": "p cnf 0 0\\n"}'),
-    (["mutate", "--gadget"], '"x"'),
+    (["mutate", "--gadget", "--changes", os.devnull], '"x"'),
 ], ids=["strips-list", "strips-string", "strips-operators-int", "gadget-nodes-int",
         "mutate-gadget-string"])
 def test_wrong_shaped_json_is_an_input_error(tmp_path, capsys, command, text):
@@ -343,6 +365,52 @@ def test_planning_sizes_belong_to_generate_only(tmp_path):
 def test_experiment_rejects_scale_options_its_problem_does_not_read(capsys, problem, unread):
     assert run(["experiment", "--problem", problem, "--trials", 1, *unread]) == 1
     assert "does not read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem, unread", [
+    ("sat", ["--nodes", 40]),
+    ("sat", ["--conditions", 2]),
+    ("vc", ["--variables", 9]),
+    ("vc", ["--operators", 3]),
+    ("strips", ["--variables", 9, "--nodes", 2]),
+    ("strips", ["--clause-size", 2]),
+])
+def test_generate_rejects_size_options_its_problem_does_not_read(capsys, problem, unread):
+    assert run(["--seed", 3, "generate", "--problem", problem]) == 0
+    capsys.readouterr()
+    assert run(["--seed", 3, "generate", "--problem", problem, *unread]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not read" in captured.err
+
+
+SOLVABLE = {
+    "sat": PAPER_CNF,
+    "vc": "a b\n",
+    "strips": json.dumps({"conditions": ["a"], "operators": {}, "initial": ["a"],
+                          "goal": {"must_true": ["a"], "must_false": []}}),
+}
+
+
+@pytest.mark.parametrize("problem, unread", [
+    ("sat", ["--budget", 7]),
+    ("vc", ["--method", "brute"]),
+    ("vc", ["--method", "dpll"]),
+    ("strips", ["--budget", 1]),
+    ("strips", ["--method", "brute"]),
+])
+def test_solve_rejects_options_its_problem_does_not_read(tmp_path, capsys, problem, unread):
+    source = tmp_path / "input"
+    source.write_text(SOLVABLE[problem])
+    command = ["solve", "--problem", problem, "--input", source]
+    if problem == "vc":
+        command += ["--budget", 1]
+    assert run(command) == 0
+    capsys.readouterr()
+    assert run([*command, *unread]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not read" in captured.err
 
 
 def test_experiment_takes_the_scale_options_its_problem_reads(capsys):
@@ -441,7 +509,8 @@ def test_every_subcommand_exits_with_a_documented_code_on_fuzzed_files(
         dimacs, changes, edges, obj, budget, unit):
     with tempfile.TemporaryDirectory() as scratch:
         folder = Path(scratch)
-        files = {"dimacs": dimacs, "changes": changes, "edges": edges, "json": obj}
+        files = {"dimacs": dimacs, "changes": changes, "edges": edges, "json": obj,
+                 "unit": f"+ {unit} 0\n"}
         for name, text in files.items():
             (folder / name).write_text(text)
         f = {name: folder / name for name in files}
@@ -454,7 +523,7 @@ def test_every_subcommand_exits_with_a_documented_code_on_fuzzed_files(
               for kind in ("fixed-model", "unique-model", "nsat", "vc-gadget", "replanning")),
             ["mutate", "--input", f["dimacs"], "--changes", f["changes"]],
             ["mutate", "--gadget", "--input", f["json"], "--changes", f["changes"]],
-            ["mutate", "--gadget", "--input", f["json"], "--add-unit", unit],
+            ["mutate", "--gadget", "--input", f["json"], "--changes", f["unit"]],
             ["export-dot", "--input", f["json"]],
         ]
         for command in commands:

@@ -259,7 +259,10 @@ def test_gapped_alphabet_survives_the_round_trip(tmp_path):
             gadget_add_unit(gadget, -1)
     gadget_file = tmp_path / "gadget.json"
     gadget_file.write_text(gadget_to_json(g))
-    assert main(["mutate", "--gadget", "--input", str(gadget_file), "--add-unit", "-1"]) == 1
+    changes = tmp_path / "d.changes"
+    changes.write_text("+ -1 0\n")
+    assert main(["mutate", "--gadget", "--input", str(gadget_file),
+                 "--changes", str(changes)]) == 1
 
 
 def test_gadget_file_without_roles_loads():
@@ -295,7 +298,10 @@ def test_gadget_json_rejects_edges_that_contradict_the_source(tmp_path):
     gadget_file = tmp_path / "gadget.json"
     gadget_file.write_text(text)
     assert main(["export-dot", "--input", str(gadget_file)]) == 1
-    assert main(["mutate", "--gadget", "--input", str(gadget_file), "--remove-unit", "1"]) == 1
+    changes = tmp_path / "d.changes"
+    changes.write_text("- 1 0\n")
+    assert main(["mutate", "--gadget", "--input", str(gadget_file),
+                 "--changes", str(changes)]) == 1
 
 
 def test_gadget_json_rejects_any_single_edge_deleted_or_added():

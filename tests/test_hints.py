@@ -37,7 +37,7 @@ def test_elementary_change_validation():
 
 
 def test_compile_table_single_candidate():
-    table = compile_table(cnf([(1,)]), [add_change(-1)], 1, verify=True)
+    table = compile_table(cnf([(1,)]), [add_change(-1)], 1)
     assert table.entries[0] == frozenset({1})
     assert table.entries[1] is None  # recorded unsatisfiable
 
@@ -49,7 +49,7 @@ def test_compile_table_bound_zero():
 
 def test_compile_table_conflicting_full_subset():
     base = cnf((), alphabet={1})
-    table = compile_table(base, [add_change(1), add_change(-1)], 2, verify=True)
+    table = compile_table(base, [add_change(1), add_change(-1)], 2)
     assert len(table.entries) == 4
     assert table.entries[0b11] is None
     assert table.entries[0b01] == frozenset({1})
@@ -90,7 +90,7 @@ def test_table_completeness_sweep():
             rng, num_vars=rng.randint(1, 4), num_clauses=rng.randint(0, 4),
             num_candidates=rng.randint(0, 4), bound=rng.randint(0, 2),
         )
-        table = compile_table(base, candidates, bound, verify=True)
+        table = compile_table(base, candidates, bound)
         for size in range(min(bound, len(candidates)) + 1):
             for combo in combinations(range(len(candidates)), size):
                 changes = subset_changes(candidates, combo)
