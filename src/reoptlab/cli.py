@@ -3,14 +3,17 @@
 Subcommands: generate, reduce, solve, mutate, verify, experiment,
 export-dot.  Exit codes: 0 success, 1 usage or input error, 2
 verification counterexample or verdict mismatch, 3 search/oracle budget
-exceeded.  A problem-specific option that the chosen ``--problem`` does
-not read is a usage error.  Warnings raised while a subcommand runs
-print as ``warning: <message>`` lines on stderr.
+exceeded.  An option is accepted only where it is read: given to a
+subcommand, ``--problem`` or ``verify --suite`` that does not read it, or
+given a negative size, it is a usage error.  Every subcommand but
+``verify`` writes one output, to ``--out`` or stdout.  Warnings raised
+while a subcommand runs print as ``warning: <message>`` lines on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import random
 import sys
@@ -41,13 +44,7 @@ from .graphs import (
 from .hints import TableBudgetError
 from .reductions import make_nsat_instance, reduce_fixed_model, reduce_unique_model
 from .replanning import sat_to_replanning
-from .solvers import (
-    DEFAULT_ORACLE_LIMIT,
-    DpllBudgetError,
-    OracleLimitError,
-    solve_brute,
-    solve_dpll_stats,
-)
+from .solvers import DpllBudgetError, OracleLimitError, solve_brute, solve_dpll_stats
 from .strips import SearchBudgetError, instance_from_json, instance_to_json, plan_exists_stats
 from .verification import SUITES, run_suite
 
@@ -57,57 +54,55 @@ def build_parser() -> argparse.ArgumentParser:
         prog="reoptlab",
         description="Generate, transform, solve and verify modified-instance problems.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="report format printed when --out is not given")
-    parser.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT,
-                        help="variable cap for exhaustive solving")
-    parser.add_argument("--out", type=Path, default=None, help="output path")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="write seeded random instances")
+    gen = sub.add_parser("generate", parents=[seed, out], help="write seeded random instances")
     gen.add_argument("--problem", choices=("sat", "vc", "strips"), required=True)
     _add_problem_options(gen, GENERATE_READS)
     gen.add_argument("--count", type=int, default=1, help="number of instances")
     gen.set_defaults(func=cmd_generate)
 
-    red = sub.add_parser("reduce", help="apply a construction to a DIMACS file")
+    red = sub.add_parser("reduce", parents=[out], help="apply a construction to a DIMACS file")
     red.add_argument("--kind", required=True,
                      choices=("fixed-model", "unique-model", "nsat", "vc-gadget", "replanning"))
     red.add_argument("--input", required=True, type=Path)
     red.set_defaults(func=cmd_reduce)
 
-    sol = sub.add_parser("solve", help="solve one instance file")
+    sol = sub.add_parser("solve", parents=[out], help="solve one instance file")
     sol.add_argument("--problem", choices=("sat", "vc", "strips"), required=True)
     sol.add_argument("--input", required=True, type=Path)
     sol.add_argument("--method", choices=("dpll", "brute"), default=argparse.SUPPRESS,
                      help="sat only (default dpll)")
-    sol.add_argument("--budget", type=int, default=argparse.SUPPRESS,
+    sol.add_argument("--budget", type=_size, default=argparse.SUPPRESS,
                      help="cover budget (vc only, required)")
     sol.set_defaults(func=cmd_solve)
 
-    mut = sub.add_parser("mutate", help="apply changes to a formula or gadget")
+    mut = sub.add_parser("mutate", parents=[out], help="apply changes to a formula or gadget")
     mut.add_argument("--input", required=True, type=Path)
     mut.add_argument("--changes", required=True, type=Path,
                      help="change-list file; a gadget takes unit clauses only")
     mut.add_argument("--gadget", action="store_true", help="treat input as a gadget file")
     mut.set_defaults(func=cmd_mutate)
 
-    ver = sub.add_parser("verify", help="run oracle-equivalence sweeps")
+    ver = sub.add_parser("verify", parents=[seed], help="run oracle-equivalence sweeps")
     ver.add_argument("--suite", required=True, choices=(*sorted(SUITES), "all"))
-    ver.add_argument("--max-vars", type=int, default=None)
-    ver.add_argument("--max-clauses", type=int, default=None)
-    ver.add_argument("--samples", type=int, default=None)
+    for name in ("--max-vars", "--max-clauses", "--samples"):
+        ver.add_argument(name, type=_size, default=None)
     ver.set_defaults(func=cmd_verify)
 
-    exp = sub.add_parser("experiment", help="cold-versus-hinted trials")
+    exp = sub.add_parser("experiment", parents=[seed, out], help="cold-versus-hinted trials")
     exp.add_argument("--problem", choices=("sat", "vc", "strips"), required=True)
     exp.add_argument("--scenario", default="")
     exp.add_argument("--trials", type=int, default=CONFIG_DEFAULTS["trials"])
+    exp.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
     _add_problem_options(exp, EXPERIMENT_READS)
     exp.set_defaults(func=cmd_experiment)
 
-    dot = sub.add_parser("export-dot", help="render a gadget file as DOT")
+    dot = sub.add_parser("export-dot", parents=[out], help="render a gadget file as DOT")
     dot.add_argument("--input", required=True, type=Path)
     dot.set_defaults(func=cmd_export_dot)
     return parser
@@ -127,8 +122,16 @@ def _add_problem_options(parser, reads) -> None:
     """Integer options that stay off the namespace unless given."""
     for name, default in {n: d for options in reads.values() for n, d in options.items()}.items():
         readers = "/".join(problem for problem, options in reads.items() if name in options)
-        parser.add_argument("--" + name.replace("_", "-"), type=int, default=argparse.SUPPRESS,
+        parser.add_argument("--" + name.replace("_", "-"), type=_size, default=argparse.SUPPRESS,
                             help=f"{readers} only (default {default})")
+
+
+def _size(text: str) -> int:
+    """The argparse type of every size: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be non-negative")
+    return value
 
 
 def _problem_options(args, reads) -> dict:
@@ -217,7 +220,7 @@ def cmd_solve(args) -> int:
     if args.problem == "sat":
         f = parse_dimacs(args.input.read_text())
         if options["method"] == "brute":
-            model = solve_brute(f, limit=args.oracle_limit)
+            model = solve_brute(f)
             work = None
         else:
             model, work = solve_dpll_stats(f)
@@ -259,15 +262,16 @@ def cmd_mutate(args) -> int:
 
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    overrides = {
-        "max_vars": args.max_vars,
-        "max_clauses": args.max_clauses,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
+    overrides = {name: getattr(args, name) for name in ("max_vars", "max_clauses", "samples")}
+    # An option is read if some sweep of the chosen suites declares it.
+    read = {name for suite in names for sweep in SUITES[suite]
+            for name in inspect.signature(sweep).parameters}
+    unread = sorted({name for name, value in overrides.items() if value is not None} - read)
+    if unread:
+        raise InvalidConfigError(unread[0], f"verify --suite {args.suite} does not read it")
     bad = 0
     for name in names:
-        failures = run_suite(name, **overrides)
+        failures = run_suite(name, **overrides, seed=args.seed)
         status = "PASS" if not failures else f"FAIL ({len(failures)} counterexamples)"
         print(f"suite {name}: {status}")
         for failure in failures[:5]:
@@ -283,23 +287,14 @@ def cmd_experiment(args) -> int:
         problem=args.problem,
         scenario=args.scenario,
         trials=args.trials,
-        oracle_limit=args.oracle_limit,
         **scale,
     )
     report = run_experiment(config)
+    _emit(args, report_to_csv(report) if args.format == "csv" else report_to_json(report))
     summary = report.summary()
-    if args.out is None:
-        text = report_to_csv(report) if args.format == "csv" else report_to_json(report)
-        sys.stdout.write(text)
-    else:
-        base = args.out
-        csv_path = base.with_suffix(".csv")
-        json_path = base.with_suffix(".json")
-        csv_path.write_text(report_to_csv(report))
-        json_path.write_text(report_to_json(report))
-        print(f"wrote {csv_path} and {json_path}")
     print(f"trials={summary['trials']} hint_rate={summary['hint_rate']:.2f} "
-          f"cold_work={summary['cold_work']} hinted_work={summary['hinted_work']}")
+          f"cold_work={summary['cold_work']} hinted_work={summary['hinted_work']}",
+          file=sys.stderr)
     return 0
 
 

@@ -60,7 +60,6 @@ class ExperimentConfig:
     clause_size: int = 3
     nodes: int = 10
     edges: int = 14
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT
 
     def resolved_scenario(self) -> str:
         return self.scenario or next(iter(SCENARIOS[self.problem]))
@@ -82,8 +81,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise InvalidConfigError("clauses", "must be non-negative")
     if not 1 <= config.clause_size:
         raise InvalidConfigError("clause_size", "must be at least 1")
-    if "variables" in SCALE_FIELDS[config.problem] and config.variables > config.oracle_limit:
-        raise InvalidConfigError("variables", f"exceeds the oracle limit {config.oracle_limit}")
+    if "variables" in SCALE_FIELDS[config.problem] and config.variables > DEFAULT_ORACLE_LIMIT:
+        raise InvalidConfigError("variables", f"exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
     if config.problem == "strips" and config.clauses < 1:
         raise InvalidConfigError("clauses", "the replanning scenario needs at least one clause")
     if config.problem == "vc":

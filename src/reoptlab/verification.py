@@ -3,9 +3,9 @@
 Each sweep returns a list of failure strings, one minimal reproducer per
 counterexample; an empty list is a pass.  The sweeps drive every
 construction against the exhaustive oracles.  The acceptance tests run
-them at ``DEFAULT_SEED``; the ``verify`` command passes its global
-``--seed`` (default 0) through ``run_suite``, so its random samples
-differ from theirs unless that seed is given.
+them at ``DEFAULT_SEED``; the ``verify`` command passes its ``--seed``
+(default 0) through ``run_suite``, so its random samples differ from
+theirs unless that seed is given.
 """
 
 from __future__ import annotations

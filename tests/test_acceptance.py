@@ -102,13 +102,13 @@ def test_criterion_8_hint_behavior_demonstrations(tmp_path):
         ("strips", "initial-removal", "guard removal"),
         ("sat", "unique-swap", "single-model swap"),
     ):
-        base = tmp_path / f"{problem}-report"
-        code = main(["--seed", str(SEED), "--out", str(base), "experiment",
+        report_csv = tmp_path / f"{problem}-report.csv"
+        code = main(["experiment", "--seed", str(SEED), "--out", str(report_csv),
                      "--problem", problem, "--scenario", scenario, "--trials", "40"])
         if code != 0:
             failures.append(f"{tag}: experiment exited {code}")
             continue
-        with open(base.with_suffix(".csv")) as handle:
+        with open(report_csv) as handle:
             rows = list(csv.DictReader(handle))
         if len(rows) != 40:
             failures.append(f"{tag}: expected 40 rows, got {len(rows)}")

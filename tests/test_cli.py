@@ -25,9 +25,9 @@ def run(args):
 def test_generate_sat_is_byte_deterministic(tmp_path):
     first = tmp_path / "a.cnf"
     second = tmp_path / "b.cnf"
-    assert run(["--seed", 1, "--out", first, "generate", "--problem", "sat",
+    assert run(["generate", "--seed", 1, "--out", first, "--problem", "sat",
                 "--variables", 3, "--clauses", 4]) == 0
-    assert run(["--seed", 1, "--out", second, "generate", "--problem", "sat",
+    assert run(["generate", "--seed", 1, "--out", second, "--problem", "sat",
                 "--variables", 3, "--clauses", 4]) == 0
     assert first.read_bytes() == second.read_bytes()
     assert first.read_text().startswith("p cnf 3 ")
@@ -36,14 +36,14 @@ def test_generate_sat_is_byte_deterministic(tmp_path):
 def test_generate_different_seeds_differ(tmp_path):
     first = tmp_path / "a.cnf"
     second = tmp_path / "b.cnf"
-    run(["--seed", 1, "--out", first, "generate", "--problem", "sat"])
-    run(["--seed", 2, "--out", second, "generate", "--problem", "sat"])
+    run(["generate", "--seed", 1, "--out", first, "--problem", "sat"])
+    run(["generate", "--seed", 2, "--out", second, "--problem", "sat"])
     assert first.read_bytes() != second.read_bytes()
 
 
 def test_generate_count_writes_indexed_files(tmp_path):
     out = tmp_path / "batch.cnf"
-    assert run(["--seed", 1, "--out", out, "generate", "--problem", "sat", "--count", 3]) == 0
+    assert run(["generate", "--seed", 1, "--out", out, "--problem", "sat", "--count", 3]) == 0
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["batch-000.cnf", "batch-001.cnf", "batch-002.cnf"]
 
@@ -51,15 +51,15 @@ def test_generate_count_writes_indexed_files(tmp_path):
 def test_random_gadget_is_the_gadget_of_a_generated_formula(tmp_path):
     formula = tmp_path / "f.cnf"
     gadget_file = tmp_path / "g.json"
-    assert run(["--seed", 3, "--out", formula, "generate", "--problem", "sat"]) == 0
-    assert run(["--out", gadget_file, "reduce", "--kind", "vc-gadget", "--input", formula]) == 0
+    assert run(["generate", "--seed", 3, "--out", formula, "--problem", "sat"]) == 0
+    assert run(["reduce", "--out", gadget_file, "--kind", "vc-gadget", "--input", formula]) == 0
     expected = gadget_to_json(build_gadget(random_formula(random.Random(3), 4, 4, 3)))
     assert gadget_file.read_text() == expected
 
 
 def test_reduce_vc_gadget_rejects_wide_clauses(tmp_path, capsys):
     formula = tmp_path / "f.cnf"
-    assert run(["--seed", 3, "--out", formula, "generate", "--problem", "sat",
+    assert run(["generate", "--seed", 3, "--out", formula, "--problem", "sat",
                 "--clause-size", 4]) == 0
     assert max(map(len, parse_dimacs(formula.read_text()).clauses)) == 4
     capsys.readouterr()
@@ -69,7 +69,7 @@ def test_reduce_vc_gadget_rejects_wide_clauses(tmp_path, capsys):
 
 def test_generate_strips_and_solve(tmp_path):
     instance = tmp_path / "plan.json"
-    assert run(["--seed", 4, "--out", instance, "generate", "--problem", "strips"]) == 0
+    assert run(["generate", "--seed", 4, "--out", instance, "--problem", "strips"]) == 0
     assert run(["solve", "--problem", "strips", "--input", instance]) == 0
 
 
@@ -77,7 +77,7 @@ def test_reduce_and_export_dot(tmp_path, capsys):
     source = tmp_path / "f.cnf"
     source.write_text(PAPER_CNF)
     gadget_file = tmp_path / "gadget.json"
-    assert run(["--out", gadget_file, "reduce", "--kind", "vc-gadget", "--input", source]) == 0
+    assert run(["reduce", "--out", gadget_file, "--kind", "vc-gadget", "--input", source]) == 0
     payload = json.loads(gadget_file.read_text())
     assert payload["budget"] == 3
     assert len(payload["nodes"]) == 14
@@ -94,10 +94,10 @@ def test_export_dot_gains_one_edge_after_unit_add(tmp_path):
     source.write_text(PAPER_CNF)
     before = tmp_path / "before.json"
     after = tmp_path / "after.json"
-    run(["--out", before, "reduce", "--kind", "vc-gadget", "--input", source])
+    run(["reduce", "--out", before, "--kind", "vc-gadget", "--input", source])
     changes = tmp_path / "d.changes"
     changes.write_text("+ -2 0\n")
-    assert run(["--out", after, "mutate", "--gadget", "--input", before,
+    assert run(["mutate", "--out", after, "--gadget", "--input", before,
                 "--changes", changes]) == 0
     n_before = len(json.loads(before.read_text())["edges"])
     n_after = len(json.loads(after.read_text())["edges"])
@@ -108,17 +108,17 @@ def test_reduce_unique_model_and_nsat_fields(tmp_path):
     source = tmp_path / "f.cnf"
     source.write_text("p cnf 1 1\n1 0\n")
     out = tmp_path / "uniq.json"
-    assert run(["--out", out, "reduce", "--kind", "unique-model", "--input", source]) == 0
+    assert run(["reduce", "--out", out, "--kind", "unique-model", "--input", source]) == 0
     payload = json.loads(out.read_text())
     assert payload["add_clause"] == [-2]
     assert payload["del_clause"] == [2]
-    assert run(["--out", out, "reduce", "--kind", "nsat", "--input", source]) == 0
+    assert run(["reduce", "--out", out, "--kind", "nsat", "--input", source]) == 0
     assert json.loads(out.read_text())["unary_part"] == "1"
 
 
 def test_generate_vc_edge_list_and_solve(tmp_path, capsys):
     edges = tmp_path / "g.edges"
-    assert run(["--seed", 6, "--out", edges, "generate", "--problem", "vc",
+    assert run(["generate", "--seed", 6, "--out", edges, "--problem", "vc",
                 "--nodes", 6, "--edges", 7]) == 0
     assert len(edges.read_text().splitlines()) >= 7
     capsys.readouterr()
@@ -130,11 +130,11 @@ def test_mutate_gadget_with_change_file(tmp_path):
     source = tmp_path / "f.cnf"
     source.write_text(PAPER_CNF)
     gadget_file = tmp_path / "g.json"
-    run(["--out", gadget_file, "reduce", "--kind", "vc-gadget", "--input", source])
+    run(["reduce", "--out", gadget_file, "--kind", "vc-gadget", "--input", source])
     changes = tmp_path / "d.changes"
     changes.write_text("- -1 0\n+ -2 0\n")
     out = tmp_path / "mutated.json"
-    assert run(["--out", out, "mutate", "--gadget", "--input", gadget_file,
+    assert run(["mutate", "--out", out, "--gadget", "--input", gadget_file,
                 "--changes", changes]) == 0
     payload = json.loads(out.read_text())
     assert payload["budget"] == 4  # one removal raises the budget
@@ -144,7 +144,7 @@ def test_reduce_fixed_model_fields(tmp_path):
     source = tmp_path / "f.cnf"
     source.write_text(PAPER_CNF)
     out = tmp_path / "fixed.json"
-    assert run(["--out", out, "reduce", "--kind", "fixed-model", "--input", source]) == 0
+    assert run(["reduce", "--out", out, "--kind", "fixed-model", "--input", source]) == 0
     payload = json.loads(out.read_text())
     assert payload["change_clause"] == [-3]
     assert payload["hint_model"] == [3]
@@ -155,7 +155,7 @@ def test_reduce_replanning_fields(tmp_path):
     source = tmp_path / "f.cnf"
     source.write_text(PAPER_CNF)
     out = tmp_path / "case.json"
-    assert run(["--out", out, "reduce", "--kind", "replanning", "--input", source]) == 0
+    assert run(["reduce", "--out", out, "--kind", "replanning", "--input", source]) == 0
     payload = json.loads(out.read_text())
     assert payload["original_plan"] == ["e"]
     assert payload["remove_from_initial"] == ["a"]
@@ -192,7 +192,7 @@ def test_solve_vc_needs_budget(tmp_path, capsys):
 
 def test_solve_budget_exceeded_exit_code(tmp_path):
     wide = tmp_path / "wide.cnf"
-    run(["--seed", 2, "--out", wide, "generate", "--problem", "sat", "--variables", 21,
+    run(["generate", "--seed", 2, "--out", wide, "--problem", "sat", "--variables", 21,
          "--clauses", 4])
     assert run(["solve", "--problem", "sat", "--method", "brute", "--input", wide]) == 3
 
@@ -247,7 +247,7 @@ def test_verify_forwards_the_global_seed(monkeypatch):
 
     seen = []
     monkeypatch.setattr(cli, "run_suite", lambda name, **kw: seen.append((name, kw)) or [])
-    assert run(["--seed", 5, "verify", "--suite", "vc-gadget"]) == 0
+    assert run(["verify", "--seed", 5, "--suite", "vc-gadget"]) == 0
     assert seen == [("vc-gadget",
                      {"max_vars": None, "max_clauses": None, "samples": None, "seed": 5})]
 
@@ -259,24 +259,38 @@ def test_verify_usage_errors():
     assert run(["frobnicate"]) == 1
 
 
-def test_experiment_writes_csv_and_json(tmp_path):
-    base = tmp_path / "report"
-    assert run(["--seed", 7, "--out", base, "experiment", "--problem", "strips",
+def test_experiment_writes_csv_and_json(tmp_path, capsys):
+    report_csv = tmp_path / "report.csv"
+    assert run(["experiment", "--seed", 7, "--out", report_csv, "--problem", "strips",
                 "--trials", 5]) == 0
-    with open(base.with_suffix(".csv")) as handle:
+    with open(report_csv) as handle:
         rows = list(csv.reader(handle))
     assert len(rows) == 6
     assert rows[0][0] == "trial_id"
-    payload = json.loads(base.with_suffix(".json").read_text())
-    assert payload["summary"]["trials"] == 5
+    report_json = tmp_path / "r.json"
+    assert run(["experiment", "--seed", 7, "--out", report_json, "--format", "json",
+                "--problem", "strips", "--trials", 5]) == 0
+    assert json.loads(report_json.read_text())["summary"]["trials"] == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "report.csv"]
+    assert capsys.readouterr().out == f"wrote {report_csv}\nwrote {report_json}\n"
 
 
 def test_experiment_stdout_json(capsys):
-    assert run(["--format", "json", "experiment", "--problem", "sat", "--trials", 2]) == 0
-    out = capsys.readouterr().out
-    body, summary_line = out.rsplit("\n", 2)[0], out.splitlines()[-1]
-    assert json.loads(body)["summary"]["trials"] == 2
-    assert summary_line.startswith("trials=2")
+    assert run(["experiment", "--format", "json", "--problem", "sat", "--trials", 2]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["summary"]["trials"] == 2
+    assert "oracle_limit" not in payload["config"]
+    assert captured.err.startswith("trials=2 hint_rate=")
+
+
+def test_experiment_stdout_csv_is_the_report_alone(capsys):
+    assert run(["experiment", "--problem", "vc", "--trials", 3]) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.reader(captured.out.splitlines()))
+    assert len(rows) == 4
+    assert rows[0][0] == "trial_id"
+    assert captured.err.startswith("trials=3 ")
 
 
 def test_missing_input_file_is_a_usage_error(tmp_path):
@@ -337,7 +351,7 @@ def test_export_dot_rejects_a_hand_edited_budget(tmp_path, offset):
     source = tmp_path / "f.cnf"
     source.write_text(PAPER_CNF)
     gadget_file = tmp_path / "gadget.json"
-    assert run(["--out", gadget_file, "reduce", "--kind", "vc-gadget", "--input", source]) == 0
+    assert run(["reduce", "--out", gadget_file, "--kind", "vc-gadget", "--input", source]) == 0
     assert run(["export-dot", "--input", gadget_file]) == 0
     payload = json.loads(gadget_file.read_text())
     payload["budget"] += offset
@@ -347,7 +361,7 @@ def test_export_dot_rejects_a_hand_edited_budget(tmp_path, offset):
 
 def test_planning_sizes_belong_to_generate_only(tmp_path):
     instance = tmp_path / "p.json"
-    assert run(["--out", instance, "generate", "--problem", "strips",
+    assert run(["generate", "--out", instance, "--problem", "strips",
                 "--conditions", 3, "--operators", 2]) == 0
     payload = json.loads(instance.read_text())
     assert len(payload["conditions"]) == 3
@@ -376,9 +390,9 @@ def test_experiment_rejects_scale_options_its_problem_does_not_read(capsys, prob
     ("strips", ["--clause-size", 2]),
 ])
 def test_generate_rejects_size_options_its_problem_does_not_read(capsys, problem, unread):
-    assert run(["--seed", 3, "generate", "--problem", problem]) == 0
+    assert run(["generate", "--seed", 3, "--problem", problem]) == 0
     capsys.readouterr()
-    assert run(["--seed", 3, "generate", "--problem", problem, *unread]) == 1
+    assert run(["generate", "--seed", 3, "--problem", problem, *unread]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "does not read" in captured.err
@@ -414,17 +428,80 @@ def test_solve_rejects_options_its_problem_does_not_read(tmp_path, capsys, probl
 
 
 def test_experiment_takes_the_scale_options_its_problem_reads(capsys):
-    assert run(["--format", "json", "experiment", "--problem", "vc", "--trials", 1,
+    assert run(["experiment", "--format", "json", "--problem", "vc", "--trials", 1,
                 "--nodes", 6, "--edges", 5]) == 0
-    config = json.loads(capsys.readouterr().out.rsplit("\n", 2)[0])["config"]
+    config = json.loads(capsys.readouterr().out)["config"]
     assert (config["nodes"], config["edges"], config["variables"]) == (6, 5, 4)
 
 
 def test_oracle_limit_applies_only_to_problems_that_read_variables(capsys):
-    assert run(["--oracle-limit", 2, "experiment", "--problem", "vc", "--trials", 1]) == 0
+    assert run(["experiment", "--problem", "vc", "--trials", 1]) == 0
     capsys.readouterr()
-    assert run(["--oracle-limit", 2, "experiment", "--problem", "sat", "--variables", 3]) == 1
-    assert "exceeds the oracle limit 2" in capsys.readouterr().err
+    assert run(["experiment", "--problem", "sat", "--variables", 21, "--trials", 1]) == 1
+    assert "exceeds the oracle limit 20" in capsys.readouterr().err
+
+
+def test_top_level_takes_no_option_but_help(capsys):
+    assert run(["-h"]) == 0
+    options = capsys.readouterr().out.split("options:")[1]
+    assert options.split() == ["-h,", "--help", "show", "this", "help", "message", "and", "exit"]
+
+
+@pytest.mark.parametrize("command, unread", [
+    (["solve", "--problem", "sat", "--input", "{cnf}"], ["--seed", 3]),
+    (["reduce", "--kind", "nsat", "--input", "{cnf}"], ["--format", "json"]),
+    (["verify", "--suite", "hint-tables", "--samples", 1], ["--out", "{out}"]),
+    (["export-dot", "--input", "{gadget}"], ["--seed", 3]),
+    (["experiment", "--problem", "sat", "--trials", 1], ["--oracle-limit", 20]),
+], ids=["solve-seed", "reduce-format", "verify-out", "export-dot-seed",
+        "experiment-oracle-limit"])
+def test_an_option_is_refused_where_it_is_not_read(tmp_path, capsys, command, unread):
+    files = {"cnf": tmp_path / "f.cnf", "gadget": tmp_path / "g.json", "out": tmp_path / "out"}
+    files["cnf"].write_text(PAPER_CNF)
+    files["gadget"].write_text(gadget_to_json(build_gadget(parse_dimacs(PAPER_CNF))))
+    command, unread = ([str(a).format(**files) for a in args] for args in (command, unread))
+    assert run(command) == 0
+    capsys.readouterr()
+    assert run([*command, *unread]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + unread[0] in captured.err
+    assert not files["out"].exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    (["generate", "--problem", "vc"], ["--nodes", -3]),
+    (["generate", "--problem", "sat"], ["--variables", -1]),
+    (["experiment", "--problem", "vc", "--trials", 1], ["--edges", -1]),
+    (["solve", "--problem", "vc", "--input", "{edges}"], ["--budget", -1]),
+    (["verify", "--suite", "sat-reductions"], ["--samples", -5]),
+    (["verify", "--suite", "sat-reductions"], ["--max-vars", -1]),
+    (["verify", "--suite", "vc-gadget"], ["--max-clauses", -2]),
+])
+def test_a_negative_size_is_refused(tmp_path, capsys, command, option):
+    edges = tmp_path / "g.edges"
+    edges.write_text("a b\n")
+    assert run([*(str(a).format(edges=edges) for a in command), *option]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option[0]}: must be non-negative" in captured.err
+
+
+@pytest.mark.parametrize("suite, options, code", [
+    ("hint-tables", ["--samples", 2, "--max-vars", 9], 1),
+    ("hint-tables", ["--max-clauses", 1], 1),
+    ("sat-reductions", ["--max-vars", 2, "--max-clauses", 2, "--samples", 2], 0),
+    ("plan-reductions", ["--max-vars", 2, "--samples", 2], 0),
+    ("all", ["--max-vars", 2, "--max-clauses", 2, "--samples", 2], 0),
+])
+def test_verify_refuses_scale_options_its_suites_do_not_read(monkeypatch, capsys,
+                                                            suite, options, code):
+    import reoptlab.cli as cli
+
+    monkeypatch.setattr(cli, "run_suite", lambda name, **kw: [])
+    assert run(["verify", "--suite", suite, *options]) == code
+    captured = capsys.readouterr()
+    assert ("does not read it" in captured.err) == bool(code)
 
 
 def _token_text(tokens, max_size=40):
@@ -527,4 +604,4 @@ def test_every_subcommand_exits_with_a_documented_code_on_fuzzed_files(
             ["export-dot", "--input", f["json"]],
         ]
         for command in commands:
-            assert run(["--out", folder / "out", *command]) in (0, 1, 2, 3), command
+            assert run([*command, "--out", folder / "out"]) in (0, 1, 2, 3), command
