@@ -10,18 +10,17 @@ graph of *all* three-literal clauses turns every formula over the
 alphabet into a pure edge-deletion pattern with one fixed budget.
 """
 
-from reoptlab import (
+from reoptlab.cnf import cnf
+from reoptlab.dot import gadget_to_dot
+from reoptlab.gadgets import (
     build_full_gadget,
     build_gadget,
-    cnf,
-    decide_cover,
     gadget_add_unit,
     gadget_remove_unit,
-    min_cover_brute,
     project_formula,
-    solve_dpll,
 )
-from reoptlab.dot import gadget_to_dot
+from reoptlab.graphs import decide_cover, min_cover_brute
+from reoptlab.solvers import solve_dpll
 
 # The two-clause formula (x1 or x2) and (not x1).
 f = cnf([(1, 2), (-1,)])

@@ -12,18 +12,9 @@ entries and misses, and cross-checks every entry against the solver.
 
 from itertools import combinations
 
-from reoptlab import (
-    ChangeSet,
-    MISS,
-    add_change,
-    apply_changes,
-    cnf,
-    compile_table,
-    del_change,
-    lookup,
-    solve_dpll,
-)
-from reoptlab.hints import subset_changes
+from reoptlab.cnf import ChangeSet, apply_changes, cnf
+from reoptlab.hints import MISS, add_change, compile_table, del_change, lookup, subset_changes
+from reoptlab.solvers import solve_dpll
 
 base = cnf([(1, 2), (-1, 3)])
 candidates = (

@@ -9,18 +9,10 @@ with one unhelpful model, and the single-model formula where no choice of
 model can ever help once one clause is swapped for another.
 """
 
-from reoptlab import (
-    ChangeSet,
-    apply_changes,
-    cnf,
-    count_models,
-    evaluate,
-    reduce_fixed_model,
-    reduce_unique_model,
-    reuse_model,
-    solve_dpll,
-)
-from reoptlab.reductions import unique_model
+from reoptlab.cnf import ChangeSet, apply_changes, cnf, evaluate
+from reoptlab.hints import reuse_model
+from reoptlab.reductions import reduce_fixed_model, reduce_unique_model, unique_model
+from reoptlab.solvers import count_models, solve_dpll
 
 # A small satisfiable formula and one of its models.
 base = cnf([(1, 2), (-1, 3), (-2, -3)])

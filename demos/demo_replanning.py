@@ -9,17 +9,10 @@ irredundant plan, and deleting a single guard condition makes that plan
 worthless, leaving a search that is as hard as the embedded formula.
 """
 
-from reoptlab import (
-    apply_initial_change,
-    cnf,
-    count_irredundant_plans,
-    make_instance,
-    make_operator,
-    plan_exists,
-    reuse_plan,
-    sat_to_replanning,
-    validate_plan,
-)
+from reoptlab.cnf import cnf
+from reoptlab.hints import reuse_plan
+from reoptlab.replanning import apply_initial_change, count_irredundant_plans, sat_to_replanning
+from reoptlab.strips import make_instance, make_operator, plan_exists, validate_plan
 
 # A friendly case first: a three-step pipeline where the first step's
 # work is already reflected in the changed initial state.

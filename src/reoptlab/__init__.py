@@ -6,155 +6,3 @@ exhaustive oracles, hint-reuse strategies, compiled bounded-change lookup
 tables and an experiment harness that verifies every construction at desk
 scale.
 """
-
-from .cnf import (
-    Assignment,
-    ChangeSet,
-    Clause,
-    CnfFormula,
-    apply_changes,
-    clause,
-    cnf,
-    cross_disjoin,
-    disjoin_literal,
-    evaluate,
-    is_alphabet_preserving,
-    mentioned_vars,
-)
-from .dimacs import parse_changes, parse_dimacs, serialize_changes, serialize_dimacs
-from .errors import InvalidHintError
-from .gadgets import (
-    Gadget,
-    build_full_gadget,
-    build_gadget,
-    gadget_add_unit,
-    gadget_remove_unit,
-    project_formula,
-)
-from .graphs import (
-    Graph,
-    decide_cover,
-    edge,
-    graph,
-    is_cover,
-    min_cover_brute,
-    parse_edge_list,
-    serialize_edge_list,
-    warm_start_cover,
-)
-from .hints import (
-    ElementaryChange,
-    HintTable,
-    MISS,
-    ReuseOutcome,
-    add_change,
-    compile_table,
-    del_change,
-    lookup,
-    reuse_model,
-    reuse_plan,
-)
-from .reductions import (
-    FixedModelInstance,
-    NsatInstance,
-    UniqueModelInstance,
-    make_nsat_instance,
-    reduce_fixed_model,
-    reduce_unique_model,
-)
-from .replanning import (
-    ReplanningCase,
-    apply_initial_change,
-    count_irredundant_plans,
-    goal_compilation,
-    sat_to_replanning,
-)
-from .solvers import count_models, solve_brute, solve_dpll, solve_dpll_stats
-from .strips import (
-    Goal,
-    Plan,
-    StripsInstance,
-    StripsOperator,
-    apply_operator,
-    check_positive_postconditions,
-    instance_from_json,
-    instance_to_json,
-    make_instance,
-    make_operator,
-    plan_exists,
-    validate_plan,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Assignment",
-    "ChangeSet",
-    "Clause",
-    "CnfFormula",
-    "ElementaryChange",
-    "FixedModelInstance",
-    "Gadget",
-    "Goal",
-    "Graph",
-    "HintTable",
-    "InvalidHintError",
-    "MISS",
-    "NsatInstance",
-    "Plan",
-    "ReplanningCase",
-    "ReuseOutcome",
-    "StripsInstance",
-    "StripsOperator",
-    "UniqueModelInstance",
-    "add_change",
-    "apply_changes",
-    "apply_initial_change",
-    "apply_operator",
-    "build_full_gadget",
-    "build_gadget",
-    "check_positive_postconditions",
-    "clause",
-    "cnf",
-    "compile_table",
-    "count_irredundant_plans",
-    "count_models",
-    "cross_disjoin",
-    "decide_cover",
-    "del_change",
-    "disjoin_literal",
-    "edge",
-    "evaluate",
-    "gadget_add_unit",
-    "gadget_remove_unit",
-    "goal_compilation",
-    "graph",
-    "instance_from_json",
-    "instance_to_json",
-    "is_alphabet_preserving",
-    "is_cover",
-    "lookup",
-    "make_instance",
-    "make_nsat_instance",
-    "make_operator",
-    "mentioned_vars",
-    "min_cover_brute",
-    "parse_changes",
-    "parse_dimacs",
-    "parse_edge_list",
-    "plan_exists",
-    "project_formula",
-    "reduce_fixed_model",
-    "reduce_unique_model",
-    "reuse_model",
-    "reuse_plan",
-    "sat_to_replanning",
-    "serialize_changes",
-    "serialize_dimacs",
-    "serialize_edge_list",
-    "solve_brute",
-    "solve_dpll",
-    "solve_dpll_stats",
-    "validate_plan",
-    "warm_start_cover",
-]

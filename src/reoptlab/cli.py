@@ -4,8 +4,9 @@ Subcommands: generate, reduce, solve, mutate, verify, experiment,
 export-dot.  Exit codes: 0 success, 1 usage or input error, 2
 verification counterexample or verdict mismatch, 3 search/oracle budget
 exceeded.  An option is accepted only where it is read: given to a
-subcommand, ``--problem`` or ``verify --suite`` that does not read it, or
-given a negative size, it is a usage error.  Every subcommand but
+subcommand, ``--problem`` or ``verify --suite`` that does not read it,
+given a negative size, or given to ``generate`` a size it cannot honour,
+it is a usage error.  Every subcommand but
 ``verify`` writes one output, to ``--out`` or stdout.  Warnings raised
 while a subcommand runs print as ``warning: <message>`` lines on stderr.
 """
@@ -13,7 +14,6 @@ while a subcommand runs print as ``warning: <message>`` lines on stderr.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import random
 import sys
@@ -46,7 +46,7 @@ from .reductions import make_nsat_instance, reduce_fixed_model, reduce_unique_mo
 from .replanning import sat_to_replanning
 from .solvers import DpllBudgetError, OracleLimitError, solve_brute, solve_dpll_stats
 from .strips import SearchBudgetError, instance_from_json, instance_to_json, plan_exists_stats
-from .verification import SUITES, run_suite
+from .verification import SUITES, run_suite, suite_reads
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,6 +156,18 @@ def _emit(args, text: str, path: Path | None = None) -> None:
 
 def cmd_generate(args) -> int:
     size = _problem_options(args, GENERATE_READS)
+    # Refuse sizes the generators would silently shrink or fail on.
+    if args.problem == "sat":
+        if size["clause_size"] < 1:
+            raise InvalidConfigError("clause_size", "must be at least 1")
+        if size["variables"] < 1 and size["clauses"] > 0:
+            raise InvalidConfigError("variables", "clauses need at least one variable")
+    elif args.problem == "vc":
+        most = size["nodes"] * (size["nodes"] - 1) // 2
+        if size["edges"] > most:
+            raise InvalidConfigError("edges", f"{size['nodes']} nodes hold at most {most} edges")
+    elif size["conditions"] < 1 and size["operators"] > 0:
+        raise InvalidConfigError("conditions", "operators need at least one condition")
     if args.count < 1:
         raise InvalidConfigError("count", "must be at least 1")
     if args.count > 1 and args.out is None:
@@ -263,9 +275,7 @@ def cmd_mutate(args) -> int:
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     overrides = {name: getattr(args, name) for name in ("max_vars", "max_clauses", "samples")}
-    # An option is read if some sweep of the chosen suites declares it.
-    read = {name for suite in names for sweep in SUITES[suite]
-            for name in inspect.signature(sweep).parameters}
+    read = set().union(*map(suite_reads, names))
     unread = sorted({name for name, value in overrides.items() if value is not None} - read)
     if unread:
         raise InvalidConfigError(unread[0], f"verify --suite {args.suite} does not read it")
@@ -332,7 +342,7 @@ def _run(args) -> int:
     except InvalidConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, RecursionError) as exc:  # deep JSON recurses
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

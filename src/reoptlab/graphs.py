@@ -230,18 +230,14 @@ def _packing_exceeds(adj: list[set[int]], order: list[int], k: int) -> bool:
     return False
 
 
-def warm_start_cover(g: Graph, old_cover, added_edges, budget: int) -> frozenset[str] | None:
+def warm_start_cover_stats(g, old_cover, added_edges, budget: int):
     """Reuse a cover of the pre-change graph, falling back to a fresh decision.
 
     ``old_cover`` must cover the graph minus ``added_edges``.  When it also
     covers the added edges and fits the budget it is returned unchanged;
-    otherwise the full graph is re-decided.
+    otherwise the full graph is re-decided.  Returns (cover, hint_used,
+    work_units).
     """
-    return warm_start_cover_stats(g, old_cover, added_edges, budget)[0]
-
-
-def warm_start_cover_stats(g, old_cover, added_edges, budget: int):
-    """Like ``warm_start_cover`` but returns (cover, hint_used, work_units)."""
     members = frozenset(old_cover)
     added = frozenset(edge(u, v) for u, v in added_edges)
     stray = added - g.edges

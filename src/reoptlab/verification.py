@@ -215,6 +215,11 @@ SUITES = {
 }
 
 
+def suite_reads(name: str) -> set[str]:
+    """The parameters that some sweep of suite ``name`` declares."""
+    return {param for sweep in SUITES[name] for param in inspect.signature(sweep).parameters}
+
+
 def run_suite(name: str, max_vars: int | None = None, max_clauses: int | None = None,
               samples: int | None = None, seed: int | None = None) -> list[str]:
     """Run one named suite with optional scale overrides; returns failures.

@@ -14,6 +14,7 @@ from reoptlab.cnf import cnf
 from reoptlab.dimacs import parse_dimacs
 from reoptlab.enumeration import random_formula
 from reoptlab.gadgets import build_gadget, gadget_to_json
+from reoptlab.graphs import parse_edge_list
 
 PAPER_CNF = "p cnf 2 2\n1 2 0\n-1 0\n"
 
@@ -396,6 +397,49 @@ def test_generate_rejects_size_options_its_problem_does_not_read(capsys, problem
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "does not read" in captured.err
+
+
+@pytest.mark.parametrize("problem, sizes, option", [
+    ("sat", ["--clause-size", 0], "clause_size"),
+    ("sat", ["--variables", 0, "--clauses", 3], "variables"),
+    ("vc", ["--nodes", 1, "--edges", 5], "edges"),
+    ("vc", ["--nodes", 3, "--edges", 50], "edges"),
+    ("strips", ["--conditions", 0, "--operators", 3], "conditions"),
+])
+def test_generate_refuses_sizes_it_cannot_honour(capsys, problem, sizes, option):
+    assert run(["generate", "--seed", 3, "--problem", problem, *sizes]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"invalid configuration: {option}: ")
+    assert "Traceback" not in captured.err
+
+
+def test_generate_accepts_the_boundary_sizes(capsys):
+    assert run(["generate", "--seed", 3, "--problem", "vc", "--nodes", 3, "--edges", 3]) == 0
+    assert len(parse_edge_list(capsys.readouterr().out).edges) == 3
+    assert run(["generate", "--problem", "sat", "--variables", 0, "--clauses", 0]) == 0
+    assert capsys.readouterr().out == "p cnf 0 0\n"
+
+
+NESTED_ARRAYS = "[" * 200_000 + "]" * 200_000
+NESTED_OBJECTS = '{"a":' * 200_000 + "1" + "}" * 200_000
+
+
+@pytest.mark.parametrize("command, text", [
+    (["export-dot"], NESTED_ARRAYS),
+    (["mutate", "--gadget"], NESTED_ARRAYS),
+    (["solve", "--problem", "strips"], NESTED_OBJECTS),
+], ids=["export-dot", "mutate-gadget", "solve-strips"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, command, text):
+    source = tmp_path / "deep.json"
+    source.write_text(text)
+    changes = tmp_path / "add.changes"
+    changes.write_text("+ -2 0\n")
+    extra = ["--changes", changes] if command[0] == "mutate" else []
+    assert run([*command, "--input", source, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 SOLVABLE = {

@@ -19,6 +19,8 @@ def test_demo_runs(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    # -W error makes the demos as strict as the library tests' filterwarnings.
+    result = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""

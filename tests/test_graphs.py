@@ -23,7 +23,6 @@ from reoptlab.graphs import (
     parse_edge_list,
     remove_edges,
     serialize_edge_list,
-    warm_start_cover,
     warm_start_cover_stats,
 )
 from reoptlab.solvers import solve_dpll
@@ -193,9 +192,8 @@ def test_warm_start_fast_path_returns_old_cover():
     g = graph(edges=[("a", "b"), ("b", "c")])
     grown = add_edges(g, [("a", "c")])
     old = frozenset({"a", "b"})
-    assert warm_start_cover(grown, old, [("a", "c")], 2) == old
-    _, hint_used, work = warm_start_cover_stats(grown, old, [("a", "c")], 2)
-    assert hint_used and work == 1
+    cover, hint_used, work = warm_start_cover_stats(grown, old, [("a", "c")], 2)
+    assert cover == old and hint_used and work == 1
 
 
 def test_warm_start_falls_back_when_edge_uncovered():
@@ -203,15 +201,15 @@ def test_warm_start_falls_back_when_edge_uncovered():
     grown = add_edges(g, [("c", "d")])  # old cover {a} misses it
     base = remove_edges(grown, [("c", "d")])
     assert is_cover(base, {"a"})
-    got = warm_start_cover(grown, {"a"}, [("c", "d")], 2)
+    got = warm_start_cover_stats(grown, {"a"}, [("c", "d")], 2)[0]
     assert got is not None and is_cover(grown, got) and len(got) <= 2
-    assert warm_start_cover(grown, {"a"}, [("c", "d")], 1) is None
+    assert warm_start_cover_stats(grown, {"a"}, [("c", "d")], 1)[0] is None
 
 
 def test_warm_start_rejects_invalid_hint():
     g = graph(edges=[("a", "b"), ("b", "c")])
     with pytest.raises(InvalidHintError):
-        warm_start_cover(g, set(), [("b", "c")], 2)
+        warm_start_cover_stats(g, set(), [("b", "c")], 2)
 
 
 def test_warm_start_agrees_with_fresh_decision():
@@ -229,7 +227,7 @@ def test_warm_start_agrees_with_fresh_decision():
         old = min_cover_brute(g).cover
         grown = add_edges(g, [new_edge])
         for budget in (len(old), len(old) + 1):
-            hinted = warm_start_cover(grown, old, [new_edge], budget)
+            hinted = warm_start_cover_stats(grown, old, [new_edge], budget)[0]
             fresh = decide_cover(grown, budget)
             assert (hinted is None) == (fresh is None)
             if hinted is not None:
