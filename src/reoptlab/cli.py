@@ -24,7 +24,7 @@ from pathlib import Path
 from .cnf import apply_changes
 from .dimacs import parse_changes, parse_dimacs, serialize_dimacs
 from .dot import gadget_to_dot
-from .enumeration import random_formula, random_graph, random_plansat_instance
+from .enumeration import clause_pool_size, random_formula, random_graph, random_plansat_instance
 from .experiments import (
     SCALE_FIELDS,
     ExperimentConfig,
@@ -160,8 +160,9 @@ def cmd_generate(args) -> int:
     if args.problem == "sat":
         if size["clause_size"] < 1:
             raise InvalidConfigError("clause_size", "must be at least 1")
-        if size["variables"] < 1 and size["clauses"] > 0:
-            raise InvalidConfigError("variables", "clauses need at least one variable")
+        most = clause_pool_size(size["variables"], size["clause_size"])
+        if size["clauses"] > most:
+            raise InvalidConfigError("clauses", f"at most {most} distinct clauses fit these sizes")
     elif args.problem == "vc":
         most = size["nodes"] * (size["nodes"] - 1) // 2
         if size["edges"] > most:

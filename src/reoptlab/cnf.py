@@ -68,10 +68,6 @@ def cnf(clauses_in=(), alphabet=None) -> CnfFormula:
     return CnfFormula(frozenset(alphabet), cls)
 
 
-def mentioned_vars(formula: CnfFormula) -> frozenset[int]:
-    return frozenset(abs(lit) for cl in formula.clauses for lit in cl)
-
-
 def evaluate(formula: CnfFormula, assignment) -> bool:
     """True iff every clause contains a literal made true by the assignment.
 
@@ -124,13 +120,6 @@ def apply_changes(formula: CnfFormula, changes: ChangeSet) -> CnfFormula:
     for cl in changes.additions:
         alphabet.update(abs(lit) for lit in cl)
     return CnfFormula(frozenset(alphabet), frozenset(cls))
-
-
-def is_alphabet_preserving(formula: CnfFormula, changes: ChangeSet) -> bool:
-    """Would the changed clause set mention only variables of the formula's alphabet?"""
-    cls = (set(formula.clauses) - set(changes.deletions)) | set(changes.additions)
-    mentioned = {abs(lit) for cl in cls for lit in cl}
-    return mentioned <= set(formula.alphabet)
 
 
 def disjoin_literal(formula: CnfFormula, lit: int) -> CnfFormula:

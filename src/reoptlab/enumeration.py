@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, product
+from math import comb
 
 from .cnf import Clause, CnfFormula, clause, cnf
 from .graphs import Graph, graph
@@ -58,6 +59,11 @@ def random_formula(rng: random.Random, num_vars: int, num_clauses: int,
     return cnf(chosen, alphabet=alphabet)
 
 
+def clause_pool_size(num_vars: int, max_size: int = 3) -> int:
+    """How many distinct clauses ``random_clause`` can draw: the most ``random_formula`` returns."""
+    return sum(comb(num_vars, size) << size for size in range(1, min(max_size, num_vars) + 1))
+
+
 def random_satisfiable_formula(rng: random.Random, num_vars: int, num_clauses: int,
                                max_size: int = 3, attempts: int = 200):
     """A satisfiable random formula together with one of its models."""
@@ -66,7 +72,8 @@ def random_satisfiable_formula(rng: random.Random, num_vars: int, num_clauses: i
         model = solve_dpll(f)
         if model is not None:
             return f, model
-    raise RuntimeError(f"no satisfiable formula found in {attempts} attempts")
+    raise ValueError(f"no satisfiable formula of {num_vars} variables and {num_clauses} clauses"
+                     f" in {attempts} attempts")
 
 
 def random_graph(rng: random.Random, num_nodes: int, num_edges: int) -> Graph:

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 from .cnf import ChangeSet, apply_changes
 from .dimacs import serialize_changes, serialize_dimacs
 from .enumeration import (
+    clause_pool_size,
     random_clause,
     random_formula,
     random_graph,
@@ -85,6 +86,13 @@ def validate_config(config: ExperimentConfig) -> None:
         raise InvalidConfigError("variables", f"exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
     if config.problem == "strips" and config.clauses < 1:
         raise InvalidConfigError("clauses", "the replanning scenario needs at least one clause")
+    if scenario == "add-clause" and config.variables < 1:
+        raise InvalidConfigError("variables", "the added clause needs at least one variable")
+    if "clauses" in SCALE_FIELDS[config.problem]:
+        size = config.clause_size if config.problem == "sat" else min(config.clause_size, 3)
+        most = clause_pool_size(config.variables, size)
+        if config.clauses > most:
+            raise InvalidConfigError("clauses", f"at most {most} distinct clauses fit these sizes")
     if config.problem == "vc":
         if config.nodes < 2:
             raise InvalidConfigError("nodes", "need at least two nodes to add an edge")

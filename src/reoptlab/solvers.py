@@ -2,8 +2,9 @@
 
 Both solvers exist to cross-check constructions at desk scale, not to
 compete: no clause learning, no preprocessing beyond clause
-canonicalization.  DPLL backtracks over an undo trail with an explicit
-stack of open decisions, so its depth is bounded by memory, not by the
+canonicalization.  DPLL keeps an explicit stack of open decisions, each
+with the clause masks saved when it was taken, and backtracks by
+restoring them, so its depth is bounded by memory, not by the
 interpreter's recursion limit.  Internally literals are codes, as in
 MiniSat: the variable of rank ``i`` (by id) has the codes ``2i``
 (positive) and ``2i + 1`` (negative), so a code indexes per-literal
@@ -18,9 +19,6 @@ times clauses, which ``DPLL_BUDGET`` caps.
 """
 
 from __future__ import annotations
-
-from functools import reduce
-from operator import or_
 
 from .cnf import Assignment, CnfFormula, evaluate
 
@@ -79,14 +77,14 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
     """DPLL with unit propagation; returns (model, work).
 
     One loop over the assignment, a trail of assigned literals and a
-    stack of ``(trail length, variable rank)`` for decisions whose false branch
-    is untried.  Each step, in this order: on a conflict, pop the newest
-    decision, undo the trail to its mark and set the variable false; else
-    propagate the unit clause that comes first in ``clause_sort_key``
-    order; else decide true the lowest unassigned variable that occurs in
-    a clause not yet satisfied, so branching is lowest id first, positive
-    first.  ``work`` counts decisions plus unit propagations, the
-    solver-step currency of the hint reuse measurements.
+    stack of decisions whose false branch is untried.  Each step, in this
+    order: on a conflict, pop the newest decision, restore the state saved
+    with it and set its variable false; else propagate the unit clause
+    that comes first in ``clause_sort_key`` order; else decide true the
+    lowest unassigned variable that occurs in a clause not yet satisfied,
+    so branching is lowest id first, positive first.  ``work`` counts
+    decisions plus unit propagations, the solver-step currency of the hint
+    reuse measurements.
 
     Set-up codes the literals (see the module docstring): a decision on
     the variable of rank ``i`` sets the code ``2i``, its false branch
@@ -97,37 +95,36 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
     function.  Bit ``i`` of every mask is clause ``i`` of that order.
 
     The state is a few clause masks, Python ints.  ``occ[code]`` holds
-    the clauses that contain a literal, ``unsat`` the clauses no true
-    literal satisfies yet, and ``units`` clauses seen down to one literal
-    that is not false.  ``planes`` is a bit-sliced counter: bit ``i`` of
-    ``planes[j]`` is bit ``j`` of how many literal codes of clause ``i``
-    are not false, over ``max_len.bit_length()`` planes.  Set-up adds
-    every ``occ[code]`` to it with a carry chain, so a literal repeated in
-    a clause counts once.  Setting code ``l``
-    clears ``occ[l]`` from ``unsat`` and subtracts ``occ[l ^ 1]`` from the
+    the clauses that contain a literal and ``unsat`` the clauses no true
+    literal satisfies yet.  ``planes`` is a bit-sliced counter: bit ``i``
+    of ``planes[j]`` is bit ``j`` of how many literal codes of clause
+    ``i`` are not false, over ``max_len.bit_length()`` planes.  Set-up
+    adds every ``occ[code]`` to it with a carry chain, so a literal
+    repeated in a clause counts once.  Setting code ``l`` clears
+    ``occ[l]`` from ``unsat`` and subtracts ``occ[l ^ 1]`` from the
     counter with a borrow chain; satisfied clauses count down too, so
-    every count stays exact.  Of the clauses just hit that are still
-    unsatisfied, a count of 0 is a conflict and a count of 1 joins
-    ``units``.  Only the newest assignment can empty a clause, so this
-    finds every conflict a full pass would.
+    every count stays exact.
 
-    The next unit is the lowest bit of ``units & unsat``.  Counts only
-    fall until the next backtrack, so these are exactly the unsatisfied
-    clauses left with one literal, and bit order is clause order, so the
-    lowest bit is the unit that comes first in ``clause_sort_key`` order.
-    Its literal is the one unassigned code in that clause.  A decision is
-    taken only with no unit pending, so backtracking to its mark adds
-    ``occ[u ^ 1]`` back with a carry chain for each undone code ``u``,
-    rebuilds ``unsat`` from the kept trail and clears ``units``.
-    Branching scans the variables upward from the newest decision's
-    variable and tests each one's two literal masks against ``unsat``:
-    every variable below it stays assigned or in satisfied clauses only,
-    until backtracking restores the state in which that decision was
-    taken.
+    Each step reads ``few``, the unsatisfied clauses whose count is 0 or
+    1, off the counter.  A count of 0 is a conflict: only the newest
+    assignment can empty a clause, so each conflict shows at the step
+    that causes it.  Otherwise ``few`` holds exactly the unit clauses,
+    since every count is exact, and its lowest bit is the unit that comes
+    first in ``clause_sort_key`` order; its literal is the one unassigned
+    code in that clause.  A decision saves the trail length,
+    its variable, ``unsat`` and the planes; a conflict restores them,
+    cuts the trail and resets ``value`` for the undone codes.  A decision
+    is taken with no unit pending and no conflict, so this is exactly the
+    state in which it was taken.  Branching scans the variables upward
+    from the newest decision's variable and tests each one's two literal
+    masks against ``unsat``: every variable below it stays assigned or in
+    satisfied clauses only until that decision is undone.
 
     Every mask operation costs ``O(clauses / 64)`` machine words, a
     handful per step, and the literal masks hold up to ``2 * variables *
     clauses`` bits, so cost grows quadratically on large sparse formulas.
+    Each open decision holds at most ``len(planes) + 1`` saved clause
+    masks, and at most one decision per mentioned variable is open.
     A formula whose mentioned variables times clauses exceeds
     ``DPLL_BUDGET`` raises ``DpllBudgetError`` before any mask is built.
     """
@@ -149,27 +146,35 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
         bit = 1 << index
         for lit in lits:
             occ[lit] |= bit
-    planes = [0] * max(map(len, clauses), default=0).bit_length()
+    planes = [0] * max(map(len, clauses), default=1).bit_length()  # planes[0] always exists
     for carry in occ:  # count each clause's distinct literal codes
         for j, plane in enumerate(planes):
             planes[j] = plane ^ carry
             carry &= plane
             if not carry:
                 break
-    units = planes[0] if planes else 0
-    for plane in planes[1:]:
-        units &= ~plane
-    everything = unsat = (1 << len(clauses)) - 1
+    unsat = (1 << len(clauses)) - 1
 
     value: list[bool | None] = [None] * len(code)
     trail: list[int] = []
-    open_decisions: list[tuple[int, int]] = []
+    open_decisions: list[tuple[int, ...]] = []
     work = 0
     start = 0  # every variable below it is assigned or in satisfied clauses only
     while True:
-        pending = units & unsat
-        if pending:
-            for lit in clauses[(pending & -pending).bit_length() - 1]:
+        few = unsat  # unsatisfied clauses with at most one literal not false
+        for plane in planes[1:]:
+            few &= ~plane
+        if few & ~planes[0]:  # a clause down to 0: conflict
+            if not open_decisions:
+                return None, work
+            mark, var, unsat, *planes = open_decisions.pop()
+            for undone in trail[mark:]:
+                value[undone] = value[undone ^ 1] = None
+            del trail[mark:]
+            start = var
+            lit = 2 * var + 1
+        elif few:
+            for lit in clauses[(few & -few).bit_length() - 1]:
                 if value[lit] is None:
                     break
         else:
@@ -178,39 +183,16 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
                     break
             else:  # every clause is satisfied
                 return frozenset(variables[lit >> 1] for lit in trail if not lit & 1), work
-            open_decisions.append((len(trail), var))
+            open_decisions.append((len(trail), var, unsat, *planes))
             start = var
             lit = 2 * var
-        while True:
-            value[lit], value[lit ^ 1] = True, False
-            trail.append(lit)
-            work += 1
-            unsat &= ~occ[lit]
-            borrow = falsified = occ[lit ^ 1]
-            for j, plane in enumerate(planes):
-                planes[j] = plane ^ borrow
-                borrow &= ~plane
-                if not borrow:
-                    break
-            hit = falsified & unsat
-            for plane in planes[1:]:
-                hit &= ~plane  # keeps the hit clauses down to 0 or 1 literals
-            if not hit & ~planes[0]:  # none down to 0: no conflict
-                units |= hit
+        value[lit], value[lit ^ 1] = True, False
+        trail.append(lit)
+        work += 1
+        unsat &= ~occ[lit]
+        borrow = occ[lit ^ 1]
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ borrow
+            borrow &= ~plane
+            if not borrow:
                 break
-            if not open_decisions:
-                return None, work
-            mark, var = open_decisions.pop()
-            for undone in trail[mark:]:
-                value[undone] = value[undone ^ 1] = None
-                carry = occ[undone ^ 1]
-                for j, plane in enumerate(planes):
-                    planes[j] = plane ^ carry
-                    carry &= plane
-                    if not carry:
-                        break
-            del trail[mark:]
-            unsat = everything ^ reduce(or_, map(occ.__getitem__, trail), 0)
-            units = 0
-            start = var
-            lit = 2 * var + 1

@@ -401,10 +401,12 @@ def test_generate_rejects_size_options_its_problem_does_not_read(capsys, problem
 
 @pytest.mark.parametrize("problem, sizes, option", [
     ("sat", ["--clause-size", 0], "clause_size"),
-    ("sat", ["--variables", 0, "--clauses", 3], "variables"),
+    ("sat", ["--variables", 0, "--clauses", 3], "clauses"),
     ("vc", ["--nodes", 1, "--edges", 5], "edges"),
     ("vc", ["--nodes", 3, "--edges", 50], "edges"),
     ("strips", ["--conditions", 0, "--operators", 3], "conditions"),
+    ("sat", ["--variables", 1, "--clauses", 5], "clauses"),
+    ("sat", ["--variables", 2, "--clauses", 5, "--clause-size", 1], "clauses"),
 ])
 def test_generate_refuses_sizes_it_cannot_honour(capsys, problem, sizes, option):
     assert run(["generate", "--seed", 3, "--problem", problem, *sizes]) == 1
@@ -419,6 +421,33 @@ def test_generate_accepts_the_boundary_sizes(capsys):
     assert len(parse_edge_list(capsys.readouterr().out).edges) == 3
     assert run(["generate", "--problem", "sat", "--variables", 0, "--clauses", 0]) == 0
     assert capsys.readouterr().out == "p cnf 0 0\n"
+    assert run(["generate", "--seed", 3, "--problem", "sat", "--variables", 1, "--clauses", 2]) == 0
+    assert capsys.readouterr().out.startswith("p cnf 1 2\n")
+
+
+SMALL_SIZES = st.fixed_dictionaries({
+    "variables": st.integers(0, 4), "nodes": st.integers(0, 4), "conditions": st.integers(0, 4),
+    "clauses": st.integers(0, 10), "edges": st.integers(0, 10), "operators": st.integers(0, 10),
+    "clause-size": st.integers(0, 3),
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["generate", "experiment"]),
+       problem=st.sampled_from(["sat", "vc", "strips"]),
+       scenario=st.sampled_from(["", "unique-swap"]), sizes=SMALL_SIZES)
+def test_generate_and_experiment_exit_with_a_documented_code_on_small_sizes(
+        command, problem, scenario, sizes):
+    reads = {"sat": ["variables", "clauses", "clause-size"], "vc": ["nodes", "edges"],
+             "strips": (["conditions", "operators"] if command == "generate"
+                        else ["variables", "clauses", "clause-size"])}[problem]
+    args = [command, "--problem", problem, "--seed", 1]
+    for name in reads:
+        args += ["--" + name, sizes[name]]
+    if command == "experiment":
+        args += ["--trials", 1] + (["--scenario", scenario] if problem == "sat" else [])
+    with tempfile.TemporaryDirectory() as scratch:
+        assert run([*args, "--out", Path(scratch) / "out"]) in (0, 1, 2, 3), args
 
 
 NESTED_ARRAYS = "[" * 200_000 + "]" * 200_000

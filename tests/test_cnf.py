@@ -14,9 +14,7 @@ from reoptlab.cnf import (
     cross_disjoin,
     disjoin_literal,
     evaluate,
-    is_alphabet_preserving,
     is_tautology,
-    mentioned_vars,
 )
 from reoptlab.enumeration import all_clauses
 
@@ -67,13 +65,13 @@ def test_tautology_detection():
 def test_cnf_alphabet_defaults_to_mentioned():
     f = cnf([(1, 2), (-1,)])
     assert f.alphabet == frozenset({1, 2})
-    assert mentioned_vars(f) == frozenset({1, 2})
+    assert {abs(lit) for cl in f.clauses for lit in cl} == {1, 2}
 
 
 def test_cnf_declared_alphabet_may_be_larger():
     f = cnf([(1,)], alphabet={1, 2, 3})
     assert f.alphabet == frozenset({1, 2, 3})
-    assert mentioned_vars(f) == frozenset({1})
+    assert {abs(lit) for cl in f.clauses for lit in cl} == {1}
 
 
 def test_cnf_rejects_clause_outside_alphabet():
@@ -168,19 +166,6 @@ def test_add_then_delete_round_trip():
     added = apply_changes(f, ChangeSet(additions=((-1,),)))
     back = apply_changes(added, ChangeSet(deletions=((-1,),)))
     assert back == f  # the added clause stayed inside the alphabet
-
-
-def test_is_alphabet_preserving():
-    f = cnf([(1,)])
-    assert is_alphabet_preserving(f, ChangeSet(additions=((-1,),)))
-    assert not is_alphabet_preserving(f, ChangeSet(additions=((2,),)))
-    empty = cnf()
-    assert not is_alphabet_preserving(empty, ChangeSet(additions=((1,),)))
-
-
-def test_is_alphabet_preserving_after_deleting_last_mention():
-    f = cnf([(1,), (2,)], alphabet={1, 2})
-    assert is_alphabet_preserving(f, ChangeSet(deletions=((2,),)))
 
 
 def test_disjoin_literal():

@@ -1,6 +1,6 @@
 import random
 
-from reoptlab.cnf import is_tautology, mentioned_vars
+from reoptlab.cnf import is_tautology
 from reoptlab.enumeration import (
     all_clauses,
     iter_small_formulas,
@@ -23,7 +23,7 @@ def test_small_formula_enumeration_count():
     formulas = list(iter_small_formulas(3, 3))
     # choose up to 3 clauses out of 26: 1 + 26 + 325 + 2600
     assert len(formulas) == 2952
-    assert all(mentioned_vars(f) == f.alphabet for f in formulas)
+    assert all({abs(lit) for cl in f.clauses for lit in cl} == f.alphabet for f in formulas)
 
 
 def test_random_formula_is_seed_deterministic():

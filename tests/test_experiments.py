@@ -72,6 +72,10 @@ def test_zero_trials_is_an_empty_report():
     (ExperimentConfig(problem="vc", nodes=25, edges=10), "nodes"),
     (ExperimentConfig(variables=30), "variables"),
     (ExperimentConfig(clause_size=0), "clause_size"),
+    (ExperimentConfig(variables=0, clauses=0), "variables"),
+    (ExperimentConfig(variables=1, clauses=5), "clauses"),
+    (ExperimentConfig(variables=2, clauses=5, clause_size=1), "clauses"),
+    (ExperimentConfig(problem="strips", variables=1, clauses=5), "clauses"),
 ])
 def test_invalid_configs(config, field):
     with pytest.raises(InvalidConfigError) as err:
