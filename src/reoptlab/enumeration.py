@@ -17,6 +17,8 @@ from .hints import ElementaryChange
 from .solvers import solve_dpll
 from .strips import StripsInstance, make_instance, make_operator
 
+SATISFIABLE_ATTEMPTS = 200
+
 
 def all_clauses(variables, min_size: int = 1, max_size: int = 3) -> list[Clause]:
     """Every non-tautological clause over distinct variables, sizes inclusive."""
@@ -47,7 +49,12 @@ def random_clause(rng: random.Random, num_vars: int, max_size: int = 3) -> Claus
 def random_formula(rng: random.Random, num_vars: int, num_clauses: int,
                    max_size: int = 3) -> CnfFormula:
     """A formula with up to ``num_clauses`` distinct random clauses over a
-    declared alphabet 1..num_vars (fewer if duplicates keep colliding)."""
+    declared alphabet 1..num_vars.
+
+    Clauses are drawn with ``random_clause``; if duplicates keep colliding,
+    the rest are sampled from the clauses not yet chosen, so the count
+    falls short only when it exceeds ``clause_pool_size``.
+    """
     alphabet = range(1, num_vars + 1)
     if num_vars == 0:
         return cnf((), alphabet=())
@@ -56,6 +63,9 @@ def random_formula(rng: random.Random, num_vars: int, num_clauses: int,
         if len(chosen) == num_clauses:
             break
         chosen.add(random_clause(rng, num_vars, max_size))
+    if len(chosen) < num_clauses:
+        rest = [cl for cl in all_clauses(alphabet, 1, max_size) if cl not in chosen]
+        chosen.update(rng.sample(rest, min(num_clauses - len(chosen), len(rest))))
     return cnf(chosen, alphabet=alphabet)
 
 
@@ -65,15 +75,15 @@ def clause_pool_size(num_vars: int, max_size: int = 3) -> int:
 
 
 def random_satisfiable_formula(rng: random.Random, num_vars: int, num_clauses: int,
-                               max_size: int = 3, attempts: int = 200):
+                               max_size: int = 3):
     """A satisfiable random formula together with one of its models."""
-    for _ in range(attempts):
+    for _ in range(SATISFIABLE_ATTEMPTS):
         f = random_formula(rng, num_vars, num_clauses, max_size)
         model = solve_dpll(f)
         if model is not None:
             return f, model
     raise ValueError(f"no satisfiable formula of {num_vars} variables and {num_clauses} clauses"
-                     f" in {attempts} attempts")
+                     f" in {SATISFIABLE_ATTEMPTS} attempts")
 
 
 def random_graph(rng: random.Random, num_nodes: int, num_edges: int) -> Graph:

@@ -26,7 +26,7 @@ from .enumeration import (
     random_satisfiable_formula,
 )
 from .graphs import (
-    DEFAULT_COVER_ORACLE_LIMIT,
+    COVER_ORACLE_LIMIT,
     add_edges,
     decide_cover_stats,
     min_cover_brute,
@@ -35,7 +35,7 @@ from .graphs import (
 from .hints import ReuseOutcome, reuse_model, reuse_plan
 from .reductions import reduce_unique_model, unique_model
 from .replanning import apply_initial_change, sat_to_replanning
-from .solvers import DEFAULT_ORACLE_LIMIT, solve_dpll_stats
+from .solvers import ORACLE_LIMIT, solve_dpll_stats
 from .strips import instance_to_json, plan_exists_stats
 
 class InvalidConfigError(ValueError):
@@ -82,8 +82,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise InvalidConfigError("clauses", "must be non-negative")
     if not 1 <= config.clause_size:
         raise InvalidConfigError("clause_size", "must be at least 1")
-    if "variables" in SCALE_FIELDS[config.problem] and config.variables > DEFAULT_ORACLE_LIMIT:
-        raise InvalidConfigError("variables", f"exceeds the oracle limit {DEFAULT_ORACLE_LIMIT}")
+    if "variables" in SCALE_FIELDS[config.problem] and config.variables > ORACLE_LIMIT:
+        raise InvalidConfigError("variables", f"exceeds the oracle limit {ORACLE_LIMIT}")
     if config.problem == "strips" and config.clauses < 1:
         raise InvalidConfigError("clauses", "the replanning scenario needs at least one clause")
     if scenario == "add-clause" and config.variables < 1:
@@ -99,9 +99,9 @@ def validate_config(config: ExperimentConfig) -> None:
         max_edges = config.nodes * (config.nodes - 1) // 2
         if config.edges >= max_edges:
             raise InvalidConfigError("edges", "the base graph must be missing at least one edge")
-        if config.nodes > DEFAULT_COVER_ORACLE_LIMIT:
+        if config.nodes > COVER_ORACLE_LIMIT:
             raise InvalidConfigError(
-                "nodes", f"exceeds the cover oracle limit {DEFAULT_COVER_ORACLE_LIMIT}")
+                "nodes", f"exceeds the cover oracle limit {COVER_ORACLE_LIMIT}")
 
 
 @dataclass

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -236,7 +235,17 @@ def gadget_to_json(g: Gadget) -> str:
 
 def gadget_from_json(text: str) -> Gadget:
     """Load a gadget, rejecting a ``"budget"`` other than the derived one
-    and edges other than those unit edits of the source's gadget reach.
+    and a graph that the library's own build and unit edits do not produce.
+
+    A removed unit is a literal l whose unit clause the source lacks but
+    whose relaxing edge (l', l'') is present.  The graph must equal that
+    of ``build_gadget`` over the source plus the removed units, after
+    ``apply_unit_changes`` deletes those units again.  The two graphs are
+    compared after renumbering their cliques 1, 2, ... in index order:
+    unit edits shift the index ``build_gadget`` gave each clique, but they
+    never add, drop or reorder cliques, which are numbered by
+    ``clause_sort_key`` in both.  A file whose cliques are swapped is
+    therefore rejected.
 
     The alphabet is the DIMACS variables that have literal nodes, since the
     header keeps only the largest variable id.  Any other key, such as the
@@ -254,49 +263,20 @@ def gadget_from_json(text: str) -> Gadget:
     if budget != gadget.budget:
         raise ValueError(f"gadget budget {budget!r} contradicts its source and graph "
                          f"(expected {gadget.budget})")
-    if _shape(g) != _shape(_expected_graph(gadget)):
+    removed = [clause(lit) for v in sorted(alphabet) for lit in (v, -v)
+               if clause(lit) not in parsed.clauses
+               and edge(prime_node(lit), double_prime_node(lit)) in g.edges]
+    history = CnfFormula(alphabet, parsed.clauses.union(removed))
+    rebuilt = apply_unit_changes(build_gadget(history), ChangeSet(deletions=tuple(removed)))
+    if _renumber_cliques(g) != _renumber_cliques(rebuilt.graph):
         raise ValueError("gadget edges contradict its source")
     return gadget
 
 
-def _expected_graph(g: Gadget) -> Graph:
-    """The graph unit edits of ``build_gadget(g.source)`` reach with g's relaxing edges.
-
-    A removed unit l leaves its forcing edge (l, l') and adds (l', l'').
-    """
-    removed = [lit for v in g.source.alphabet for lit in (v, -v)
-               if clause(lit) not in g.source.clauses
-               and edge(prime_node(lit), double_prime_node(lit)) in g.graph.edges]
-    kept = [(literal_node(lit), prime_node(lit)) for lit in removed]
-    relaxing = [(prime_node(lit), double_prime_node(lit)) for lit in removed]
-    return add_edges(build_gadget(g.source).graph, kept + relaxing)
-
-
-def _shape(g: Graph) -> tuple:
-    """The graph up to clause-node labels, which unit edits leave shifted.
-
-    Other nodes, and the edges among them, stay as they are.  A clique is
-    the clause nodes sharing a ``c{i}_`` prefix; it becomes the sorted
-    list of its members' outside neighbours and inside degrees.  When the
-    cliques of one graph are complete, as in every built gadget, another
-    graph has its shape exactly when renaming clause nodes maps one onto
-    the other.
-    """
-    clique = {n: n.split("_")[0] for n in g.nodes if node_role(n) == ROLE_CLAUSE}
-    outside: defaultdict[str, list[str]] = defaultdict(list)
-    inside: Counter[str] = Counter()
-    plain = set()
-    for u, v in g.edges:
-        if u in clique and v in clique and clique[u] == clique[v]:
-            inside.update((u, v))
-        elif u in clique or v in clique:
-            for end, other in ((u, v), (v, u)):
-                if end in clique:
-                    outside[end].append(other)
-        else:
-            plain.add((u, v))
-    members = defaultdict(list)
-    for n, key in clique.items():
-        members[key].append((tuple(sorted(outside[n])), inside[n]))
-    cliques = Counter(tuple(sorted(m)) for m in members.values())
-    return g.nodes - clique.keys(), plain, cliques
+def _renumber_cliques(g: Graph) -> Graph:
+    """``g`` with its cliques renamed 1, 2, ... in the order of their indices."""
+    index = {n: int(n[1:n.index("_")]) for n in g.nodes if node_role(n) == ROLE_CLAUSE}
+    rank = {i: r for r, i in enumerate(sorted(set(index.values())), start=1)}
+    name = {n: clause_node(rank[i], int(n[n.index("_") + 1:])) for n, i in index.items()}
+    return graph([name.get(n, n) for n in g.nodes],
+                 [(name.get(u, u), name.get(v, v)) for u, v in g.edges])

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import InvalidHintError
 
-DEFAULT_COVER_ORACLE_LIMIT = 24
+COVER_ORACLE_LIMIT = 24
 
 Edge = tuple[str, str]
 
@@ -83,14 +83,15 @@ class MinCover(NamedTuple):
     cover: frozenset[str]
 
 
-def min_cover_brute(g: Graph, limit: int = DEFAULT_COVER_ORACLE_LIMIT) -> MinCover:
+def min_cover_brute(g: Graph) -> MinCover:
     """Exhaustive minimum vertex cover, by subsets of increasing size.
 
     Among covers of minimum size the lexicographically least node set is
     returned, which makes oracle outputs reproducible golden values.
     """
-    if len(g.nodes) > limit:
-        raise GraphTooLargeError(f"{len(g.nodes)} nodes exceed the exhaustive limit of {limit}")
+    if len(g.nodes) > COVER_ORACLE_LIMIT:
+        raise GraphTooLargeError(
+            f"{len(g.nodes)} nodes exceed the exhaustive limit of {COVER_ORACLE_LIMIT}")
     order = sorted(g.nodes)
     edge_list = list(g.edges)
     for size in range(len(order) + 1):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .cnf import Assignment, CnfFormula, evaluate
 
-DEFAULT_ORACLE_LIMIT = 20
+ORACLE_LIMIT = 20
 # Mentioned variables times clauses above which DPLL refuses a formula,
 # so that its clause masks stay within 16 MiB.
 DPLL_BUDGET = 1 << 26
@@ -47,25 +47,25 @@ def iter_assignments(variables):
         yield frozenset(v for i, v in enumerate(order) if counter >> i & 1)
 
 
-def _check_limit(formula: CnfFormula, limit: int) -> None:
-    if len(formula.alphabet) > limit:
+def _check_limit(formula: CnfFormula) -> None:
+    if len(formula.alphabet) > ORACLE_LIMIT:
         raise OracleLimitError(
-            f"{len(formula.alphabet)} variables exceed the oracle limit of {limit}"
+            f"{len(formula.alphabet)} variables exceed the oracle limit of {ORACLE_LIMIT}"
         )
 
 
-def solve_brute(formula: CnfFormula, limit: int = DEFAULT_ORACLE_LIMIT) -> Assignment | None:
+def solve_brute(formula: CnfFormula) -> Assignment | None:
     """First satisfying assignment in enumeration order, or None if unsatisfiable."""
-    _check_limit(formula, limit)
+    _check_limit(formula)
     for assignment in iter_assignments(formula.alphabet):
         if evaluate(formula, assignment):
             return assignment
     return None
 
 
-def count_models(formula: CnfFormula, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
+def count_models(formula: CnfFormula) -> int:
     """Number of satisfying assignments over the declared alphabet."""
-    _check_limit(formula, limit)
+    _check_limit(formula)
     return sum(1 for a in iter_assignments(formula.alphabet) if evaluate(formula, a))
 
 

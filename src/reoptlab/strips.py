@@ -9,8 +9,8 @@ to closure, every kept operator that adds no condition named by a
 negative precondition or by the goal's ``must_false``, and searches the
 other kept operators depth-first, in name order, with memoization.  The
 plan it returns is the first one found, valid but not necessarily the
-shortest.  General execution (negative postconditions included) is still
-supported by ``apply_operator`` and ``validate_plan``.
+shortest.  ``validate_plan`` executes any plan, negative postconditions
+included.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ from typing import Mapping
 DEFAULT_SEARCH_BUDGET = 500_000
 
 Plan = tuple[str, ...]
-
-
-class NotApplicableError(RuntimeError):
-    """The operator's preconditions do not hold in the given state."""
 
 
 class UnknownOperatorError(KeyError):
@@ -99,18 +95,6 @@ def make_instance(conditions, operators, initial=(), goal_true=(), goal_false=()
 
 def is_applicable(state: frozenset[str], op: StripsOperator) -> bool:
     return op.pos_pre <= state and not op.neg_pre & state
-
-
-def apply_operator(state, op: StripsOperator) -> frozenset[str]:
-    """Execute one operator: add pos_post, delete neg_post, if applicable."""
-    state = frozenset(state)
-    missing = op.pos_pre - state
-    if missing:
-        raise NotApplicableError(f"positive preconditions not met: {sorted(missing)}")
-    blocking = op.neg_pre & state
-    if blocking:
-        raise NotApplicableError(f"negative preconditions violated: {sorted(blocking)}")
-    return (state | op.pos_post) - op.neg_post
 
 
 def satisfies_goal(state: frozenset[str], goal: Goal) -> bool:

@@ -425,6 +425,15 @@ def test_generate_accepts_the_boundary_sizes(capsys):
     assert capsys.readouterr().out.startswith("p cnf 1 2\n")
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_generate_honours_a_clause_count_at_the_pool_size(capsys, seed):
+    # 4992 is every clause of 1..3 literals over 16 variables; the draw loop
+    # alone stops a clause or two short of it.
+    assert run(["generate", "--seed", seed, "--problem", "sat",
+                "--variables", 16, "--clauses", 4992]) == 0
+    assert capsys.readouterr().out.startswith("p cnf 16 4992\n")
+
+
 SMALL_SIZES = st.fixed_dictionaries({
     "variables": st.integers(0, 4), "nodes": st.integers(0, 4), "conditions": st.integers(0, 4),
     "clauses": st.integers(0, 10), "edges": st.integers(0, 10), "operators": st.integers(0, 10),

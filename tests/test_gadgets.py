@@ -1,18 +1,23 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reoptlab.cli import main
-from reoptlab.cnf import clause, cnf
+from reoptlab.cnf import ChangeSet, clause, cnf
 from reoptlab.enumeration import all_clauses, iter_small_formulas, random_formula
 from reoptlab.gadgets import (
+    ROLE_CLAUSE,
     ClauseOutsideUniverseError,
     ClauseTooLargeError,
     TautologyError,
     UnitAlreadyPresentError,
     UnitNotPresentError,
     UnknownVariableError,
+    apply_unit_changes,
     build_full_gadget,
     build_gadget,
     gadget_add_unit,
@@ -22,7 +27,7 @@ from reoptlab.gadgets import (
     node_role,
     project_formula,
 )
-from reoptlab.graphs import decide_cover, min_cover_brute
+from reoptlab.graphs import decide_cover, edge, min_cover_brute
 from reoptlab.verification import gadget_cases
 
 from oracles import brute_min_cover_size, brute_sat
@@ -322,15 +327,65 @@ def test_gadget_json_rejects_any_single_edge_deleted_or_added():
                     gadget_from_json(json.dumps(dict(obj, edges=obj["edges"] + [[u, v]])))
 
 
-def test_gadget_json_matches_cliques_whatever_their_index():
+def test_gadget_json_matches_cliques_whatever_their_index(tmp_path, capsys):
     # Adding a unit shifts the clause indices build_gadget would give the
-    # cliques; the loader matches each clique by the literals it attaches to.
+    # cliques, but never their order; swapping two cliques breaks that order.
     g = gadget_add_unit(build_gadget(cnf([(2, 3), (-2, -3)], alphabet={1, 2, 3})), 1)
     assert "c1_1" in g.graph.nodes and "c2_1" in g.graph.nodes
     assert "c1_1" not in build_gadget(g.source).graph.nodes
     assert gadget_from_json(gadget_to_json(g)) == g
     swapped = gadget_to_json(g).replace("c1_", "cX_").replace("c2_", "c1_").replace("cX_", "c2_")
-    assert gadget_from_json(swapped).graph != g.graph
+    with pytest.raises(ValueError, match="contradict"):
+        gadget_from_json(swapped)
+    gadget_file = tmp_path / "swapped.json"
+    gadget_file.write_text(swapped)
+    assert main(["export-dot", "--input", str(gadget_file)]) == 1
+    assert capsys.readouterr().err == "error: gadget edges contradict its source\n"
+
+
+@st.composite
+def edited_gadgets(draw):
+    """A gadget of a small formula over a possibly gapped alphabet, then
+    a few change sets of unit additions and removals."""
+    variables = sorted(draw(st.sets(st.integers(1, 5), min_size=1, max_size=3)))
+    literal = st.sampled_from([v * sign for v in variables for sign in (1, -1)])
+    some_clause = st.lists(st.sampled_from(variables), min_size=1, max_size=3, unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+    g = build_gadget(cnf(draw(st.lists(some_clause, max_size=5)), alphabet=variables))
+    for step in draw(st.lists(st.lists(literal, min_size=1, max_size=3, unique=True), max_size=4)):
+        units = [clause(lit) for lit in step]
+        g = apply_unit_changes(g, ChangeSet(
+            additions=[u for u in units if u not in g.source.clauses],
+            deletions=[u for u in units if u in g.source.clauses]))
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=edited_gadgets(), data=st.data())
+def test_gadget_json_loads_edit_histories_and_nothing_one_change_away(g, data):
+    text = gadget_to_json(g)
+    assert gadget_from_json(text) == g
+    obj = json.loads(text)
+    corrupted = []
+    cliques = sorted({n.partition("_")[0] for n in obj["nodes"] if node_role(n) == ROLE_CLAUSE})
+    if len(cliques) >= 2:
+        a, b = data.draw(st.lists(st.sampled_from(cliques), min_size=2, max_size=2, unique=True))
+        swap = {a: b, b: a}
+
+        def rename(n):
+            head, sep, tail = n.partition("_")
+            return swap.get(head, head) + sep + tail
+        corrupted.append(dict(obj, nodes=[rename(n) for n in obj["nodes"]],
+                              edges=[[rename(u), rename(v)] for u, v in obj["edges"]]))
+    if obj["edges"]:
+        dropped = data.draw(st.integers(0, len(obj["edges"]) - 1))
+        corrupted.append(dict(obj, edges=obj["edges"][:dropped] + obj["edges"][dropped + 1:]))
+    absent = [[u, v] for u, v in combinations(obj["nodes"], 2) if edge(u, v) not in g.graph.edges]
+    if absent:
+        corrupted.append(dict(obj, edges=obj["edges"] + [data.draw(st.sampled_from(absent))]))
+    for bad in corrupted:
+        with pytest.raises(ValueError):
+            gadget_from_json(json.dumps(bad))
 
 
 def test_gadget_json_checks_the_budget():

@@ -95,7 +95,6 @@ def test_min_cover_limit():
     wide = graph([f"n{i}" for i in range(25)])
     with pytest.raises(GraphTooLargeError):
         min_cover_brute(wide)
-    assert min_cover_brute(wide, limit=25).size == 0
 
 
 def test_decide_cover_triangle():

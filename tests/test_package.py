@@ -1,3 +1,5 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -22,3 +24,43 @@ def test_each_library_name_has_one_import_path():
     result = subprocess.run([sys.executable, "-c", GUARD], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def _reoptlab_names_read(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, attribute) pairs that one benchmark file reads from reoptlab."""
+    names = set()
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "reoptlab":
+            for alias in node.names:
+                if node.module == "reoptlab":
+                    modules[alias.asname or alias.name] = f"reoptlab.{alias.name}"
+                else:
+                    names.add((node.module, alias.name))
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and node.value.args and isinstance(node.value.args[0], ast.Constant)
+              and str(node.value.args[0].value).startswith("reoptlab.")):
+            # name = importlib.import_module("reoptlab.<module>")
+            modules[node.targets[0].id] = node.value.args[0].value
+        elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+              and node.target.id == "TARGETS"):
+            # The tracer's (module, attribute, layer, counter) table.
+            for entry in node.value.elts:
+                names.add((f"reoptlab.{entry.elts[0].value}", entry.elts[1].value))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.add((modules[node.value.id], node.attr))
+    return names
+
+
+def test_every_name_the_benchmark_reads_exists():
+    # The benchmark is not part of tier-1; this catches a deleted library
+    # name it still reads before a benchmark run does.
+    names = set()
+    for path in sorted((ROOT / "reoptbench").glob("*.py")):
+        names |= _reoptlab_names_read(ast.parse(path.read_text(), str(path)))
+    assert ("reoptlab.solvers", "solve_dpll_stats") in names  # the TARGETS table was read
+    missing = sorted(f"{module}.{attr}" for module, attr in names
+                     if not hasattr(importlib.import_module(module), attr))
+    assert not missing, missing

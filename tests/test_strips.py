@@ -11,13 +11,12 @@ from reoptlab.solvers import solve_brute
 from reoptlab.strips import (
     Goal,
     NegativePostconditionError,
-    NotApplicableError,
     SearchBudgetError,
     UnknownOperatorError,
-    apply_operator,
     check_positive_postconditions,
     instance_from_json,
     instance_to_json,
+    is_applicable,
     make_instance,
     make_operator,
     plan_exists,
@@ -58,28 +57,6 @@ def test_instance_validation():
         make_instance(["p"], {"op": make_operator(pos_post=["q"])})
 
 
-def test_apply_operator_grants_postconditions():
-    e = make_operator(pos_pre=["a"], pos_post=["c1", "c2"])
-    assert apply_operator({"a"}, e) == {"a", "c1", "c2"}
-
-
-def test_apply_operator_missing_positive_precondition():
-    e = make_operator(pos_pre=["a"], pos_post=["c1"])
-    with pytest.raises(NotApplicableError, match="a"):
-        apply_operator(set(), e)
-
-
-def test_apply_operator_violated_negative_precondition():
-    nl1 = make_operator(neg_pre=["t1", "a"], pos_post=["f1"])
-    with pytest.raises(NotApplicableError, match="t1"):
-        apply_operator({"t1"}, nl1)
-
-
-def test_apply_operator_deletes_negative_postconditions():
-    op = make_operator(pos_post=["q"], neg_post=["p"])
-    assert apply_operator({"p"}, op) == {"q"}
-
-
 def test_validate_plan():
     inst = guard_instance()
     assert validate_plan(inst, ("e",))
@@ -87,6 +64,19 @@ def test_validate_plan():
     stripped = make_instance(inst.conditions, inst.operators, initial=[],
                              goal_true=["c1", "c2"])
     assert not validate_plan(stripped, ("e",))
+
+
+def test_validate_plan_runs_negative_postconditions():
+    swap = make_operator(pos_pre=["p"], pos_post=["q"], neg_post=["p"])
+    back = make_operator(neg_pre=["p"], pos_post=["r"])
+    inst = make_instance(["p", "q", "r"], {"swap": swap, "back": back}, initial=["p"],
+                         goal_true=["q"], goal_false=["p"])
+    assert validate_plan(inst, ("swap",))
+    assert validate_plan(inst, ("swap", "back"))
+    assert not validate_plan(inst, ("back",))
+    assert not validate_plan(inst, ("swap", "swap"))
+    kept = make_instance(inst.conditions, inst.operators, initial=["p"], goal_true=["p", "q"])
+    assert not validate_plan(kept, ("swap",))
 
 
 def test_validate_plan_empty_goal():
@@ -190,7 +180,9 @@ def test_states_grow_monotonically_along_plans():
             continue
         state = inst.initial
         for name in plan:
-            following = apply_operator(state, inst.operators[name])
+            op = inst.operators[name]
+            assert is_applicable(state, op)
+            following = (state | op.pos_post) - op.neg_post
             assert state <= following
             state = following
 
