@@ -35,6 +35,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         if not line or line.startswith("c") or line.startswith("%"):
             continue
         if line.startswith("p"):
+            if nvars is not None:
+                raise ValueError(f"second problem line: {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"malformed problem line: {line!r}")

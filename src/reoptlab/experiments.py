@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 from .cnf import ChangeSet, apply_changes
 from .dimacs import serialize_changes, serialize_dimacs
@@ -89,8 +89,7 @@ def validate_config(config: ExperimentConfig) -> None:
     if scenario == "add-clause" and config.variables < 1:
         raise InvalidConfigError("variables", "the added clause needs at least one variable")
     if "clauses" in SCALE_FIELDS[config.problem]:
-        size = config.clause_size if config.problem == "sat" else min(config.clause_size, 3)
-        most = clause_pool_size(config.variables, size)
+        most = clause_pool_size(config.variables, config.clause_size)
         if config.clauses > most:
             raise InvalidConfigError("clauses", f"at most {most} distinct clauses fit these sizes")
     if config.problem == "vc":
@@ -200,7 +199,7 @@ def _vc_edge_add_trial(rng, config):
 
 
 def _strips_removal_trial(rng, config):
-    f = random_formula(rng, config.variables, config.clauses, min(config.clause_size, 3))
+    f = random_formula(rng, config.variables, config.clauses, config.clause_size)
     case = sat_to_replanning(f)
     changed = apply_initial_change(case)
     cold_plan, cold_work = plan_exists_stats(changed)
@@ -229,14 +228,10 @@ SCALE_FIELDS = {
 def report_to_csv(report: ExperimentReport) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["trial_id", "problem", "change_id", "cold_verdict", "hinted_verdict",
-                     "cold_work", "hinted_work", "hint_used"])
+    writer.writerow(f.name for f in fields(TrialRow))
     for row in report.rows:
-        writer.writerow([
-            row.trial_id, row.problem, row.change_id,
-            str(row.cold_verdict).lower(), str(row.hinted_verdict).lower(),
-            row.cold_work, row.hinted_work, str(row.hint_used).lower(),
-        ])
+        writer.writerow(str(value).lower() if isinstance(value, bool) else value
+                        for value in astuple(row))
     return buffer.getvalue()
 
 

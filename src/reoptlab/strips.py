@@ -276,6 +276,13 @@ def instance_to_json(instance: StripsInstance) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _names(value) -> list[str]:
+    """A JSON array of condition names, or TypeError."""
+    if not isinstance(value, list) or not all(map(str.__instancecheck__, value)):
+        raise TypeError(f"expected an array of condition names, got {value!r}")
+    return value
+
+
 def instance_from_json(text: str) -> StripsInstance:
     obj = json.loads(text)
     try:
@@ -283,13 +290,13 @@ def instance_from_json(text: str) -> StripsInstance:
         for name, parts in obj["operators"].items():
             if len(parts) != 4:
                 raise ValueError(f"operator {name!r} needs exactly four condition arrays")
-            operators[name] = make_operator(*parts)
+            operators[name] = make_operator(*map(_names, parts))
         return make_instance(
-            obj["conditions"],
+            _names(obj["conditions"]),
             operators,
-            obj["initial"],
-            obj["goal"]["must_true"],
-            obj["goal"]["must_false"],
+            _names(obj["initial"]),
+            _names(obj["goal"]["must_true"]),
+            _names(obj["goal"]["must_false"]),
         )
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"missing or malformed instance field: {exc}") from None

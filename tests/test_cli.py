@@ -15,6 +15,8 @@ from reoptlab.dimacs import parse_dimacs
 from reoptlab.enumeration import random_formula
 from reoptlab.gadgets import build_gadget, gadget_to_json
 from reoptlab.graphs import parse_edge_list
+from reoptlab.replanning import apply_initial_change, sat_to_replanning
+from reoptlab.strips import instance_to_json
 
 PAPER_CNF = "p cnf 2 2\n1 2 0\n-1 0\n"
 
@@ -336,10 +338,31 @@ def test_solve_sat_rejects_a_huge_header_count(tmp_path, capsys):
     (["solve", "--problem", "strips"], '"x"'),
     (["solve", "--problem", "strips"],
      '{"operators": 5, "conditions": [], "initial": [], "goal": {"must_true": [], "must_false": []}}'),
+    (["solve", "--problem", "strips"],
+     '{"operators": {}, "conditions": "abc", "initial": [], "goal": {"must_true": ["a"], "must_false": []}}'),
+    (["solve", "--problem", "strips"],
+     '{"operators": {}, "conditions": [1, "a"], "initial": [], "goal": {"must_true": ["a"], "must_false": []}}'),
+    (["solve", "--problem", "strips"],
+     '{"operators": {}, "conditions": ["a"], "initial": "a", "goal": {"must_true": ["a"], "must_false": []}}'),
+    (["solve", "--problem", "strips"],
+     '{"operators": {}, "conditions": ["a"], "initial": [], "goal": {"must_true": "a", "must_false": []}}'),
+    (["solve", "--problem", "strips"],
+     '{"operators": {}, "conditions": ["a"], "initial": [], "goal": {"must_true": [], "must_false": [0]}}'),
+    (["solve", "--problem", "strips"],
+     '{"operators": {"o": ["", [], ["a"], []]}, "conditions": ["a"], "initial": [],'
+     ' "goal": {"must_true": ["a"], "must_false": []}}'),
+    (["solve", "--problem", "strips"],
+     '{"operators": {"o": "abcd"}, "conditions": ["a"], "initial": [],'
+     ' "goal": {"must_true": ["a"], "must_false": []}}'),
+    (["solve", "--problem", "strips"],
+     '{"operators": {"o": [[], [], [1], []]}, "conditions": ["a"], "initial": [],'
+     ' "goal": {"must_true": ["a"], "must_false": []}}'),
     (["export-dot"], '{"nodes": 5, "edges": [], "budget": 0, "roles": {}, "source": "p cnf 0 0\\n"}'),
     (["mutate", "--gadget", "--changes", os.devnull], '"x"'),
-], ids=["strips-list", "strips-string", "strips-operators-int", "gadget-nodes-int",
-        "mutate-gadget-string"])
+], ids=["strips-list", "strips-string", "strips-operators-int", "strips-conditions-string",
+        "strips-conditions-int", "strips-initial-string", "strips-must-true-string",
+        "strips-must-false-int", "strips-operator-part-string", "strips-operator-string",
+        "strips-operator-part-int", "gadget-nodes-int", "mutate-gadget-string"])
 def test_wrong_shaped_json_is_an_input_error(tmp_path, capsys, command, text):
     source = tmp_path / "input.json"
     source.write_text(text)
@@ -516,6 +539,15 @@ def test_experiment_takes_the_scale_options_its_problem_reads(capsys):
     assert (config["nodes"], config["edges"], config["variables"]) == (6, 5, 4)
 
 
+def test_strips_experiment_reads_clause_sizes_above_three(capsys):
+    outputs = []
+    for size in (3, 4):
+        assert run(["experiment", "--seed", 7, "--problem", "strips", "--trials", 5,
+                    "--variables", 5, "--clauses", 6, "--clause-size", size]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] != outputs[1]
+
+
 def test_oracle_limit_applies_only_to_problems_that_read_variables(capsys):
     assert run(["experiment", "--problem", "vc", "--trials", 1]) == 0
     capsys.readouterr()
@@ -613,22 +645,47 @@ CHANGES_LIKE = st.one_of(
 EDGES_LIKE = _token_text(["a", "b", "c", "#", " ", " ", "\n", "\n"])
 _NAMES = st.sampled_from(["a", "b", "c", "d"])
 _NAME_LISTS = st.lists(_NAMES, max_size=3)
-STRIPS_LIKE = st.fixed_dictionaries({
-    "conditions": st.one_of(st.just(["a", "b", "c", "d"]), _NAME_LISTS),
-    "operators": st.dictionaries(st.sampled_from(["o1", "o2", "o3"]),
-                                 st.lists(_NAME_LISTS, min_size=3, max_size=5), max_size=3),
-    "initial": _NAME_LISTS,
-    "goal": st.fixed_dictionaries({"must_true": _NAME_LISTS, "must_false": _NAME_LISTS}),
-})
+SMALL_FORMULAS = st.lists(
+    st.lists(st.tuples(st.integers(1, 3), st.sampled_from((1, -1))),
+             min_size=1, max_size=3, unique_by=lambda pair: pair[0])
+    .map(lambda pairs: [v * s for v, s in pairs]),
+    max_size=4,
+).map(cnf)
+
+
+@st.composite
+def strips_like(draw):
+    """The guard-removed replanning instance of a small formula with clauses, so
+    its plan search runs, possibly with one condition renamed to an integer
+    throughout or one list given as a bare string."""
+    f = draw(SMALL_FORMULAS.filter(lambda f: f.clauses))
+    obj = json.loads(instance_to_json(apply_initial_change(sat_to_replanning(f))))
+    edit = draw(st.sampled_from(["integer-name", "bare-string", "none"]))
+    if edit == "integer-name":
+        name = draw(st.sampled_from(obj["conditions"]))
+        obj = json.loads(json.dumps(obj).replace(json.dumps(name), "1"))
+    elif edit == "bare-string":
+        key = draw(st.sampled_from(["conditions", "initial"]))
+        obj[key] = "".join(obj[key])
+    return obj
+
+
+STRIPS_LIKE = st.one_of(
+    st.fixed_dictionaries({
+        "conditions": st.one_of(st.just(["a", "b", "c", "d"]), _NAME_LISTS),
+        "operators": st.dictionaries(st.sampled_from(["o1", "o2", "o3"]),
+                                     st.lists(_NAME_LISTS, min_size=3, max_size=5), max_size=3),
+        "initial": _NAME_LISTS,
+        "goal": st.fixed_dictionaries({"must_true": _NAME_LISTS, "must_false": _NAME_LISTS}),
+    }),
+    strips_like(),
+)
 
 
 @st.composite
 def gadget_like(draw):
     """A gadget file built from a small formula, possibly with one field edited."""
-    signed = st.lists(st.tuples(st.integers(1, 3), st.sampled_from((1, -1))),
-                      min_size=1, max_size=3, unique_by=lambda pair: pair[0])
-    f = cnf(draw(st.lists(signed.map(lambda pairs: [v * s for v, s in pairs]), max_size=4)))
-    obj = json.loads(gadget_to_json(build_gadget(f)))
+    obj = json.loads(gadget_to_json(build_gadget(draw(SMALL_FORMULAS))))
     edit = draw(st.sampled_from(["none", "budget", "drop-edge", "drop-node", "source"]))
     if edit == "budget":
         obj["budget"] += draw(st.sampled_from((-1, 1)))
