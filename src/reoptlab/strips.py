@@ -7,10 +7,13 @@ have no negative postconditions: states then only grow along a plan.  It
 keeps only the operators that add a condition the goal can use, applies,
 to closure, every kept operator that adds no condition named by a
 negative precondition or by the goal's ``must_false``, and searches the
-other kept operators depth-first, in name order, with memoization.  The
-plan it returns is the first one found, valid but not necessarily the
-shortest.  ``validate_plan`` executes any plan, negative postconditions
-included.
+other kept operators depth-first, in name order, with memoization.
+States whose delete relaxation cannot reach the goal are not searched
+below: conditions never become false, so an operator whose negative
+precondition a state hits stays unusable below it.  The plan it
+returns is the first one found, valid but not necessarily the shortest,
+and the cut does not change it.  ``validate_plan`` executes any plan,
+negative postconditions included.
 """
 
 from __future__ import annotations
@@ -170,6 +173,27 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
     branch adds a relevant condition, so every plan has a counterpart
     among the searched paths, and every such path is itself a plan.
 
+    Dead ends are cut by delete-relaxed reachability (the test behind
+    ``h_max`` and FF).  An operator is *live* in a state that none of its
+    negative preconditions hits.  Conditions never become false, so the
+    live operators only shrink along a path: an operator dead in S is dead
+    in every state below S.  The *relaxed closure* of S starts from S and
+    adds the positive postconditions of every kept operator live in S
+    whose positive preconditions it holds, until nothing changes.  Every
+    state the search reaches below S lies inside it, since each step there
+    is a kept operator live in S whose positive preconditions held before
+    it.  So the closure over-approximates: if it misses part of
+    ``must_true``, no goal state lies below S, and S is *dead*.  A state T
+    below a dead S is dead too, because T lies in the closure of S and its
+    live operators are among those of S.  The closure is taken only for an
+    expanded state that produced successors, and stops as soon as
+    ``must_true`` holds.  A dead state's successors stay in ``parents`` but
+    are not pushed.  Dead states never lead to live ones, so live states
+    are generated, expanded and given parents in the same order as
+    without the cut: the first plan found is the same.  Every dead state
+    the cut search expands is also expanded without the cut, so it never
+    expands more states.
+
     Each state keeps a pointer to its parent and the steps that led to
     it; the plan is rebuilt once, at the goal.  Raises
     ``NegativePostconditionError`` on instances outside the add-only
@@ -185,14 +209,10 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
         return None, 0
     if satisfies_goal(instance.initial, goal):
         return (), 0
-    bits = {c: 1 << i for i, c in enumerate(sorted(instance.conditions))}
-
-    def mask(conditions) -> int:
-        return sum(bits[c] for c in conditions)
-
-    ops = [(name, mask(op.pos_pre), mask(op.neg_pre), mask(op.pos_post))
+    bit = {c: 1 << i for i, c in enumerate(sorted(instance.conditions))}.__getitem__
+    ops = [(name, sum(map(bit, op.pos_pre)), sum(map(bit, op.neg_pre)), sum(map(bit, op.pos_post)))
            for name, op in sorted(instance.operators.items())]
-    need, forbid = mask(goal.must_true), mask(goal.must_false)
+    need, forbid = sum(map(bit, goal.must_true)), sum(map(bit, goal.must_false))
     watched = forbid
     for _, _, neg, _ in ops:
         watched |= neg
@@ -223,6 +243,28 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
                         break
         return state, tuple(steps)
 
+    def reaches_goal(state: int) -> bool:
+        # The relaxed closure of state, stopped as soon as need holds.
+        reached = state
+        waiting = []
+        for _, pre, neg, post in ops:
+            if state & neg or not post & ~reached:
+                continue
+            if reached & pre == pre:
+                reached |= post
+            else:
+                waiting.append((pre, post))
+        while reached & need != need:
+            live, waiting = waiting, []
+            for pre, post in live:
+                if reached & pre == pre:
+                    reached |= post
+                else:
+                    waiting.append((pre, post))
+            if len(waiting) == len(live):
+                return False
+        return True
+
     def plan_to(state: int) -> Plan:
         parts = []
         while state is not None:
@@ -230,7 +272,7 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
             parts.append(steps)
         return tuple(name for steps in reversed(parts) for name in steps)
 
-    root, steps = saturate(mask(instance.initial))
+    root, steps = saturate(sum(map(bit, instance.initial)))
     parents: dict[int, tuple[int | None, Plan]] = {root: (None, steps)}
     if root & need == need:
         return plan_to(root), 0
@@ -255,7 +297,8 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
             if successor & need == need:
                 return plan_to(successor), expanded
             successors.append(successor)
-        stack.extend(reversed(successors))
+        if successors and reaches_goal(state):
+            stack.extend(reversed(successors))
     return None, expanded
 
 

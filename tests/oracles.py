@@ -288,3 +288,96 @@ def reference_plan_search(instance, max_states=DEFAULT_SEARCH_BUDGET):
                 return plan_to(successor), expanded
             queue.append(successor)
     return None, expanded
+
+
+def reference_plan_dfs(instance, max_states=DEFAULT_SEARCH_BUDGET):
+    """Depth-first add-only plan search over relevant operators, with no dead-end test.
+
+    The library's search before it cut states whose delete-relaxed closure
+    misses the goal: it saturates safe operators and branches on relevant
+    unsafe ones in name order, and returns ``(plan, states expanded)``.
+    A sound cut removes only subtrees with no plan, so the library must
+    return the same plan with no more expansions.
+    """
+    offenders = sorted(n for n, op in instance.operators.items() if op.neg_post)
+    if offenders:
+        raise NegativePostconditionError(f"operators with negative postconditions: {offenders}")
+    goal = instance.goal
+    # Conditions never become false again, so any state overlapping
+    # must_false is a dead end, the initial state included.
+    if goal.must_false & instance.initial:
+        return None, 0
+    if satisfies_goal(instance.initial, goal):
+        return (), 0
+    bits = {c: 1 << i for i, c in enumerate(sorted(instance.conditions))}
+
+    def mask(conditions) -> int:
+        return sum(bits[c] for c in conditions)
+
+    ops = [(name, mask(op.pos_pre), mask(op.neg_pre), mask(op.pos_post))
+           for name, op in sorted(instance.operators.items())]
+    need, forbid = mask(goal.must_true), mask(goal.must_false)
+    watched = forbid
+    for _, _, neg, _ in ops:
+        watched |= neg
+    relevant = need
+    grew = True
+    while grew:
+        grew = False
+        for _, pre, _, post in ops:
+            if post & relevant and pre & ~relevant:
+                relevant |= pre
+                grew = True
+    ops = [op for op in ops if op[3] & relevant]
+    safe = [op for op in ops if not op[3] & watched]
+    unsafe = [op for op in ops if op[3] & watched]
+
+    def saturate(state: int) -> tuple[int, Plan]:
+        # Safe steps add no watched condition, so none can reach must_false.
+        steps: list[str] = []
+        grew = True
+        while grew and state & need != need:
+            grew = False
+            for name, pre, neg, post in safe:
+                if post & ~state and state & pre == pre and not state & neg:
+                    state |= post
+                    steps.append(name)
+                    grew = True
+                    if state & need == need:
+                        break
+        return state, tuple(steps)
+
+    def plan_to(state: int) -> Plan:
+        parts = []
+        while state is not None:
+            state, steps = parents[state]
+            parts.append(steps)
+        return tuple(name for steps in reversed(parts) for name in steps)
+
+    root, steps = saturate(mask(instance.initial))
+    parents: dict[int, tuple[int | None, Plan]] = {root: (None, steps)}
+    if root & need == need:
+        return plan_to(root), 0
+    stack = [root]
+    expanded = 0
+    while stack:
+        state = stack.pop()
+        expanded += 1
+        if expanded > max_states:
+            raise SearchBudgetError(f"more than {max_states} states expanded")
+        successors = []
+        for name, pre, neg, post in unsafe:
+            if not post & relevant & ~state or state & pre != pre or state & neg:
+                continue
+            successor = state | post
+            if successor in parents or successor & forbid:
+                continue
+            successor, steps = saturate(successor)
+            if successor in parents:
+                continue
+            parents[successor] = (state, (name,) + steps)
+            if successor & need == need:
+                return plan_to(successor), expanded
+            successors.append(successor)
+        stack.extend(reversed(successors))
+    return None, expanded

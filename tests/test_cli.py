@@ -18,6 +18,8 @@ from reoptlab.graphs import parse_edge_list
 from reoptlab.replanning import apply_initial_change, sat_to_replanning
 from reoptlab.strips import instance_to_json
 
+from test_strips import dead_branch_instance
+
 PAPER_CNF = "p cnf 2 2\n1 2 0\n-1 0\n"
 
 
@@ -172,6 +174,15 @@ def test_solve_sat_reports_model(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["satisfiable"] is True
     assert payload["model"] == [1]
+
+
+def test_solve_strips_work_skips_a_dead_subtree(tmp_path, capsys):
+    # Without the dead-end cut the search expands the 2^6 states below {d, x0}.
+    source = tmp_path / "plan.json"
+    source.write_text(instance_to_json(dead_branch_instance(6)))
+    assert run(["solve", "--problem", "strips", "--input", source]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"plan": ["b0", "b1", "b2", "b3", "b4", "b5", "b6", "win"], "work": 8}
 
 
 def test_solve_vc_on_long_path(tmp_path, capsys):

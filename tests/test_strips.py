@@ -25,7 +25,7 @@ from reoptlab.strips import (
     validate_plan_stats,
 )
 
-from oracles import plan_reachable, reference_plan_search
+from oracles import plan_reachable, reference_plan_dfs, reference_plan_search
 
 
 def guard_instance():
@@ -353,6 +353,70 @@ def test_guard_removal_search_stays_within_partial_assignments(f):
     assert (plan is not None) == (solve_brute(f) is not None)
     if plan is not None:
         assert validate_plan(changed, plan)
+
+
+def assert_same_plan_as_uncut_search(inst):
+    plan, expanded = plan_exists_stats(inst)
+    uncut_plan, uncut_expanded = reference_plan_dfs(inst)
+    assert plan == uncut_plan
+    assert expanded <= uncut_expanded
+    return plan
+
+
+@st.composite
+def two_negative_instances(draw):
+    return small_instance(draw(st.randoms(use_true_random=False)))
+
+
+@st.composite
+def benchmark_shaped_removals(draw):
+    # A drawn seed, not st.randoms(): recording the base's few hundred
+    # random draws would cost about 50 ms an example.
+    base = benchmark_shaped_instance(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    removed = draw(st.sampled_from([None, *sorted(base.initial)]))
+    if removed is None:
+        return base
+    return make_instance(base.conditions, base.operators, base.initial - {removed}, base.goal.must_true)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(addonly_instances(), two_negative_instances(), benchmark_shaped_removals()))
+def test_dead_end_cut_keeps_the_uncut_plan(inst):
+    assert_same_plan_as_uncut_search(inst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_3cnfs())
+def test_dead_end_cut_keeps_the_uncut_plan_on_guard_removal(f):
+    changed = apply_initial_change(sat_to_replanning(f))
+    plan = assert_same_plan_as_uncut_search(changed)
+    breadth_first, _ = reference_plan_search(changed)
+    assert (plan is not None) == (breadth_first is not None) == (solve_brute(f) is not None)
+
+
+def dead_branch_instance(n):
+    # "a" adds x0 and d, and d blocks "win", which needs x0..xn; "stop"
+    # watches every x, so each b<i> is branched on.  Below the root, the
+    # first-named successor {d, x0} heads a dead subtree of 2^n states.
+    xs = [f"x{i}" for i in range(n + 1)]
+    operators = {
+        "a": make_operator(pos_post=["d", "x0"]),
+        "stop": make_operator(neg_pre=xs),
+        "win": make_operator(pos_pre=xs, neg_pre=["d"], pos_post=["g"]),
+    }
+    for i, x in enumerate(xs):
+        operators[f"b{i}"] = make_operator(pos_post=[x])
+    return make_instance(["d", "g", *xs], operators, goal_true=["g"])
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 9])
+def test_dead_end_cut_skips_a_dead_subtree(n):
+    # The root, the dead {d, x0}, and the chain {x0}, {x0, x1}, ... up to
+    # x0..x<n-1>, whose successor saturates to the goal.
+    inst = dead_branch_instance(n)
+    plan = (*(f"b{i}" for i in range(n + 1)), "win")
+    assert plan_exists_stats(inst) == (plan, n + 2)
+    assert reference_plan_dfs(inst) == (plan, 2 ** n + n + 1)
 
 
 def test_instance_json_round_trip():
