@@ -257,7 +257,15 @@ def warm_start_cover_stats(g, old_cover, added_edges, budget: int):
 
 
 def serialize_edge_list(g: Graph) -> str:
-    """Edge-list text: isolated nodes one per line, then "u v" pairs."""
+    """Edge-list text: isolated nodes one per line, then "u v" pairs.
+
+    Raises ``ValueError`` on a label that would read back as another
+    graph: one that is not a string, an empty one, one holding whitespace
+    (the parser splits on it) or one starting with ``#`` (a comment line).
+    """
+    for label in sorted(g.nodes, key=repr):
+        if not isinstance(label, str) or label.split() != [label] or label.startswith("#"):
+            raise ValueError(f"node label {label!r} cannot be written to an edge list")
     touched = {n for e in g.edges for n in e}
     lines = sorted(g.nodes - touched)
     lines += [f"{u} {v}" for u, v in sorted(g.edges)]

@@ -5,20 +5,20 @@ compete: no clause learning, no preprocessing beyond clause
 canonicalization.  DPLL keeps an explicit stack of open decisions, each
 with the clause masks saved when it was taken, and backtracks by
 restoring them, so its depth is bounded by memory, not by the
-interpreter's recursion limit.  Internally literals are codes, as in
-MiniSat: the variable of rank ``i`` (by id) has the codes ``2i``
-(positive) and ``2i + 1`` (negative), so a code indexes per-literal
-lists directly and negation is ``code ^ 1``.  Each code has an integer
-mask of the clauses that contain it, and a bit-sliced counter holds how
-many literals of each clause are not false, so propagation, conflict
-detection and the choice of unit are a few whole-formula integer
-operations, not visits to single clauses.  Bit ``i`` is clause ``i`` in
-``clause_sort_key`` order, so DPLL still makes the same decisions as one
-that rescans the clauses in that order.  The masks grow with variables
-times clauses, which ``DPLL_BUDGET`` caps.
+interpreter's recursion limit.  Each literal has an integer mask of the
+clauses that contain it, keyed by the signed literal itself, so negation
+is ``-lit``.  A bit-sliced counter holds how many literals of each
+clause are not false, so propagation, conflict detection and the choice
+of unit are a few whole-formula integer operations, not visits to single
+clauses.  Bit ``i`` is clause ``i`` of ``sorted(formula.clauses)``, the
+plain tuple order, so DPLL makes the same decisions as one that rescans
+the clauses in that order.  The masks grow with variables times clauses,
+which ``DPLL_BUDGET`` caps.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .cnf import Assignment, CnfFormula, evaluate
 
@@ -80,40 +80,40 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
     stack of decisions whose false branch is untried.  Each step, in this
     order: on a conflict, pop the newest decision, restore the state saved
     with it and set its variable false; else propagate the unit clause
-    that comes first in ``clause_sort_key`` order; else decide true the
+    that comes first in plain sorted clause order; else decide true the
     lowest unassigned variable that occurs in a clause not yet satisfied,
     so branching is lowest id first, positive first.  ``work`` counts
     decisions plus unit propagations, the solver-step currency of the hint
     reuse measurements.
 
-    Set-up codes the literals (see the module docstring): a decision on
-    the variable of rank ``i`` sets the code ``2i``, its false branch
-    ``2i + 1``, and the model is read off the even codes on the trail.
-    Coding is monotone in ``clause_sort_key`` (rank follows id, and the
-    positive literal comes first in both), so sorting the coded clauses
-    as plain lists gives the ``clause_sort_key`` order without a key
-    function.  Bit ``i`` of every mask is clause ``i`` of that order.
+    Set-up sorts the clauses as plain tuples (the empty clause comes
+    first) and builds the masks straight from their signed literals: bit
+    ``i`` of every mask is clause ``i`` of ``sorted(formula.clauses)``, a
+    function of the formula alone.  The mentioned variables are read off
+    the mask keys, in id order.  Unit resolution reaches the same fixpoint
+    in every order, and finds a conflict if there is one, so any clause
+    order gives the same decisions and models; the order changes only the
+    propagations counted at levels that end in a conflict.
 
-    The state is a few clause masks, Python ints.  ``occ[code]`` holds
+    The state is a few clause masks, Python ints.  ``occ[lit]`` holds
     the clauses that contain a literal and ``unsat`` the clauses no true
     literal satisfies yet.  ``planes`` is a bit-sliced counter: bit ``i``
-    of ``planes[j]`` is bit ``j`` of how many literal codes of clause
-    ``i`` are not false, over ``max_len.bit_length()`` planes.  Set-up
-    adds every ``occ[code]`` to it with a carry chain, so a literal
-    repeated in a clause counts once.  Setting code ``l`` clears
-    ``occ[l]`` from ``unsat`` and subtracts ``occ[l ^ 1]`` from the
-    counter with a borrow chain; satisfied clauses count down too, so
-    every count stays exact.
+    of ``planes[j]`` is bit ``j`` of how many literals of clause ``i``
+    are not false, over ``max_len.bit_length()`` planes.  Set-up adds
+    every ``occ[lit]`` to it with a carry chain, so a literal repeated in
+    a clause counts once.  Setting literal ``l`` clears ``occ[l]`` from
+    ``unsat`` and subtracts ``occ[-l]`` from the counter with a borrow
+    chain; satisfied clauses count down too, so every count stays exact.
 
     Each step reads ``few``, the unsatisfied clauses whose count is 0 or
     1, off the counter.  A count of 0 is a conflict: only the newest
     assignment can empty a clause, so each conflict shows at the step
     that causes it.  Otherwise ``few`` holds exactly the unit clauses,
     since every count is exact, and its lowest bit is the unit that comes
-    first in ``clause_sort_key`` order; its literal is the one unassigned
-    code in that clause.  A decision saves the trail length,
-    its variable, ``unsat`` and the planes; a conflict restores them,
-    cuts the trail and resets ``value`` for the undone codes.  A decision
+    first in sorted order; its literal is the one unassigned literal in
+    that clause.  A decision saves the trail length, the rank of its
+    variable, ``unsat`` and the planes; a conflict restores them, cuts
+    the trail and drops the undone literals from ``value``.  A decision
     is taken with no unit pending and no conflict, so this is exactly the
     state in which it was taken.  Branching scans the variables upward
     from the newest decision's variable and tests each one's two literal
@@ -127,39 +127,39 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
     masks, and at most one decision per mentioned variable is open.
     A formula whose mentioned variables times clauses exceeds
     ``DPLL_BUDGET`` raises ``DpllBudgetError`` before any mask is built.
+    The alphabet holds every mentioned variable, so the mentioned ones are
+    counted only when the alphabet times the clauses exceeds the budget.
     """
-    variables = sorted({abs(lit) for lit in set().union(*formula.clauses)})
-    if len(variables) * len(formula.clauses) > DPLL_BUDGET:
-        raise DpllBudgetError(
-            f"{len(variables)} variables times {len(formula.clauses)} clauses"
-            f" exceed the DPLL budget of {DPLL_BUDGET}"
-        )
-    code: dict[int, int] = {}
-    for rank, var in enumerate(variables):
-        code[var], code[-var] = 2 * rank, 2 * rank + 1
-    # Plain list order is ``clause_sort_key`` order; the empty clause sorts first.
-    clauses = sorted([list(map(code.__getitem__, cl)) for cl in formula.clauses])
+    if len(formula.alphabet) * len(formula.clauses) > DPLL_BUDGET:
+        mentioned = len({abs(lit) for lit in set().union(*formula.clauses)})
+        if mentioned * len(formula.clauses) > DPLL_BUDGET:
+            raise DpllBudgetError(
+                f"{mentioned} variables times {len(formula.clauses)} clauses"
+                f" exceed the DPLL budget of {DPLL_BUDGET}"
+            )
+    clauses = sorted(formula.clauses)  # the empty clause sorts first
     if clauses and not clauses[0]:
         return None, 0
-    occ = [0] * len(code)
-    for index, lits in enumerate(clauses):
+    occ: defaultdict[int, int] = defaultdict(int)
+    for index, cl in enumerate(clauses):
         bit = 1 << index
-        for lit in lits:
+        for lit in cl:
             occ[lit] |= bit
     planes = [0] * max(map(len, clauses), default=1).bit_length()  # planes[0] always exists
-    for carry in occ:  # count each clause's distinct literal codes
+    for carry in occ.values():  # count each clause's distinct literals
         for j, plane in enumerate(planes):
             planes[j] = plane ^ carry
             carry &= plane
             if not carry:
                 break
+    variables = sorted({abs(lit) for lit in occ})
     unsat = (1 << len(clauses)) - 1
 
-    value: list[bool | None] = [None] * len(code)
+    value: dict[int, bool] = {}  # keyed by literal; holds both literals of each assigned variable
     trail: list[int] = []
     open_decisions: list[tuple[int, ...]] = []
     work = 0
-    start = 0  # every variable below it is assigned or in satisfied clauses only
+    start = 0  # every variable of lower rank is assigned or in satisfied clauses only
     while True:
         few = unsat  # unsatisfied clauses with at most one literal not false
         for plane in planes[1:]:
@@ -167,30 +167,29 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
         if few & ~planes[0]:  # a clause down to 0: conflict
             if not open_decisions:
                 return None, work
-            mark, var, unsat, *planes = open_decisions.pop()
+            mark, start, unsat, *planes = open_decisions.pop()
             for undone in trail[mark:]:
-                value[undone] = value[undone ^ 1] = None
+                del value[undone], value[-undone]
             del trail[mark:]
-            start = var
-            lit = 2 * var + 1
+            lit = -variables[start]
         elif few:
             for lit in clauses[(few & -few).bit_length() - 1]:
-                if value[lit] is None:
+                if lit not in value:
                     break
         else:
-            for var in range(start, len(variables)):
-                if value[2 * var] is None and (occ[2 * var] | occ[2 * var + 1]) & unsat:
+            for rank in range(start, len(variables)):
+                lit = variables[rank]
+                if lit not in value and (occ[lit] | occ[-lit]) & unsat:
                     break
             else:  # every clause is satisfied
-                return frozenset(variables[lit >> 1] for lit in trail if not lit & 1), work
-            open_decisions.append((len(trail), var, unsat, *planes))
-            start = var
-            lit = 2 * var
-        value[lit], value[lit ^ 1] = True, False
+                return frozenset(lit for lit in trail if lit > 0), work
+            open_decisions.append((len(trail), rank, unsat, *planes))
+            start = rank
+        value[lit], value[-lit] = True, False
         trail.append(lit)
         work += 1
         unsat &= ~occ[lit]
-        borrow = occ[lit ^ 1]
+        borrow = occ[-lit]
         for j, plane in enumerate(planes):
             planes[j] = plane ^ borrow
             borrow &= ~plane

@@ -10,7 +10,6 @@ witnesses or work can be compared with them.
 from collections import deque
 from itertools import combinations, product
 
-from reoptlab.cnf import clause_sort_key
 from reoptlab.strips import (
     DEFAULT_SEARCH_BUDGET,
     NegativePostconditionError,
@@ -143,15 +142,18 @@ def reference_decide_cover(nodes, edges, budget):
     return frozenset(chosen) if search(budget) else None
 
 
-def reference_dpll(formula):
+def reference_dpll(formula, key=None):
     """Recursive DPLL with unit propagation, copying the assignment per branch.
 
     Branches on the lowest unassigned variable, true first, after
-    propagating the first unit literal of each pass over the clauses.  The
-    library's trail-based DPLL must return the same ``(model, work)``, so
-    the two are compared for equality.
+    propagating the first unit literal of each pass over the clauses,
+    taken in ``sorted(formula.clauses, key=key)`` order.  Under the
+    default plain tuple order the library's trail-based DPLL must return
+    the same ``(model, work)``, so the two are compared for equality.
+    Unit propagation reaches the same fixpoint in any order, so under
+    another order only ``work`` may differ.
     """
-    ordered = sorted(formula.clauses, key=clause_sort_key)
+    ordered = sorted(formula.clauses, key=key)
     work = 0
 
     def scan(assign):

@@ -250,6 +250,33 @@ def test_edge_list_empty_graph():
     assert parse_edge_list("") == graph()
 
 
+@pytest.mark.parametrize("g", [graph(["#x"]), graph([], [("#a", "b")]), graph([""]),
+                               graph(["a b"]), graph([1])])
+def test_edge_list_refuses_labels_that_read_back_as_another_graph(g):
+    with pytest.raises(ValueError, match="cannot be written"):
+        serialize_edge_list(g)
+
+
+def unwritable(label):
+    return not label or label.startswith("#") or any(c.isspace() for c in label)
+
+
+# Comment markers, spaces, tabs and newlines among ordinary characters.
+EDGE_LABELS = st.text(alphabet="ab#_ \t\n", max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(EDGE_LABELS, max_size=5), st.lists(st.tuples(EDGE_LABELS, EDGE_LABELS), max_size=5))
+def test_edge_list_round_trips_or_refuses(nodes, pairs):
+    g = graph(nodes, [(u, v) for u, v in pairs if u != v])
+    try:
+        text = serialize_edge_list(g)
+    except ValueError:
+        assert any(map(unwritable, g.nodes))
+    else:
+        assert parse_edge_list(text) == g
+
+
 def test_edge_list_rejects_malformed():
     with pytest.raises(ValueError):
         parse_edge_list("a b c\n")

@@ -1,13 +1,22 @@
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import chain, combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reoptlab import solvers
-from reoptlab.cnf import ChangeSet, CnfFormula, apply_changes, clause, cnf, evaluate
+from reoptlab.cnf import (
+    ChangeSet,
+    CnfFormula,
+    apply_changes,
+    clause,
+    clause_sort_key,
+    cnf,
+    evaluate,
+)
 from reoptlab.enumeration import iter_small_formulas, random_formula
 from reoptlab.reductions import reduce_unique_model
 from reoptlab.solvers import (
@@ -122,29 +131,53 @@ def test_dpll_matches_recursive_reference_on_small_formulas():
         assert solve_dpll_stats(f) == reference_dpll(f)
 
 
-def test_dpll_matches_recursive_reference_on_random_formulas():
+def random_sweep():
     rng = random.Random(11)
     for _ in range(1000):
-        f = random_formula(rng, rng.randint(0, 10), rng.randint(0, 30))
-        assert solve_dpll_stats(f) == reference_dpll(f)
+        yield random_formula(rng, rng.randint(0, 10), rng.randint(0, 30))
     # pure 3-CNF near the threshold ratio backtracks deeply
     for _ in range(10):
-        f = random_3cnf(rng, 25, 106)
-        assert solve_dpll_stats(f) == reference_dpll(f)
+        yield random_3cnf(rng, 25, 106)
 
 
-def test_dpll_matches_recursive_reference_on_unique_swaps():
+def unique_swap_sweep():
     # Pure 3-CNF sources of 12 variables and 51 clauses, the size the
     # benchmark swaps: the unique-model formula and its swapped form.
     rng = random.Random(12)
     for _ in range(40):
         inst = reduce_unique_model(random_3cnf(rng, 12, 51))
         swap = ChangeSet(additions=(inst.add_clause,), deletions=(inst.del_clause,))
-        swapped = apply_changes(inst.formula, swap)
-        for f in (inst.formula, swapped):
-            model, work = solve_dpll_stats(f)
-            assert (model, work) == reference_dpll(f)
-            assert model is None or evaluate(f, model)
+        yield inst.formula
+        yield apply_changes(inst.formula, swap)
+
+
+def planted_sweep():
+    # A planted 30-variable, 126-clause 3-CNF plus one random added clause.
+    rng = random.Random(13)
+    for _ in range(20):
+        model = {v for v in range(1, 31) if rng.random() < 0.5}
+        base = random_3cnf(rng, 30, 126, model)
+        yield apply_changes(base, ChangeSet(additions=(random_3clause(rng, 30),)))
+
+
+def test_dpll_matches_recursive_reference_on_random_formulas():
+    for f in random_sweep():
+        assert solve_dpll_stats(f) == reference_dpll(f)
+
+
+def test_dpll_matches_recursive_reference_on_unique_swaps():
+    for f in unique_swap_sweep():
+        model, work = solve_dpll_stats(f)
+        assert (model, work) == reference_dpll(f)
+        assert model is None or evaluate(f, model)
+
+
+def test_dpll_models_do_not_depend_on_the_clause_order():
+    # Unit propagation reaches the same fixpoint in any order, so the
+    # reference propagating in ``clause_sort_key`` order, the order DPLL
+    # once used, makes the same decisions and finds the same models.
+    for f in chain(unique_swap_sweep(), planted_sweep(), random_sweep()):
+        assert solve_dpll_stats(f)[0] == reference_dpll(f, key=clause_sort_key)[0]
 
 
 def test_dpll_on_long_chain_needs_no_recursion():
@@ -195,6 +228,24 @@ def test_dpll_budget_is_mentioned_variables_times_clauses(monkeypatch):
         solve_dpll_stats(f)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(LITERALS, max_size=4), max_size=8),
+       st.sets(st.sampled_from(VARIABLE_IDS), max_size=4), st.data())
+def test_dpll_refuses_exactly_past_mentioned_variables_times_clauses(raw, unmentioned, data):
+    # The alphabet may hold unmentioned variables, so the budget is drawn
+    # around the span from mentioned to alphabet variables times clauses:
+    # there the alphabet product can exceed it while the mentioned one does not.
+    f = cnf(raw, alphabet={abs(lit) for cl in raw for lit in cl} | unmentioned)
+    product = len({abs(lit) for cl in f.clauses for lit in cl}) * len(f.clauses)
+    budget = data.draw(st.integers(max(0, product - 3), len(f.alphabet) * len(f.clauses) + 3))
+    with patch.object(solvers, "DPLL_BUDGET", budget):
+        if product > budget:
+            with pytest.raises(DpllBudgetError):
+                solve_dpll_stats(f)
+        else:
+            assert solve_dpll_stats(f) == reference_dpll(f)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.lists(LITERALS, max_size=9), max_size=40),
        st.sets(st.sampled_from(VARIABLE_IDS), max_size=3))
@@ -206,12 +257,7 @@ def test_dpll_matches_recursive_reference_on_generated_formulas(raw, unmentioned
 
 
 def test_dpll_matches_recursive_reference_on_planted_additions():
-    # A planted 30-variable, 126-clause 3-CNF plus one random added clause.
-    rng = random.Random(13)
-    for _ in range(20):
-        model = {v for v in range(1, 31) if rng.random() < 0.5}
-        base = random_3cnf(rng, 30, 126, model)
-        f = apply_changes(base, ChangeSet(additions=(random_3clause(rng, 30),)))
+    for f in planted_sweep():
         assert solve_dpll_stats(f) == reference_dpll(f)
 
 
