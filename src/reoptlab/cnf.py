@@ -32,7 +32,7 @@ def clause(*literals: int) -> Clause:
 
 def clause_sort_key(cl: Clause) -> tuple[int, ...]:
     """Total order on canonical clauses, used wherever clauses get indexed."""
-    return tuple(2 * abs(lit) + (lit < 0) for lit in cl)
+    return tuple(map(_literal_key, cl))
 
 
 def is_tautology(cl: Clause) -> bool:

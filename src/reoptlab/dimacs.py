@@ -32,7 +32,9 @@ def parse_dimacs(text: str) -> CnfFormula:
     literals: list[int] = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if nvars is not None:

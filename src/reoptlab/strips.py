@@ -4,13 +4,14 @@ An operator carries positive/negative preconditions and positive/negative
 postconditions over a fixed condition set.  Plans are sequences of
 operator names.  ``plan_exists`` handles only instances whose operators
 have no negative postconditions: states then only grow along a plan.  It
-keeps only the operators that add a condition the goal can use, applies,
-to closure, every kept operator that adds no condition named by a
-negative precondition or by the goal's ``must_false``, and searches the
-other kept operators depth-first, in name order, with memoization.
-States whose delete relaxation cannot reach the goal are not searched
-below: conditions never become false, so an operator whose negative
-precondition a state hits stays unusable below it.  The plan it
+keeps only the operators that add a condition the goal can use and
+searches them depth-first, in name order, with memoization.  One closure
+routine serves twice: over the kept operators that add no condition
+named by a negative precondition or by the goal's ``must_false`` it
+saturates each state, and over all kept operators it is the state's
+delete relaxation, below which nothing is searched when it misses the
+goal (conditions never become false, so an operator whose negative
+precondition a state hits stays unusable below it).  The plan it
 returns is the first one found, valid but not necessarily the shortest,
 and the cut does not change it.  ``validate_plan`` executes any plan,
 negative postconditions included.
@@ -147,14 +148,19 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
     Operators that add no relevant condition are dropped.  A condition is
     *watched* when some operator's negative precondition (over all
     operators, dropped ones included) or the goal's ``must_false`` names
-    it, and an operator is *safe* when it adds no watched condition.  Each
-    state is saturated: safe operators are applied in name order until
-    they add nothing new or the goal holds.  The search then branches only
-    on unsafe operators that add a relevant condition the state lacks.  It
-    generates a state's successors in operator-name order, tests each for
-    the goal as it is made, and expands the first-named one next.  The
-    witness is the first plan found, deterministic but not necessarily
-    the shortest.
+    it, and an operator is *safe* when it adds no watched condition.  An
+    operator is *live* in a state that none of its negative preconditions
+    hits.  The *closure* of a state S under a list of operators starts
+    from S and applies, pass after pass in list order, every operator live
+    in S whose positive preconditions hold and that adds a condition not
+    yet true, until a pass adds nothing or ``must_true`` holds.  Each state
+    is *saturated*, replaced by its closure under the safe operators,
+    whose applications are recorded as plan steps.  The search then
+    branches only on unsafe operators that add a relevant condition the
+    state lacks.  It generates a state's successors in operator-name
+    order, tests each for the goal as it is made, and expands the
+    first-named one next.  The witness is the first plan found,
+    deterministic but not necessarily the shortest.
 
     Relevance is sound and complete.  Any plan can be thinned to the steps
     that add a relevant condition not yet true.  The thinned plan has the
@@ -163,36 +169,36 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
     preconditions and ``must_true`` are relevant, so they still hold, and
     no negative precondition or ``must_false`` is newly hit.
 
-    Saturation is sound and complete.  Let T be the saturation of S.
-    Then T contains S and agrees with it on every watched condition, and
-    that relation survives applying one operator to both and saturating
-    again.  So every operator applicable in S is applicable in T, a goal
-    that holds in S holds in T, and a safe step applicable in S has
-    already been applied in T.  Thinning a plan from a searched state
-    therefore leaves a first step that the search branches on, and each
-    branch adds a relevant condition, so every plan has a counterpart
-    among the searched paths, and every such path is itself a plan.
+    Saturation is sound and complete.  A safe step adds no watched
+    condition, so every state saturation passes through agrees with S on
+    the watched conditions: an operator live in S stays live, and testing
+    liveness in S is exact, so every recorded step is applicable where it
+    is taken.  Let T be the saturation of S.  Then T contains S and agrees
+    with it on every watched condition, and that relation survives
+    applying one operator to both and saturating again.  So every
+    operator applicable in S is applicable in T, a goal that holds in S
+    holds in T, and a safe step applicable in S has already been applied
+    in T.  Thinning a plan from a searched state therefore leaves a first
+    step that the search branches on, and each branch adds a relevant
+    condition, so every plan has a counterpart among the searched paths,
+    and every such path is itself a plan.
 
     Dead ends are cut by delete-relaxed reachability (the test behind
-    ``h_max`` and FF).  An operator is *live* in a state that none of its
-    negative preconditions hits.  Conditions never become false, so the
-    live operators only shrink along a path: an operator dead in S is dead
-    in every state below S.  The *relaxed closure* of S starts from S and
-    adds the positive postconditions of every kept operator live in S
-    whose positive preconditions it holds, until nothing changes.  Every
-    state the search reaches below S lies inside it, since each step there
-    is a kept operator live in S whose positive preconditions held before
-    it.  So the closure over-approximates: if it misses part of
-    ``must_true``, no goal state lies below S, and S is *dead*.  A state T
-    below a dead S is dead too, because T lies in the closure of S and its
-    live operators are among those of S.  The closure is taken only for an
-    expanded state that produced successors, and stops as soon as
-    ``must_true`` holds.  A dead state's successors stay in ``parents`` but
-    are not pushed.  Dead states never lead to live ones, so live states
-    are generated, expanded and given parents in the same order as
-    without the cut: the first plan found is the same.  Every dead state
-    the cut search expands is also expanded without the cut, so it never
-    expands more states.
+    ``h_max`` and FF): the closure of S under all kept operators.
+    Conditions never become false, so the live operators only shrink along
+    a path: an operator dead in S is dead in every state below S.  Every
+    state the search reaches below S lies inside the closure, since each
+    step there is a kept operator live in S whose positive preconditions
+    held before it.  So the closure over-approximates: if it misses part
+    of ``must_true``, no goal state lies below S, and S is *dead*.  A
+    state T below a dead S is dead too, because T lies in the closure of
+    S and its live operators are among those of S.  The closure is taken
+    only for an expanded state that produced successors.  A dead state's
+    successors stay in ``parents`` but are not pushed.  Dead states never
+    lead to live ones, so live states are generated, expanded and given
+    parents in the same order as without the cut: the first plan found is
+    the same.  Every dead state the cut search expands is also expanded
+    without the cut, so it never expands more states.
 
     Each state keeps a pointer to its parent and the steps that led to
     it; the plan is rebuilt once, at the goal.  Raises
@@ -204,11 +210,10 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
         raise NegativePostconditionError(f"operators with negative postconditions: {offenders}")
     goal = instance.goal
     # Conditions never become false again, so any state overlapping
-    # must_false is a dead end, the initial state included.
+    # must_false is a dead end, the initial state included.  Saturation
+    # adds no watched condition, so a root holding must_true is a goal.
     if goal.must_false & instance.initial:
         return None, 0
-    if satisfies_goal(instance.initial, goal):
-        return (), 0
     bit = {c: 1 << i for i, c in enumerate(sorted(instance.conditions))}.__getitem__
     ops = [(name, sum(map(bit, op.pos_pre)), sum(map(bit, op.neg_pre)), sum(map(bit, op.pos_post)))
            for name, op in sorted(instance.operators.items())]
@@ -228,42 +233,20 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
     safe = [op for op in ops if not op[3] & watched]
     unsafe = [op for op in ops if op[3] & watched]
 
-    def saturate(state: int) -> tuple[int, Plan]:
-        # Safe steps add no watched condition, so none can reach must_false.
+    def close(state: int, operators: list[tuple[str, int, int, int]]) -> tuple[int, Plan]:
+        start = state
         steps: list[str] = []
         grew = True
         while grew and state & need != need:
             grew = False
-            for name, pre, neg, post in safe:
-                if post & ~state and state & pre == pre and not state & neg:
+            for name, pre, neg, post in operators:
+                if post & ~state and state & pre == pre and not start & neg:
                     state |= post
                     steps.append(name)
                     grew = True
                     if state & need == need:
                         break
         return state, tuple(steps)
-
-    def reaches_goal(state: int) -> bool:
-        # The relaxed closure of state, stopped as soon as need holds.
-        reached = state
-        waiting = []
-        for _, pre, neg, post in ops:
-            if state & neg or not post & ~reached:
-                continue
-            if reached & pre == pre:
-                reached |= post
-            else:
-                waiting.append((pre, post))
-        while reached & need != need:
-            live, waiting = waiting, []
-            for pre, post in live:
-                if reached & pre == pre:
-                    reached |= post
-                else:
-                    waiting.append((pre, post))
-            if len(waiting) == len(live):
-                return False
-        return True
 
     def plan_to(state: int) -> Plan:
         parts = []
@@ -272,7 +255,7 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
             parts.append(steps)
         return tuple(name for steps in reversed(parts) for name in steps)
 
-    root, steps = saturate(sum(map(bit, instance.initial)))
+    root, steps = close(sum(map(bit, instance.initial)), safe)
     parents: dict[int, tuple[int | None, Plan]] = {root: (None, steps)}
     if root & need == need:
         return plan_to(root), 0
@@ -290,14 +273,14 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
             successor = state | post
             if successor in parents or successor & forbid:
                 continue
-            successor, steps = saturate(successor)
+            successor, steps = close(successor, safe)
             if successor in parents:
                 continue
             parents[successor] = (state, (name,) + steps)
             if successor & need == need:
                 return plan_to(successor), expanded
             successors.append(successor)
-        if successors and reaches_goal(state):
+        if successors and close(state, ops)[0] & need == need:
             stack.extend(reversed(successors))
     return None, expanded
 

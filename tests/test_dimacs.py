@@ -47,6 +47,12 @@ def test_parse_clause_spanning_lines():
     assert f.clauses == frozenset({(1, 2)})
 
 
+def test_parse_stops_at_percent_line():
+    # SATLIB files end with a "%" line and a lone 0, which is not an empty clause.
+    f = parse_dimacs("p cnf 2 1\n1 -2 0\n%\n0\n")
+    assert f.clauses == frozenset({(1, -2)})
+
+
 def test_parse_serialize_identity_on_canonical_text():
     text = "p cnf 3 2\n1 2 0\n-1 -3 0\n"
     assert serialize_dimacs(parse_dimacs(text)) == text

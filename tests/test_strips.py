@@ -142,17 +142,30 @@ def test_plan_exists_must_false_prunes():
     assert plan_exists(inst) is None
 
 
-def test_plan_exists_saturates_safe_chain_at_root():
-    # No operator watches p or q, so both steps are safe and no state is expanded.
-    inst = make_instance(
+@pytest.mark.parametrize("inst, plan", [
+    (make_instance(
         ["p", "q"],
         {
             "one": make_operator(pos_post=["p"]),
             "two": make_operator(pos_pre=["p"], pos_post=["q"]),
         },
         goal_true=["q"],
-    )
-    assert plan_exists_stats(inst) == (("one", "two"), 0)
+    ), ("one", "two")),
+    # Once "c" has made q true, "a" adds nothing, so it is not a step,
+    # though ("c", "a", "b") would validate too.
+    (make_instance(
+        ["p", "q", "r"],
+        {
+            "a": make_operator(pos_pre=["p"], pos_post=["q"]),
+            "b": make_operator(pos_pre=["q"], pos_post=["r"]),
+            "c": make_operator(pos_post=["p", "q"]),
+        },
+        goal_true=["r"],
+    ), ("c", "b")),
+], ids=["chain", "step-adds-nothing"])
+def test_plan_exists_saturates_safe_chain_at_root(inst, plan):
+    # No operator watches a condition, so every step is safe and no state is expanded.
+    assert plan_exists_stats(inst) == (plan, 0)
 
 
 def test_plan_exists_budget():
