@@ -200,7 +200,6 @@ def cmd_reduce(args) -> int:
             "change_clause": list(inst.change_clause),
             "hint_model": sorted(inst.hint_model),
         }
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     elif args.kind == "unique-model":
         inst = reduce_unique_model(f)
         obj = {
@@ -208,13 +207,11 @@ def cmd_reduce(args) -> int:
             "add_clause": list(inst.add_clause),
             "del_clause": list(inst.del_clause),
         }
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     elif args.kind == "nsat":
         inst = make_nsat_instance(f)
         obj = {"unary_part": inst.unary_part, "formula": serialize_dimacs(inst.formula)}
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     elif args.kind == "vc-gadget":
-        text = gadget_to_json(build_gadget(f))
+        obj = json.loads(gadget_to_json(build_gadget(f)))
     else:
         case = sat_to_replanning(f)
         obj = {
@@ -223,8 +220,7 @@ def cmd_reduce(args) -> int:
             "add_to_initial": sorted(case.add_to_initial),
             "remove_from_initial": sorted(case.remove_from_initial),
         }
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    _emit(args, text)
+    _emit(args, json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return 0
 
 

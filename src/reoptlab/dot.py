@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from .gadgets import Gadget, node_role
+from .gadgets import ROLE_CLAUSE, ROLE_DOUBLE_PRIME, ROLE_LITERAL, ROLE_PRIME, Gadget, node_role
 
 _ROLE_STYLE = {
-    "literal": 'shape=ellipse, style=filled, fillcolor="#aaccff"',
-    "prime": 'shape=ellipse, style=filled, fillcolor="#dddddd"',
-    "double_prime": 'shape=ellipse, style=filled, fillcolor="#ffffff"',
-    "clause_member": 'shape=box, style=filled, fillcolor="#ffcc88"',
+    ROLE_LITERAL: 'shape=ellipse, style=filled, fillcolor="#aaccff"',
+    ROLE_PRIME: 'shape=ellipse, style=filled, fillcolor="#dddddd"',
+    ROLE_DOUBLE_PRIME: 'shape=ellipse, style=filled, fillcolor="#ffffff"',
+    ROLE_CLAUSE: 'shape=box, style=filled, fillcolor="#ffcc88"',
 }
 
 

@@ -15,6 +15,7 @@ import io
 import json
 import random
 from dataclasses import asdict, astuple, dataclass, field, fields
+from itertools import combinations
 
 from .cnf import ChangeSet, apply_changes
 from .dimacs import serialize_changes, serialize_dimacs
@@ -80,6 +81,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise InvalidConfigError("variables", "must be non-negative")
     if config.clauses < 0:
         raise InvalidConfigError("clauses", "must be non-negative")
+    if config.edges < 0:
+        raise InvalidConfigError("edges", "must be non-negative")
     if not 1 <= config.clause_size:
         raise InvalidConfigError("clause_size", "must be at least 1")
     if "variables" in SCALE_FIELDS[config.problem] and config.variables > ORACLE_LIMIT:
@@ -181,12 +184,7 @@ def _sat_unique_swap_trial(rng, config):
 
 def _vc_edge_add_trial(rng, config):
     base = random_graph(rng, config.nodes, config.edges)
-    non_edges = sorted(
-        (u, v)
-        for i, u in enumerate(sorted(base.nodes))
-        for v in sorted(base.nodes)[i + 1:]
-        if (u, v) not in base.edges
-    )
+    non_edges = [p for p in combinations(sorted(base.nodes), 2) if p not in base.edges]
     new_edge = rng.choice(non_edges)
     old = min_cover_brute(base)
     grown = add_edges(base, [new_edge])

@@ -9,6 +9,9 @@ first reserve node.  With n variables, m literal occurrences and r
 clauses, the graph has a vertex cover of n + m - r nodes exactly when the
 formula is satisfiable.  A gadget holds only its graph and source: the
 budget is derived from both, and a node's role is read off its label.
+Clique ``c<i>`` is the i-th clause of two or three literals in
+``clause_sort_key`` order; unit clauses take no index, so unit edits never
+relabel a node and a loaded gadget must equal its rebuild exactly.
 
 Edits keep that correspondence:
 
@@ -112,7 +115,8 @@ class Gadget:
 
 
 def ordered_clauses(formula: CnfFormula) -> list[Clause]:
-    return sorted(formula.clauses, key=clause_sort_key)
+    """The clauses of more than one literal, the cliques, in ``clause_sort_key`` order."""
+    return sorted((cl for cl in formula.clauses if len(cl) > 1), key=clause_sort_key)
 
 
 def build_gadget(f: CnfFormula) -> Gadget:
@@ -130,10 +134,8 @@ def build_gadget(f: CnfFormula) -> Gadget:
             nodes.extend((literal_node(lit), prime_node(lit), double_prime_node(lit)))
         edges.append(edge(literal_node(v), literal_node(-v)))
 
+    edges.extend(edge(literal_node(cl[0]), prime_node(cl[0])) for cl in f.clauses if len(cl) == 1)
     for index, cl in enumerate(ordered_clauses(f), start=1):
-        if len(cl) == 1:
-            edges.append(edge(literal_node(cl[0]), prime_node(cl[0])))
-            continue
         members = [clause_node(index, pos) for pos in range(1, len(cl) + 1)]
         nodes.extend(members)
         edges.extend(edge(a, b) for a, b in combinations(members, 2))
@@ -193,14 +195,13 @@ def project_formula(full: Gadget, f: CnfFormula) -> Graph:
     threshold for the result is the full gadget's own budget: the graph
     has a cover of that size exactly when ``f`` is satisfiable.
     """
-    universe = ordered_clauses(full.source)
-    if any(len(cl) < 2 for cl in universe):
+    if any(len(cl) < 2 for cl in full.source.clauses):
         raise ValueError("projection requires a clique-only clause universe")
     missing = f.clauses - full.source.clauses
     if missing:
         raise ClauseOutsideUniverseError(f"clauses outside the universe: {sorted(missing)}")
     doomed = []
-    for index, cl in enumerate(universe, start=1):
+    for index, cl in enumerate(ordered_clauses(full.source), start=1):
         if cl in f.clauses:
             continue
         members = [clause_node(index, pos) for pos in range(1, len(cl) + 1)]
@@ -240,12 +241,7 @@ def gadget_from_json(text: str) -> Gadget:
     A removed unit is a literal l whose unit clause the source lacks but
     whose relaxing edge (l', l'') is present.  The graph must equal that
     of ``build_gadget`` over the source plus the removed units, after
-    ``apply_unit_changes`` deletes those units again.  The two graphs are
-    compared after renumbering their cliques 1, 2, ... in index order:
-    unit edits shift the index ``build_gadget`` gave each clique, but they
-    never add, drop or reorder cliques, which are numbered by
-    ``clause_sort_key`` in both.  A file whose cliques are swapped is
-    therefore rejected.
+    ``apply_unit_changes`` deletes those units again.
 
     The alphabet is the DIMACS variables that have literal nodes, since the
     header keeps only the largest variable id.  Any other key, such as the
@@ -268,15 +264,6 @@ def gadget_from_json(text: str) -> Gadget:
                and edge(prime_node(lit), double_prime_node(lit)) in g.edges]
     history = CnfFormula(alphabet, parsed.clauses.union(removed))
     rebuilt = apply_unit_changes(build_gadget(history), ChangeSet(deletions=tuple(removed)))
-    if _renumber_cliques(g) != _renumber_cliques(rebuilt.graph):
+    if g != rebuilt.graph:
         raise ValueError("gadget edges contradict its source")
     return gadget
-
-
-def _renumber_cliques(g: Graph) -> Graph:
-    """``g`` with its cliques renamed 1, 2, ... in the order of their indices."""
-    index = {n: int(n[1:n.index("_")]) for n in g.nodes if node_role(n) == ROLE_CLAUSE}
-    rank = {i: r for r, i in enumerate(sorted(set(index.values())), start=1)}
-    name = {n: clause_node(rank[i], int(n[n.index("_") + 1:])) for n, i in index.items()}
-    return graph([name.get(n, n) for n in g.nodes],
-                 [(name.get(u, u), name.get(v, v)) for u, v in g.edges])

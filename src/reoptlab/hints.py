@@ -93,9 +93,11 @@ def subset_changes(candidates, indices) -> ChangeSet:
 def compile_table(base: CnfFormula, candidates, bound: int) -> HintTable:
     """Solve the changed formula for every candidate subset up to the bound.
 
-    A table of more than ``DEFAULT_TABLE_BUDGET`` entries is refused before
-    any solve.
+    A negative bound, and a table of more than ``DEFAULT_TABLE_BUDGET``
+    entries, are refused before any solve.
     """
+    if bound < 0:
+        raise ValueError(f"bound {bound} is negative")
     candidates = tuple(candidates)
     if len(set(candidates)) != len(candidates):
         raise ValueError("duplicate candidate changes")

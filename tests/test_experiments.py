@@ -76,6 +76,7 @@ def test_zero_trials_is_an_empty_report():
     (ExperimentConfig(variables=1, clauses=5), "clauses"),
     (ExperimentConfig(variables=2, clauses=5, clause_size=1), "clauses"),
     (ExperimentConfig(problem="strips", variables=1, clauses=5), "clauses"),
+    (ExperimentConfig(problem="vc", edges=-1), "edges"),
 ])
 def test_invalid_configs(config, field):
     with pytest.raises(InvalidConfigError) as err:

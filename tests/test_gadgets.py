@@ -255,6 +255,11 @@ def test_gadget_json_round_trips_every_case():
         assert gadget_from_json(gadget_to_json(gadget)) == gadget, (f, tag)
 
 
+def test_unit_edits_never_relabel_a_node():
+    for f, tag, gadget, _ in gadget_cases(3, 3, 200):
+        assert gadget.graph.nodes == build_gadget(gadget.source).graph.nodes, (f, tag)
+
+
 def test_gapped_alphabet_survives_the_round_trip(tmp_path):
     g = build_gadget(cnf([(2,)]))
     loaded = gadget_from_json(gadget_to_json(g))
@@ -328,11 +333,11 @@ def test_gadget_json_rejects_any_single_edge_deleted_or_added():
 
 
 def test_gadget_json_matches_cliques_whatever_their_index(tmp_path, capsys):
-    # Adding a unit shifts the clause indices build_gadget would give the
-    # cliques, but never their order; swapping two cliques breaks that order.
+    # A unit takes no clique index, so adding one leaves the labels a fresh
+    # build of the new source gives; swapping the two cliques breaks them.
     g = gadget_add_unit(build_gadget(cnf([(2, 3), (-2, -3)], alphabet={1, 2, 3})), 1)
     assert "c1_1" in g.graph.nodes and "c2_1" in g.graph.nodes
-    assert "c1_1" not in build_gadget(g.source).graph.nodes
+    assert build_gadget(g.source).graph.nodes == g.graph.nodes
     assert gadget_from_json(gadget_to_json(g)) == g
     swapped = gadget_to_json(g).replace("c1_", "cX_").replace("c2_", "c1_").replace("cX_", "c2_")
     with pytest.raises(ValueError, match="contradict"):

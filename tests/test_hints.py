@@ -293,6 +293,15 @@ def test_table_json_loads_compiled_tables_and_nothing_one_edit_away(
         table_from_json(json.dumps(obj))
 
 
+def test_table_json_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="bound -5 is negative"):
+        compile_table(cnf([(1,)]), [add_change(2)], -5)
+    obj = json.loads(table_to_json(compile_table(cnf([(1,)]), [add_change(2)], 1)))
+    obj.update(bound=-1, entries={})
+    with pytest.raises(ValueError, match="bound -1 is negative"):
+        table_from_json(json.dumps(obj))
+
+
 def test_table_json_rejects_oversized_entry():
     base = cnf([(1,)])
     table = compile_table(base, [add_change(2), add_change(-2)], 2)
