@@ -21,7 +21,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
-from .cnf import apply_changes
+from .cnf import CnfFormula, apply_changes
 from .dimacs import parse_changes, parse_dimacs, serialize_dimacs
 from .dot import gadget_to_dot
 from .enumeration import clause_pool_size, random_formula, random_graph, random_plansat_instance
@@ -45,8 +45,14 @@ from .hints import TableBudgetError
 from .reductions import make_nsat_instance, reduce_fixed_model, reduce_unique_model
 from .replanning import sat_to_replanning
 from .solvers import DpllBudgetError, OracleLimitError, solve_brute, solve_dpll_stats
-from .strips import SearchBudgetError, instance_from_json, instance_to_json, plan_exists_stats
-from .verification import SUITES, run_suite, suite_reads
+from .strips import (
+    SearchBudgetError,
+    StripsInstance,
+    instance_from_json,
+    instance_to_json,
+    plan_exists_stats,
+)
+from .verification import DEFAULT_SEED, SUITES, run_suite, suite_reads
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_generate)
 
     red = sub.add_parser("reduce", parents=[out], help="apply a construction to a DIMACS file")
-    red.add_argument("--kind", required=True,
-                     choices=("fixed-model", "unique-model", "nsat", "vc-gadget", "replanning"))
+    red.add_argument("--kind", required=True, choices=(*_RECORD_BUILDERS, "vc-gadget"))
     red.add_argument("--input", required=True, type=Path)
     red.set_defaults(func=cmd_reduce)
 
@@ -88,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     mut.add_argument("--gadget", action="store_true", help="treat input as a gadget file")
     mut.set_defaults(func=cmd_mutate)
 
-    ver = sub.add_parser("verify", parents=[seed], help="run oracle-equivalence sweeps")
+    ver = sub.add_parser("verify", help="run oracle-equivalence sweeps")
+    ver.add_argument("--seed", type=int, default=None, help=f"sample seed (default {DEFAULT_SEED})")
     ver.add_argument("--suite", required=True, choices=(*sorted(SUITES), "all"))
     for name in ("--max-vars", "--max-clauses", "--samples"):
         ver.add_argument(name, type=_size, default=None)
@@ -191,35 +197,24 @@ def _indexed(path: Path, index: int) -> Path:
     return path.with_name(f"{path.stem}-{index:03d}{path.suffix}")
 
 
+# The record each ``reduce --kind`` but ``vc-gadget`` writes, one key per
+# field, and how a field of each type is written.
+_RECORD_BUILDERS = {"fixed-model": reduce_fixed_model, "unique-model": reduce_unique_model,
+                    "nsat": make_nsat_instance, "replanning": sat_to_replanning}
+_FIELD_TO_JSON = {CnfFormula: serialize_dimacs, frozenset: sorted, tuple: list, str: str,
+                  StripsInstance: lambda instance: json.loads(instance_to_json(instance))}
+
+
 def cmd_reduce(args) -> int:
     f = parse_dimacs(args.input.read_text())
-    if args.kind == "fixed-model":
-        inst = reduce_fixed_model(f)
-        obj = {
-            "formula": serialize_dimacs(inst.formula),
-            "change_clause": list(inst.change_clause),
-            "hint_model": sorted(inst.hint_model),
-        }
-    elif args.kind == "unique-model":
-        inst = reduce_unique_model(f)
-        obj = {
-            "formula": serialize_dimacs(inst.formula),
-            "add_clause": list(inst.add_clause),
-            "del_clause": list(inst.del_clause),
-        }
-    elif args.kind == "nsat":
-        inst = make_nsat_instance(f)
-        obj = {"unary_part": inst.unary_part, "formula": serialize_dimacs(inst.formula)}
-    elif args.kind == "vc-gadget":
-        obj = json.loads(gadget_to_json(build_gadget(f)))
-    else:
-        case = sat_to_replanning(f)
-        obj = {
-            "instance": json.loads(instance_to_json(case.instance)),
-            "original_plan": list(case.original_plan),
-            "add_to_initial": sorted(case.add_to_initial),
-            "remove_from_initial": sorted(case.remove_from_initial),
-        }
+    if args.kind == "vc-gadget":
+        _emit(args, gadget_to_json(build_gadget(f)))
+        return 0
+    record = _RECORD_BUILDERS[args.kind](f)
+    obj = {}
+    for field in fields(record):
+        value = getattr(record, field.name)
+        obj[field.name] = _FIELD_TO_JSON[type(value)](value)
     _emit(args, json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -31,10 +31,10 @@ def all_clauses(variables, min_size: int = 1, max_size: int = 3) -> list[Clause]
     return out
 
 
-def iter_small_formulas(max_vars: int = 3, max_clauses: int = 3, max_size: int = 3):
-    """All formulas with at most ``max_clauses`` clauses from the clause pool
+def iter_small_formulas(max_vars: int = 3, max_clauses: int = 3):
+    """All formulas with at most ``max_clauses`` clauses of one to three literals
     over variables 1..max_vars; alphabets are the mentioned variables."""
-    pool = all_clauses(range(1, max_vars + 1), 1, max_size)
+    pool = all_clauses(range(1, max_vars + 1))
     for count in range(max_clauses + 1):
         for subset in combinations(pool, count):
             yield cnf(subset)

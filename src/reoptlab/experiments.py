@@ -33,7 +33,7 @@ from .graphs import (
     min_cover_brute,
     warm_start_cover_stats,
 )
-from .hints import ReuseOutcome, reuse_model, reuse_plan
+from .hints import reuse_model, reuse_plan
 from .reductions import reduce_unique_model, unique_model
 from .replanning import apply_initial_change, sat_to_replanning
 from .solvers import ORACLE_LIMIT, solve_dpll_stats
@@ -190,7 +190,7 @@ def _vc_edge_add_trial(rng, config):
     grown = add_edges(base, [new_edge])
     budget = old.size
     cold_cover, cold_work = decide_cover_stats(grown, budget)
-    outcome = ReuseOutcome(*warm_start_cover_stats(grown, old.cover, [new_edge], budget))
+    outcome = warm_start_cover_stats(grown, old.cover, [new_edge], budget)
     change_id = f"+{new_edge[0]}-{new_edge[1]}"
     reproducer = f"graph edges: {sorted(grown.edges)} budget: {budget}"
     return change_id, cold_cover, cold_work, outcome, reproducer

@@ -18,6 +18,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import InvalidHintError
+from .hints import ReuseOutcome
 
 COVER_ORACLE_LIMIT = 24
 
@@ -131,7 +132,9 @@ def decide_cover_stats(g: Graph, budget: int) -> tuple[frozenset[str] | None, in
     labels = sorted(g.nodes)
     index = {label: i for i, label in enumerate(labels)}
     adj: list[set[int]] = [set() for _ in labels]
-    for u, v in g.edges:
+    # In label order: the order of each set, and with it the search, must
+    # not depend on the per-process salt of string hashes.
+    for u, v in sorted(g.edges):
         adj[index[u]].add(index[v])
         adj[index[v]].add(index[u])
     # Live nodes with at least one live edge; isolated ones never matter.
@@ -231,13 +234,13 @@ def _packing_exceeds(adj: list[set[int]], order: list[int], k: int) -> bool:
     return False
 
 
-def warm_start_cover_stats(g, old_cover, added_edges, budget: int):
+def warm_start_cover_stats(g, old_cover, added_edges, budget: int) -> ReuseOutcome:
     """Reuse a cover of the pre-change graph, falling back to a fresh decision.
 
     ``old_cover`` must cover the graph minus ``added_edges``.  When it also
-    covers the added edges and fits the budget it is returned unchanged;
-    otherwise the full graph is re-decided.  Returns (cover, hint_used,
-    work_units).
+    covers the added edges and fits the budget it is returned unchanged,
+    and ``work_units`` is the number of added edges; otherwise the full
+    graph is re-decided, and ``work_units`` is the search nodes explored.
     """
     members = frozenset(old_cover)
     added = frozenset(edge(u, v) for u, v in added_edges)
@@ -251,9 +254,9 @@ def warm_start_cover_stats(g, old_cover, added_edges, budget: int):
     if not all(u in members or v in members for u, v in base):
         raise InvalidHintError("old cover does not cover the pre-change graph")
     if len(members) <= budget and all(u in members or v in members for u, v in added):
-        return members, True, len(added)
+        return ReuseOutcome(members, True, len(added))
     cover, explored = decide_cover_stats(g, budget)
-    return cover, False, explored
+    return ReuseOutcome(cover, False, explored)
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -18,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .cnf import Assignment, ChangeSet, Clause, CnfFormula, apply_changes, clause, evaluate
 from .dimacs import parse_dimacs, serialize_dimacs
@@ -138,14 +138,15 @@ def lookup(table: HintTable, changes: ChangeSet):
     return table.entries[mask]
 
 
-@dataclass(frozen=True)
-class ReuseOutcome:
+class ReuseOutcome(NamedTuple):
     """What a reuse attempt produced and what it cost.
 
-    ``hint_used`` is True only when the returned solution is the hint
-    itself (or a suffix of it, for plans).  ``work_units`` counts solver
-    decisions plus propagations for formulas, expanded states for plans,
-    and a size-linear pass for the fast paths.
+    ``reuse_model``, ``reuse_plan`` and ``graphs.warm_start_cover_stats``
+    all return one.  ``hint_used`` is True only when the returned solution
+    is the hint itself (or a suffix of it, for plans).  ``work_units``
+    counts solver decisions plus propagations, expanded states or cover
+    search nodes, and on the fast paths a size-linear pass (for covers,
+    the number of added edges).
     """
 
     solution: Any

@@ -18,18 +18,19 @@ from dataclasses import dataclass
 from .cnf import CnfFormula, clause_sort_key
 from .strips import (
     Goal,
-    NegativePostconditionError,
     Plan,
     SearchBudgetError,
     StripsInstance,
     StripsOperator,
-    check_positive_postconditions,
     is_applicable,
     make_instance,
     make_operator,
+    require_add_only,
     satisfies_goal,
     validate_plan,
 )
+
+_MAX_PLAN_PREFIXES = 100_000
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def apply_initial_change(case: ReplanningCase) -> StripsInstance:
     return StripsInstance(case.instance.conditions, case.instance.operators, initial, case.instance.goal)
 
 
-def count_irredundant_plans(instance: StripsInstance, max_nodes: int = 100_000) -> int:
+def count_irredundant_plans(instance: StripsInstance) -> int:
     """Count valid plans with no removable single step.
 
     Only add-only instances are supported: there every prefix of a valid
@@ -99,8 +100,7 @@ def count_irredundant_plans(instance: StripsInstance, max_nodes: int = 100_000) 
     enumeration runs depth-first on an explicit stack, operators in name
     order.
     """
-    if not check_positive_postconditions(instance):
-        raise NegativePostconditionError("irredundant-plan counting needs an add-only instance")
+    require_add_only(instance)
     ops = sorted(instance.operators.items())
     nodes = 0
     count = 0
@@ -114,8 +114,8 @@ def count_irredundant_plans(instance: StripsInstance, max_nodes: int = 100_000) 
     while stack:
         state, plan = stack.pop()
         nodes += 1
-        if nodes > max_nodes:
-            raise SearchBudgetError(f"more than {max_nodes} plan prefixes explored")
+        if nodes > _MAX_PLAN_PREFIXES:
+            raise SearchBudgetError(f"more than {_MAX_PLAN_PREFIXES} plan prefixes explored")
         if satisfies_goal(state, instance.goal) and is_irredundant(plan):
             count += 1
         children = [

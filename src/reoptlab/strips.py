@@ -130,9 +130,11 @@ def validate_plan_stats(instance: StripsInstance, plan) -> tuple[bool, int]:
     return satisfies_goal(state, instance.goal), work
 
 
-def check_positive_postconditions(instance: StripsInstance) -> bool:
-    """True iff no operator has negative postconditions."""
-    return all(not op.neg_post for op in instance.operators.values())
+def require_add_only(instance: StripsInstance) -> None:
+    """Raise ``NegativePostconditionError`` naming the operators with negative postconditions."""
+    offenders = sorted(n for n, op in instance.operators.items() if op.neg_post)
+    if offenders:
+        raise NegativePostconditionError(f"operators with negative postconditions: {offenders}")
 
 
 def plan_exists(instance: StripsInstance, max_states: int = DEFAULT_SEARCH_BUDGET) -> Plan | None:
@@ -205,9 +207,7 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
     ``NegativePostconditionError`` on instances outside the add-only
     fragment and ``SearchBudgetError`` past ``max_states`` expansions.
     """
-    offenders = sorted(n for n, op in instance.operators.items() if op.neg_post)
-    if offenders:
-        raise NegativePostconditionError(f"operators with negative postconditions: {offenders}")
+    require_add_only(instance)
     goal = instance.goal
     # Conditions never become false again, so any state overlapping
     # must_false is a dead end, the initial state included.  Saturation

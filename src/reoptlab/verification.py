@@ -2,10 +2,8 @@
 
 Each sweep returns a list of failure strings, one minimal reproducer per
 counterexample; an empty list is a pass.  The sweeps drive every
-construction against the exhaustive oracles.  The acceptance tests run
-them at ``DEFAULT_SEED``; the ``verify`` command passes its ``--seed``
-(default 0) through ``run_suite``, so its random samples differ from
-theirs unless that seed is given.
+construction against the exhaustive oracles.  Their random samples are
+drawn from ``DEFAULT_SEED`` unless a seed is given.
 """
 
 from __future__ import annotations

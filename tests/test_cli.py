@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -167,6 +169,21 @@ def test_reduce_replanning_fields(tmp_path):
     assert "e" in payload["instance"]["operators"]
 
 
+@pytest.mark.parametrize("kind, keys", [
+    ("fixed-model", {"formula", "change_clause", "hint_model"}),
+    ("unique-model", {"formula", "add_clause", "del_clause"}),
+    ("nsat", {"unary_part", "formula"}),
+    ("replanning", {"instance", "original_plan", "add_to_initial", "remove_from_initial"}),
+    ("vc-gadget", {"source", "budget", "nodes", "edges"}),
+])
+def test_reduce_output_keys(tmp_path, capsys, kind, keys):
+    # The keys are the output format: renaming a record field changes it.
+    source = tmp_path / "f.cnf"
+    source.write_text(PAPER_CNF)
+    assert run(["reduce", "--kind", kind, "--input", source]) == 0
+    assert json.loads(capsys.readouterr().out).keys() == keys
+
+
 def test_solve_sat_reports_model(tmp_path, capsys):
     source = tmp_path / "f.cnf"
     source.write_text("p cnf 1 1\n1 0\n")
@@ -262,8 +279,12 @@ def test_verify_forwards_the_global_seed(monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "run_suite", lambda name, **kw: seen.append((name, kw)) or [])
     assert run(["verify", "--seed", 5, "--suite", "vc-gadget"]) == 0
+    # Without --seed the sweeps keep their own default, the acceptance tests' seed.
+    assert run(["verify", "--suite", "vc-gadget"]) == 0
     assert seen == [("vc-gadget",
-                     {"max_vars": None, "max_clauses": None, "samples": None, "seed": 5})]
+                     {"max_vars": None, "max_clauses": None, "samples": None, "seed": 5}),
+                    ("vc-gadget",
+                     {"max_vars": None, "max_clauses": None, "samples": None, "seed": None})]
 
 
 def test_verify_usage_errors():
@@ -305,6 +326,53 @@ def test_experiment_stdout_csv_is_the_report_alone(capsys):
     assert len(rows) == 4
     assert rows[0][0] == "trial_id"
     assert captured.err.startswith("trials=3 ")
+
+
+def test_experiment_verdict_mismatch_exits_2_with_the_reproducer(monkeypatch, capsys):
+    import reoptlab.experiments as experiments
+
+    trial = experiments.SCENARIOS["vc"]["edge-add"]
+
+    def flipped(rng, config):
+        change_id, cold, cold_work, hinted, reproducer = trial(rng, config)
+        wrong = hinted._replace(solution=None if cold is not None else frozenset())
+        return change_id, cold, cold_work, wrong, reproducer
+
+    monkeypatch.setitem(experiments.SCENARIOS["vc"], "edge-add", flipped)
+    assert run(["experiment", "--problem", "vc", "--trials", 1]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verdict mismatch: trial 0 (seed 0, vc/edge-add, change +")
+    assert "\ngraph edges: [(" in captured.err and "budget: " in captured.err
+
+
+@pytest.mark.parametrize("problem, sizes, options", [
+    ("vc", ["--nodes", 50, "--edges", 151], ["--budget", 29]),
+    ("sat", ["--variables", 20, "--clauses", 20], []),
+    ("strips", None, []),
+])
+def test_solve_output_does_not_depend_on_the_hash_salt(tmp_path, problem, sizes, options):
+    # String hashing is salted per process, so no iteration over a set of
+    # labels may reach a witness or a work count.
+    instance = tmp_path / "instance"
+    if sizes is None:
+        # A guard-removal instance that has a plan, found after a real search.
+        f = random_formula(random.Random(5), 6, 6)
+        instance.write_text(instance_to_json(apply_initial_change(sat_to_replanning(f))))
+    else:
+        assert run(["generate", "--seed", 5, "--out", instance, "--problem", problem, *sizes]) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = set()
+    for salt in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": salt,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "reoptlab.cli", "solve", "--problem", problem,
+             "--input", str(instance), *map(str, options)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        outputs.add(result.stdout)
+    assert len(outputs) == 1, outputs
 
 
 def test_missing_input_file_is_a_usage_error(tmp_path):
@@ -441,6 +509,8 @@ def test_generate_rejects_size_options_its_problem_does_not_read(capsys, problem
     ("strips", ["--conditions", 0, "--operators", 3], "conditions"),
     ("sat", ["--variables", 1, "--clauses", 5], "clauses"),
     ("sat", ["--variables", 2, "--clauses", 5, "--clause-size", 1], "clauses"),
+    ("sat", ["--count", 0], "count"),
+    ("sat", ["--count", 2], "count"),
 ])
 def test_generate_refuses_sizes_it_cannot_honour(capsys, problem, sizes, option):
     assert run(["generate", "--seed", 3, "--problem", problem, *sizes]) == 1

@@ -173,6 +173,8 @@ def test_disjoin_literal():
     assert disjoin_literal(cnf(), 2).clauses == frozenset()
     out = disjoin_literal(cnf([(1,), (-1,)]), 2)
     assert out.clauses == frozenset({(1, 2), (-1, 2)})
+    with pytest.raises(ValueError, match="0 is not a literal"):
+        disjoin_literal(cnf([(1,)]), 0)
 
 
 def test_disjoin_literal_extends_alphabet_even_without_clauses():

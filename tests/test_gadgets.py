@@ -413,3 +413,5 @@ def test_apply_unit_changes_runs_removals_then_additions():
     assert out.budget == g.budget + 1
     with pytest.raises(ClauseTooLargeError):
         apply_unit_changes(g, ChangeSet(additions=((1, 2),)))
+    with pytest.raises(ClauseTooLargeError):
+        apply_unit_changes(g, ChangeSet(deletions=((1, 2),)))

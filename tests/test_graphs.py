@@ -25,6 +25,7 @@ from reoptlab.graphs import (
     serialize_edge_list,
     warm_start_cover_stats,
 )
+from reoptlab.hints import ReuseOutcome
 from reoptlab.solvers import solve_dpll
 from reoptlab.verification import gadget_cases
 
@@ -191,8 +192,8 @@ def test_warm_start_fast_path_returns_old_cover():
     g = graph(edges=[("a", "b"), ("b", "c")])
     grown = add_edges(g, [("a", "c")])
     old = frozenset({"a", "b"})
-    cover, hint_used, work = warm_start_cover_stats(grown, old, [("a", "c")], 2)
-    assert cover == old and hint_used and work == 1
+    outcome = warm_start_cover_stats(grown, old, [("a", "c")], 2)
+    assert isinstance(outcome, ReuseOutcome) and outcome == ReuseOutcome(old, True, 1)
 
 
 def test_warm_start_falls_back_when_edge_uncovered():
@@ -209,6 +210,10 @@ def test_warm_start_rejects_invalid_hint():
     g = graph(edges=[("a", "b"), ("b", "c")])
     with pytest.raises(InvalidHintError):
         warm_start_cover_stats(g, set(), [("b", "c")], 2)
+    with pytest.raises(ValueError, match=r"added edges not present in the graph: \[\('a', 'c'\)\]"):
+        warm_start_cover_stats(g, {"b"}, [("c", "a")], 2)
+    with pytest.raises(UnknownNodeError, match=r"cover members outside the graph: \['z'\]"):
+        warm_start_cover_stats(g, {"b", "z"}, [("b", "c")], 2)
 
 
 def test_warm_start_agrees_with_fresh_decision():

@@ -293,6 +293,19 @@ def test_table_json_loads_compiled_tables_and_nothing_one_edit_away(
         table_from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("base", None), ("bound", "2"), ("candidates", 5), ("entries", []),
+])
+def test_table_json_rejects_a_malformed_field(field, value):
+    obj = json.loads(table_to_json(compile_table(cnf([(1,)]), [add_change(2)], 1)))
+    if value is None:
+        del obj[field]
+    else:
+        obj[field] = value
+    with pytest.raises(ValueError, match="missing or malformed table field"):
+        table_from_json(json.dumps(obj))
+
+
 def test_table_json_rejects_a_negative_bound():
     with pytest.raises(ValueError, match="bound -5 is negative"):
         compile_table(cnf([(1,)]), [add_change(2)], -5)

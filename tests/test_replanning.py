@@ -1,5 +1,6 @@
 import pytest
 
+from reoptlab import replanning
 from reoptlab.cnf import cnf
 from reoptlab.enumeration import iter_small_formulas, random_plansat_instance
 from reoptlab.replanning import (
@@ -107,17 +108,18 @@ def test_count_irredundant_plans_multiple_routes():
     assert count_irredundant_plans(inst) == 2
 
 
-def test_count_irredundant_plans_budget_and_preconditions():
+def test_count_irredundant_plans_budget_and_preconditions(monkeypatch):
     inst = make_instance(["p"], {"kill": make_operator(neg_post=["p"])})
-    with pytest.raises(NegativePostconditionError):
+    with pytest.raises(NegativePostconditionError, match=r"\['kill'\]"):
         count_irredundant_plans(inst)
     chain = make_instance(
         ["p", "q"],
         {"one": make_operator(pos_post=["p"]), "two": make_operator(pos_post=["q"])},
         goal_true=["p", "q"],
     )
+    monkeypatch.setattr(replanning, "_MAX_PLAN_PREFIXES", 2)
     with pytest.raises(SearchBudgetError):
-        count_irredundant_plans(chain, max_nodes=2)
+        count_irredundant_plans(chain)
 
 
 def test_count_irredundant_plans_long_chain_needs_no_recursion():

@@ -13,7 +13,6 @@ from reoptlab.strips import (
     NegativePostconditionError,
     SearchBudgetError,
     UnknownOperatorError,
-    check_positive_postconditions,
     instance_from_json,
     instance_to_json,
     is_applicable,
@@ -21,6 +20,7 @@ from reoptlab.strips import (
     make_operator,
     plan_exists,
     plan_exists_stats,
+    require_add_only,
     validate_plan,
     validate_plan_stats,
 )
@@ -97,11 +97,14 @@ def test_validate_plan_work_is_linear():
         assert work <= 4 * len(plan) * sizes + 2 * sizes + len(plan) + 1
 
 
-def test_check_positive_postconditions():
-    assert check_positive_postconditions(guard_instance())
-    deleter = make_instance(["p"], {"kill": make_operator(neg_post=["p"])})
-    assert not check_positive_postconditions(deleter)
-    assert check_positive_postconditions(make_instance([], {}))
+def test_require_add_only():
+    require_add_only(guard_instance())
+    require_add_only(make_instance([], {}))
+    deleter = make_instance(["p", "q"], {"kill": make_operator(neg_post=["p"]),
+                                         "keep": make_operator(pos_post=["q"]),
+                                         "drop": make_operator(neg_post=["q"])})
+    with pytest.raises(NegativePostconditionError, match=r"\['drop', 'kill'\]"):
+        require_add_only(deleter)
 
 
 def test_plan_exists_trivial_goal():
