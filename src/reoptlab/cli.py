@@ -2,13 +2,14 @@
 
 Subcommands: generate, reduce, solve, mutate, verify, experiment,
 export-dot.  Exit codes: 0 success, 1 usage or input error, 2
-verification counterexample or verdict mismatch, 3 search/oracle budget
-exceeded.  An option is accepted only where it is read: given to a
-subcommand, ``--problem`` or ``verify --suite`` that does not read it,
-given a negative size, or given to ``generate`` a size it cannot honour,
-it is a usage error.  Every subcommand but
-``verify`` writes one output, to ``--out`` or stdout.  Warnings raised
-while a subcommand runs print as ``warning: <message>`` lines on stderr.
+verification counterexample or verdict mismatch, 3 any
+``BudgetExceededError`` (a search or oracle budget exceeded).  An option
+is accepted only where it is read: given to a subcommand, ``--problem``
+or ``verify --suite`` that does not read it, given a negative size, or
+given to ``generate`` a size it cannot honour, it is a usage error.
+Every subcommand but ``verify`` writes one output, to ``--out`` or
+stdout.  Warnings raised while a subcommand runs print as
+``warning: <message>`` lines on stderr.
 """
 
 from __future__ import annotations
@@ -24,34 +25,24 @@ from pathlib import Path
 from .cnf import CnfFormula, apply_changes
 from .dimacs import parse_changes, parse_dimacs, serialize_dimacs
 from .dot import gadget_to_dot
-from .enumeration import clause_pool_size, random_formula, random_graph, random_plansat_instance
+from .errors import BudgetExceededError
+from .enumeration import random_formula, random_graph, random_plansat_instance
 from .experiments import (
     SCALE_FIELDS,
     ExperimentConfig,
     InvalidConfigError,
     VerdictMismatchError,
+    check_formula_sizes,
     report_to_csv,
     report_to_json,
     run_experiment,
 )
 from .gadgets import apply_unit_changes, build_gadget, gadget_from_json, gadget_to_json
-from .graphs import (
-    GraphTooLargeError,
-    decide_cover_stats,
-    parse_edge_list,
-    serialize_edge_list,
-)
-from .hints import TableBudgetError
+from .graphs import decide_cover_stats, parse_edge_list, serialize_edge_list
 from .reductions import make_nsat_instance, reduce_fixed_model, reduce_unique_model
 from .replanning import sat_to_replanning
-from .solvers import DpllBudgetError, OracleLimitError, solve_brute, solve_dpll_stats
-from .strips import (
-    SearchBudgetError,
-    StripsInstance,
-    instance_from_json,
-    instance_to_json,
-    plan_exists_stats,
-)
+from .solvers import solve_brute, solve_dpll_stats
+from .strips import StripsInstance, instance_from_json, instance_to_json, plan_exists_stats
 from .verification import DEFAULT_SEED, SUITES, run_suite, suite_reads
 
 
@@ -87,10 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     sol.set_defaults(func=cmd_solve)
 
     mut = sub.add_parser("mutate", parents=[out], help="apply changes to a formula or gadget")
-    mut.add_argument("--input", required=True, type=Path)
+    mut.add_argument("--input", required=True, type=Path, help="DIMACS or gadget JSON file")
     mut.add_argument("--changes", required=True, type=Path,
                      help="change-list file; a gadget takes unit clauses only")
-    mut.add_argument("--gadget", action="store_true", help="treat input as a gadget file")
     mut.set_defaults(func=cmd_mutate)
 
     ver = sub.add_parser("verify", help="run oracle-equivalence sweeps")
@@ -164,11 +154,7 @@ def cmd_generate(args) -> int:
     size = _problem_options(args, GENERATE_READS)
     # Refuse sizes the generators would silently shrink or fail on.
     if args.problem == "sat":
-        if size["clause_size"] < 1:
-            raise InvalidConfigError("clause_size", "must be at least 1")
-        most = clause_pool_size(size["variables"], size["clause_size"])
-        if size["clauses"] > most:
-            raise InvalidConfigError("clauses", f"at most {most} distinct clauses fit these sizes")
+        check_formula_sizes(size["variables"], size["clauses"], size["clause_size"])
     elif args.problem == "vc":
         most = size["nodes"] * (size["nodes"] - 1) // 2
         if size["edges"] > most:
@@ -257,7 +243,8 @@ def cmd_solve(args) -> int:
 def cmd_mutate(args) -> int:
     text = args.input.read_text()
     changes = parse_changes(args.changes.read_text())
-    if args.gadget:
+    # No DIMACS line starts with these, so a file that does is a gadget.
+    if text.lstrip().startswith(("{", "[", '"')):
         _emit(args, gadget_to_json(apply_unit_changes(gadget_from_json(text), changes)))
     else:
         _emit(args, serialize_dimacs(apply_changes(parse_dimacs(text), changes)))
@@ -324,8 +311,7 @@ def _run(args) -> int:
     """Run the chosen subcommand and map its errors to exit codes."""
     try:
         return args.func(args)
-    except (OracleLimitError, DpllBudgetError, GraphTooLargeError, SearchBudgetError,
-            TableBudgetError) as exc:
+    except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
     except VerdictMismatchError as exc:

@@ -8,7 +8,8 @@ and experiments reproduce bit-for-bit from a seed.
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from bisect import bisect_right
+from itertools import accumulate, combinations, product
 from math import comb
 
 from .cnf import Clause, CnfFormula, clause, cnf
@@ -88,8 +89,14 @@ def random_satisfiable_formula(rng: random.Random, num_vars: int, num_clauses: i
 
 def random_graph(rng: random.Random, num_nodes: int, num_edges: int) -> Graph:
     labels = [f"v{i:02d}" for i in range(1, num_nodes + 1)]
-    pairs = list(combinations(labels, 2))
-    picked = rng.sample(pairs, min(num_edges, len(pairs)))
+    # Node pairs are drawn by their index in ``combinations(labels, 2)``
+    # order without listing them; row i holds the pairs (i, j > i) and
+    # starts at offsets[i].
+    offsets = list(accumulate(range(num_nodes - 1, 0, -1), initial=0))
+    picked = []
+    for index in rng.sample(range(offsets[-1]), min(num_edges, offsets[-1])):
+        row = bisect_right(offsets, index) - 1
+        picked.append((labels[row], labels[row + 1 + index - offsets[row]]))
     return graph(labels, picked)
 
 
@@ -117,7 +124,7 @@ def random_plansat_instance(rng: random.Random, num_conditions: int,
 
 
 def random_hint_setup(rng: random.Random, num_vars: int = 3, num_clauses: int = 3,
-                      num_candidates: int = 3, bound: int = 2):
+                      num_candidates: int = 3):
     """A base formula plus a compatible candidate-change universe.
 
     Deletion candidates target clauses of the base; addition candidates
@@ -137,4 +144,4 @@ def random_hint_setup(rng: random.Random, num_vars: int = 3, num_clauses: int = 
     candidates = [ElementaryChange("del", cl) for cl in dels]
     candidates += [ElementaryChange("add", cl) for cl in sorted(adds)]
     rng.shuffle(candidates)
-    return base, tuple(candidates), bound
+    return base, tuple(candidates)

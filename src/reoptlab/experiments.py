@@ -18,7 +18,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import combinations
 
 from .cnf import ChangeSet, apply_changes
-from .dimacs import serialize_changes, serialize_dimacs
+from .dimacs import MAX_DIMACS_VARIABLES, serialize_changes, serialize_dimacs
 from .enumeration import (
     clause_pool_size,
     random_clause,
@@ -67,6 +67,17 @@ class ExperimentConfig:
         return self.scenario or next(iter(SCENARIOS[self.problem]))
 
 
+def check_formula_sizes(variables: int, clauses: int, clause_size: int) -> None:
+    """Refuse formula sizes that ``random_formula`` would shrink or DIMACS could not hold."""
+    if clause_size < 1:
+        raise InvalidConfigError("clause_size", "must be at least 1")
+    if variables > MAX_DIMACS_VARIABLES:
+        raise InvalidConfigError("variables", f"exceeds the DIMACS limit {MAX_DIMACS_VARIABLES}")
+    most = clause_pool_size(variables, clause_size)
+    if clauses > most:
+        raise InvalidConfigError("clauses", f"at most {most} distinct clauses fit these sizes")
+
+
 def validate_config(config: ExperimentConfig) -> None:
     if config.problem not in SCENARIOS:
         raise InvalidConfigError("problem", f"must be one of {sorted(SCENARIOS)}")
@@ -83,18 +94,13 @@ def validate_config(config: ExperimentConfig) -> None:
         raise InvalidConfigError("clauses", "must be non-negative")
     if config.edges < 0:
         raise InvalidConfigError("edges", "must be non-negative")
-    if not 1 <= config.clause_size:
-        raise InvalidConfigError("clause_size", "must be at least 1")
     if "variables" in SCALE_FIELDS[config.problem] and config.variables > ORACLE_LIMIT:
         raise InvalidConfigError("variables", f"exceeds the oracle limit {ORACLE_LIMIT}")
     if config.problem == "strips" and config.clauses < 1:
         raise InvalidConfigError("clauses", "the replanning scenario needs at least one clause")
     if scenario == "add-clause" and config.variables < 1:
         raise InvalidConfigError("variables", "the added clause needs at least one variable")
-    if "clauses" in SCALE_FIELDS[config.problem]:
-        most = clause_pool_size(config.variables, config.clause_size)
-        if config.clauses > most:
-            raise InvalidConfigError("clauses", f"at most {most} distinct clauses fit these sizes")
+    check_formula_sizes(config.variables, config.clauses, config.clause_size)
     if config.problem == "vc":
         if config.nodes < 2:
             raise InvalidConfigError("nodes", "need at least two nodes to add an edge")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import InvalidHintError
+from .errors import BudgetExceededError, InvalidHintError
 from .hints import ReuseOutcome
 
 COVER_ORACLE_LIMIT = 24
@@ -29,7 +29,7 @@ class UnknownNodeError(ValueError):
     """A referenced node is not part of the graph."""
 
 
-class GraphTooLargeError(RuntimeError):
+class GraphTooLargeError(BudgetExceededError):
     """Node count exceeds the exhaustive-search limit."""
 
 

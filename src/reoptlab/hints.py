@@ -22,14 +22,14 @@ from typing import Any, Mapping, NamedTuple
 
 from .cnf import Assignment, ChangeSet, Clause, CnfFormula, apply_changes, clause, evaluate
 from .dimacs import parse_dimacs, serialize_dimacs
-from .errors import InvalidHintError
+from .errors import BudgetExceededError, InvalidHintError
 from .solvers import solve_dpll, solve_dpll_stats
 from .strips import StripsInstance, plan_exists_stats, validate_plan_stats
 
 DEFAULT_TABLE_BUDGET = 1 << 16
 
 
-class TableBudgetError(RuntimeError):
+class TableBudgetError(BudgetExceededError):
     """The candidate universe would need more entries than allowed."""
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .cnf import Assignment, CnfFormula, evaluate
+from .errors import BudgetExceededError
 
 ORACLE_LIMIT = 20
 # Mentioned variables times clauses above which DPLL refuses a formula,
@@ -28,11 +29,11 @@ ORACLE_LIMIT = 20
 DPLL_BUDGET = 1 << 26
 
 
-class OracleLimitError(RuntimeError):
+class OracleLimitError(BudgetExceededError):
     """Alphabet too large for exhaustive enumeration."""
 
 
-class DpllBudgetError(RuntimeError):
+class DpllBudgetError(BudgetExceededError):
     """Formula too large for DPLL's clause masks."""
 
 

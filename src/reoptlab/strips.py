@@ -23,6 +23,8 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
+from .errors import BudgetExceededError
+
 DEFAULT_SEARCH_BUDGET = 500_000
 
 Plan = tuple[str, ...]
@@ -36,7 +38,7 @@ class NegativePostconditionError(ValueError):
     """The instance is outside the add-only fragment the search supports."""
 
 
-class SearchBudgetError(RuntimeError):
+class SearchBudgetError(BudgetExceededError):
     """The configured search cap was exceeded."""
 
 

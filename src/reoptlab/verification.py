@@ -177,13 +177,9 @@ def sweep_hint_tables(samples: int = 50, seed: int = DEFAULT_SEED) -> list[str]:
     failures = []
     rng = random.Random(seed)
     for _ in range(samples):
-        base, candidates, bound = random_hint_setup(
-            rng,
-            num_vars=rng.randint(1, 4),
-            num_clauses=rng.randint(0, 4),
-            num_candidates=rng.randint(0, 4),
-            bound=rng.randint(0, 2),
-        )
+        sizes = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 4)
+        bound = rng.randint(0, 2)
+        base, candidates = random_hint_setup(rng, *sizes)
         table = compile_table(base, candidates, bound)
         for size in range(min(bound, len(candidates)) + 1):
             for combo in combinations(range(len(candidates)), size):

@@ -141,10 +141,9 @@ def test_criterion_9_format_round_trips():
         if instance_from_json(instance_to_json(inst)) != inst:
             failures.append(f"instance JSON round trip broke on artifact {index}")
 
-        base, candidates, bound = random_hint_setup(
-            rng, num_vars=rng.randint(1, 3), num_clauses=rng.randint(0, 3),
-            num_candidates=rng.randint(0, 3), bound=rng.randint(0, 2),
-        )
+        sizes = rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 3)
+        bound = rng.randint(0, 2)
+        base, candidates = random_hint_setup(rng, *sizes)
         table = compile_table(base, candidates, bound)
         if table_from_json(table_to_json(table)) != table:
             failures.append(f"hint-table round trip broke on artifact {index}")

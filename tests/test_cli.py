@@ -16,9 +16,11 @@ from reoptlab.cnf import cnf
 from reoptlab.dimacs import parse_dimacs
 from reoptlab.enumeration import random_formula
 from reoptlab.gadgets import build_gadget, gadget_to_json
-from reoptlab.graphs import parse_edge_list
+from reoptlab.graphs import GraphTooLargeError, parse_edge_list
+from reoptlab.hints import TableBudgetError
 from reoptlab.replanning import apply_initial_change, sat_to_replanning
-from reoptlab.strips import instance_to_json
+from reoptlab.solvers import DpllBudgetError, OracleLimitError
+from reoptlab.strips import SearchBudgetError, instance_to_json
 
 from test_strips import dead_branch_instance
 
@@ -104,7 +106,7 @@ def test_export_dot_gains_one_edge_after_unit_add(tmp_path):
     run(["reduce", "--out", before, "--kind", "vc-gadget", "--input", source])
     changes = tmp_path / "d.changes"
     changes.write_text("+ -2 0\n")
-    assert run(["mutate", "--out", after, "--gadget", "--input", before,
+    assert run(["mutate", "--out", after, "--input", before,
                 "--changes", changes]) == 0
     n_before = len(json.loads(before.read_text())["edges"])
     n_after = len(json.loads(after.read_text())["edges"])
@@ -141,7 +143,7 @@ def test_mutate_gadget_with_change_file(tmp_path):
     changes = tmp_path / "d.changes"
     changes.write_text("- -1 0\n+ -2 0\n")
     out = tmp_path / "mutated.json"
-    assert run(["mutate", "--out", out, "--gadget", "--input", gadget_file,
+    assert run(["mutate", "--out", out, "--input", gadget_file,
                 "--changes", changes]) == 0
     payload = json.loads(out.read_text())
     assert payload["budget"] == 4  # one removal raises the budget
@@ -255,7 +257,7 @@ def test_mutate_requires_changes_in_dimacs_mode(tmp_path, capsys):
     assert run(["mutate", "--input", source]) == 1
     gadget_file = tmp_path / "g.json"
     gadget_file.write_text(gadget_to_json(build_gadget(cnf([(1,)]))))
-    assert run(["mutate", "--gadget", "--input", gadget_file]) == 1
+    assert run(["mutate", "--input", gadget_file]) == 1
     assert "--changes" in capsys.readouterr().err
 
 
@@ -271,6 +273,19 @@ def test_verify_counterexample_exit_code(monkeypatch, capsys):
     assert run(["verify", "--suite", "vc-gadget"]) == 2
     out = capsys.readouterr().out
     assert "FAIL" in out and "witness formula" in out
+
+
+@pytest.mark.parametrize("error", [OracleLimitError, DpllBudgetError, GraphTooLargeError,
+                                   SearchBudgetError, TableBudgetError])
+def test_every_budget_error_exits_3(monkeypatch, capsys, error):
+    import reoptlab.cli as cli
+
+    def exceed(name, **kw):
+        raise error("over the cap")
+
+    monkeypatch.setattr(cli, "run_suite", exceed)
+    assert run(["verify", "--suite", "vc-gadget"]) == 3
+    assert capsys.readouterr().err == "budget exceeded: over the cap\n"
 
 
 def test_verify_forwards_the_global_seed(monkeypatch):
@@ -437,7 +452,7 @@ def test_solve_sat_rejects_a_huge_header_count(tmp_path, capsys):
      '{"operators": {"o": [[], [], [1], []]}, "conditions": ["a"], "initial": [],'
      ' "goal": {"must_true": ["a"], "must_false": []}}'),
     (["export-dot"], '{"nodes": 5, "edges": [], "budget": 0, "roles": {}, "source": "p cnf 0 0\\n"}'),
-    (["mutate", "--gadget", "--changes", os.devnull], '"x"'),
+    (["mutate", "--changes", os.devnull], '"x"'),
 ], ids=["strips-list", "strips-string", "strips-operators-int", "strips-conditions-string",
         "strips-conditions-int", "strips-initial-string", "strips-must-true-string",
         "strips-must-false-int", "strips-operator-part-string", "strips-operator-string",
@@ -511,6 +526,7 @@ def test_generate_rejects_size_options_its_problem_does_not_read(capsys, problem
     ("sat", ["--variables", 2, "--clauses", 5, "--clause-size", 1], "clauses"),
     ("sat", ["--count", 0], "count"),
     ("sat", ["--count", 2], "count"),
+    ("sat", ["--variables", 2**20 + 1, "--clauses", 1], "variables"),
 ])
 def test_generate_refuses_sizes_it_cannot_honour(capsys, problem, sizes, option):
     assert run(["generate", "--seed", 3, "--problem", problem, *sizes]) == 1
@@ -569,7 +585,7 @@ NESTED_OBJECTS = '{"a":' * 200_000 + "1" + "}" * 200_000
 
 @pytest.mark.parametrize("command, text", [
     (["export-dot"], NESTED_ARRAYS),
-    (["mutate", "--gadget"], NESTED_ARRAYS),
+    (["mutate"], NESTED_ARRAYS),
     (["solve", "--problem", "strips"], NESTED_OBJECTS),
 ], ids=["export-dot", "mutate-gadget", "solve-strips"])
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, command, text):
@@ -819,8 +835,8 @@ def test_every_subcommand_exits_with_a_documented_code_on_fuzzed_files(
             *(["reduce", "--kind", kind, "--input", f["dimacs"]]
               for kind in ("fixed-model", "unique-model", "nsat", "vc-gadget", "replanning")),
             ["mutate", "--input", f["dimacs"], "--changes", f["changes"]],
-            ["mutate", "--gadget", "--input", f["json"], "--changes", f["changes"]],
-            ["mutate", "--gadget", "--input", f["json"], "--changes", f["unit"]],
+            ["mutate", "--input", f["json"], "--changes", f["changes"]],
+            ["mutate", "--input", f["json"], "--changes", f["unit"]],
             ["export-dot", "--input", f["json"]],
         ]
         for command in commands:

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import combinations
 
 from reoptlab.cnf import is_tautology
 from reoptlab.enumeration import (
@@ -9,6 +11,7 @@ from reoptlab.enumeration import (
     random_hint_setup,
     random_plansat_instance,
 )
+from reoptlab.graphs import graph
 
 
 def test_clause_pool_size():
@@ -42,6 +45,32 @@ def test_random_graph_is_seed_deterministic():
     assert len(a.edges) == 10
 
 
+def _random_graph_from_listed_pairs(rng, num_nodes, num_edges):
+    labels = [f"v{i:02d}" for i in range(1, num_nodes + 1)]
+    pairs = list(combinations(labels, 2))
+    return graph(labels, rng.sample(pairs, min(num_edges, len(pairs))))
+
+
+def test_random_graph_draws_the_pairs_a_listed_draw_would():
+    for seed in range(200):
+        rng = random.Random(seed)
+        num_nodes = rng.randint(0, 30)
+        num_edges = rng.randint(0, num_nodes * (num_nodes - 1) // 2 + 2)
+        expected = _random_graph_from_listed_pairs(random.Random(seed), num_nodes, num_edges)
+        assert random_graph(random.Random(seed), num_nodes, num_edges) == expected
+
+
+def test_random_graph_does_not_list_every_node_pair():
+    tracemalloc.start()
+    try:
+        g = random_graph(random.Random(0), 2000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.nodes) == 2000 and len(g.edges) == 1
+    assert peak < 5 * 2**20
+
+
 def test_random_plansat_instance_is_add_only():
     rng = random.Random(9)
     for _ in range(20):
@@ -53,10 +82,9 @@ def test_random_plansat_instance_is_add_only():
 def test_random_hint_setup_candidates_are_compatible():
     rng = random.Random(4)
     for _ in range(20):
-        base, candidates, bound = random_hint_setup(rng, 3, 3, 4, 2)
+        base, candidates = random_hint_setup(rng, 3, 3, 4)
         assert len(set(candidates)) == len(candidates)
         adds = {c.clause for c in candidates if c.op == "add"}
         dels = {c.clause for c in candidates if c.op == "del"}
         assert not adds & dels
         assert dels <= base.clauses
-        assert bound == 2

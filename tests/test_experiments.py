@@ -77,6 +77,8 @@ def test_zero_trials_is_an_empty_report():
     (ExperimentConfig(variables=2, clauses=5, clause_size=1), "clauses"),
     (ExperimentConfig(problem="strips", variables=1, clauses=5), "clauses"),
     (ExperimentConfig(problem="vc", edges=-1), "edges"),
+    (ExperimentConfig(variables=-1), "variables"),
+    (ExperimentConfig(clauses=-1), "clauses"),
 ])
 def test_invalid_configs(config, field):
     with pytest.raises(InvalidConfigError) as err:

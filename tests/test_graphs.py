@@ -62,6 +62,8 @@ def test_edge_canonical_and_self_loop():
     assert edge("b", "a") == ("a", "b")
     with pytest.raises(ValueError):
         edge("a", "a")
+    with pytest.raises(ValueError, match="canonical order"):
+        Graph(frozenset({"a", "b"}), frozenset({("b", "a")}))
 
 
 def test_graph_factory_absorbs_endpoints():

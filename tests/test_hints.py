@@ -88,10 +88,9 @@ def test_lookup_hit_miss_and_bound():
 def test_table_completeness_sweep():
     rng = random.Random(19)
     for _ in range(20):
-        base, candidates, bound = random_hint_setup(
-            rng, num_vars=rng.randint(1, 4), num_clauses=rng.randint(0, 4),
-            num_candidates=rng.randint(0, 4), bound=rng.randint(0, 2),
-        )
+        sizes = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 4)
+        bound = rng.randint(0, 2)
+        base, candidates = random_hint_setup(rng, *sizes)
         table = compile_table(base, candidates, bound)
         for size in range(min(bound, len(candidates)) + 1):
             for combo in combinations(range(len(candidates)), size):
@@ -235,9 +234,8 @@ def test_table_json_checks_every_flipped_model():
     # formula: the entries must equal the recompiled ones.
     rng = random.Random(23)
     for _ in range(10):
-        base, candidates, bound = random_hint_setup(
-            rng, num_vars=3, num_clauses=3, num_candidates=3, bound=2)
-        text = table_to_json(compile_table(base, candidates, bound))
+        base, candidates = random_hint_setup(rng, num_vars=3, num_clauses=3, num_candidates=3)
+        text = table_to_json(compile_table(base, candidates, 2))
         for key, model in json.loads(text)["entries"].items():
             if model is None:
                 continue
@@ -259,10 +257,9 @@ def test_every_compiled_table_of_these_tests_loads():
     ]
     rng = random.Random(19)
     for _ in range(20):
-        setups.append(random_hint_setup(
-            rng, num_vars=rng.randint(1, 4), num_clauses=rng.randint(0, 4),
-            num_candidates=rng.randint(0, 4), bound=rng.randint(0, 2),
-        ))
+        sizes = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 4)
+        bound = rng.randint(0, 2)
+        setups.append((*random_hint_setup(rng, *sizes), bound))
     for base, candidates, bound in setups:
         table = compile_table(base, candidates, bound)
         assert table_from_json(table_to_json(table)) == table
@@ -274,8 +271,7 @@ def test_every_compiled_table_of_these_tests_loads():
        edit=st.sampled_from(["swap-null", "drop", "stray"]), data=st.data())
 def test_table_json_loads_compiled_tables_and_nothing_one_edit_away(
         seed, num_vars, num_clauses, num_candidates, bound, edit, data):
-    base, candidates, bound = random_hint_setup(
-        random.Random(seed), num_vars, num_clauses, num_candidates, bound)
+    base, candidates = random_hint_setup(random.Random(seed), num_vars, num_clauses, num_candidates)
     table = compile_table(base, candidates, bound)
     assert table_from_json(table_to_json(table)) == table
     obj = json.loads(table_to_json(table))

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +53,25 @@ def _reoptlab_names_read(tree: ast.Module) -> set[tuple[str, str]]:
                 and node.value.id in modules):
             names.add((modules[node.value.id], node.attr))
     return names
+
+
+def test_every_runtime_error_is_a_budget_error():
+    # The CLI exits 3 on BudgetExceededError; any other RuntimeError would
+    # escape its exit-code contract, except the verdict mismatch (exit 2).
+    from reoptlab.errors import BudgetExceededError
+    from reoptlab.experiments import VerdictMismatchError
+
+    package = importlib.import_module("reoptlab")
+    modules = [importlib.import_module(f"reoptlab.{info.name}")
+               for info in pkgutil.iter_modules(package.__path__)]
+    assert len(modules) > 10
+    strays = sorted(f"{module.__name__}.{name}" for module in modules
+                    for name, value in vars(module).items()
+                    if isinstance(value, type) and issubclass(value, RuntimeError)
+                    and value.__module__ == module.__name__
+                    and not issubclass(value, BudgetExceededError)
+                    and value is not VerdictMismatchError)
+    assert not strays, strays
 
 
 def test_every_name_the_benchmark_reads_exists():

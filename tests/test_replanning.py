@@ -176,6 +176,12 @@ def test_goal_compilation_name_collision_gets_nonce():
     assert "g1" in compiled.conditions
     assert "o1" in compiled.operators
     assert plan_exists(compiled) is not None
+    crowded = make_instance(["g", "g1"], {}, initial=["g1"], goal_true=["g1"])
+    with pytest.warns(UserWarning, match="using g2 instead") as caught:
+        compiled = goal_compilation(crowded)
+    assert len(caught) == 1
+    assert compiled.goal.must_true == frozenset({"g2"})
+    assert compiled.conditions == frozenset({"g", "g1", "g2"})
 
 
 def test_goal_compilation_equivalence_sweep():
