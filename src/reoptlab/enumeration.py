@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import accumulate, combinations, product
-from math import comb
 
 from .cnf import Clause, CnfFormula, clause, cnf
 from .graphs import Graph, graph
@@ -54,7 +53,8 @@ def random_formula(rng: random.Random, num_vars: int, num_clauses: int,
 
     Clauses are drawn with ``random_clause``; if duplicates keep colliding,
     the rest are sampled from the clauses not yet chosen, so the count
-    falls short only when it exceeds ``clause_pool_size``.
+    falls short only when it exceeds the pool of distinct clauses, which
+    ``experiments.check_formula_sizes`` refuses.
     """
     alphabet = range(1, num_vars + 1)
     if num_vars == 0:
@@ -68,11 +68,6 @@ def random_formula(rng: random.Random, num_vars: int, num_clauses: int,
         rest = [cl for cl in all_clauses(alphabet, 1, max_size) if cl not in chosen]
         chosen.update(rng.sample(rest, min(num_clauses - len(chosen), len(rest))))
     return cnf(chosen, alphabet=alphabet)
-
-
-def clause_pool_size(num_vars: int, max_size: int = 3) -> int:
-    """How many distinct clauses ``random_clause`` can draw: the most ``random_formula`` returns."""
-    return sum(comb(num_vars, size) << size for size in range(1, min(max_size, num_vars) + 1))
 
 
 def random_satisfiable_formula(rng: random.Random, num_vars: int, num_clauses: int,

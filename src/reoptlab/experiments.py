@@ -20,7 +20,6 @@ from itertools import combinations
 from .cnf import ChangeSet, apply_changes
 from .dimacs import MAX_DIMACS_VARIABLES, serialize_changes, serialize_dimacs
 from .enumeration import (
-    clause_pool_size,
     random_clause,
     random_formula,
     random_graph,
@@ -73,9 +72,14 @@ def check_formula_sizes(variables: int, clauses: int, clause_size: int) -> None:
         raise InvalidConfigError("clause_size", "must be at least 1")
     if variables > MAX_DIMACS_VARIABLES:
         raise InvalidConfigError("variables", f"exceeds the DIMACS limit {MAX_DIMACS_VARIABLES}")
-    most = clause_pool_size(variables, clause_size)
-    if clauses > most:
-        raise InvalidConfigError("clauses", f"at most {most} distinct clauses fit these sizes")
+    pool, term = 0, 1  # distinct clauses, summed by size only until they hold ``clauses``
+    for size in range(1, min(clause_size, variables) + 1):
+        if pool >= clauses:
+            return
+        term = term * 2 * (variables - size + 1) // size  # comb(variables, size) << size
+        pool += term
+    if clauses > pool:
+        raise InvalidConfigError("clauses", f"at most {pool} distinct clauses fit these sizes")
 
 
 def validate_config(config: ExperimentConfig) -> None:
@@ -86,30 +90,24 @@ def validate_config(config: ExperimentConfig) -> None:
         raise InvalidConfigError(
             "scenario", f"must be one of {list(SCENARIOS[config.problem])} for {config.problem}"
         )
-    if config.trials < 0:
-        raise InvalidConfigError("trials", "must be non-negative")
-    if config.variables < 0:
-        raise InvalidConfigError("variables", "must be non-negative")
-    if config.clauses < 0:
-        raise InvalidConfigError("clauses", "must be non-negative")
-    if config.edges < 0:
-        raise InvalidConfigError("edges", "must be non-negative")
-    if "variables" in SCALE_FIELDS[config.problem] and config.variables > ORACLE_LIMIT:
+    for f in fields(ExperimentConfig):
+        if f.name in {"trials", *SCALE_FIELDS[config.problem]} and getattr(config, f.name) < 0:
+            raise InvalidConfigError(f.name, "must be non-negative")
+    if config.problem == "vc":
+        if config.nodes < 2:
+            raise InvalidConfigError("nodes", "need at least two nodes to add an edge")
+        if config.edges >= config.nodes * (config.nodes - 1) // 2:
+            raise InvalidConfigError("edges", "the base graph must be missing at least one edge")
+        if config.nodes > COVER_ORACLE_LIMIT:
+            raise InvalidConfigError("nodes", f"exceeds the cover oracle limit {COVER_ORACLE_LIMIT}")
+        return
+    if config.variables > ORACLE_LIMIT:
         raise InvalidConfigError("variables", f"exceeds the oracle limit {ORACLE_LIMIT}")
     if config.problem == "strips" and config.clauses < 1:
         raise InvalidConfigError("clauses", "the replanning scenario needs at least one clause")
     if scenario == "add-clause" and config.variables < 1:
         raise InvalidConfigError("variables", "the added clause needs at least one variable")
     check_formula_sizes(config.variables, config.clauses, config.clause_size)
-    if config.problem == "vc":
-        if config.nodes < 2:
-            raise InvalidConfigError("nodes", "need at least two nodes to add an edge")
-        max_edges = config.nodes * (config.nodes - 1) // 2
-        if config.edges >= max_edges:
-            raise InvalidConfigError("edges", "the base graph must be missing at least one edge")
-        if config.nodes > COVER_ORACLE_LIMIT:
-            raise InvalidConfigError(
-                "nodes", f"exceeds the cover oracle limit {COVER_ORACLE_LIMIT}")
 
 
 @dataclass
@@ -221,7 +219,8 @@ SCENARIOS = {
     "strips": {"initial-removal": _strips_removal_trial},
 }
 
-# The scale fields each problem's trials read.
+# The size fields each problem's trials read: ``validate_config`` checks
+# these and no others, and the CLI refuses any other one given.
 SCALE_FIELDS = {
     "sat": {"variables", "clauses", "clause_size"},
     "vc": {"nodes", "edges"},

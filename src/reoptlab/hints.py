@@ -101,11 +101,7 @@ def compile_table(base: CnfFormula, candidates, bound: int) -> HintTable:
     candidates = tuple(candidates)
     if len(set(candidates)) != len(candidates):
         raise ValueError("duplicate candidate changes")
-    added = {c.clause for c in candidates if c.op == "add"}
-    deleted = {c.clause for c in candidates if c.op == "del"}
-    conflict = added & deleted
-    if conflict:
-        raise ValueError(f"clauses offered both as addition and deletion: {sorted(conflict)}")
+    subset_changes(candidates, range(len(candidates)))  # refuses a clause on both sides
     effective = min(bound, len(candidates))
     total = sum(math.comb(len(candidates), size) for size in range(effective + 1))
     if total > DEFAULT_TABLE_BUDGET:

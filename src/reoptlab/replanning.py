@@ -35,18 +35,16 @@ _MAX_PLAN_PREFIXES = 100_000
 
 @dataclass(frozen=True)
 class ReplanningCase:
-    """An instance, a plan for it, and a pending initial-state change."""
+    """An instance, a plan for it, and conditions pending removal from its initial state."""
 
     instance: StripsInstance
     original_plan: Plan
-    add_to_initial: frozenset[str] = frozenset()
     remove_from_initial: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        for part in (self.add_to_initial, self.remove_from_initial):
-            stray = part - self.instance.conditions
-            if stray:
-                raise ValueError(f"change mentions unknown conditions: {sorted(stray)}")
+        stray = self.remove_from_initial - self.instance.conditions
+        if stray:
+            raise ValueError(f"change mentions unknown conditions: {sorted(stray)}")
         if not validate_plan(self.instance, self.original_plan):
             raise ValueError("original plan does not solve the instance")
 
@@ -84,8 +82,8 @@ def sat_to_replanning(f: CnfFormula) -> ReplanningCase:
 
 
 def apply_initial_change(case: ReplanningCase) -> StripsInstance:
-    """The modified instance: initial state minus removals, plus additions."""
-    initial = (case.instance.initial - case.remove_from_initial) | case.add_to_initial
+    """The modified instance: the initial state minus the removals."""
+    initial = case.instance.initial - case.remove_from_initial
     return StripsInstance(case.instance.conditions, case.instance.operators, initial, case.instance.goal)
 
 

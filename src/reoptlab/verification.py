@@ -186,7 +186,8 @@ def sweep_hint_tables(samples: int = 50, seed: int = DEFAULT_SEED) -> list[str]:
                 changes = subset_changes(candidates, combo)
                 got = lookup(table, changes)
                 if got is MISS:
-                    failures.append(f"unexpected miss for subset {combo} of {candidates}")
+                    failures.append(f"unexpected miss for subset {combo} of {candidates}"
+                                    f" on {describe_formula(base)}")
                     continue
                 changed = apply_changes(base, changes)
                 expected = solve_brute(changed)

@@ -175,7 +175,7 @@ def test_reduce_replanning_fields(tmp_path):
     ("fixed-model", {"formula", "change_clause", "hint_model"}),
     ("unique-model", {"formula", "add_clause", "del_clause"}),
     ("nsat", {"unary_part", "formula"}),
-    ("replanning", {"instance", "original_plan", "add_to_initial", "remove_from_initial"}),
+    ("replanning", {"instance", "original_plan", "remove_from_initial"}),
     ("vc-gadget", {"source", "budget", "nodes", "edges"}),
 ])
 def test_reduce_output_keys(tmp_path, capsys, kind, keys):

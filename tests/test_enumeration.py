@@ -2,14 +2,19 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import pytest
+
+from reoptlab import enumeration
 from reoptlab.cnf import is_tautology
 from reoptlab.enumeration import (
+    SATISFIABLE_ATTEMPTS,
     all_clauses,
     iter_small_formulas,
     random_formula,
     random_graph,
     random_hint_setup,
     random_plansat_instance,
+    random_satisfiable_formula,
 )
 from reoptlab.graphs import graph
 
@@ -36,6 +41,16 @@ def test_random_formula_is_seed_deterministic():
     assert a == b
     assert a != c
     assert a.alphabet == frozenset({1, 2, 3, 4})
+
+
+def test_random_satisfiable_formula_gives_up_after_its_attempts(monkeypatch):
+    solved = []
+    real = enumeration.solve_dpll
+    monkeypatch.setattr(enumeration, "solve_dpll", lambda f: solved.append(f) or real(f))
+    # One variable and two unit clauses: only {1, -1}, which is unsatisfiable.
+    with pytest.raises(ValueError, match=f"in {SATISFIABLE_ATTEMPTS} attempts"):
+        random_satisfiable_formula(random.Random(0), 1, 2, 1)
+    assert len(solved) == SATISFIABLE_ATTEMPTS
 
 
 def test_random_graph_is_seed_deterministic():

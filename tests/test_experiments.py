@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import time
+from dataclasses import fields, replace
 
 import pytest
 
+from reoptlab.enumeration import all_clauses
 from reoptlab.experiments import (
+    SCALE_FIELDS,
     ExperimentConfig,
     InvalidConfigError,
+    check_formula_sizes,
     report_to_csv,
     report_to_json,
     run_experiment,
@@ -79,11 +84,44 @@ def test_zero_trials_is_an_empty_report():
     (ExperimentConfig(problem="vc", edges=-1), "edges"),
     (ExperimentConfig(variables=-1), "variables"),
     (ExperimentConfig(clauses=-1), "clauses"),
+    (ExperimentConfig(problem="vc", nodes=-3, edges=-1), "nodes"),
 ])
 def test_invalid_configs(config, field):
     with pytest.raises(InvalidConfigError) as err:
         validate_config(config)
     assert err.value.field == field
+
+
+COMMON_FIELDS = {"seed", "problem", "scenario", "trials"}
+SIZE_FIELDS = set().union(*SCALE_FIELDS.values())
+
+
+def test_every_config_field_is_common_or_read_by_some_problem():
+    assert {f.name for f in fields(ExperimentConfig)} == COMMON_FIELDS | SIZE_FIELDS
+    assert not COMMON_FIELDS & SIZE_FIELDS
+
+
+@pytest.mark.parametrize("problem", sorted(SCALE_FIELDS))
+def test_sizes_a_problem_does_not_read_are_not_checked(problem):
+    for name in sorted(SIZE_FIELDS - SCALE_FIELDS[problem]):
+        for value in (-1, 2**21):
+            validate_config(replace(ExperimentConfig(problem=problem), **{name: value}))
+
+
+@pytest.mark.parametrize("variables", range(6))
+@pytest.mark.parametrize("clause_size", range(1, 7))
+def test_clause_pool_limit_is_the_number_of_distinct_clauses(variables, clause_size):
+    most = len(all_clauses(range(1, variables + 1), 1, clause_size))
+    check_formula_sizes(variables, most, clause_size)
+    with pytest.raises(InvalidConfigError, match=f"clauses: at most {most} distinct clauses fit"):
+        check_formula_sizes(variables, most + 1, clause_size)
+
+
+def test_clause_pool_limit_stops_summing_once_it_can_answer():
+    start = time.perf_counter()
+    check_formula_sizes(2**20, 1, 2**20)
+    check_formula_sizes(10_000, 0, 10_000)
+    assert time.perf_counter() - start < 1
 
 
 def test_csv_shape():

@@ -74,6 +74,10 @@ def test_compile_table_budget(monkeypatch):
         compile_table(cnf(), candidates, 17)
 
 
+def test_miss_prints_as_its_name():
+    assert repr(MISS) == "MISS"
+
+
 def test_lookup_hit_miss_and_bound():
     base = cnf([(1,)])
     candidates = (add_change(-1), add_change(2))

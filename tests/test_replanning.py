@@ -76,10 +76,9 @@ def test_replanning_case_validates_inputs():
         ReplanningCase(broken, ("e",))
 
 
-def test_apply_initial_change_add_and_remove():
-    inst = make_instance(["a", "t1"], {}, initial=["a"])
-    case = ReplanningCase(inst, (), add_to_initial=frozenset({"t1"}),
-                          remove_from_initial=frozenset({"a"}))
+def test_apply_initial_change_removes_conditions():
+    inst = make_instance(["a", "t1"], {}, initial=["a", "t1"])
+    case = ReplanningCase(inst, (), remove_from_initial=frozenset({"a"}))
     assert apply_initial_change(case).initial == frozenset({"t1"})
     untouched = ReplanningCase(inst, ())
     assert apply_initial_change(untouched) == inst

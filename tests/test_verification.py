@@ -1,8 +1,14 @@
+import dataclasses
+import inspect
 import warnings
 
 import pytest
 
 from reoptlab import verification
+from reoptlab.cnf import clause, cnf
+from reoptlab.hints import MISS
+from reoptlab.reductions import reduce_fixed_model
+from reoptlab.strips import make_instance
 from reoptlab.verification import (
     SUITES,
     run_suite,
@@ -44,6 +50,50 @@ def test_corrupted_gadget_budget_is_caught(monkeypatch, offset):
     failures = sweep_vc_gadget(2, 2, samples=0)
     assert failures
     assert "gadget verdict wrong" in failures[0]
+
+
+UNSATISFIABLE = cnf([(1,), (-1,)])
+
+
+def _fixed_model_reusing_variable_1(g):
+    return dataclasses.replace(reduce_fixed_model(g), change_clause=clause(-1))
+
+
+# One corruption per counterexample path of each sweep but ``sweep_vc_gadget``:
+# the sweep, the name it imports and its replacement, the text naming the
+# problem, and a mark of the reproducer (a DIMACS header or instance JSON).
+@pytest.mark.parametrize("sweep, name, replacement, problem, reproducer", [
+    (sweep_solver_agreement, "solve_dpll", lambda f: None, "solver disagreement", "p cnf"),
+    (sweep_solver_agreement, "evaluate", lambda f, a: False, "dpll returned a non-model", "p cnf"),
+    (sweep_fixed_model, "evaluate", lambda f, a: False, "hint fails the base formula", "p cnf"),
+    (sweep_fixed_model, "reduce_fixed_model", _fixed_model_reusing_variable_1,
+     "fresh variable collides with the alphabet", "p cnf"),
+    (sweep_fixed_model, "apply_changes", lambda f, c: UNSATISFIABLE,
+     "equisatisfiability broken", "p cnf"),
+    (sweep_unique_model, "count_models", lambda f: 2, "model count is not 1", "p cnf"),
+    (sweep_unique_model, "evaluate", lambda f, a: False, "the designated model is not a model",
+     "p cnf"),
+    (sweep_unique_model, "apply_changes", lambda f, c: UNSATISFIABLE,
+     "swap equisatisfiability broken", "p cnf"),
+    (sweep_replanning, "validate_plan", lambda i, p: False, "original plan invalid", "p cnf"),
+    (sweep_replanning, "count_irredundant_plans", lambda i: 2, "irredundant plan not unique",
+     "p cnf"),
+    (sweep_replanning, "plan_exists", lambda i: None, "replanning verdict wrong", "p cnf"),
+    (sweep_goal_compilation, "goal_compilation", lambda i: make_instance(["g"], {}, [], ["g"]),
+     "goal compilation changed the verdict", '"operators":'),
+    (sweep_hint_tables, "lookup", lambda t, c: MISS, "unexpected miss", "p cnf"),
+    (sweep_hint_tables, "lookup", lambda t, c: None, "table verdict wrong", "p cnf"),
+    (sweep_hint_tables, "evaluate", lambda f, a: False, "table stores a non-model", "p cnf"),
+])
+def test_corrupted_sweep_keeps_its_reproducer(monkeypatch, sweep, name, replacement, problem,
+                                              reproducer):
+    monkeypatch.setattr(verification, name, replacement)
+    scale = {"max_vars": 2, "max_clauses": 2, "samples": 10}
+    declared = inspect.signature(sweep).parameters
+    failures = sweep(**{k: v for k, v in scale.items() if k in declared})
+    assert failures
+    assert problem in failures[0]
+    assert reproducer in failures[0]
 
 
 def test_run_suite_dispatch():
