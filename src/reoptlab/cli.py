@@ -1,12 +1,15 @@
 """Command line front end.
 
 Subcommands: generate, reduce, solve, mutate, verify, experiment,
-export-dot.  Exit codes: 0 success, 1 usage or input error, 2
+export-dot.  ``generate``, ``solve`` and ``experiment`` take the problem
+(``sat``, ``vc`` or ``strips``) and ``verify`` the suite as a sub-command
+of their own, and the options follow it: ``solve vc --input g.edges
+--budget 2``.  Every option is declared on the parser of the command,
+problem or suite that reads it, so argparse refuses any other.  Exit
+codes: 0 success, 1 usage or input error (an undeclared option, a
+negative size, or a size ``generate`` cannot honour among them), 2
 verification counterexample or verdict mismatch, 3 any
-``BudgetExceededError`` (a search or oracle budget exceeded).  An option
-is accepted only where it is read: given to a subcommand, ``--problem``
-or ``verify --suite`` that does not read it, given a negative size, or
-given to ``generate`` a size it cannot honour, it is a usage error.
+``BudgetExceededError`` (a search or oracle budget exceeded).
 Every subcommand but ``verify`` writes one output, to ``--out`` or
 stdout.  Warnings raised while a subcommand runs print as
 ``warning: <message>`` lines on stderr.
@@ -55,71 +58,84 @@ def build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", type=Path, default=None, help="output path (default stdout)")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--input", required=True, type=Path)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", parents=[seed, out], help="write seeded random instances")
-    gen.add_argument("--problem", choices=("sat", "vc", "strips"), required=True)
-    _add_problem_options(gen, GENERATE_READS)
-    gen.add_argument("--count", type=int, default=1, help="number of instances")
-    gen.set_defaults(func=cmd_generate)
+    gen = _nested(sub, "generate", "problem", cmd_generate, help="write seeded random instances")
+    for problem, sizes in GENERATE_SIZES.items():
+        instance = gen.add_parser(problem, parents=[seed, out])
+        _add_sizes(instance, sizes)
+        instance.add_argument("--count", type=int, default=1, help="number of instances")
 
-    red = sub.add_parser("reduce", parents=[out], help="apply a construction to a DIMACS file")
+    red = sub.add_parser("reduce", parents=[source, out],
+                         help="apply a construction to a DIMACS file")
     red.add_argument("--kind", required=True, choices=(*_RECORD_BUILDERS, "vc-gadget"))
-    red.add_argument("--input", required=True, type=Path)
     red.set_defaults(func=cmd_reduce)
 
-    sol = sub.add_parser("solve", parents=[out], help="solve one instance file")
-    sol.add_argument("--problem", choices=("sat", "vc", "strips"), required=True)
-    sol.add_argument("--input", required=True, type=Path)
-    sol.add_argument("--method", choices=("dpll", "brute"), default=argparse.SUPPRESS,
-                     help="sat only (default dpll)")
-    sol.add_argument("--budget", type=_size, default=argparse.SUPPRESS,
-                     help="cover budget (vc only, required)")
-    sol.set_defaults(func=cmd_solve)
+    sol = _nested(sub, "solve", "problem", cmd_solve, help="solve one instance file")
+    sol.add_parser("sat", parents=[source, out]).add_argument(
+        "--method", choices=("dpll", "brute"), default="dpll", help="(default: %(default)s)")
+    sol.add_parser("vc", parents=[source, out]).add_argument(
+        "--budget", type=_size, required=True, help="cover budget")
+    sol.add_parser("strips", parents=[source, out])
 
-    mut = sub.add_parser("mutate", parents=[out], help="apply changes to a formula or gadget")
-    mut.add_argument("--input", required=True, type=Path, help="DIMACS or gadget JSON file")
+    mut = sub.add_parser("mutate", parents=[source, out],
+                         help="apply changes to a DIMACS formula or gadget JSON file")
     mut.add_argument("--changes", required=True, type=Path,
                      help="change-list file; a gadget takes unit clauses only")
     mut.set_defaults(func=cmd_mutate)
 
-    ver = sub.add_parser("verify", help="run oracle-equivalence sweeps")
-    ver.add_argument("--seed", type=int, default=None, help=f"sample seed (default {DEFAULT_SEED})")
-    ver.add_argument("--suite", required=True, choices=(*sorted(SUITES), "all"))
-    for name in ("--max-vars", "--max-clauses", "--samples"):
-        ver.add_argument(name, type=_size, default=None)
-    ver.set_defaults(func=cmd_verify)
+    ver = _nested(sub, "verify", "suite", cmd_verify, help="run oracle-equivalence sweeps",
+                  **dict.fromkeys(VERIFY_SCALES))
+    for suite in (*sorted(SUITES), "all"):
+        reads = set().union(*map(suite_reads, SUITES if suite == "all" else [suite]))
+        sweeps = ver.add_parser(suite)
+        sweeps.add_argument("--seed", type=int, default=None,
+                            help=f"sample seed (default {DEFAULT_SEED})")
+        for name in VERIFY_SCALES:
+            if name in reads:
+                sweeps.add_argument("--" + name.replace("_", "-"), type=_size, default=None)
 
-    exp = sub.add_parser("experiment", parents=[seed, out], help="cold-versus-hinted trials")
-    exp.add_argument("--problem", choices=("sat", "vc", "strips"), required=True)
-    exp.add_argument("--scenario", default="")
-    exp.add_argument("--trials", type=int, default=CONFIG_DEFAULTS["trials"])
-    exp.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
-    _add_problem_options(exp, EXPERIMENT_READS)
-    exp.set_defaults(func=cmd_experiment)
+    exp = _nested(sub, "experiment", "problem", cmd_experiment, help="cold-versus-hinted trials")
+    for problem in SCALE_FIELDS:
+        trials = exp.add_parser(problem, parents=[seed, out])
+        trials.add_argument("--scenario", default="", help="(default: the problem's first)")
+        trials.add_argument("--trials", type=int, default=ExperimentConfig.trials,
+                            help="(default: %(default)s)")
+        trials.add_argument("--format", choices=("csv", "json"), default="csv",
+                            help="report format")
+        _add_sizes(trials, _config_sizes(problem))
 
-    dot = sub.add_parser("export-dot", parents=[out], help="render a gadget file as DOT")
-    dot.add_argument("--input", required=True, type=Path)
+    dot = sub.add_parser("export-dot", parents=[source, out], help="render a gadget file as DOT")
     dot.set_defaults(func=cmd_export_dot)
     return parser
 
 
-CONFIG_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
-
-# The problem-specific options of each subcommand: for each problem, the
-# options it reads and their defaults.  Any other one given is refused.
-EXPERIMENT_READS = {problem: {n: d for n, d in CONFIG_DEFAULTS.items() if n in names}
-                    for problem, names in SCALE_FIELDS.items()}
-GENERATE_READS = {**EXPERIMENT_READS, "strips": {"conditions": 6, "operators": 6}}
-SOLVE_READS = {"sat": {"method": "dpll"}, "vc": {"budget": None}, "strips": {}}
+def _nested(sub, command: str, dest: str, func, help: str, **defaults):
+    """Subcommand ``command``, whose problem or suite ``dest`` is a sub-command."""
+    parser = sub.add_parser(command, help=help)
+    parser.set_defaults(func=func, **defaults)
+    return parser.add_subparsers(dest=dest, required=True)
 
 
-def _add_problem_options(parser, reads) -> None:
-    """Integer options that stay off the namespace unless given."""
-    for name, default in {n: d for options in reads.values() for n, d in options.items()}.items():
-        readers = "/".join(problem for problem, options in reads.items() if name in options)
-        parser.add_argument("--" + name.replace("_", "-"), type=_size, default=argparse.SUPPRESS,
-                            help=f"{readers} only (default {default})")
+def _config_sizes(problem: str) -> dict:
+    """The sizes ``problem``'s trials read, with their ``ExperimentConfig`` defaults."""
+    return {f.name: f.default for f in fields(ExperimentConfig) if f.name in SCALE_FIELDS[problem]}
+
+
+# The sizes ``generate`` reads, with their defaults; it draws a planning
+# instance directly, not from a formula.
+GENERATE_SIZES = {**{problem: _config_sizes(problem) for problem in SCALE_FIELDS},
+                  "strips": {"conditions": 6, "operators": 6}}
+# The scale options of the sweeps, as ``run_suite`` takes them.
+VERIFY_SCALES = ("max_vars", "max_clauses", "samples")
+
+
+def _add_sizes(parser, sizes: dict) -> None:
+    for name, default in sizes.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=_size, default=default,
+                            help="(default: %(default)s)")
 
 
 def _size(text: str) -> int:
@@ -128,17 +144,6 @@ def _size(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value
-
-
-def _problem_options(args, reads) -> dict:
-    """The options ``args.problem`` reads, defaults filled in; any other given is refused."""
-    given = {name: getattr(args, name)
-             for options in reads.values() for name in options if hasattr(args, name)}
-    unread = sorted(given.keys() - reads[args.problem].keys())
-    if unread:
-        raise InvalidConfigError(unread[0],
-                                 f"{args.command} --problem {args.problem} does not read it")
-    return {**reads[args.problem], **given}
 
 
 def _emit(args, text: str, path: Path | None = None) -> None:
@@ -151,15 +156,14 @@ def _emit(args, text: str, path: Path | None = None) -> None:
 
 
 def cmd_generate(args) -> int:
-    size = _problem_options(args, GENERATE_READS)
     # Refuse sizes the generators would silently shrink or fail on.
     if args.problem == "sat":
-        check_formula_sizes(size["variables"], size["clauses"], size["clause_size"])
+        check_formula_sizes(args.variables, args.clauses, args.clause_size)
     elif args.problem == "vc":
-        most = size["nodes"] * (size["nodes"] - 1) // 2
-        if size["edges"] > most:
-            raise InvalidConfigError("edges", f"{size['nodes']} nodes hold at most {most} edges")
-    elif size["conditions"] < 1 and size["operators"] > 0:
+        most = args.nodes * (args.nodes - 1) // 2
+        if args.edges > most:
+            raise InvalidConfigError("edges", f"{args.nodes} nodes hold at most {most} edges")
+    elif args.conditions < 1 and args.operators > 0:
         raise InvalidConfigError("conditions", "operators need at least one condition")
     if args.count < 1:
         raise InvalidConfigError("count", "must be at least 1")
@@ -168,13 +172,12 @@ def cmd_generate(args) -> int:
     rng = random.Random(args.seed)
     for index in range(args.count):
         if args.problem == "sat":
-            text = serialize_dimacs(random_formula(rng, size["variables"], size["clauses"],
-                                                   size["clause_size"]))
+            text = serialize_dimacs(random_formula(rng, args.variables, args.clauses,
+                                                   args.clause_size))
         elif args.problem == "vc":
-            text = serialize_edge_list(random_graph(rng, size["nodes"], size["edges"]))
+            text = serialize_edge_list(random_graph(rng, args.nodes, args.edges))
         else:
-            text = instance_to_json(random_plansat_instance(rng, size["conditions"],
-                                                            size["operators"]))
+            text = instance_to_json(random_plansat_instance(rng, args.conditions, args.operators))
         _emit(args, text, _indexed(args.out, index) if args.count > 1 else args.out)
     return 0
 
@@ -206,28 +209,24 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    options = _problem_options(args, SOLVE_READS)
     if args.problem == "sat":
         f = parse_dimacs(args.input.read_text())
-        if options["method"] == "brute":
+        if args.method == "brute":
             model = solve_brute(f)
             work = None
         else:
             model, work = solve_dpll_stats(f)
         obj = {
-            "method": options["method"],
+            "method": args.method,
             "satisfiable": model is not None,
             "model": None if model is None else sorted(model),
             "work": work,
         }
     elif args.problem == "vc":
-        budget = options["budget"]
-        if budget is None:
-            raise InvalidConfigError("budget", "--budget is required for vc solving")
         g = parse_edge_list(args.input.read_text())
-        cover, explored = decide_cover_stats(g, budget)
+        cover, explored = decide_cover_stats(g, args.budget)
         obj = {
-            "budget": budget,
+            "budget": args.budget,
             "within_budget": cover is not None,
             "cover": None if cover is None else sorted(cover),
             "work": explored,
@@ -253,11 +252,7 @@ def cmd_mutate(args) -> int:
 
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    overrides = {name: getattr(args, name) for name in ("max_vars", "max_clauses", "samples")}
-    read = set().union(*map(suite_reads, names))
-    unread = sorted({name for name, value in overrides.items() if value is not None} - read)
-    if unread:
-        raise InvalidConfigError(unread[0], f"verify --suite {args.suite} does not read it")
+    overrides = {name: getattr(args, name) for name in VERIFY_SCALES}
     bad = 0
     for name in names:
         failures = run_suite(name, **overrides, seed=args.seed)
@@ -270,13 +265,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    scale = _problem_options(args, EXPERIMENT_READS)
     config = ExperimentConfig(
         seed=args.seed,
         problem=args.problem,
         scenario=args.scenario,
         trials=args.trials,
-        **scale,
+        **{name: getattr(args, name) for name in SCALE_FIELDS[args.problem]},
     )
     report = run_experiment(config)
     _emit(args, report_to_csv(report) if args.format == "csv" else report_to_json(report))

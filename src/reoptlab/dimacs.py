@@ -18,9 +18,13 @@ def serialize_dimacs(formula: CnfFormula) -> str:
     """Canonical DIMACS text: clauses sorted, literals in canonical order.
 
     The header variable count is the largest alphabet id, so alphabets are
-    only round-trippable when they are contiguous from 1.
+    only round-trippable when they are contiguous from 1.  Raises
+    ``ValueError`` on a count above ``MAX_DIMACS_VARIABLES``, which
+    ``parse_dimacs`` would refuse to read back.
     """
     nvars = max(formula.alphabet, default=0)
+    if nvars > MAX_DIMACS_VARIABLES:
+        raise ValueError(f"variable {nvars} exceeds the DIMACS limit {MAX_DIMACS_VARIABLES}")
     lines = [f"p cnf {nvars} {len(formula.clauses)}"]
     for cl in sorted(formula.clauses, key=clause_sort_key):
         lines.append(" ".join([*map(str, cl), "0"]))

@@ -50,7 +50,7 @@ class VerdictMismatchError(RuntimeError):
     """Cold and hinted solving disagreed; the message is a reproducer."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
     problem: str = "sat"
@@ -110,7 +110,7 @@ def validate_config(config: ExperimentConfig) -> None:
     check_formula_sizes(config.variables, config.clauses, config.clause_size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialRow:
     trial_id: int
     problem: str
@@ -220,7 +220,7 @@ SCENARIOS = {
 }
 
 # The size fields each problem's trials read: ``validate_config`` checks
-# these and no others, and the CLI refuses any other one given.
+# these and no others, and the CLI declares only these.
 SCALE_FIELDS = {
     "sat": {"variables", "clauses", "clause_size"},
     "vc": {"nodes", "edges"},

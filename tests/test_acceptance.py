@@ -103,8 +103,8 @@ def test_criterion_8_hint_behavior_demonstrations(tmp_path):
         ("sat", "unique-swap", "single-model swap"),
     ):
         report_csv = tmp_path / f"{problem}-report.csv"
-        code = main(["experiment", "--seed", str(SEED), "--out", str(report_csv),
-                     "--problem", problem, "--scenario", scenario, "--trials", "40"])
+        code = main(["experiment", problem, "--seed", str(SEED), "--out", str(report_csv),
+                     "--scenario", scenario, "--trials", "40"])
         if code != 0:
             failures.append(f"{tag}: experiment exited {code}")
             continue

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import random
@@ -11,16 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reoptlab.cli import main
+from reoptlab.cli import build_parser, main
 from reoptlab.cnf import cnf
 from reoptlab.dimacs import parse_dimacs
 from reoptlab.enumeration import random_formula
+from reoptlab.experiments import SCALE_FIELDS
 from reoptlab.gadgets import build_gadget, gadget_to_json
 from reoptlab.graphs import GraphTooLargeError, parse_edge_list
 from reoptlab.hints import TableBudgetError
 from reoptlab.replanning import apply_initial_change, sat_to_replanning
 from reoptlab.solvers import DpllBudgetError, OracleLimitError
 from reoptlab.strips import SearchBudgetError, instance_to_json
+from reoptlab.verification import SUITES
 
 from test_strips import dead_branch_instance
 
@@ -34,9 +37,9 @@ def run(args):
 def test_generate_sat_is_byte_deterministic(tmp_path):
     first = tmp_path / "a.cnf"
     second = tmp_path / "b.cnf"
-    assert run(["generate", "--seed", 1, "--out", first, "--problem", "sat",
+    assert run(["generate", "sat", "--seed", 1, "--out", first,
                 "--variables", 3, "--clauses", 4]) == 0
-    assert run(["generate", "--seed", 1, "--out", second, "--problem", "sat",
+    assert run(["generate", "sat", "--seed", 1, "--out", second,
                 "--variables", 3, "--clauses", 4]) == 0
     assert first.read_bytes() == second.read_bytes()
     assert first.read_text().startswith("p cnf 3 ")
@@ -45,14 +48,14 @@ def test_generate_sat_is_byte_deterministic(tmp_path):
 def test_generate_different_seeds_differ(tmp_path):
     first = tmp_path / "a.cnf"
     second = tmp_path / "b.cnf"
-    run(["generate", "--seed", 1, "--out", first, "--problem", "sat"])
-    run(["generate", "--seed", 2, "--out", second, "--problem", "sat"])
+    run(["generate", "sat", "--seed", 1, "--out", first])
+    run(["generate", "sat", "--seed", 2, "--out", second])
     assert first.read_bytes() != second.read_bytes()
 
 
 def test_generate_count_writes_indexed_files(tmp_path):
     out = tmp_path / "batch.cnf"
-    assert run(["generate", "--seed", 1, "--out", out, "--problem", "sat", "--count", 3]) == 0
+    assert run(["generate", "sat", "--seed", 1, "--out", out, "--count", 3]) == 0
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["batch-000.cnf", "batch-001.cnf", "batch-002.cnf"]
 
@@ -60,7 +63,7 @@ def test_generate_count_writes_indexed_files(tmp_path):
 def test_random_gadget_is_the_gadget_of_a_generated_formula(tmp_path):
     formula = tmp_path / "f.cnf"
     gadget_file = tmp_path / "g.json"
-    assert run(["generate", "--seed", 3, "--out", formula, "--problem", "sat"]) == 0
+    assert run(["generate", "sat", "--seed", 3, "--out", formula]) == 0
     assert run(["reduce", "--out", gadget_file, "--kind", "vc-gadget", "--input", formula]) == 0
     expected = gadget_to_json(build_gadget(random_formula(random.Random(3), 4, 4, 3)))
     assert gadget_file.read_text() == expected
@@ -68,8 +71,7 @@ def test_random_gadget_is_the_gadget_of_a_generated_formula(tmp_path):
 
 def test_reduce_vc_gadget_rejects_wide_clauses(tmp_path, capsys):
     formula = tmp_path / "f.cnf"
-    assert run(["generate", "--seed", 3, "--out", formula, "--problem", "sat",
-                "--clause-size", 4]) == 0
+    assert run(["generate", "sat", "--seed", 3, "--out", formula, "--clause-size", 4]) == 0
     assert max(map(len, parse_dimacs(formula.read_text()).clauses)) == 4
     capsys.readouterr()
     assert run(["reduce", "--kind", "vc-gadget", "--input", formula]) == 1
@@ -78,8 +80,8 @@ def test_reduce_vc_gadget_rejects_wide_clauses(tmp_path, capsys):
 
 def test_generate_strips_and_solve(tmp_path):
     instance = tmp_path / "plan.json"
-    assert run(["generate", "--seed", 4, "--out", instance, "--problem", "strips"]) == 0
-    assert run(["solve", "--problem", "strips", "--input", instance]) == 0
+    assert run(["generate", "strips", "--seed", 4, "--out", instance]) == 0
+    assert run(["solve", "strips", "--input", instance]) == 0
 
 
 def test_reduce_and_export_dot(tmp_path, capsys):
@@ -127,11 +129,10 @@ def test_reduce_unique_model_and_nsat_fields(tmp_path):
 
 def test_generate_vc_edge_list_and_solve(tmp_path, capsys):
     edges = tmp_path / "g.edges"
-    assert run(["generate", "--seed", 6, "--out", edges, "--problem", "vc",
-                "--nodes", 6, "--edges", 7]) == 0
+    assert run(["generate", "vc", "--seed", 6, "--out", edges, "--nodes", 6, "--edges", 7]) == 0
     assert len(edges.read_text().splitlines()) >= 7
     capsys.readouterr()
-    assert run(["solve", "--problem", "vc", "--input", edges, "--budget", 6]) == 0
+    assert run(["solve", "vc", "--input", edges, "--budget", 6]) == 0
     assert json.loads(capsys.readouterr().out)["within_budget"] is True
 
 
@@ -189,7 +190,7 @@ def test_reduce_output_keys(tmp_path, capsys, kind, keys):
 def test_solve_sat_reports_model(tmp_path, capsys):
     source = tmp_path / "f.cnf"
     source.write_text("p cnf 1 1\n1 0\n")
-    assert run(["solve", "--problem", "sat", "--input", source]) == 0
+    assert run(["solve", "sat", "--input", source]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["satisfiable"] is True
     assert payload["model"] == [1]
@@ -199,7 +200,7 @@ def test_solve_strips_work_skips_a_dead_subtree(tmp_path, capsys):
     # Without the dead-end cut the search expands the 2^6 states below {d, x0}.
     source = tmp_path / "plan.json"
     source.write_text(instance_to_json(dead_branch_instance(6)))
-    assert run(["solve", "--problem", "strips", "--input", source]) == 0
+    assert run(["solve", "strips", "--input", source]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"plan": ["b0", "b1", "b2", "b3", "b4", "b5", "b6", "win"], "work": 8}
 
@@ -207,7 +208,7 @@ def test_solve_strips_work_skips_a_dead_subtree(tmp_path, capsys):
 def test_solve_vc_on_long_path(tmp_path, capsys):
     edges = tmp_path / "path.txt"
     edges.write_text("".join(f"p{i:04d} p{i + 1:04d}\n" for i in range(4000)))
-    assert run(["solve", "--problem", "vc", "--input", edges, "--budget", 2000]) == 0
+    assert run(["solve", "vc", "--input", edges, "--budget", 2000]) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["within_budget"] and len(result["cover"]) == 2000
 
@@ -215,9 +216,9 @@ def test_solve_vc_on_long_path(tmp_path, capsys):
 def test_solve_vc_needs_budget(tmp_path, capsys):
     edges = tmp_path / "g.edges"
     edges.write_text("a b\nb c\n")
-    assert run(["solve", "--problem", "vc", "--input", edges]) == 1
+    assert run(["solve", "vc", "--input", edges]) == 1
     capsys.readouterr()
-    assert run(["solve", "--problem", "vc", "--input", edges, "--budget", 1]) == 0
+    assert run(["solve", "vc", "--input", edges, "--budget", 1]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["within_budget"] is True
     assert payload["cover"] == ["b"]
@@ -225,9 +226,9 @@ def test_solve_vc_needs_budget(tmp_path, capsys):
 
 def test_solve_budget_exceeded_exit_code(tmp_path):
     wide = tmp_path / "wide.cnf"
-    run(["generate", "--seed", 2, "--out", wide, "--problem", "sat", "--variables", 21,
+    run(["generate", "sat", "--seed", 2, "--out", wide, "--variables", 21,
          "--clauses", 4])
-    assert run(["solve", "--problem", "sat", "--method", "brute", "--input", wide]) == 3
+    assert run(["solve", "sat", "--method", "brute", "--input", wide]) == 3
 
 
 def test_mutate_applies_change_file(tmp_path, capsys):
@@ -237,6 +238,26 @@ def test_mutate_applies_change_file(tmp_path, capsys):
     changes.write_text("- 1 0\n+ -1 0\n")
     assert run(["mutate", "--input", source, "--changes", changes]) == 0
     assert capsys.readouterr().out == "p cnf 1 1\n-1 0\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    (["mutate", "--changes", "{changes}"], "p cnf 2 1\n1 2 0\n"),
+    (["reduce", "--kind", "fixed-model"], "p cnf 1048576 1\n1 0\n"),
+], ids=["mutate-adds-a-variable", "reduce-adds-a-fresh-variable"])
+def test_a_formula_past_the_dimacs_limit_is_not_written(tmp_path, capsys, command, text):
+    # Either output would be headed by a variable count parse_dimacs refuses.
+    source = tmp_path / "f.cnf"
+    source.write_text(text)
+    changes = tmp_path / "c.changes"
+    changes.write_text("+ 2000000 0\n")
+    out = tmp_path / "out"
+    command = [str(a).format(changes=changes) for a in command]
+    assert run([*command, "--input", source]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "exceeds the DIMACS limit" in captured.err
+    assert run([*command, "--input", source, "--out", out]) == 1
+    assert not out.exists()
 
 
 def test_mutate_reports_an_absent_deletion_as_one_warning_line(tmp_path, capsys):
@@ -262,7 +283,7 @@ def test_mutate_requires_changes_in_dimacs_mode(tmp_path, capsys):
 
 
 def test_verify_suite_passes_at_small_scale(capsys):
-    assert run(["verify", "--suite", "hint-tables", "--samples", 5]) == 0
+    assert run(["verify", "hint-tables", "--samples", 5]) == 0
     assert "PASS" in capsys.readouterr().out
 
 
@@ -270,7 +291,7 @@ def test_verify_counterexample_exit_code(monkeypatch, capsys):
     import reoptlab.cli as cli
 
     monkeypatch.setattr(cli, "run_suite", lambda name, **kw: ["witness formula"])
-    assert run(["verify", "--suite", "vc-gadget"]) == 2
+    assert run(["verify", "vc-gadget"]) == 2
     out = capsys.readouterr().out
     assert "FAIL" in out and "witness formula" in out
 
@@ -284,7 +305,7 @@ def test_every_budget_error_exits_3(monkeypatch, capsys, error):
         raise error("over the cap")
 
     monkeypatch.setattr(cli, "run_suite", exceed)
-    assert run(["verify", "--suite", "vc-gadget"]) == 3
+    assert run(["verify", "vc-gadget"]) == 3
     assert capsys.readouterr().err == "budget exceeded: over the cap\n"
 
 
@@ -293,9 +314,9 @@ def test_verify_forwards_the_global_seed(monkeypatch):
 
     seen = []
     monkeypatch.setattr(cli, "run_suite", lambda name, **kw: seen.append((name, kw)) or [])
-    assert run(["verify", "--seed", 5, "--suite", "vc-gadget"]) == 0
+    assert run(["verify", "vc-gadget", "--seed", 5]) == 0
     # Without --seed the sweeps keep their own default, the acceptance tests' seed.
-    assert run(["verify", "--suite", "vc-gadget"]) == 0
+    assert run(["verify", "vc-gadget"]) == 0
     assert seen == [("vc-gadget",
                      {"max_vars": None, "max_clauses": None, "samples": None, "seed": 5}),
                     ("vc-gadget",
@@ -303,7 +324,7 @@ def test_verify_forwards_the_global_seed(monkeypatch):
 
 
 def test_verify_usage_errors():
-    assert run(["verify", "--suite", "nonsense"]) == 1
+    assert run(["verify", "nonsense"]) == 1
     assert run(["verify"]) == 1
     assert run([]) == 1
     assert run(["frobnicate"]) == 1
@@ -311,22 +332,21 @@ def test_verify_usage_errors():
 
 def test_experiment_writes_csv_and_json(tmp_path, capsys):
     report_csv = tmp_path / "report.csv"
-    assert run(["experiment", "--seed", 7, "--out", report_csv, "--problem", "strips",
-                "--trials", 5]) == 0
+    assert run(["experiment", "strips", "--seed", 7, "--out", report_csv, "--trials", 5]) == 0
     with open(report_csv) as handle:
         rows = list(csv.reader(handle))
     assert len(rows) == 6
     assert rows[0][0] == "trial_id"
     report_json = tmp_path / "r.json"
-    assert run(["experiment", "--seed", 7, "--out", report_json, "--format", "json",
-                "--problem", "strips", "--trials", 5]) == 0
+    assert run(["experiment", "strips", "--seed", 7, "--out", report_json, "--format", "json",
+                "--trials", 5]) == 0
     assert json.loads(report_json.read_text())["summary"]["trials"] == 5
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "report.csv"]
     assert capsys.readouterr().out == f"wrote {report_csv}\nwrote {report_json}\n"
 
 
 def test_experiment_stdout_json(capsys):
-    assert run(["experiment", "--format", "json", "--problem", "sat", "--trials", 2]) == 0
+    assert run(["experiment", "sat", "--format", "json", "--trials", 2]) == 0
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
     assert payload["summary"]["trials"] == 2
@@ -335,7 +355,7 @@ def test_experiment_stdout_json(capsys):
 
 
 def test_experiment_stdout_csv_is_the_report_alone(capsys):
-    assert run(["experiment", "--problem", "vc", "--trials", 3]) == 0
+    assert run(["experiment", "vc", "--trials", 3]) == 0
     captured = capsys.readouterr()
     rows = list(csv.reader(captured.out.splitlines()))
     assert len(rows) == 4
@@ -354,7 +374,7 @@ def test_experiment_verdict_mismatch_exits_2_with_the_reproducer(monkeypatch, ca
         return change_id, cold, cold_work, wrong, reproducer
 
     monkeypatch.setitem(experiments.SCENARIOS["vc"], "edge-add", flipped)
-    assert run(["experiment", "--problem", "vc", "--trials", 1]) == 2
+    assert run(["experiment", "vc", "--trials", 1]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("verdict mismatch: trial 0 (seed 0, vc/edge-add, change +")
@@ -375,14 +395,14 @@ def test_solve_output_does_not_depend_on_the_hash_salt(tmp_path, problem, sizes,
         f = random_formula(random.Random(5), 6, 6)
         instance.write_text(instance_to_json(apply_initial_change(sat_to_replanning(f))))
     else:
-        assert run(["generate", "--seed", 5, "--out", instance, "--problem", problem, *sizes]) == 0
+        assert run(["generate", problem, "--seed", 5, "--out", instance, *sizes]) == 0
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = set()
     for salt in ("0", "1"):
         env = {**os.environ, "PYTHONHASHSEED": salt,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
-            [sys.executable, "-m", "reoptlab.cli", "solve", "--problem", problem,
+            [sys.executable, "-m", "reoptlab.cli", "solve", problem,
              "--input", str(instance), *map(str, options)],
             env=env, capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
@@ -391,13 +411,13 @@ def test_solve_output_does_not_depend_on_the_hash_salt(tmp_path, problem, sizes,
 
 
 def test_missing_input_file_is_a_usage_error(tmp_path):
-    assert run(["solve", "--problem", "sat", "--input", tmp_path / "nope.cnf"]) == 1
+    assert run(["solve", "sat", "--input", tmp_path / "nope.cnf"]) == 1
 
 
 def test_solve_sat_on_long_chain(tmp_path, capsys):
     chain = tmp_path / "chain.cnf"
     chain.write_text("p cnf 3000 1500\n" + "".join(f"{2 * i + 1} {2 * i + 2} 0\n" for i in range(1500)))
-    assert run(["solve", "--problem", "sat", "--input", chain]) == 0
+    assert run(["solve", "sat", "--input", chain]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["satisfiable"] is True
     assert payload["work"] == 1500
@@ -407,7 +427,7 @@ def test_solve_sat_past_the_dpll_budget_exits_3(tmp_path, capsys):
     # 8,193 implications over 8,194 variables: just over 2^26 variables x clauses.
     chain = tmp_path / "chain.cnf"
     chain.write_text("p cnf 8194 8193\n" + "".join(f"-{i} {i + 1} 0\n" for i in range(1, 8194)))
-    assert run(["solve", "--problem", "sat", "--input", chain]) == 3
+    assert run(["solve", "sat", "--input", chain]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("budget exceeded: ")
@@ -416,39 +436,39 @@ def test_solve_sat_past_the_dpll_budget_exits_3(tmp_path, capsys):
 def test_solve_sat_rejects_a_negative_header_count(tmp_path, capsys):
     source = tmp_path / "neg.cnf"
     source.write_text("p cnf -1 0\n")
-    assert run(["solve", "--problem", "sat", "--input", source]) == 1
+    assert run(["solve", "sat", "--input", source]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_solve_sat_rejects_a_huge_header_count(tmp_path, capsys):
     source = tmp_path / "huge.cnf"
     source.write_text("p cnf 999999999 0\n")
-    assert run(["solve", "--problem", "sat", "--input", source]) == 1
+    assert run(["solve", "sat", "--input", source]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("command, text", [
-    (["solve", "--problem", "strips"], "[]"),
-    (["solve", "--problem", "strips"], '"x"'),
-    (["solve", "--problem", "strips"],
+    (["solve", "strips"], "[]"),
+    (["solve", "strips"], '"x"'),
+    (["solve", "strips"],
      '{"operators": 5, "conditions": [], "initial": [], "goal": {"must_true": [], "must_false": []}}'),
-    (["solve", "--problem", "strips"],
+    (["solve", "strips"],
      '{"operators": {}, "conditions": "abc", "initial": [], "goal": {"must_true": ["a"], "must_false": []}}'),
-    (["solve", "--problem", "strips"],
+    (["solve", "strips"],
      '{"operators": {}, "conditions": [1, "a"], "initial": [], "goal": {"must_true": ["a"], "must_false": []}}'),
-    (["solve", "--problem", "strips"],
+    (["solve", "strips"],
      '{"operators": {}, "conditions": ["a"], "initial": "a", "goal": {"must_true": ["a"], "must_false": []}}'),
-    (["solve", "--problem", "strips"],
+    (["solve", "strips"],
      '{"operators": {}, "conditions": ["a"], "initial": [], "goal": {"must_true": "a", "must_false": []}}'),
-    (["solve", "--problem", "strips"],
+    (["solve", "strips"],
      '{"operators": {}, "conditions": ["a"], "initial": [], "goal": {"must_true": [], "must_false": [0]}}'),
-    (["solve", "--problem", "strips"],
+    (["solve", "strips"],
      '{"operators": {"o": ["", [], ["a"], []]}, "conditions": ["a"], "initial": [],'
      ' "goal": {"must_true": ["a"], "must_false": []}}'),
-    (["solve", "--problem", "strips"],
+    (["solve", "strips"],
      '{"operators": {"o": "abcd"}, "conditions": ["a"], "initial": [],'
      ' "goal": {"must_true": ["a"], "must_false": []}}'),
-    (["solve", "--problem", "strips"],
+    (["solve", "strips"],
      '{"operators": {"o": [[], [], [1], []]}, "conditions": ["a"], "initial": [],'
      ' "goal": {"must_true": ["a"], "must_false": []}}'),
     (["export-dot"], '{"nodes": 5, "edges": [], "budget": 0, "roles": {}, "source": "p cnf 0 0\\n"}'),
@@ -479,12 +499,11 @@ def test_export_dot_rejects_a_hand_edited_budget(tmp_path, offset):
 
 def test_planning_sizes_belong_to_generate_only(tmp_path):
     instance = tmp_path / "p.json"
-    assert run(["generate", "--out", instance, "--problem", "strips",
-                "--conditions", 3, "--operators", 2]) == 0
+    assert run(["generate", "strips", "--out", instance, "--conditions", 3, "--operators", 2]) == 0
     payload = json.loads(instance.read_text())
     assert len(payload["conditions"]) == 3
     assert len(payload["operators"]) == 2
-    assert run(["experiment", "--problem", "strips", "--conditions", 99]) == 1
+    assert run(["experiment", "strips", "--conditions", 99]) == 1
 
 
 @pytest.mark.parametrize("problem, unread", [
@@ -495,8 +514,10 @@ def test_planning_sizes_belong_to_generate_only(tmp_path):
     ("vc", ["--clauses", 99, "--clause-size", 7]),
 ])
 def test_experiment_rejects_scale_options_its_problem_does_not_read(capsys, problem, unread):
-    assert run(["experiment", "--problem", problem, "--trials", 1, *unread]) == 1
-    assert "does not read" in capsys.readouterr().err
+    assert run(["experiment", problem, "--trials", 1, *unread]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {unread[0]}" in captured.err
 
 
 @pytest.mark.parametrize("problem, unread", [
@@ -508,12 +529,12 @@ def test_experiment_rejects_scale_options_its_problem_does_not_read(capsys, prob
     ("strips", ["--clause-size", 2]),
 ])
 def test_generate_rejects_size_options_its_problem_does_not_read(capsys, problem, unread):
-    assert run(["generate", "--seed", 3, "--problem", problem]) == 0
+    assert run(["generate", problem, "--seed", 3]) == 0
     capsys.readouterr()
-    assert run(["generate", "--seed", 3, "--problem", problem, *unread]) == 1
+    assert run(["generate", problem, "--seed", 3, *unread]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "does not read" in captured.err
+    assert f"unrecognized arguments: {unread[0]}" in captured.err
 
 
 @pytest.mark.parametrize("problem, sizes, option", [
@@ -529,7 +550,7 @@ def test_generate_rejects_size_options_its_problem_does_not_read(capsys, problem
     ("sat", ["--variables", 2**20 + 1, "--clauses", 1], "variables"),
 ])
 def test_generate_refuses_sizes_it_cannot_honour(capsys, problem, sizes, option):
-    assert run(["generate", "--seed", 3, "--problem", problem, *sizes]) == 1
+    assert run(["generate", problem, "--seed", 3, *sizes]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"invalid configuration: {option}: ")
@@ -537,11 +558,11 @@ def test_generate_refuses_sizes_it_cannot_honour(capsys, problem, sizes, option)
 
 
 def test_generate_accepts_the_boundary_sizes(capsys):
-    assert run(["generate", "--seed", 3, "--problem", "vc", "--nodes", 3, "--edges", 3]) == 0
+    assert run(["generate", "vc", "--seed", 3, "--nodes", 3, "--edges", 3]) == 0
     assert len(parse_edge_list(capsys.readouterr().out).edges) == 3
-    assert run(["generate", "--problem", "sat", "--variables", 0, "--clauses", 0]) == 0
+    assert run(["generate", "sat", "--variables", 0, "--clauses", 0]) == 0
     assert capsys.readouterr().out == "p cnf 0 0\n"
-    assert run(["generate", "--seed", 3, "--problem", "sat", "--variables", 1, "--clauses", 2]) == 0
+    assert run(["generate", "sat", "--seed", 3, "--variables", 1, "--clauses", 2]) == 0
     assert capsys.readouterr().out.startswith("p cnf 1 2\n")
 
 
@@ -549,8 +570,7 @@ def test_generate_accepts_the_boundary_sizes(capsys):
 def test_generate_honours_a_clause_count_at_the_pool_size(capsys, seed):
     # 4992 is every clause of 1..3 literals over 16 variables; the draw loop
     # alone stops a clause or two short of it.
-    assert run(["generate", "--seed", seed, "--problem", "sat",
-                "--variables", 16, "--clauses", 4992]) == 0
+    assert run(["generate", "sat", "--seed", seed, "--variables", 16, "--clauses", 4992]) == 0
     assert capsys.readouterr().out.startswith("p cnf 16 4992\n")
 
 
@@ -570,7 +590,7 @@ def test_generate_and_experiment_exit_with_a_documented_code_on_small_sizes(
     reads = {"sat": ["variables", "clauses", "clause-size"], "vc": ["nodes", "edges"],
              "strips": (["conditions", "operators"] if command == "generate"
                         else ["variables", "clauses", "clause-size"])}[problem]
-    args = [command, "--problem", problem, "--seed", 1]
+    args = [command, problem, "--seed", 1]
     for name in reads:
         args += ["--" + name, sizes[name]]
     if command == "experiment":
@@ -586,7 +606,7 @@ NESTED_OBJECTS = '{"a":' * 200_000 + "1" + "}" * 200_000
 @pytest.mark.parametrize("command, text", [
     (["export-dot"], NESTED_ARRAYS),
     (["mutate"], NESTED_ARRAYS),
-    (["solve", "--problem", "strips"], NESTED_OBJECTS),
+    (["solve", "strips"], NESTED_OBJECTS),
 ], ids=["export-dot", "mutate-gadget", "solve-strips"])
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, command, text):
     source = tmp_path / "deep.json"
@@ -618,7 +638,7 @@ SOLVABLE = {
 def test_solve_rejects_options_its_problem_does_not_read(tmp_path, capsys, problem, unread):
     source = tmp_path / "input"
     source.write_text(SOLVABLE[problem])
-    command = ["solve", "--problem", problem, "--input", source]
+    command = ["solve", problem, "--input", source]
     if problem == "vc":
         command += ["--budget", 1]
     assert run(command) == 0
@@ -626,11 +646,11 @@ def test_solve_rejects_options_its_problem_does_not_read(tmp_path, capsys, probl
     assert run([*command, *unread]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "does not read" in captured.err
+    assert f"unrecognized arguments: {unread[0]}" in captured.err
 
 
 def test_experiment_takes_the_scale_options_its_problem_reads(capsys):
-    assert run(["experiment", "--format", "json", "--problem", "vc", "--trials", 1,
+    assert run(["experiment", "vc", "--format", "json", "--trials", 1,
                 "--nodes", 6, "--edges", 5]) == 0
     config = json.loads(capsys.readouterr().out)["config"]
     assert (config["nodes"], config["edges"], config["variables"]) == (6, 5, 4)
@@ -639,16 +659,16 @@ def test_experiment_takes_the_scale_options_its_problem_reads(capsys):
 def test_strips_experiment_reads_clause_sizes_above_three(capsys):
     outputs = []
     for size in (3, 4):
-        assert run(["experiment", "--seed", 7, "--problem", "strips", "--trials", 5,
+        assert run(["experiment", "strips", "--seed", 7, "--trials", 5,
                     "--variables", 5, "--clauses", 6, "--clause-size", size]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] != outputs[1]
 
 
 def test_oracle_limit_applies_only_to_problems_that_read_variables(capsys):
-    assert run(["experiment", "--problem", "vc", "--trials", 1]) == 0
+    assert run(["experiment", "vc", "--trials", 1]) == 0
     capsys.readouterr()
-    assert run(["experiment", "--problem", "sat", "--variables", 21, "--trials", 1]) == 1
+    assert run(["experiment", "sat", "--variables", 21, "--trials", 1]) == 1
     assert "exceeds the oracle limit 20" in capsys.readouterr().err
 
 
@@ -659,11 +679,11 @@ def test_top_level_takes_no_option_but_help(capsys):
 
 
 @pytest.mark.parametrize("command, unread", [
-    (["solve", "--problem", "sat", "--input", "{cnf}"], ["--seed", 3]),
+    (["solve", "sat", "--input", "{cnf}"], ["--seed", 3]),
     (["reduce", "--kind", "nsat", "--input", "{cnf}"], ["--format", "json"]),
-    (["verify", "--suite", "hint-tables", "--samples", 1], ["--out", "{out}"]),
+    (["verify", "hint-tables", "--samples", 1], ["--out", "{out}"]),
     (["export-dot", "--input", "{gadget}"], ["--seed", 3]),
-    (["experiment", "--problem", "sat", "--trials", 1], ["--oracle-limit", 20]),
+    (["experiment", "sat", "--trials", 1], ["--oracle-limit", 20]),
 ], ids=["solve-seed", "reduce-format", "verify-out", "export-dot-seed",
         "experiment-oracle-limit"])
 def test_an_option_is_refused_where_it_is_not_read(tmp_path, capsys, command, unread):
@@ -681,13 +701,13 @@ def test_an_option_is_refused_where_it_is_not_read(tmp_path, capsys, command, un
 
 
 @pytest.mark.parametrize("command, option", [
-    (["generate", "--problem", "vc"], ["--nodes", -3]),
-    (["generate", "--problem", "sat"], ["--variables", -1]),
-    (["experiment", "--problem", "vc", "--trials", 1], ["--edges", -1]),
-    (["solve", "--problem", "vc", "--input", "{edges}"], ["--budget", -1]),
-    (["verify", "--suite", "sat-reductions"], ["--samples", -5]),
-    (["verify", "--suite", "sat-reductions"], ["--max-vars", -1]),
-    (["verify", "--suite", "vc-gadget"], ["--max-clauses", -2]),
+    (["generate", "vc"], ["--nodes", -3]),
+    (["generate", "sat"], ["--variables", -1]),
+    (["experiment", "vc", "--trials", 1], ["--edges", -1]),
+    (["solve", "vc", "--input", "{edges}"], ["--budget", -1]),
+    (["verify", "sat-reductions"], ["--samples", -5]),
+    (["verify", "sat-reductions"], ["--max-vars", -1]),
+    (["verify", "vc-gadget"], ["--max-clauses", -2]),
 ])
 def test_a_negative_size_is_refused(tmp_path, capsys, command, option):
     edges = tmp_path / "g.edges"
@@ -699,7 +719,7 @@ def test_a_negative_size_is_refused(tmp_path, capsys, command, option):
 
 
 @pytest.mark.parametrize("suite, options, code", [
-    ("hint-tables", ["--samples", 2, "--max-vars", 9], 1),
+    ("hint-tables", ["--max-vars", 9, "--samples", 2], 1),
     ("hint-tables", ["--max-clauses", 1], 1),
     ("sat-reductions", ["--max-vars", 2, "--max-clauses", 2, "--samples", 2], 0),
     ("plan-reductions", ["--max-vars", 2, "--samples", 2], 0),
@@ -710,9 +730,36 @@ def test_verify_refuses_scale_options_its_suites_do_not_read(monkeypatch, capsys
     import reoptlab.cli as cli
 
     monkeypatch.setattr(cli, "run_suite", lambda name, **kw: [])
-    assert run(["verify", "--suite", suite, *options]) == code
+    assert run(["verify", suite, *options]) == code
     captured = capsys.readouterr()
-    assert ("does not read it" in captured.err) == bool(code)
+    assert (f"unrecognized arguments: {options[0]}" in captured.err) == bool(code)
+    assert ("PASS" in captured.out) != bool(code)
+
+
+def _parses(argv) -> bool:
+    try:
+        build_parser().parse_args([str(a) for a in argv])
+    except SystemExit:
+        return False
+    return True
+
+
+GENERATE_SIZES = {**SCALE_FIELDS, "strips": {"conditions", "operators"}}
+
+
+def test_the_parsers_declare_exactly_the_sizes_the_library_reads():
+    sizes = set().union(*GENERATE_SIZES.values(), *SCALE_FIELDS.values())
+    for command, reads in (("generate", GENERATE_SIZES), ("experiment", SCALE_FIELDS)):
+        for problem, names in reads.items():
+            for name in sorted(sizes):
+                parsed = _parses([command, problem, "--" + name.replace("_", "-"), 1])
+                assert parsed == (name in names), (command, problem, name)
+    for suite in (*SUITES, "all"):
+        sweeps = [s for name in SUITES for s in SUITES[name] if suite in (name, "all")]
+        declared = {p for sweep in sweeps for p in inspect.signature(sweep).parameters}
+        for name in ("max_vars", "max_clauses", "samples"):
+            parsed = _parses(["verify", suite, "--" + name.replace("_", "-"), 1])
+            assert parsed == (name in declared), (suite, name)
 
 
 def _token_text(tokens, max_size=40):
@@ -828,10 +875,10 @@ def test_every_subcommand_exits_with_a_documented_code_on_fuzzed_files(
             (folder / name).write_text(text)
         f = {name: folder / name for name in files}
         commands = [
-            ["solve", "--problem", "sat", "--input", f["dimacs"]],
-            ["solve", "--problem", "sat", "--method", "brute", "--input", f["dimacs"]],
-            ["solve", "--problem", "vc", "--budget", budget, "--input", f["edges"]],
-            ["solve", "--problem", "strips", "--input", f["json"]],
+            ["solve", "sat", "--input", f["dimacs"]],
+            ["solve", "sat", "--method", "brute", "--input", f["dimacs"]],
+            ["solve", "vc", "--budget", budget, "--input", f["edges"]],
+            ["solve", "strips", "--input", f["json"]],
             *(["reduce", "--kind", kind, "--input", f["dimacs"]]
               for kind in ("fixed-model", "unique-model", "nsat", "vc-gadget", "replanning")),
             ["mutate", "--input", f["dimacs"], "--changes", f["changes"]],

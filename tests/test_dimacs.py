@@ -36,6 +36,13 @@ def test_serialize_empty():
     assert serialize_dimacs(cnf()) == "p cnf 0 0\n"
 
 
+def test_serialize_refuses_a_variable_the_reader_would_refuse():
+    at_limit = cnf([(MAX_DIMACS_VARIABLES,)])
+    assert serialize_dimacs(at_limit).startswith(f"p cnf {MAX_DIMACS_VARIABLES} 1\n")
+    with pytest.raises(ValueError, match="exceeds the DIMACS limit"):
+        serialize_dimacs(cnf([(1, 2), (-(MAX_DIMACS_VARIABLES + 1),)]))
+
+
 def test_parse_basic():
     f = parse_dimacs("c comment\np cnf 3 2\n1 -3 0\n2 0\n")
     assert f.alphabet == frozenset({1, 2, 3})

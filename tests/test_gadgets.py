@@ -11,6 +11,7 @@ from reoptlab.cnf import ChangeSet, clause, cnf
 from reoptlab.enumeration import all_clauses, iter_small_formulas, random_formula
 from reoptlab.gadgets import (
     ROLE_CLAUSE,
+    Gadget,
     ClauseOutsideUniverseError,
     ClauseTooLargeError,
     TautologyError,
@@ -20,14 +21,16 @@ from reoptlab.gadgets import (
     apply_unit_changes,
     build_full_gadget,
     build_gadget,
+    double_prime_node,
     gadget_add_unit,
     gadget_from_json,
     gadget_remove_unit,
     gadget_to_json,
     node_role,
+    prime_node,
     project_formula,
 )
-from reoptlab.graphs import decide_cover, edge, min_cover_brute
+from reoptlab.graphs import add_edges, decide_cover, edge, min_cover_brute
 from reoptlab.verification import gadget_cases
 
 from oracles import brute_min_cover_size, brute_sat
@@ -138,6 +141,17 @@ def test_remove_unit_from_singleton_formula():
 def test_remove_absent_unit_is_an_error():
     with pytest.raises(UnitNotPresentError):
         gadget_remove_unit(build_gadget(PAPER_FORMULA), 2)
+
+
+def test_unit_edits_refuse_a_graph_that_contradicts_its_source():
+    unit = build_gadget(cnf([(1,)]))
+    # The forcing edge (x1, x1') of a unit the source does not hold.
+    with pytest.raises(AssertionError, match="forcing edge without its unit"):
+        gadget_add_unit(Gadget(unit.graph, cnf((), alphabet={1})), 1)
+    # The relaxing edge (x1', x1'') of a unit the source still holds.
+    relaxed = add_edges(unit.graph, [edge(prime_node(1), double_prime_node(1))])
+    with pytest.raises(AssertionError, match="unit present with its removal edge"):
+        gadget_remove_unit(Gadget(relaxed, unit.source), 1)
 
 
 def test_remove_then_readd_restores_graph_and_budget():
