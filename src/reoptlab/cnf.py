@@ -121,16 +121,3 @@ def apply_changes(formula: CnfFormula, changes: ChangeSet) -> CnfFormula:
         alphabet.update(abs(lit) for lit in cl)
     return CnfFormula(frozenset(alphabet), frozenset(cls))
 
-
-def disjoin_literal(formula: CnfFormula, lit: int) -> CnfFormula:
-    """Disjoin one literal onto every clause of the formula."""
-    if lit == 0:
-        raise ValueError("0 is not a literal")
-    cls = frozenset(clause(*cl, lit) for cl in formula.clauses)
-    return CnfFormula(formula.alphabet | {abs(lit)}, cls)
-
-
-def cross_disjoin(left: CnfFormula, right: CnfFormula) -> CnfFormula:
-    """Pairwise disjunction of two clause sets."""
-    cls = frozenset(clause(*a, *b) for a in left.clauses for b in right.clauses)
-    return CnfFormula(left.alphabet | right.alphabet, cls)

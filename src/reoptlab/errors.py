@@ -1,4 +1,8 @@
-"""Exception types shared across solver modules."""
+"""Exception types shared across solver modules, and the constructions' size cap."""
+
+# The most nodes a cover gadget, or conditions plus operators a replanning
+# case, may have; a larger one is refused before anything is built.
+CONSTRUCTION_BUDGET = 1 << 16
 
 
 class InvalidHintError(ValueError):

@@ -39,6 +39,7 @@ from itertools import combinations
 from .cnf import ChangeSet, Clause, CnfFormula, clause, clause_sort_key, cnf, is_tautology
 from .dimacs import parse_dimacs, serialize_dimacs
 from .enumeration import all_clauses
+from .errors import CONSTRUCTION_BUDGET, BudgetExceededError
 from .graphs import Graph, add_edges, edge, graph, remove_edges
 
 ROLE_LITERAL = "literal"
@@ -120,12 +121,20 @@ def ordered_clauses(formula: CnfFormula) -> list[Clause]:
 
 
 def build_gadget(f: CnfFormula) -> Gadget:
-    """Translate a formula (clauses of 1..3 literals, no tautologies)."""
+    """Translate a formula (clauses of 1..3 literals, no tautologies).
+
+    A gadget of more than ``errors.CONSTRUCTION_BUDGET`` nodes raises
+    ``BudgetExceededError`` before any node is made.
+    """
     for cl in f.clauses:
         if not 1 <= len(cl) <= 3:
             raise ClauseTooLargeError(f"clause {cl} has {len(cl)} literals, need 1..3")
         if is_tautology(cl):
             raise TautologyError(f"clause {cl} is tautological")
+    size = 6 * len(f.alphabet) + sum(len(cl) for cl in f.clauses if len(cl) > 1)
+    if size > CONSTRUCTION_BUDGET:
+        raise BudgetExceededError(
+            f"the gadget's {size} nodes exceed the construction budget of {CONSTRUCTION_BUDGET}")
 
     nodes: list[str] = []
     edges: list[tuple[str, str]] = []

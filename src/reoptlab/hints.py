@@ -18,6 +18,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from itertools import combinations
+from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple
 
 from .cnf import Assignment, ChangeSet, Clause, CnfFormula, apply_changes, clause, evaluate
@@ -80,7 +81,9 @@ class HintTable:
     index: Mapping[ElementaryChange, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "index", {c: i for i, c in enumerate(self.candidates)})
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "index",
+                           MappingProxyType({c: i for i, c in enumerate(self.candidates)}))
 
 
 def subset_changes(candidates, indices) -> ChangeSet:

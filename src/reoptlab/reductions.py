@@ -8,22 +8,21 @@ formula with exactly one model, so that *no* choice of model can help
 once one clause is swapped for another.  ``make_nsat_instance`` pairs a
 formula with a unary string encoding its variable count, the shape used by
 the bounded-change compilation scenario.
+
+With alphabet X of G and a fresh variable a, the two SAT constructions
+build their formula in one pass over G's clauses, as defined: the guarded
+formula {c or a | c in G}, and the single-model formula {a} together with
+{x or c | x in X plus a, c in G plus -a}.  The single-model formula grows
+as |X| times |G|, so one past the DPLL budget is refused before it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import (
-    Assignment,
-    Clause,
-    CnfFormula,
-    clause,
-    cnf,
-    cross_disjoin,
-    disjoin_literal,
-    evaluate,
-)
+from .cnf import Assignment, Clause, CnfFormula, clause, evaluate
+from .errors import BudgetExceededError
+from .solvers import DPLL_BUDGET
 
 
 def fresh_variable(formula: CnfFormula) -> int:
@@ -53,7 +52,8 @@ def reduce_fixed_model(g: CnfFormula) -> FixedModelInstance:
     with ``g``, yet ``{a}`` satisfies the base formula trivially.
     """
     a = fresh_variable(g)
-    return FixedModelInstance(disjoin_literal(g, a), clause(-a), frozenset({a}))
+    guarded = CnfFormula(g.alphabet | {a}, frozenset(clause(*cl, a) for cl in g.clauses))
+    return FixedModelInstance(guarded, clause(-a), frozenset({a}))
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,22 @@ def reduce_unique_model(g: CnfFormula) -> UniqueModelInstance:
     {a} together with the pairwise disjunction of (units of X plus {a})
     and (clauses of g plus {-a}).  Its only model makes ``a`` and all of X
     true.  Swapping the clause {a} for {-a} yields a formula that is
-    satisfiable iff ``g`` is.
+    satisfiable iff ``g`` is.  If |X|+1 variables times the
+    (|X|+1)(|clauses|+1) pairs of the product exceed the budget the DPLL
+    solver puts on variables times clauses, ``BudgetExceededError`` is
+    raised before anything is built.
     """
     if any(len(cl) == 0 for cl in g.clauses):
         raise ValueError("the construction does not support empty clauses")
+    variables = len(g.alphabet) + 1
+    pairs = variables * (len(g.clauses) + 1)
+    if variables * pairs > DPLL_BUDGET:
+        raise BudgetExceededError(
+            f"{variables} variables times up to {pairs} clauses exceed the DPLL budget"
+            f" of {DPLL_BUDGET}")
     a = fresh_variable(g)
-    full = g.alphabet | {a}
-    left = cnf([(v,) for v in g.alphabet] + [(a,)], alphabet=full)
-    right = cnf(list(g.clauses) + [(-a,)], alphabet=full)
-    product = cross_disjoin(left, right)
-    formula = CnfFormula(product.alphabet | {a}, product.clauses | {clause(a)})
+    product = frozenset(clause(x, *c) for x in (*g.alphabet, a) for c in (*g.clauses, (-a,)))
+    formula = CnfFormula(g.alphabet | {a}, product | {(a,)})
     return UniqueModelInstance(formula, clause(-a), clause(a))
 
 

@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 from .cnf import CnfFormula, clause_sort_key
+from .errors import CONSTRUCTION_BUDGET, BudgetExceededError
 from .strips import (
     Goal,
     Plan,
@@ -58,7 +59,15 @@ def sat_to_replanning(f: CnfFormula) -> ReplanningCase:
     assignment operators need the guard *absent*, and per-literal
     operators derive a clause target from the matching truth token.  The
     original plan is just ``(e,)``; the pending change deletes ``a``.
+    A case of more than ``errors.CONSTRUCTION_BUDGET`` conditions plus
+    operators raises ``BudgetExceededError`` before any is made.
     """
+    # Per variable two tokens and two assignment operators; per clause a
+    # target; per literal occurrence an operator; and ``a`` and ``e``.
+    size = 4 * len(f.alphabet) + len(f.clauses) + sum(map(len, f.clauses)) + 2
+    if size > CONSTRUCTION_BUDGET:
+        raise BudgetExceededError(f"the case's {size} conditions and operators exceed "
+                                  f"the construction budget of {CONSTRUCTION_BUDGET}")
     variables = sorted(f.alphabet)
     clauses = sorted(f.clauses, key=clause_sort_key)
     targets = [f"c{j}" for j in range(1, len(clauses) + 1)]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import BudgetExceededError
@@ -78,7 +79,7 @@ class StripsInstance:
     goal: Goal
 
     def __post_init__(self):
-        object.__setattr__(self, "operators", dict(self.operators))
+        object.__setattr__(self, "operators", MappingProxyType(dict(self.operators)))
         if not self.initial <= self.conditions:
             raise ValueError(f"initial state outside conditions: {sorted(self.initial - self.conditions)}")
         for part in (self.goal.must_true, self.goal.must_false):

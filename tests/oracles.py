@@ -42,6 +42,22 @@ def brute_sat(clauses, variables):
     return bool(brute_models(clauses, variables))
 
 
+def canonical_clause(literals):
+    """Literals as a clause: deduplicated, by variable, the positive literal first."""
+    return tuple(sorted(set(literals), key=lambda lit: (abs(lit), lit < 0)))
+
+
+def guarded_clauses(clauses, a):
+    """The guarded formula's clauses, {c or a | c in G}."""
+    return {canonical_clause((*c, a)) for c in clauses}
+
+
+def single_model_clauses(clauses, variables, a):
+    """The single-model formula's clauses, {a} plus {x or c | x in X plus a, c in G plus -a}."""
+    product = {canonical_clause((x, *c)) for x in (*variables, a) for c in (*clauses, (-a,))}
+    return product | {(a,)}
+
+
 def brute_min_cover_size(nodes, edges):
     nodes = sorted(nodes)
     for size in range(len(nodes) + 1):

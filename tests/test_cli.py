@@ -34,6 +34,15 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def run_in_subprocess(args, timeout, **env):
+    """Run the command line in a fresh interpreter, killed after ``timeout`` seconds."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "reoptlab.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
 def test_generate_sat_is_byte_deterministic(tmp_path):
     first = tmp_path / "a.cnf"
     second = tmp_path / "b.cnf"
@@ -396,18 +405,33 @@ def test_solve_output_does_not_depend_on_the_hash_salt(tmp_path, problem, sizes,
         instance.write_text(instance_to_json(apply_initial_change(sat_to_replanning(f))))
     else:
         assert run(["generate", problem, "--seed", 5, "--out", instance, *sizes]) == 0
-    src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = set()
     for salt in ("0", "1"):
-        env = {**os.environ, "PYTHONHASHSEED": salt,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run(
-            [sys.executable, "-m", "reoptlab.cli", "solve", problem,
-             "--input", str(instance), *map(str, options)],
-            env=env, capture_output=True, text=True, timeout=60)
+        result = run_in_subprocess(["solve", problem, "--input", instance, *options],
+                                   timeout=60, PYTHONHASHSEED=salt)
         assert result.returncode == 0, result.stderr
         outputs.add(result.stdout)
     assert len(outputs) == 1, outputs
+
+
+@pytest.mark.parametrize("kind, status, seconds", [
+    ("vc-gadget", 3, 2), ("replanning", 3, 2), ("unique-model", 3, 2),
+    ("fixed-model", 1, 10), ("nsat", 0, 10),
+])
+def test_reduce_does_not_grow_with_a_huge_header(tmp_path, kind, status, seconds):
+    # parse_dimacs builds the alphabet 1..2^20 from this two-line file; a
+    # construction that grows with it must be refused before it is built.
+    source = tmp_path / "huge.cnf"
+    source.write_text("p cnf 1048576 1\n1 0\n")
+    out = tmp_path / "out"
+    result = run_in_subprocess(["reduce", "--kind", kind, "--input", source, "--out", out],
+                               timeout=seconds)
+    assert result.returncode == status, result.stderr
+    if status == 3:
+        assert result.stderr.startswith("budget exceeded: ")
+    if status == 1:
+        assert "exceeds the DIMACS limit" in result.stderr
+    assert out.exists() == (status == 0)
 
 
 def test_missing_input_file_is_a_usage_error(tmp_path):

@@ -11,14 +11,12 @@ from reoptlab.cnf import (
     clause,
     clause_sort_key,
     cnf,
-    cross_disjoin,
-    disjoin_literal,
     evaluate,
     is_tautology,
 )
 from reoptlab.enumeration import all_clauses
 
-from oracles import brute_models, clause_true, truth_assignments
+from oracles import clause_true, truth_assignments
 
 # Gapped and large ids; the assignment may also hold ids outside the alphabet.
 VARIABLE_IDS = (1, 2, 3, 5, 8, 40, 10**9)
@@ -167,38 +165,3 @@ def test_add_then_delete_round_trip():
     back = apply_changes(added, ChangeSet(deletions=((-1,),)))
     assert back == f  # the added clause stayed inside the alphabet
 
-
-def test_disjoin_literal():
-    assert disjoin_literal(cnf([(1,)]), 2).clauses == frozenset({(1, 2)})
-    assert disjoin_literal(cnf(), 2).clauses == frozenset()
-    out = disjoin_literal(cnf([(1,), (-1,)]), 2)
-    assert out.clauses == frozenset({(1, 2), (-1, 2)})
-    with pytest.raises(ValueError, match="0 is not a literal"):
-        disjoin_literal(cnf([(1,)]), 0)
-
-
-def test_disjoin_literal_extends_alphabet_even_without_clauses():
-    assert disjoin_literal(cnf(), 5).alphabet == frozenset({5})
-
-
-def test_disjoin_literal_satisfied_whenever_literal_true():
-    f = cnf([(1, -2), (2, 3), (-1,)])
-    guarded = disjoin_literal(f, 4)
-    for assignment in truth_assignments(guarded.alphabet):
-        if 4 in assignment:
-            assert evaluate(guarded, assignment)
-
-
-def test_cross_disjoin():
-    assert cross_disjoin(cnf([(1,)]), cnf([(-2,)])).clauses == frozenset({(1, -2)})
-    out = cross_disjoin(cnf([(1,), (2,)]), cnf([(1,), (-2,)]))
-    assert out.clauses == frozenset({(1,), (1, -2), (1, 2), (2, -2)})
-    assert cross_disjoin(cnf(), cnf([(1,)])).clauses == frozenset()
-
-
-def test_cross_disjoin_preserves_left_models():
-    left = cnf([(1, 2), (-1, 3)])
-    right = cnf([(-2, -3), (1,)])
-    crossed = cross_disjoin(left, right)
-    for model in brute_models(left.clauses, left.alphabet | right.alphabet):
-        assert evaluate(crossed, model)

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reoptlab import gadgets
 from reoptlab.cli import main
 from reoptlab.cnf import ChangeSet, clause, cnf
 from reoptlab.enumeration import all_clauses, iter_small_formulas, random_formula
+from reoptlab.errors import BudgetExceededError
 from reoptlab.gadgets import (
     ROLE_CLAUSE,
     Gadget,
@@ -75,6 +77,15 @@ def test_empty_formula_over_one_variable():
     assert len(g.graph.nodes) == 6
     assert g.budget == 1
     assert min_cover_brute(g.graph).size == 1
+
+
+def test_a_gadget_over_the_construction_budget_is_refused(monkeypatch):
+    # Six nodes per variable and one per literal of the clique: 6 * 2 + 2.
+    monkeypatch.setattr(gadgets, "CONSTRUCTION_BUDGET", 14)
+    assert len(build_gadget(PAPER_FORMULA).graph.nodes) == 14
+    monkeypatch.setattr(gadgets, "CONSTRUCTION_BUDGET", 13)
+    with pytest.raises(BudgetExceededError, match="14 nodes"):
+        build_gadget(PAPER_FORMULA)
 
 
 def test_unsatisfiable_unit_pair_exceeds_budget():

@@ -211,6 +211,16 @@ def test_table_json_round_trip():
     assert '"0x3"' in text  # hex-keyed entries
 
 
+def test_table_entries_and_index_are_read_only():
+    table = compile_table(cnf([(1,), (1, -2)]), [add_change(2), del_change(1)], 2)
+    with pytest.raises(TypeError):
+        table.entries[0] = None
+    with pytest.raises(TypeError):
+        table.index[add_change(-1)] = 2
+    assert table_from_json(table_to_json(table)) == table
+    assert lookup(table, ChangeSet(additions=((2,),))) == table.entries[0b01]
+
+
 @pytest.mark.parametrize("missing, stray", [("0x3", None), (None, "0x10"), ("0x3", "0x10")])
 def test_table_json_rejects_missing_or_stray_entries(missing, stray):
     base = cnf([(1,), (1, -2)])

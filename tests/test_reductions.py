@@ -1,7 +1,9 @@
 import pytest
 
+from reoptlab import reductions
 from reoptlab.cnf import ChangeSet, apply_changes, cnf, evaluate
 from reoptlab.enumeration import iter_small_formulas
+from reoptlab.errors import BudgetExceededError
 from reoptlab.reductions import (
     FixedModelInstance,
     NsatInstance,
@@ -13,7 +15,7 @@ from reoptlab.reductions import (
 )
 from reoptlab.solvers import count_models, solve_brute
 
-from oracles import brute_sat
+from oracles import brute_sat, guarded_clauses, single_model_clauses
 
 
 def added(instance):
@@ -87,6 +89,15 @@ def test_unique_model_rejects_empty_clause():
         reduce_unique_model(cnf([()]))
 
 
+def test_unique_model_past_the_dpll_budget_is_refused(monkeypatch):
+    # Two variables times the 2 x 2 pairs of the product: 8 cells.
+    monkeypatch.setattr(reductions, "DPLL_BUDGET", 8)
+    assert reduce_unique_model(cnf([(1,)])).formula.alphabet == {1, 2}
+    monkeypatch.setattr(reductions, "DPLL_BUDGET", 7)
+    with pytest.raises(BudgetExceededError, match="exceed the DPLL budget of 7"):
+        reduce_unique_model(cnf([(1,)]))
+
+
 def test_nsat_unary_counts_declared_alphabet():
     assert make_nsat_instance(cnf([(1, 2)])).unary_part == "11"
     assert make_nsat_instance(cnf()).unary_part == ""
@@ -112,3 +123,22 @@ def test_reduction_contracts_small_sweep():
         assert unique_model(uniq) == frozenset(uniq.formula.alphabet)
         after = swapped(uniq)
         assert brute_sat(after.clauses, after.alphabet) == sat_g
+
+
+def test_constructions_match_their_definitions():
+    # Every small formula, plus declared alphabets larger than the mentioned
+    # variables, gapped and with no clause at all.
+    extra = [cnf((), alphabet={2, 5}), cnf([(1, -2)], alphabet={1, 2, 7})]
+    for g in [*iter_small_formulas(3, 3), *extra]:
+        a = max(g.alphabet, default=0) + 1
+        fixed = reduce_fixed_model(g)
+        assert fixed.formula.alphabet == g.alphabet | {a}
+        assert fixed.formula.clauses == guarded_clauses(g.clauses, a)
+        assert fixed.change_clause == (-a,)
+        assert fixed.hint_model == {a}
+
+        uniq = reduce_unique_model(g)
+        assert uniq.formula.alphabet == g.alphabet | {a}
+        assert uniq.formula.clauses == single_model_clauses(g.clauses, g.alphabet, a)
+        assert uniq.add_clause == (-a,)
+        assert uniq.del_clause == (a,)

@@ -3,6 +3,7 @@ import pytest
 from reoptlab import replanning
 from reoptlab.cnf import cnf
 from reoptlab.enumeration import iter_small_formulas, random_plansat_instance
+from reoptlab.errors import BudgetExceededError
 from reoptlab.replanning import (
     ReplanningCase,
     apply_initial_change,
@@ -41,6 +42,16 @@ def test_construction_shape():
     assert inst.goal.must_false == frozenset()
     assert case.original_plan == ("e",)
     assert case.remove_from_initial == frozenset({"a"})
+
+
+def test_a_case_over_the_construction_budget_is_refused(monkeypatch):
+    f = cnf([(1, 2), (-1,)])  # seven conditions and eight operators
+    monkeypatch.setattr(replanning, "CONSTRUCTION_BUDGET", 15)
+    inst = sat_to_replanning(f).instance
+    assert len(inst.conditions) + len(inst.operators) == 15
+    monkeypatch.setattr(replanning, "CONSTRUCTION_BUDGET", 14)
+    with pytest.raises(BudgetExceededError, match="15 conditions and operators"):
+        sat_to_replanning(f)
 
 
 def test_original_plan_validates_and_is_uniquely_irredundant():

@@ -12,6 +12,7 @@ from reoptlab.strips import (
     Goal,
     NegativePostconditionError,
     SearchBudgetError,
+    StripsInstance,
     UnknownOperatorError,
     instance_from_json,
     instance_to_json,
@@ -440,6 +441,20 @@ def test_instance_json_round_trip():
     assert instance_from_json(instance_to_json(inst)) == inst
     text = instance_to_json(inst)
     assert instance_to_json(instance_from_json(text)) == text
+
+
+def test_instance_operators_are_read_only():
+    guard = guard_instance()
+    operators = dict(guard.operators)
+    inst = StripsInstance(guard.conditions, operators, guard.initial, guard.goal)
+    with pytest.raises(TypeError):
+        inst.operators["x"] = make_operator()
+    with pytest.raises(TypeError):
+        del inst.operators["e"]
+    operators["x"] = make_operator()  # the instance holds its own copy
+    assert set(inst.operators) == {"e"}
+    assert inst == guard
+    assert instance_from_json(instance_to_json(inst)) == inst
 
 
 def test_instance_json_random_round_trips():
