@@ -9,7 +9,9 @@ problem or suite that reads it, so argparse refuses any other.  Exit
 codes: 0 success, 1 usage or input error (an undeclared option, a
 negative size, or a size ``generate`` cannot honour among them), 2
 verification counterexample or verdict mismatch, 3 any
-``BudgetExceededError`` (a search or oracle budget exceeded).
+``BudgetExceededError`` (a limit refused the input before any work) or
+its subclass ``SearchBudgetError`` (a search ran past its cap); every
+type mapped to a code is defined in ``errors``.
 Every subcommand but ``verify`` writes one output, to ``--out`` or
 stdout.  Warnings raised while a subcommand runs print as
 ``warning: <message>`` lines on stderr.
@@ -28,13 +30,11 @@ from pathlib import Path
 from .cnf import CnfFormula, apply_changes
 from .dimacs import parse_changes, parse_dimacs, serialize_dimacs
 from .dot import gadget_to_dot
-from .errors import BudgetExceededError
 from .enumeration import random_formula, random_graph, random_plansat_instance
+from .errors import BudgetExceededError, InvalidConfigError, VerdictMismatchError
 from .experiments import (
     SCALE_FIELDS,
     ExperimentConfig,
-    InvalidConfigError,
-    VerdictMismatchError,
     check_formula_sizes,
     report_to_csv,
     report_to_json,

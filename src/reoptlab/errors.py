@@ -1,4 +1,12 @@
-"""Exception types shared across solver modules, and the constructions' size cap."""
+"""Every exception the CLI maps to an exit code, and the constructions' size cap.
+
+Exit 1: ``InvalidConfigError`` (a configuration field out of range) and
+``InvalidHintError`` (a hint that breaks its precondition), among the
+other ``ValueError``s.  Exit 2: ``VerdictMismatchError``.  Exit 3:
+``BudgetExceededError``, raised when a size, oracle, table or
+construction limit refuses an input before any work starts, and its one
+subclass ``SearchBudgetError``, raised when a search runs past its cap.
+"""
 
 # The most nodes a cover gadget, or conditions plus operators a replanning
 # case, may have; a larger one is refused before anything is built.
@@ -9,5 +17,21 @@ class InvalidHintError(ValueError):
     """The supplied hint violates its stated precondition."""
 
 
+class InvalidConfigError(ValueError):
+    """A configuration field is out of range; ``field`` names it."""
+
+    def __init__(self, field_name: str, message: str):
+        super().__init__(f"{field_name}: {message}")
+        self.field = field_name
+
+
+class VerdictMismatchError(RuntimeError):
+    """Cold and hinted solving disagreed; the message is a reproducer."""
+
+
 class BudgetExceededError(RuntimeError):
-    """A search or oracle would exceed its size or work budget; the CLI exits 3."""
+    """A size, oracle, table or construction limit refused the input before any work; exit 3."""
+
+
+class SearchBudgetError(BudgetExceededError):
+    """The configured search cap was exceeded."""

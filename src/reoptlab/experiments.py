@@ -2,7 +2,9 @@
 
 Each trial builds an instance, remembers a solution, applies a change,
 then solves the changed instance both cold and through the hint engine.
-The two verdicts must agree on every row; a mismatch is a hard failure
+The two verdicts must agree on every row, and a row whose hint went
+unused must carry the cold route's witness and work, since the fallback
+ran the same solver on the same instance; a mismatch is a hard failure
 carrying a full reproducer.  Reported work units make the cost of the two
 routes comparable: solver decisions plus propagations for formulas,
 branch-and-bound nodes for covers, expanded states for plans.
@@ -25,6 +27,7 @@ from .enumeration import (
     random_graph,
     random_satisfiable_formula,
 )
+from .errors import InvalidConfigError, VerdictMismatchError
 from .graphs import (
     COVER_ORACLE_LIMIT,
     add_edges,
@@ -37,17 +40,6 @@ from .reductions import reduce_unique_model, unique_model
 from .replanning import apply_initial_change, sat_to_replanning
 from .solvers import ORACLE_LIMIT, solve_dpll_stats
 from .strips import instance_to_json, plan_exists_stats
-
-class InvalidConfigError(ValueError):
-    """A configuration field is out of range; ``field`` names it."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"{field_name}: {message}")
-        self.field = field_name
-
-
-class VerdictMismatchError(RuntimeError):
-    """Cold and hinted solving disagreed; the message is a reproducer."""
 
 
 @dataclass(frozen=True)
@@ -150,10 +142,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for trial in range(config.trials):
         change_id, cold_solution, cold_work, hinted, reproducer = trial_fn(rng, config)
         cold_verdict, hinted_verdict = cold_solution is not None, hinted.solution is not None
+        mismatch = None
         if cold_verdict != hinted_verdict:
+            mismatch = f"cold={cold_verdict} hinted={hinted_verdict}"
+        elif not hinted.hint_used and (cold_solution, cold_work) != (hinted.solution,
+                                                                     hinted.work_units):
+            mismatch = (f"the fallback differs from the cold route: witness {cold_solution!r} "
+                        f"vs {hinted.solution!r}, work {cold_work} vs {hinted.work_units}")
+        if mismatch:
             raise VerdictMismatchError(
                 f"trial {trial} (seed {config.seed}, {config.problem}/{scenario}, "
-                f"change {change_id}): cold={cold_verdict} hinted={hinted_verdict}\n{reproducer}"
+                f"change {change_id}): {mismatch}\n{reproducer}"
             )
         report.rows.append(
             TrialRow(trial, config.problem, change_id, cold_verdict, hinted_verdict,

@@ -29,10 +29,6 @@ class UnknownNodeError(ValueError):
     """A referenced node is not part of the graph."""
 
 
-class GraphTooLargeError(BudgetExceededError):
-    """Node count exceeds the exhaustive-search limit."""
-
-
 def edge(u: str, v: str) -> Edge:
     """Canonical unordered edge; self-loops are rejected."""
     if u == v:
@@ -91,7 +87,7 @@ def min_cover_brute(g: Graph) -> MinCover:
     returned, which makes oracle outputs reproducible golden values.
     """
     if len(g.nodes) > COVER_ORACLE_LIMIT:
-        raise GraphTooLargeError(
+        raise BudgetExceededError(
             f"{len(g.nodes)} nodes exceed the exhaustive limit of {COVER_ORACLE_LIMIT}")
     order = sorted(g.nodes)
     edge_list = list(g.edges)

@@ -30,10 +30,6 @@ from .strips import StripsInstance, plan_exists_stats, validate_plan_stats
 DEFAULT_TABLE_BUDGET = 1 << 16
 
 
-class TableBudgetError(BudgetExceededError):
-    """The candidate universe would need more entries than allowed."""
-
-
 @dataclass(frozen=True)
 class ElementaryChange:
     """A single clause addition ("add") or deletion ("del")."""
@@ -108,7 +104,7 @@ def compile_table(base: CnfFormula, candidates, bound: int) -> HintTable:
     effective = min(bound, len(candidates))
     total = sum(math.comb(len(candidates), size) for size in range(effective + 1))
     if total > DEFAULT_TABLE_BUDGET:
-        raise TableBudgetError(
+        raise BudgetExceededError(
             f"{total} entries exceed the table budget of {DEFAULT_TABLE_BUDGET}")
     entries: dict[int, Assignment | None] = {}
     for size in range(effective + 1):

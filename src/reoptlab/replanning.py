@@ -16,11 +16,10 @@ import warnings
 from dataclasses import dataclass
 
 from .cnf import CnfFormula, clause_sort_key
-from .errors import CONSTRUCTION_BUDGET, BudgetExceededError
+from .errors import CONSTRUCTION_BUDGET, BudgetExceededError, SearchBudgetError
 from .strips import (
     Goal,
     Plan,
-    SearchBudgetError,
     StripsInstance,
     StripsOperator,
     is_applicable,

@@ -29,14 +29,6 @@ ORACLE_LIMIT = 20
 DPLL_BUDGET = 1 << 26
 
 
-class OracleLimitError(BudgetExceededError):
-    """Alphabet too large for exhaustive enumeration."""
-
-
-class DpllBudgetError(BudgetExceededError):
-    """Formula too large for DPLL's clause masks."""
-
-
 def iter_assignments(variables):
     """Yield all assignments over the variables in binary counting order.
 
@@ -50,7 +42,7 @@ def iter_assignments(variables):
 
 def _check_limit(formula: CnfFormula) -> None:
     if len(formula.alphabet) > ORACLE_LIMIT:
-        raise OracleLimitError(
+        raise BudgetExceededError(
             f"{len(formula.alphabet)} variables exceed the oracle limit of {ORACLE_LIMIT}"
         )
 
@@ -127,14 +119,14 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
     Each open decision holds at most ``len(planes) + 1`` saved clause
     masks, and at most one decision per mentioned variable is open.
     A formula whose mentioned variables times clauses exceeds
-    ``DPLL_BUDGET`` raises ``DpllBudgetError`` before any mask is built.
+    ``DPLL_BUDGET`` raises ``BudgetExceededError`` before any mask is built.
     The alphabet holds every mentioned variable, so the mentioned ones are
     counted only when the alphabet times the clauses exceeds the budget.
     """
     if len(formula.alphabet) * len(formula.clauses) > DPLL_BUDGET:
         mentioned = len({abs(lit) for lit in set().union(*formula.clauses)})
         if mentioned * len(formula.clauses) > DPLL_BUDGET:
-            raise DpllBudgetError(
+            raise BudgetExceededError(
                 f"{mentioned} variables times {len(formula.clauses)} clauses"
                 f" exceed the DPLL budget of {DPLL_BUDGET}"
             )

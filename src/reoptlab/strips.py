@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import BudgetExceededError
+from .errors import SearchBudgetError
 
 DEFAULT_SEARCH_BUDGET = 500_000
 
@@ -37,10 +37,6 @@ class UnknownOperatorError(KeyError):
 
 class NegativePostconditionError(ValueError):
     """The instance is outside the add-only fragment the search supports."""
-
-
-class SearchBudgetError(BudgetExceededError):
-    """The configured search cap was exceeded."""
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,11 @@ witnesses or work can be compared with them.
 from collections import deque
 from itertools import combinations, product
 
+from reoptlab.errors import SearchBudgetError
 from reoptlab.strips import (
     DEFAULT_SEARCH_BUDGET,
     NegativePostconditionError,
     Plan,
-    SearchBudgetError,
     satisfies_goal,
 )
 

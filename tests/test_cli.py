@@ -12,17 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reoptlab import solvers
 from reoptlab.cli import build_parser, main
 from reoptlab.cnf import cnf
 from reoptlab.dimacs import parse_dimacs
 from reoptlab.enumeration import random_formula
+from reoptlab.errors import BudgetExceededError, SearchBudgetError
 from reoptlab.experiments import SCALE_FIELDS
 from reoptlab.gadgets import build_gadget, gadget_to_json
-from reoptlab.graphs import GraphTooLargeError, parse_edge_list
-from reoptlab.hints import TableBudgetError
+from reoptlab.graphs import graph, min_cover_brute, parse_edge_list
+from reoptlab.hints import add_change, compile_table
 from reoptlab.replanning import apply_initial_change, sat_to_replanning
-from reoptlab.solvers import DpllBudgetError, OracleLimitError
-from reoptlab.strips import SearchBudgetError, instance_to_json
+from reoptlab.solvers import solve_brute, solve_dpll_stats
+from reoptlab.strips import instance_to_json
 from reoptlab.verification import SUITES
 
 from test_strips import dead_branch_instance
@@ -305,17 +307,38 @@ def test_verify_counterexample_exit_code(monkeypatch, capsys):
     assert "FAIL" in out and "witness formula" in out
 
 
-@pytest.mark.parametrize("error", [OracleLimitError, DpllBudgetError, GraphTooLargeError,
-                                   SearchBudgetError, TableBudgetError])
-def test_every_budget_error_exits_3(monkeypatch, capsys, error):
+def _raise(error):
+    def exceed(monkeypatch):
+        raise error("over the cap")
+    return exceed, "over the cap"
+
+
+def _dpll_refusal(monkeypatch):
+    monkeypatch.setattr(solvers, "DPLL_BUDGET", 5)
+    solve_dpll_stats(cnf([(1,), (1, 2), (-2,)]))
+
+
+# The oracle, DPLL, cover-oracle and table refusals each once raised a
+# per-module class; the ids keep those names and each case runs its refusal.
+@pytest.mark.parametrize("refuse, message", [
+    pytest.param(*_raise(BudgetExceededError), id="BudgetExceededError"),
+    pytest.param(*_raise(SearchBudgetError), id="SearchBudgetError"),
+    pytest.param(lambda monkeypatch: solve_brute(cnf((), alphabet=range(1, 22))),
+                 "21 variables exceed the oracle limit of 20", id="OracleLimitError"),
+    pytest.param(_dpll_refusal, "2 variables times 3 clauses exceed the DPLL budget of 5",
+                 id="DpllBudgetError"),
+    pytest.param(lambda monkeypatch: min_cover_brute(graph([f"n{i}" for i in range(25)])),
+                 "25 nodes exceed the exhaustive limit of 24", id="GraphTooLargeError"),
+    pytest.param(lambda monkeypatch: compile_table(
+                     cnf(), [add_change(v) for v in range(1, 18)], 17),
+                 "131072 entries exceed the table budget of 65536", id="TableBudgetError"),
+])
+def test_every_budget_error_exits_3(monkeypatch, capsys, refuse, message):
     import reoptlab.cli as cli
 
-    def exceed(name, **kw):
-        raise error("over the cap")
-
-    monkeypatch.setattr(cli, "run_suite", exceed)
+    monkeypatch.setattr(cli, "run_suite", lambda name, **kw: refuse(monkeypatch))
     assert run(["verify", "vc-gadget"]) == 3
-    assert capsys.readouterr().err == "budget exceeded: over the cap\n"
+    assert capsys.readouterr().err == f"budget exceeded: {message}\n"
 
 
 def test_verify_forwards_the_global_seed(monkeypatch):
@@ -388,6 +411,25 @@ def test_experiment_verdict_mismatch_exits_2_with_the_reproducer(monkeypatch, ca
     assert captured.out == ""
     assert captured.err.startswith("verdict mismatch: trial 0 (seed 0, vc/edge-add, change +")
     assert "\ngraph edges: [(" in captured.err and "budget: " in captured.err
+
+
+def test_experiment_divergent_fallback_exits_2_with_the_reproducer(monkeypatch, capsys):
+    import reoptlab.experiments as experiments
+
+    real = experiments.reuse_model
+
+    def one_more(f, changes, hint):
+        outcome = real(f, changes, hint)
+        return outcome._replace(work_units=outcome.work_units + 1)
+
+    # The unique-model swap never keeps its hint, so every row is a fallback.
+    monkeypatch.setattr(experiments, "reuse_model", one_more)
+    assert run(["experiment", "sat", "--scenario", "unique-swap", "--trials", 1]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verdict mismatch: trial 0 (seed 0, sat/unique-swap, change ")
+    assert "): the fallback differs from the cold route: witness " in captured.err
+    assert "\nsingle-model formula:\np cnf " in captured.err
 
 
 @pytest.mark.parametrize("problem, sizes, options", [

@@ -7,10 +7,10 @@ from dataclasses import fields, replace
 import pytest
 
 from reoptlab.enumeration import all_clauses
+from reoptlab.errors import InvalidConfigError
 from reoptlab.experiments import (
     SCALE_FIELDS,
     ExperimentConfig,
-    InvalidConfigError,
     check_formula_sizes,
     report_to_csv,
     report_to_json,

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from reoptlab.dimacs import parse_dimacs
 from reoptlab.enumeration import random_graph
-from reoptlab.errors import InvalidHintError
+from reoptlab.errors import BudgetExceededError, InvalidHintError
 from reoptlab.gadgets import build_gadget, gadget_add_unit
 from reoptlab.graphs import (
     Graph,
-    GraphTooLargeError,
     UnknownNodeError,
     add_edges,
     decide_cover,
@@ -96,7 +95,7 @@ def test_min_cover_single_edge_prefers_lex_least():
 
 def test_min_cover_limit():
     wide = graph([f"n{i}" for i in range(25)])
-    with pytest.raises(GraphTooLargeError):
+    with pytest.raises(BudgetExceededError, match="25 nodes exceed the exhaustive limit of 24"):
         min_cover_brute(wide)
 
 

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from reoptlab import hints
 from reoptlab.cnf import ChangeSet, apply_changes, cnf, evaluate
 from reoptlab.enumeration import iter_small_formulas, random_hint_setup
-from reoptlab.errors import InvalidHintError
+from reoptlab.errors import BudgetExceededError, InvalidHintError
 from reoptlab.hints import (
     MISS,
     ElementaryChange,
-    TableBudgetError,
     add_change,
     compile_table,
     del_change,
@@ -70,7 +69,8 @@ def test_compile_table_budget(monkeypatch):
 
     monkeypatch.setattr(hints, "solve_dpll", no_solve)
     candidates = [add_change(v) for v in range(1, 18)]  # 2**17 = 131,072 entries
-    with pytest.raises(TableBudgetError, match="131072 entries"):
+    with pytest.raises(BudgetExceededError,
+                       match="131072 entries exceed the table budget of 65536"):
         compile_table(cnf(), candidates, 17)
 
 

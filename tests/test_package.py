@@ -1,5 +1,7 @@
 import ast
+import builtins
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -58,20 +60,36 @@ def _reoptlab_names_read(tree: ast.Module) -> set[tuple[str, str]]:
 def test_every_runtime_error_is_a_budget_error():
     # The CLI exits 3 on BudgetExceededError; any other RuntimeError would
     # escape its exit-code contract, except the verdict mismatch (exit 2).
-    from reoptlab.errors import BudgetExceededError
-    from reoptlab.experiments import VerdictMismatchError
+    # ``errors`` states the whole contract: it defines every type the CLI
+    # catches by name, and no other module adds a budget type.
+    from reoptlab import cli
+    from reoptlab.errors import BudgetExceededError, VerdictMismatchError
 
     package = importlib.import_module("reoptlab")
     modules = [importlib.import_module(f"reoptlab.{info.name}")
                for info in pkgutil.iter_modules(package.__path__)]
     assert len(modules) > 10
-    strays = sorted(f"{module.__name__}.{name}" for module in modules
-                    for name, value in vars(module).items()
-                    if isinstance(value, type) and issubclass(value, RuntimeError)
-                    and value.__module__ == module.__name__
+    defined = [(f"{module.__name__}.{name}", value) for module in modules
+               for name, value in vars(module).items()
+               if isinstance(value, type) and value.__module__ == module.__name__]
+    strays = sorted(name for name, value in defined
+                    if issubclass(value, RuntimeError)
                     and not issubclass(value, BudgetExceededError)
                     and value is not VerdictMismatchError)
     assert not strays, strays
+    budget_types = sorted(name for name, value in defined if issubclass(value, BudgetExceededError)
+                          and value.__module__ != "reoptlab.errors")
+    assert not budget_types, budget_types
+
+    namespace = {**vars(builtins), **vars(cli)}
+    handlers = [node for node in ast.walk(ast.parse(inspect.getsource(cli._run)))
+                if isinstance(node, ast.ExceptHandler)]
+    caught = {namespace[node.id] for handler in handlers for node in ast.walk(handler.type)
+              if isinstance(node, ast.Name)}
+    assert BudgetExceededError in caught
+    outside = sorted(f"{cls.__module__}.{cls.__name__}" for cls in caught
+                     if cls.__module__ not in ("builtins", "reoptlab.errors"))
+    assert not outside, outside
 
 
 def test_every_name_the_benchmark_reads_exists():

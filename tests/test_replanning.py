@@ -3,7 +3,7 @@ import pytest
 from reoptlab import replanning
 from reoptlab.cnf import cnf
 from reoptlab.enumeration import iter_small_formulas, random_plansat_instance
-from reoptlab.errors import BudgetExceededError
+from reoptlab.errors import BudgetExceededError, SearchBudgetError
 from reoptlab.replanning import (
     ReplanningCase,
     apply_initial_change,
@@ -13,7 +13,6 @@ from reoptlab.replanning import (
 )
 from reoptlab.strips import (
     NegativePostconditionError,
-    SearchBudgetError,
     is_applicable,
     make_instance,
     make_operator,

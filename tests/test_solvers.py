@@ -18,11 +18,10 @@ from reoptlab.cnf import (
     evaluate,
 )
 from reoptlab.enumeration import iter_small_formulas, random_formula
+from reoptlab.errors import BudgetExceededError
 from reoptlab.reductions import reduce_unique_model
 from reoptlab.solvers import (
     DPLL_BUDGET,
-    DpllBudgetError,
-    OracleLimitError,
     count_models,
     iter_assignments,
     solve_brute,
@@ -61,7 +60,7 @@ def test_brute_first_model_in_counting_order():
 
 def test_brute_oracle_limit():
     wide = cnf((), alphabet=range(1, 22))
-    with pytest.raises(OracleLimitError):
+    with pytest.raises(BudgetExceededError, match="21 variables exceed the oracle limit of 20"):
         solve_brute(wide)
 
 
@@ -210,7 +209,8 @@ def test_dpll_refuses_a_formula_past_its_budget_before_building_masks():
     assert len(f.alphabet) * len(f.clauses) > DPLL_BUDGET
     tracemalloc.start()
     try:
-        with pytest.raises(DpllBudgetError):
+        with pytest.raises(BudgetExceededError, match="8194 variables times 8193 clauses"
+                           " exceed the DPLL budget of 67108864"):
             solve_dpll_stats(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -224,7 +224,8 @@ def test_dpll_budget_is_mentioned_variables_times_clauses(monkeypatch):
     monkeypatch.setattr(solvers, "DPLL_BUDGET", 6)
     assert solve_dpll_stats(f) == (frozenset({1}), 2)
     monkeypatch.setattr(solvers, "DPLL_BUDGET", 5)
-    with pytest.raises(DpllBudgetError):
+    with pytest.raises(BudgetExceededError,
+                       match="2 variables times 3 clauses exceed the DPLL budget of 5"):
         solve_dpll_stats(f)
 
 
@@ -240,7 +241,8 @@ def test_dpll_refuses_exactly_past_mentioned_variables_times_clauses(raw, unment
     budget = data.draw(st.integers(max(0, product - 3), len(f.alphabet) * len(f.clauses) + 3))
     with patch.object(solvers, "DPLL_BUDGET", budget):
         if product > budget:
-            with pytest.raises(DpllBudgetError):
+            with pytest.raises(BudgetExceededError, match=f"variables times {len(f.clauses)} clauses"
+                                                          f" exceed the DPLL budget of {budget}"):
                 solve_dpll_stats(f)
         else:
             assert solve_dpll_stats(f) == reference_dpll(f)

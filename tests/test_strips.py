@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from reoptlab.cnf import cnf
 from reoptlab.enumeration import random_plansat_instance
+from reoptlab.errors import SearchBudgetError
 from reoptlab.replanning import apply_initial_change, sat_to_replanning
 from reoptlab.solvers import solve_brute
 from reoptlab.strips import (
     Goal,
     NegativePostconditionError,
-    SearchBudgetError,
     StripsInstance,
     UnknownOperatorError,
     instance_from_json,
