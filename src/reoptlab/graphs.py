@@ -4,23 +4,29 @@ Node ids are opaque, whitespace-free string labels so that construction
 roles stay directly addressable in tests and DOT output.  The exhaustive
 minimum-cover search is the oracle; the budgeted branch-and-bound answers
 the at-most-k decision on graphs too large for subset enumeration.  It
-cuts a search node when a packing of disjoint triangles and edges already
-needs more cover nodes than the budget left, which refutes a CNF gadget
-one node short (a union of such cliques) in a few dozen nodes.  It keeps
-its own stack, so long paths do not hit the recursion limit, and it
-returns the same cover as the search without the bound.
+runs on integer node masks: each node's neighbours are one mask, live
+degrees are a bit-sliced counter over them, and every stack entry holds
+its whole state, so long paths do not hit the recursion limit.  It cuts
+a search node when a packing of disjoint triangles and edges, built at
+the root and inherited down the search path, already needs more cover
+nodes than the budget left, which refutes a CNF gadget one node short (a
+union of such cliques) in a few dozen nodes.  The cut removes only
+subtrees without a cover, so the search returns the same cover as
+without it.  Past ``COVER_SEARCH_BUDGET`` search nodes it gives up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .errors import BudgetExceededError, InvalidHintError
+from .errors import BudgetExceededError, InvalidHintError, SearchBudgetError
 from .hints import ReuseOutcome
 
 COVER_ORACLE_LIMIT = 24
+# The most search nodes one at-most-k cover decision may enter.
+COVER_SEARCH_BUDGET = 1_000_000
 
 Edge = tuple[str, str]
 
@@ -107,127 +113,162 @@ def decide_cover(g: Graph, budget: int) -> frozenset[str] | None:
 def decide_cover_stats(g: Graph, budget: int) -> tuple[frozenset[str] | None, int]:
     """Branch-and-bound at-most-k cover decision; returns (cover, nodes explored).
 
-    Branching picks the highest-degree node u of the live graph (ties
-    broken by smallest label) and tries "u in the cover" before "u
-    excluded, so all of u's neighbours are in the cover", the second only
-    when u has at most k neighbours.  The search runs on an explicit stack
-    with an undo trail, so its depth is not limited by recursion.
+    Node ``i`` is the ``i``-th label in sorted order and bit ``i`` of
+    every mask.  Branching picks the highest-degree node u of the live
+    graph (ties broken by smallest label) and tries "u in the cover"
+    before "u excluded, so all of u's neighbours are in the cover", the
+    second only when u has at most k neighbours.  Live degrees are kept
+    bit-sliced: bit i of ``planes[j]`` is bit j of node i's live degree,
+    so removing a node subtracts its live neighbour mask from the planes
+    with a borrow, and the pick is one top-down pass over them.  Every
+    stack entry carries its whole search state: masks, counts, and lists
+    that are copied before they change, never changed in place.  A
+    backtrack is therefore a pop, and the search depth is not limited by
+    recursion.
 
     A search node is cut when a packing of vertex-disjoint cliques in its
-    live graph needs more than k cover nodes (a clique of s nodes needs
-    s - 1).  The packing is greedy, triangles before edges: one is built
-    once at the root, its live part is kept up to date in O(1) per removed
-    node, and each search node extends it greedily over the live nodes it
-    no longer covers.  A cut subtree holds no cover within budget, so the
-    depth-first search reaches the same first cover as without the bound,
-    and the witness does not change.  ``explored`` counts the search nodes
-    entered, cut ones included.
+    live graph needs more than k cover nodes (a clique whose live part
+    has s nodes needs s - 1).  The packing is greedy, triangles before
+    edges, built at the root from the lowest-degree nodes up and
+    inherited down the search path: a removed node lowers the bound only
+    when its clique still had another live member, and only the mates it
+    leaves alone are offered to new cliques.  After each extension the live nodes outside a clique of two
+    or more live members are independent, so every live edge counts
+    toward the bound.  A cut subtree therefore holds no cover within
+    budget, the depth-first search reaches the same first cover as
+    without the bound, and the witness does not change.  ``explored``
+    counts the search nodes entered, cut ones included; past
+    ``COVER_SEARCH_BUDGET`` of them it raises ``SearchBudgetError``.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
+    cap = COVER_SEARCH_BUDGET
     labels = sorted(g.nodes)
     index = {label: i for i, label in enumerate(labels)}
-    adj: list[set[int]] = [set() for _ in labels]
-    # In label order: the order of each set, and with it the search, must
-    # not depend on the per-process salt of string hashes.
-    for u, v in sorted(g.edges):
-        adj[index[u]].add(index[v])
-        adj[index[v]].add(index[u])
-    # Live nodes with at least one live edge; isolated ones never matter.
-    active = {i for i, nbrs in enumerate(adj) if nbrs}
-    # Root packing: every node starts as its own singleton clique.  Its
-    # bound counts live members minus one over cliques with a live member.
-    clique_of = list(range(len(labels)))
-    live_in = [1] * len(labels)
-    root_bound = 0
-    by_degree = sorted(active, key=lambda i: (len(adj[i]), i))
-    for members in _greedy_cliques(adj, by_degree):
-        for i in members:
-            clique_of[i] = len(live_in)
-        live_in.append(len(members))
-        root_bound += len(members) - 1
-    trail: list[int] = []  # removed nodes, all in the cover, in removal order
-    stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), budget)]
+    adjm = [0] * len(labels)
+    for u, v in g.edges:
+        i, j = index[u], index[v]
+        adjm[i] |= 1 << j
+        adjm[j] |= 1 << i
+    by_degree = [0] * (len(labels) + 1)  # by_degree[d]: the mask of nodes of degree d
+    for i, nbrs in enumerate(adjm):
+        by_degree[nbrs.bit_count()] |= 1 << i
+    planes = []
+    for d, nodes in enumerate(by_degree):
+        if nodes:
+            planes += [0] * (d.bit_length() - len(planes))
+            for j in range(d.bit_length()):
+                if d >> j & 1:
+                    planes[j] |= nodes
+    live = (1 << len(labels)) - 1
+    # The free nodes are those outside a clique with another live member;
+    # clique[i] is the mask of i's packed clique, stale once i is free.
+    free, bound, clique = _pack(adjm, live, live, by_degree[1:], [0] * len(labels), 0)
+    stack = [(live, planes, budget, bound, free, clique, 0)]
     explored = 0
     while stack:
-        mark, take, k = stack.pop()
-        while len(trail) > mark:
-            node = trail.pop()
-            c = clique_of[node]
-            live_in[c] += 1
-            if live_in[c] > 1:
-                root_bound += 1
-            if adj[node]:
-                active.add(node)
-            for other in adj[node]:
-                if not adj[other]:
-                    active.add(other)
-                adj[other].add(node)
-        for node in take:
-            trail.append(node)
-            c = clique_of[node]
-            live_in[c] -= 1
-            if live_in[c] > 0:
-                root_bound -= 1
-            active.discard(node)
-            for other in adj[node]:
-                adj[other].discard(node)
-                if not adj[other]:
-                    active.discard(other)
+        live, planes, k, bound, free, clique, take = stack.pop()
         explored += 1
+        if explored > cap:
+            raise SearchBudgetError(f"more than {cap} cover search nodes explored")
+        if take:
+            alone = 0  # live nodes whose clique loses its last other live member
+            rest = take
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                live ^= low
+                mates = clique[low.bit_length() - 1] & live
+                if mates:
+                    bound -= 1
+                    if not mates & (mates - 1):
+                        alone |= mates
+            if bound > k:
+                continue
+            planes = planes[:]
+            while take:
+                low = take & -take
+                take ^= low
+                borrow = adjm[low.bit_length() - 1] & live
+                for j, plane in enumerate(planes):
+                    if not borrow:
+                        break
+                    planes[j] = plane ^ borrow
+                    borrow &= ~plane
+            if alone:
+                free, bound, clique = _pack(adjm, live, free | alone, (alone,), clique, bound)
+                if bound > k:
+                    continue
+        elif bound > k:
+            continue
+        active = 0
+        for plane in planes:
+            active |= plane
+        active &= live
         if not active:
-            return frozenset(labels[i] for i in trail), explored
-        if root_bound > k:
-            continue
-        pick, degree = -1, 0
-        uncovered = []  # live nodes whose root clique has no other live member
-        for node in active:
-            d = len(adj[node])
-            if d > degree or (d == degree and node < pick):
-                pick, degree = node, d
-            if live_in[clique_of[node]] == 1:
-                uncovered.append(node)
-        if _packing_exceeds(adj, uncovered, k - root_bound):
-            continue
-        mark = len(trail)
+            return frozenset(labels[i] for i in range(len(labels)) if not live >> i & 1), explored
+        degree = 0
+        for j in range(len(planes) - 1, -1, -1):
+            top = active & planes[j]
+            if top:
+                active = top
+                degree |= 1 << j
+        pick = active & -active
         if degree <= k:
-            stack.append((mark, tuple(adj[pick]), k - degree))
-        stack.append((mark, (pick,), k - 1))
+            stack.append((live, planes, k - degree, bound, free, clique, adjm[pick.bit_length() - 1] & live))
+        stack.append((live, planes, k - 1, bound, free, clique, pick))
     return None, explored
 
 
-def _greedy_cliques(adj: list[set[int]], order: list[int]):
-    """Disjoint triangles, then edges, among ``order``'s nodes, taken greedily in that order."""
-    free = set(order)
-    for u in order:
-        if u not in free:
-            continue
-        near = adj[u] & free
-        for v in near:
-            common = adj[v] & near
-            if common:
-                w = min(common)
-                free -= {u, v, w}
-                yield (u, v, w)
-                break
-    for u in order:
-        if u not in free:
-            continue
-        for v in adj[u]:
-            if v in free:
-                free -= {u, v}
-                yield (u, v)
-                break
+def _pack(adjm: list[int], live: int, free: int, seeds: Sequence[int], clique: list[int], bound: int):
+    """Extend a clique packing greedily with triangles, then edges, each through a node of ``seeds``.
 
-
-def _packing_exceeds(adj: list[set[int]], order: list[int], k: int) -> bool:
-    """True when the greedy clique packing of ``order``'s nodes needs more than k cover nodes."""
-    total = 0
-    for clique in _greedy_cliques(adj, order):
-        total += len(clique) - 1
-        if total > k:
-            return True
-    return False
+    ``seeds`` is a sequence of masks, taken in order and each from its
+    lowest bit up; only live nodes of ``free`` join a new clique.  Returns
+    the free mask, the bound raised by s - 1 per new clique of s nodes,
+    and ``clique``, copied before its first change.
+    """
+    copied = False
+    unpaired = []  # seeds with a free neighbour but no triangle, for the edge pass
+    for group in seeds:
+        rest = group & free & live
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not free & low:
+                continue
+            near = adjm[low.bit_length() - 1] & free & live
+            scan = near if near & (near - 1) else 0
+            while scan:
+                other = scan & -scan
+                scan ^= other
+                common = adjm[other.bit_length() - 1] & near
+                if common:
+                    break
+            else:
+                if near:
+                    unpaired.append(low)
+                continue
+            third = common & -common
+            members = low | other | third
+            if not copied:
+                clique, copied = clique[:], True
+            free &= ~members
+            bound += 2
+            for bit in (low, other, third):
+                clique[bit.bit_length() - 1] = members
+    for low in unpaired:
+        if free & low:
+            near = adjm[low.bit_length() - 1] & free & live
+            if near:
+                other = near & -near
+                members = low | other
+                if not copied:
+                    clique, copied = clique[:], True
+                free &= ~members
+                bound += 1
+                clique[low.bit_length() - 1] = clique[other.bit_length() - 1] = members
+    return free, bound, clique
 
 
 def warm_start_cover_stats(g, old_cover, added_edges, budget: int) -> ReuseOutcome:

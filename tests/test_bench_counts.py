@@ -32,15 +32,15 @@ COUNTS = {
         ("setup", "strips.validate_plan"): {"work": 1207},
     },
     "random-edits": {
-        ("query", "graphs.decide_cover"): {"nodes": 46040},
-        ("query", "graphs.warm_start_cover"): {"hits": 120, "work": 16184},
+        ("query", "graphs.decide_cover"): {"nodes": 46733},
+        ("query", "graphs.warm_start_cover"): {"hits": 120, "work": 16630},
         ("query", "hints.lookup"): {"misses": 48},
         ("query", "hints.reuse_model"): {"hits": 168, "work": 27039},
         ("query", "hints.reuse_plan"): {"hits": 132, "work": 8021},
         ("query", "solvers.solve_dpll"): {"work": 46420},
         ("query", "strips.plan_exists"): {"expanded": 6515},
         ("query", "strips.validate_plan"): {"work": 12763},
-        ("setup", "graphs.decide_cover"): {"nodes": 37670},
+        ("setup", "graphs.decide_cover"): {"nodes": 38067},
         ("setup", "hints.compile_table"): {"entries": 1288},
         ("setup", "solvers.solve_dpll"): {"work": 32029},
         ("setup", "strips.plan_exists"): {"expanded": 4626},

@@ -12,15 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reoptlab import solvers
+from reoptlab import graphs, solvers
 from reoptlab.cli import build_parser, main
 from reoptlab.cnf import cnf
 from reoptlab.dimacs import parse_dimacs
-from reoptlab.enumeration import random_formula
+from reoptlab.enumeration import random_formula, random_graph
 from reoptlab.errors import BudgetExceededError, SearchBudgetError
 from reoptlab.experiments import SCALE_FIELDS
 from reoptlab.gadgets import build_gadget, gadget_to_json
-from reoptlab.graphs import graph, min_cover_brute, parse_edge_list
+from reoptlab.graphs import graph, min_cover_brute, parse_edge_list, serialize_edge_list
 from reoptlab.hints import add_change, compile_table
 from reoptlab.replanning import apply_initial_change, sat_to_replanning
 from reoptlab.solvers import solve_brute, solve_dpll_stats
@@ -240,6 +240,19 @@ def test_solve_budget_exceeded_exit_code(tmp_path):
     run(["generate", "sat", "--seed", 2, "--out", wide, "--variables", 21,
          "--clauses", 4])
     assert run(["solve", "sat", "--method", "brute", "--input", wide]) == 3
+
+
+def test_solve_vc_past_the_cover_search_cap_exits_3(tmp_path, monkeypatch, capsys):
+    # 200 nodes and 600 edges, about 5 KB: at budget 120, a little below
+    # the minimum cover, the search runs past even the real cap of 10^6
+    # nodes; the patched cap keeps the test fast.
+    edges = tmp_path / "g.txt"
+    edges.write_text(serialize_edge_list(random_graph(random.Random(7), 200, 600)))
+    monkeypatch.setattr(graphs, "COVER_SEARCH_BUDGET", 1000)
+    assert run(["solve", "vc", "--input", edges, "--budget", 120]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: more than 1000 cover search nodes explored\n"
 
 
 def test_mutate_applies_change_file(tmp_path, capsys):

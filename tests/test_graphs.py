@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from reoptlab.dimacs import parse_dimacs
 from reoptlab.enumeration import random_graph
-from reoptlab.errors import BudgetExceededError, InvalidHintError
+from reoptlab import graphs
+from reoptlab.errors import BudgetExceededError, InvalidHintError, SearchBudgetError
 from reoptlab.gadgets import build_gadget, gadget_add_unit
 from reoptlab.graphs import (
     Graph,
@@ -158,6 +159,35 @@ def test_decide_cover_verdict_matches_brute_oracle_property(g):
         assert (got is not None) == (best <= budget)
         if got is not None:
             assert is_cover(g, got) and len(got) <= budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_decide_cover_witness_matches_unbounded_search_property(g):
+    for budget in range(len(g.nodes) + 1):
+        assert decide_cover(g, budget) == reference_decide_cover(g.nodes, g.edges, budget)
+
+
+def test_decide_cover_refuses_an_edge_at_budget_zero():
+    assert decide_cover(graph(edges=[("a", "b")]), 0) is None
+    assert decide_cover(graph(["a", "b"]), 0) == frozenset()
+
+
+# One below its minimum cover of 25, so the search runs to exhaustion.
+REFUTED = random_graph(random.Random(7), 40, 120)
+
+
+def test_decide_cover_runs_up_to_its_node_cap(monkeypatch):
+    explored = decide_cover_stats(REFUTED, 24)[1]
+    monkeypatch.setattr(graphs, "COVER_SEARCH_BUDGET", explored)
+    assert decide_cover_stats(REFUTED, 24) == (None, explored)
+
+
+def test_decide_cover_raises_past_its_node_cap(monkeypatch):
+    explored = decide_cover_stats(REFUTED, 24)[1]
+    monkeypatch.setattr(graphs, "COVER_SEARCH_BUDGET", explored - 1)
+    with pytest.raises(SearchBudgetError, match=f"more than {explored - 1} cover search nodes"):
+        decide_cover_stats(REFUTED, 24)
 
 
 def test_decide_cover_on_long_path_needs_no_recursion():
