@@ -1,6 +1,8 @@
-"""Every exception the CLI maps to an exit code, and the constructions' size cap.
+"""Every exception type the library defines, and the constructions' size cap.
 
-Exit 1: ``InvalidConfigError`` (a configuration field out of range) and
+No other module defines one: any other refusal is a plain ``ValueError``
+or ``KeyError`` whose message says what was refused.  Exit 1:
+``InvalidConfigError`` (a configuration field out of range) and
 ``InvalidHintError`` (a hint that breaks its precondition), among the
 other ``ValueError``s.  Exit 2: ``VerdictMismatchError``.  Exit 3:
 ``BudgetExceededError``, raised when a size, oracle, table or

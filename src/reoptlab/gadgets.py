@@ -23,6 +23,10 @@ Edits keep that correspondence:
   restoring the original graph and budget, since the forcing edge is
   still in place and merely needs to bite.
 
+An edit these rules cannot express (adding a unit already present or
+over a variable outside the alphabet, removing an absent unit, editing a
+clause that is not a unit) raises ``ValueError`` naming it.
+
 ``build_full_gadget`` instantiates the graph of *all* three-literal
 clauses over an alphabet; ``project_formula`` then selects any concrete
 formula by deleting clause-to-literal edges only, so every formula over
@@ -47,30 +51,6 @@ ROLE_PRIME = "prime"
 ROLE_DOUBLE_PRIME = "double_prime"
 ROLE_CLAUSE = "clause_member"
 _LABEL = re.compile(r"-?x[1-9][0-9]*('{0,2})|c[1-9][0-9]*_[1-9][0-9]*")
-
-
-class ClauseTooLargeError(ValueError):
-    """Only clauses of one to three literals can be translated."""
-
-
-class TautologyError(ValueError):
-    """Tautological clauses have no gadget."""
-
-
-class UnitAlreadyPresentError(ValueError):
-    pass
-
-
-class UnitNotPresentError(ValueError):
-    pass
-
-
-class ClauseOutsideUniverseError(ValueError):
-    pass
-
-
-class UnknownVariableError(ValueError):
-    """The literal's variable has no nodes in this gadget."""
 
 
 def literal_node(lit: int) -> str:
@@ -121,16 +101,16 @@ def ordered_clauses(formula: CnfFormula) -> list[Clause]:
 
 
 def build_gadget(f: CnfFormula) -> Gadget:
-    """Translate a formula (clauses of 1..3 literals, no tautologies).
+    """Translate a formula; a clause outside 1..3 literals or a tautology raises ``ValueError``.
 
     A gadget of more than ``errors.CONSTRUCTION_BUDGET`` nodes raises
     ``BudgetExceededError`` before any node is made.
     """
     for cl in f.clauses:
         if not 1 <= len(cl) <= 3:
-            raise ClauseTooLargeError(f"clause {cl} has {len(cl)} literals, need 1..3")
+            raise ValueError(f"clause {cl} has {len(cl)} literals, need 1..3")
         if is_tautology(cl):
-            raise TautologyError(f"clause {cl} is tautological")
+            raise ValueError(f"clause {cl} is tautological")
     size = 6 * len(f.alphabet) + sum(len(cl) for cl in f.clauses if len(cl) > 1)
     if size > CONSTRUCTION_BUDGET:
         raise BudgetExceededError(
@@ -159,10 +139,10 @@ def gadget_add_unit(g: Gadget, lit: int) -> Gadget:
     edge (l', l''), which gives the budget increment back.
     """
     if abs(lit) not in g.source.alphabet:
-        raise UnknownVariableError(f"variable {abs(lit)} is not in the gadget alphabet")
+        raise ValueError(f"variable {abs(lit)} is not in the gadget alphabet")
     unit = clause(lit)
     if unit in g.source.clauses:
-        raise UnitAlreadyPresentError(f"unit clause {unit} already present")
+        raise ValueError(f"unit clause {unit} already present")
     forcing = edge(literal_node(lit), prime_node(lit))
     relaxing = edge(prime_node(lit), double_prime_node(lit))
     if forcing not in g.graph.edges:
@@ -178,7 +158,7 @@ def gadget_remove_unit(g: Gadget, lit: int) -> Gadget:
     """Remove the unit clause ``lit``: one new relaxing edge (l', l'')."""
     unit = clause(lit)
     if unit not in g.source.clauses:
-        raise UnitNotPresentError(f"unit clause {unit} not present")
+        raise ValueError(f"unit clause {unit} not present")
     relaxing = edge(prime_node(lit), double_prime_node(lit))
     if relaxing in g.graph.edges:
         raise AssertionError("inconsistent gadget: unit present with its removal edge")
@@ -202,13 +182,15 @@ def project_formula(full: Gadget, f: CnfFormula) -> Graph:
     universe clause not in ``f``; cliques and variable edges stay, so the
     result is a subgraph of the full graph on the same nodes.  The cover
     threshold for the result is the full gadget's own budget: the graph
-    has a cover of that size exactly when ``f`` is satisfiable.
+    has a cover of that size exactly when ``f`` is satisfiable.  A
+    universe with unit clauses, or a clause of ``f`` outside it, raises
+    ``ValueError``.
     """
     if any(len(cl) < 2 for cl in full.source.clauses):
         raise ValueError("projection requires a clique-only clause universe")
     missing = f.clauses - full.source.clauses
     if missing:
-        raise ClauseOutsideUniverseError(f"clauses outside the universe: {sorted(missing)}")
+        raise ValueError(f"clauses outside the universe: {sorted(missing)}")
     doomed = []
     for index, cl in enumerate(ordered_clauses(full.source), start=1):
         if cl in f.clauses:
@@ -223,11 +205,11 @@ def apply_unit_changes(g: Gadget, changes: ChangeSet) -> Gadget:
     out = g
     for cl in changes.deletions:
         if len(cl) != 1:
-            raise ClauseTooLargeError(f"only unit clauses can be edited, got {cl}")
+            raise ValueError(f"only unit clauses can be edited, got {cl}")
         out = gadget_remove_unit(out, cl[0])
     for cl in changes.additions:
         if len(cl) != 1:
-            raise ClauseTooLargeError(f"only unit clauses can be edited, got {cl}")
+            raise ValueError(f"only unit clauses can be edited, got {cl}")
         out = gadget_add_unit(out, cl[0])
     return out
 

@@ -31,10 +31,6 @@ COVER_SEARCH_BUDGET = 1_000_000
 Edge = tuple[str, str]
 
 
-class UnknownNodeError(ValueError):
-    """A referenced node is not part of the graph."""
-
-
 def edge(u: str, v: str) -> Edge:
     """Canonical unordered edge; self-loops are rejected."""
     if u == v:
@@ -52,7 +48,7 @@ class Graph:
             if u >= v:
                 raise ValueError(f"edge ({u!r}, {v!r}) is not in canonical order")
             if u not in self.nodes or v not in self.nodes:
-                raise UnknownNodeError(f"edge ({u!r}, {v!r}) has an endpoint outside the node set")
+                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the node set")
 
 
 def graph(nodes=(), edges=()) -> Graph:
@@ -77,7 +73,7 @@ def is_cover(g: Graph, candidate) -> bool:
     members = frozenset(candidate)
     unknown = members - g.nodes
     if unknown:
-        raise UnknownNodeError(f"cover members outside the graph: {sorted(unknown)}")
+        raise ValueError(f"cover members outside the graph: {sorted(unknown)}")
     return all(u in members or v in members for u, v in g.edges)
 
 
@@ -286,7 +282,7 @@ def warm_start_cover_stats(g, old_cover, added_edges, budget: int) -> ReuseOutco
         raise ValueError(f"added edges not present in the graph: {sorted(stray)}")
     unknown = members - g.nodes
     if unknown:
-        raise UnknownNodeError(f"cover members outside the graph: {sorted(unknown)}")
+        raise ValueError(f"cover members outside the graph: {sorted(unknown)}")
     base = g.edges - added
     if not all(u in members or v in members for u, v in base):
         raise InvalidHintError("old cover does not cover the pre-change graph")

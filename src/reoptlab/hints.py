@@ -199,13 +199,29 @@ def table_to_json(table: HintTable) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _entry_mask(key: str) -> int:
+    """The mask an entry key names, spelled only as ``table_to_json`` writes it.
+
+    ``int(key, 16)`` alone reads ``"0x03"``, ``"3"`` and ``"0x0_3"`` as
+    mask 3 too, and a later spelling would silently replace an earlier one.
+    """
+    try:
+        mask = int(key, 16)
+    except ValueError:
+        mask = None
+    if mask is None or key != f"0x{mask:x}":
+        raise ValueError(f"table entry key {key!r} is not a lowercase hex mask such as '0x3'")
+    return mask
+
+
 def table_from_json(text: str) -> HintTable:
     """Load a table only if it equals what ``compile_table`` builds from it.
 
     The file's base, candidates and bound are compiled again and its
     entries must equal the rebuilt ones, so every stored model and every
     unsatisfiable marker is checked, and candidates ``compile_table``
-    refuses are refused here too.  Loading thus costs one solve per entry,
+    refuses are refused here too, and each entry key must be spelled as
+    ``table_to_json`` writes it.  Loading thus costs one solve per entry,
     as compiling does: six tables of 644 entries in all take about 0.1 s
     on a 2-CPU machine.
     """
@@ -214,7 +230,7 @@ def table_from_json(text: str) -> HintTable:
         base = parse_dimacs(obj["base"])
         candidates = tuple(ElementaryChange(op, tuple(lits)) for op, lits in obj["candidates"])
         entries = {
-            int(key, 16): None if model is None else frozenset(model)
+            _entry_mask(key): None if model is None else frozenset(model)
             for key, model in obj["entries"].items()
         }
         bound = operator.index(obj["bound"])

@@ -13,7 +13,7 @@ of unit are a few whole-formula integer operations, not visits to single
 clauses.  Bit ``i`` is clause ``i`` of ``sorted(formula.clauses)``, the
 plain tuple order, so DPLL makes the same decisions as one that rescans
 the clauses in that order.  The masks grow with variables times clauses,
-which ``DPLL_BUDGET`` caps.
+which ``DPLL_BUDGET`` caps; ``DPLL_SEARCH_BUDGET`` caps the steps.
 """
 
 from __future__ import annotations
@@ -21,12 +21,14 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .cnf import Assignment, CnfFormula, evaluate
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, SearchBudgetError
 
 ORACLE_LIMIT = 20
 # Mentioned variables times clauses above which DPLL refuses a formula,
 # so that its clause masks stay within 16 MiB.
 DPLL_BUDGET = 1 << 26
+# The most decisions plus propagations one DPLL call may make.
+DPLL_SEARCH_BUDGET = 1_000_000
 
 
 def iter_assignments(variables):
@@ -122,6 +124,9 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
     ``DPLL_BUDGET`` raises ``BudgetExceededError`` before any mask is built.
     The alphabet holds every mentioned variable, so the mentioned ones are
     counted only when the alphabet times the clauses exceeds the budget.
+    Once ``work`` passes ``DPLL_SEARCH_BUDGET`` the call raises
+    ``SearchBudgetError``, the conflict budget of MiniSat's
+    ``setConfBudget`` counted in steps.
     """
     if len(formula.alphabet) * len(formula.clauses) > DPLL_BUDGET:
         mentioned = len({abs(lit) for lit in set().union(*formula.clauses)})
@@ -130,6 +135,7 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
                 f"{mentioned} variables times {len(formula.clauses)} clauses"
                 f" exceed the DPLL budget of {DPLL_BUDGET}"
             )
+    cap = DPLL_SEARCH_BUDGET
     clauses = sorted(formula.clauses)  # the empty clause sorts first
     if clauses and not clauses[0]:
         return None, 0
@@ -181,6 +187,8 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
         value[lit], value[-lit] = True, False
         trail.append(lit)
         work += 1
+        if work > cap:
+            raise SearchBudgetError(f"more than {cap} DPLL decisions and propagations made")
         unsat &= ~occ[lit]
         borrow = occ[-lit]
         for j, plane in enumerate(planes):

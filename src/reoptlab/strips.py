@@ -31,14 +31,6 @@ DEFAULT_SEARCH_BUDGET = 500_000
 Plan = tuple[str, ...]
 
 
-class UnknownOperatorError(KeyError):
-    """A plan step names an operator the instance does not define."""
-
-
-class NegativePostconditionError(ValueError):
-    """The instance is outside the add-only fragment the search supports."""
-
-
 @dataclass(frozen=True)
 class StripsOperator:
     pos_pre: frozenset[str] = frozenset()
@@ -104,23 +96,19 @@ def satisfies_goal(state: frozenset[str], goal: Goal) -> bool:
     return goal.must_true <= state and not goal.must_false & state
 
 
-def _resolve(instance: StripsInstance, name: str) -> StripsOperator:
-    try:
-        return instance.operators[name]
-    except KeyError:
-        raise UnknownOperatorError(name) from None
-
-
 def validate_plan(instance: StripsInstance, plan) -> bool:
     return validate_plan_stats(instance, plan)[0]
 
 
 def validate_plan_stats(instance: StripsInstance, plan) -> tuple[bool, int]:
-    """Check a plan; returns (valid, work) with work linear in |plan| * |conditions|."""
+    """Check a plan; returns (valid, work) with work linear in |plan| * |conditions|.
+
+    A step naming no operator of the instance raises ``KeyError``.
+    """
     state = instance.initial
     work = 0
     for name in plan:
-        op = _resolve(instance, name)
+        op = instance.operators[name]
         work += len(op.pos_pre) + len(op.neg_pre) + len(op.pos_post) + len(op.neg_post) + 1
         if not is_applicable(state, op):
             return False, work
@@ -130,10 +118,10 @@ def validate_plan_stats(instance: StripsInstance, plan) -> tuple[bool, int]:
 
 
 def require_add_only(instance: StripsInstance) -> None:
-    """Raise ``NegativePostconditionError`` naming the operators with negative postconditions."""
+    """Raise ``ValueError`` naming the operators with negative postconditions."""
     offenders = sorted(n for n, op in instance.operators.items() if op.neg_post)
     if offenders:
-        raise NegativePostconditionError(f"operators with negative postconditions: {offenders}")
+        raise ValueError(f"operators with negative postconditions: {offenders}")
 
 
 def plan_exists(instance: StripsInstance, max_states: int = DEFAULT_SEARCH_BUDGET) -> Plan | None:
@@ -202,9 +190,9 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
     without the cut, so it never expands more states.
 
     Each state keeps a pointer to its parent and the steps that led to
-    it; the plan is rebuilt once, at the goal.  Raises
-    ``NegativePostconditionError`` on instances outside the add-only
-    fragment and ``SearchBudgetError`` past ``max_states`` expansions.
+    it; the plan is rebuilt once, at the goal.  Raises ``ValueError`` on
+    instances outside the add-only fragment and ``SearchBudgetError``
+    past ``max_states`` expansions.
     """
     require_add_only(instance)
     goal = instance.goal

@@ -13,7 +13,6 @@ from itertools import combinations, product
 from reoptlab.errors import SearchBudgetError
 from reoptlab.strips import (
     DEFAULT_SEARCH_BUDGET,
-    NegativePostconditionError,
     Plan,
     satisfies_goal,
 )
@@ -237,7 +236,7 @@ def reference_plan_search(instance, max_states=DEFAULT_SEARCH_BUDGET):
     """
     offenders = sorted(n for n, op in instance.operators.items() if op.neg_post)
     if offenders:
-        raise NegativePostconditionError(f"operators with negative postconditions: {offenders}")
+        raise ValueError(f"operators with negative postconditions: {offenders}")
     goal = instance.goal
     # Conditions never become false again, so any state overlapping
     # must_false is a dead end, the initial state included.
@@ -319,7 +318,7 @@ def reference_plan_dfs(instance, max_states=DEFAULT_SEARCH_BUDGET):
     """
     offenders = sorted(n for n, op in instance.operators.items() if op.neg_post)
     if offenders:
-        raise NegativePostconditionError(f"operators with negative postconditions: {offenders}")
+        raise ValueError(f"operators with negative postconditions: {offenders}")
     goal = instance.goal
     # Conditions never become false again, so any state overlapping
     # must_false is a dead end, the initial state included.

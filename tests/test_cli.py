@@ -255,6 +255,21 @@ def test_solve_vc_past_the_cover_search_cap_exits_3(tmp_path, monkeypatch, capsy
     assert captured.err == "budget exceeded: more than 1000 cover search nodes explored\n"
 
 
+def test_solve_sat_past_the_dpll_step_cap_exits_3(tmp_path, monkeypatch, capsys):
+    # Every sign pattern of three variables: DPLL refutes it in 10 steps.
+    # With the real cap of 10^6 steps, a 6.5 KB random 3-CNF file of 120
+    # variables and 511 clauses stops in about 2.5 s.
+    source = tmp_path / "f.cnf"
+    source.write_text("p cnf 3 8\n" + "".join(
+        f"{a} {b} {c} 0\n" for a in (1, -1) for b in (2, -2) for c in (3, -3)))
+    assert solve_dpll_stats(parse_dimacs(source.read_text())) == (None, 10)
+    monkeypatch.setattr(solvers, "DPLL_SEARCH_BUDGET", 9)
+    assert run(["solve", "sat", "--input", source]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: more than 9 DPLL decisions and propagations made\n"
+
+
 def test_mutate_applies_change_file(tmp_path, capsys):
     source = tmp_path / "f.cnf"
     source.write_text("p cnf 1 1\n1 0\n")

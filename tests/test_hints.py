@@ -233,6 +233,26 @@ def test_table_json_rejects_missing_or_stray_entries(missing, stray):
         table_from_json(json.dumps(obj))
 
 
+def test_table_json_rejects_a_second_spelling_of_a_mask():
+    # Mask 3 (both clauses added) is unsatisfiable; a stale model under
+    # "0x03" ahead of the canonical "0x3" must not load.
+    table = compile_table(cnf([(1, 2)]), [add_change(-1), add_change(-2)], 2)
+    obj = json.loads(table_to_json(table))
+    assert obj["entries"]["0x3"] is None
+    obj["entries"] = {"0x03": [1], **obj["entries"]}
+    with pytest.raises(ValueError, match="^table entry key '0x03' is not a lowercase hex mask"):
+        table_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("key", ["0x03", "3", " 0x3", "0x0_3", "0X3", "-0x3", "0x", "zz"])
+def test_table_json_reads_only_the_canonical_key_spelling(key):
+    table = compile_table(cnf([(1, 2)]), [add_change(-1), add_change(-2)], 2)
+    obj = json.loads(table_to_json(table))
+    obj["entries"][key] = obj["entries"].pop("0x3")
+    with pytest.raises(ValueError, match=f"^table entry key {key!r} is not a lowercase hex mask"):
+        table_from_json(json.dumps(obj))
+
+
 def test_table_json_rejects_a_model_that_misses_its_changed_formula():
     base = cnf([(1,), (1, -2)])
     candidates = [add_change(2), del_change(1)]

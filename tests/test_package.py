@@ -57,29 +57,40 @@ def _reoptlab_names_read(tree: ast.Module) -> set[tuple[str, str]]:
     return names
 
 
-def test_every_runtime_error_is_a_budget_error():
-    # The CLI exits 3 on BudgetExceededError; any other RuntimeError would
-    # escape its exit-code contract, except the verdict mismatch (exit 2).
-    # ``errors`` states the whole contract: it defines every type the CLI
-    # catches by name, and no other module adds a budget type.
-    from reoptlab import cli
-    from reoptlab.errors import BudgetExceededError, VerdictMismatchError
-
+def _exception_types() -> list[tuple[str, type]]:
+    """(qualified name, class) of every exception class a library module defines."""
     package = importlib.import_module("reoptlab")
     modules = [importlib.import_module(f"reoptlab.{info.name}")
                for info in pkgutil.iter_modules(package.__path__)]
     assert len(modules) > 10
-    defined = [(f"{module.__name__}.{name}", value) for module in modules
-               for name, value in vars(module).items()
-               if isinstance(value, type) and value.__module__ == module.__name__]
-    strays = sorted(name for name, value in defined
+    return [(f"{module.__name__}.{name}", value) for module in modules
+            for name, value in vars(module).items()
+            if isinstance(value, type) and issubclass(value, BaseException)
+            and value.__module__ == module.__name__]
+
+
+def test_only_errors_defines_exception_types():
+    # Every other refusal is a builtin ValueError or KeyError whose message
+    # names what was refused, so no caller needs a per-module type.
+    defined = _exception_types()
+    assert {name for name, _ in defined} >= {"reoptlab.errors.BudgetExceededError"}
+    strays = sorted(name for name, value in defined if value.__module__ != "reoptlab.errors")
+    assert not strays, "\n".join(strays)
+
+
+def test_every_runtime_error_is_a_budget_error():
+    # The CLI exits 3 on BudgetExceededError; any other RuntimeError would
+    # escape its exit-code contract, except the verdict mismatch (exit 2).
+    # ``errors`` states the whole contract: it defines every type the CLI
+    # catches by name.
+    from reoptlab import cli
+    from reoptlab.errors import BudgetExceededError, VerdictMismatchError
+
+    strays = sorted(name for name, value in _exception_types()
                     if issubclass(value, RuntimeError)
                     and not issubclass(value, BudgetExceededError)
                     and value is not VerdictMismatchError)
     assert not strays, strays
-    budget_types = sorted(name for name, value in defined if issubclass(value, BudgetExceededError)
-                          and value.__module__ != "reoptlab.errors")
-    assert not budget_types, budget_types
 
     namespace = {**vars(builtins), **vars(cli)}
     handlers = [node for node in ast.walk(ast.parse(inspect.getsource(cli._run)))

@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from unittest.mock import patch
 
 import pytest
@@ -18,7 +18,7 @@ from reoptlab.cnf import (
     evaluate,
 )
 from reoptlab.enumeration import iter_small_formulas, random_formula
-from reoptlab.errors import BudgetExceededError
+from reoptlab.errors import BudgetExceededError, SearchBudgetError
 from reoptlab.reductions import reduce_unique_model
 from reoptlab.solvers import (
     DPLL_BUDGET,
@@ -201,6 +201,26 @@ def test_dpll_counts_a_literal_repeated_in_a_raw_clause_once():
     assert solve_dpll(raw) is None
     raw = CnfFormula(frozenset({1, 2}), frozenset({(1, 1, 2), (-1,)}))
     assert solve_dpll(raw) == frozenset({2})
+
+
+# Every sign pattern of four variables: unsatisfiable, refuted in 22 steps.
+EVERY_SIGN = cnf([tuple(s * v for s, v in zip(signs, (1, 2, 3, 4)))
+                  for signs in product((1, -1), repeat=4)])
+
+
+def test_dpll_runs_up_to_its_step_cap(monkeypatch):
+    work = solve_dpll_stats(EVERY_SIGN)[1]
+    assert work == 22
+    monkeypatch.setattr(solvers, "DPLL_SEARCH_BUDGET", work)
+    assert solve_dpll_stats(EVERY_SIGN) == (None, work)
+
+
+def test_dpll_raises_past_its_step_cap(monkeypatch):
+    work = solve_dpll_stats(EVERY_SIGN)[1]
+    monkeypatch.setattr(solvers, "DPLL_SEARCH_BUDGET", work - 1)
+    with pytest.raises(SearchBudgetError,
+                       match=f"^more than {work - 1} DPLL decisions and propagations made$"):
+        solve_dpll_stats(EVERY_SIGN)
 
 
 def test_dpll_refuses_a_formula_past_its_budget_before_building_masks():
