@@ -12,6 +12,7 @@ from bisect import bisect_right
 from itertools import accumulate, combinations, product
 
 from .cnf import Clause, CnfFormula, clause, cnf
+from .errors import CONSTRUCTION_BUDGET, BudgetExceededError
 from .graphs import Graph, graph
 from .hints import ElementaryChange
 from .solvers import solve_dpll
@@ -83,6 +84,14 @@ def random_satisfiable_formula(rng: random.Random, num_vars: int, num_clauses: i
 
 
 def random_graph(rng: random.Random, num_nodes: int, num_edges: int) -> Graph:
+    """A graph of ``num_nodes`` nodes and ``num_edges`` distinct random edges.
+
+    More than ``errors.CONSTRUCTION_BUDGET`` nodes plus edges raise
+    ``BudgetExceededError`` before any is drawn.
+    """
+    if num_nodes + num_edges > CONSTRUCTION_BUDGET:
+        raise BudgetExceededError(f"{num_nodes} nodes and {num_edges} edges exceed "
+                                  f"the construction budget of {CONSTRUCTION_BUDGET}")
     labels = [f"v{i:02d}" for i in range(1, num_nodes + 1)]
     # Node pairs are drawn by their index in ``combinations(labels, 2)``
     # order without listing them; row i holds the pairs (i, j > i) and

@@ -1,8 +1,9 @@
-"""Every exception type the library defines, and the constructions' size cap.
+"""Every exception type the library defines, the constructions' size cap,
+and the JSON hook with which every loader refuses a repeated key.
 
-No other module defines one: any other refusal is a plain ``ValueError``
-or ``KeyError`` whose message says what was refused.  Exit 1:
-``InvalidConfigError`` (a configuration field out of range) and
+No other module defines an exception type: any other refusal is a plain
+``ValueError`` or ``KeyError`` whose message says what was refused.
+Exit 1: ``InvalidConfigError`` (a configuration field out of range) and
 ``InvalidHintError`` (a hint that breaks its precondition), among the
 other ``ValueError``s.  Exit 2: ``VerdictMismatchError``.  Exit 3:
 ``BudgetExceededError``, raised when a size, oracle, table or
@@ -10,8 +11,11 @@ construction limit refuses an input before any work starts, and its one
 subclass ``SearchBudgetError``, raised when a search runs past its cap.
 """
 
-# The most nodes a cover gadget, or conditions plus operators a replanning
-# case, may have; a larger one is refused before anything is built.
+from collections import Counter
+
+# The most nodes a cover gadget, conditions plus operators a replanning
+# case, or nodes plus edges a random graph may have; a larger one is
+# refused before anything is built.
 CONSTRUCTION_BUDGET = 1 << 16
 
 
@@ -37,3 +41,16 @@ class BudgetExceededError(RuntimeError):
 
 class SearchBudgetError(BudgetExceededError):
     """The configured search cap was exceeded."""
+
+
+def unique_keys(pairs: list) -> dict:
+    """``json.loads`` object hook: a JSON object naming a key twice is a ``ValueError``.
+
+    Plain ``json.loads`` keeps the last value silently, so a file could say
+    one thing to a reader and another to the loader.
+    """
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise ValueError(f"JSON object repeats the key {repeated!r}")
+    return obj

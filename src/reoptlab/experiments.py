@@ -16,8 +16,8 @@ import csv
 import io
 import json
 import random
+from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields
-from itertools import combinations
 
 from .cnf import ChangeSet, apply_changes
 from .dimacs import MAX_DIMACS_VARIABLES, serialize_changes, serialize_dimacs
@@ -28,17 +28,11 @@ from .enumeration import (
     random_satisfiable_formula,
 )
 from .errors import InvalidConfigError, VerdictMismatchError
-from .graphs import (
-    COVER_ORACLE_LIMIT,
-    add_edges,
-    decide_cover_stats,
-    min_cover_brute,
-    warm_start_cover_stats,
-)
+from .graphs import add_edges, decide_cover, decide_cover_stats, warm_start_cover_stats
 from .hints import reuse_model, reuse_plan
 from .reductions import reduce_unique_model, unique_model
 from .replanning import apply_initial_change, sat_to_replanning
-from .solvers import ORACLE_LIMIT, solve_dpll_stats
+from .solvers import solve_dpll_stats
 from .strips import instance_to_json, plan_exists_stats
 
 
@@ -90,11 +84,7 @@ def validate_config(config: ExperimentConfig) -> None:
             raise InvalidConfigError("nodes", "need at least two nodes to add an edge")
         if config.edges >= config.nodes * (config.nodes - 1) // 2:
             raise InvalidConfigError("edges", "the base graph must be missing at least one edge")
-        if config.nodes > COVER_ORACLE_LIMIT:
-            raise InvalidConfigError("nodes", f"exceeds the cover oracle limit {COVER_ORACLE_LIMIT}")
         return
-    if config.variables > ORACLE_LIMIT:
-        raise InvalidConfigError("variables", f"exceeds the oracle limit {ORACLE_LIMIT}")
     if config.problem == "strips" and config.clauses < 1:
         raise InvalidConfigError("clauses", "the replanning scenario needs at least one clause")
     if scenario == "add-clause" and config.variables < 1:
@@ -187,13 +177,24 @@ def _sat_unique_swap_trial(rng, config):
 
 def _vc_edge_add_trial(rng, config):
     base = random_graph(rng, config.nodes, config.edges)
-    non_edges = [p for p in combinations(sorted(base.nodes), 2) if p not in base.edges]
-    new_edge = rng.choice(non_edges)
-    old = min_cover_brute(base)
+    # Draw the non-edge that ``rng.choice`` over all of them in combinations
+    # order would, without listing the quadratically many pairs.
+    labels = sorted(base.nodes)
+    pick = rng.randrange(len(labels) * (len(labels) - 1) // 2 - len(base.edges))
+    later = Counter(u for u, _ in base.edges)  # u's edges to labels after it
+    for i, u in enumerate(labels):
+        row = len(labels) - 1 - i - later[u]  # u's non-edges to labels after it
+        if pick < row:
+            break
+        pick -= row
+    new_edge = (u, [v for v in labels[i + 1:] if (u, v) not in base.edges][pick])
+    old = decide_cover(base, len(base.nodes))  # exact, so shrinking it ends at a minimum
+    while old and (smaller := decide_cover(base, len(old) - 1)) is not None:
+        old = smaller
     grown = add_edges(base, [new_edge])
-    budget = old.size
+    budget = len(old)
     cold_cover, cold_work = decide_cover_stats(grown, budget)
-    outcome = warm_start_cover_stats(grown, old.cover, [new_edge], budget)
+    outcome = warm_start_cover_stats(grown, old, [new_edge], budget)
     change_id = f"+{new_edge[0]}-{new_edge[1]}"
     reproducer = f"graph edges: {sorted(grown.edges)} budget: {budget}"
     return change_id, cold_cover, cold_work, outcome, reproducer

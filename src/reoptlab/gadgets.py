@@ -43,7 +43,7 @@ from itertools import combinations
 from .cnf import ChangeSet, Clause, CnfFormula, clause, clause_sort_key, cnf, is_tautology
 from .dimacs import parse_dimacs, serialize_dimacs
 from .enumeration import all_clauses
-from .errors import CONSTRUCTION_BUDGET, BudgetExceededError
+from .errors import CONSTRUCTION_BUDGET, BudgetExceededError, unique_keys
 from .graphs import Graph, add_edges, edge, graph, remove_edges
 
 ROLE_LITERAL = "literal"
@@ -238,7 +238,7 @@ def gadget_from_json(text: str) -> Gadget:
     header keeps only the largest variable id.  Any other key, such as the
     role map of older files, is ignored.
     """
-    obj = json.loads(text)
+    obj = json.loads(text, object_pairs_hook=unique_keys)
     try:
         g = Graph(frozenset(obj["nodes"]), frozenset(edge(u, v) for u, v in obj["edges"]))
         parsed = parse_dimacs(obj["source"])

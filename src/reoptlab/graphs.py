@@ -12,7 +12,8 @@ the root and inherited down the search path, already needs more cover
 nodes than the budget left, which refutes a CNF gadget one node short (a
 union of such cliques) in a few dozen nodes.  The cut removes only
 subtrees without a cover, so the search returns the same cover as
-without it.  Past ``COVER_SEARCH_BUDGET`` search nodes it gives up.
+without it.  Past ``COVER_SEARCH_BUDGET`` search nodes it gives up, and
+it refuses a graph of more than ``MAX_COVER_GRAPH_NODES`` nodes.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .hints import ReuseOutcome
 COVER_ORACLE_LIMIT = 24
 # The most search nodes one at-most-k cover decision may enter.
 COVER_SEARCH_BUDGET = 1_000_000
+# The most graph nodes a cover search takes: each level of its stack holds
+# masks of one bit per node and may copy a list of one entry per node.
+MAX_COVER_GRAPH_NODES = 1 << 13
 
 Edge = tuple[str, str]
 
@@ -45,6 +49,12 @@ class Graph:
 
     def __post_init__(self):
         for u, v in self.edges:
+            if u >= v or u not in self.nodes or v not in self.nodes:
+                break
+        else:
+            return
+        # Set order follows the hash salt, so the error names the least bad edge.
+        for u, v in sorted(self.edges):
             if u >= v:
                 raise ValueError(f"edge ({u!r}, {v!r}) is not in canonical order")
             if u not in self.nodes or v not in self.nodes:
@@ -134,10 +144,15 @@ def decide_cover_stats(g: Graph, budget: int) -> tuple[frozenset[str] | None, in
     budget, the depth-first search reaches the same first cover as
     without the bound, and the witness does not change.  ``explored``
     counts the search nodes entered, cut ones included; past
-    ``COVER_SEARCH_BUDGET`` of them it raises ``SearchBudgetError``.
+    ``COVER_SEARCH_BUDGET`` of them it raises ``SearchBudgetError``.  A
+    graph of more than ``MAX_COVER_GRAPH_NODES`` nodes raises
+    ``BudgetExceededError`` before any mask is built.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
+    if len(g.nodes) > MAX_COVER_GRAPH_NODES:
+        raise BudgetExceededError(f"{len(g.nodes)} graph nodes exceed the cover search limit "
+                                  f"of {MAX_COVER_GRAPH_NODES}")
     cap = COVER_SEARCH_BUDGET
     labels = sorted(g.nodes)
     index = {label: i for i, label in enumerate(labels)}

@@ -23,7 +23,7 @@ from typing import Any, Mapping, NamedTuple
 
 from .cnf import Assignment, ChangeSet, Clause, CnfFormula, apply_changes, clause, evaluate
 from .dimacs import parse_dimacs, serialize_dimacs
-from .errors import BudgetExceededError, InvalidHintError
+from .errors import BudgetExceededError, InvalidHintError, unique_keys
 from .solvers import solve_dpll, solve_dpll_stats
 from .strips import StripsInstance, plan_exists_stats, validate_plan_stats
 
@@ -225,7 +225,7 @@ def table_from_json(text: str) -> HintTable:
     as compiling does: six tables of 644 entries in all take about 0.1 s
     on a 2-CPU machine.
     """
-    obj = json.loads(text)
+    obj = json.loads(text, object_pairs_hook=unique_keys)
     try:
         base = parse_dimacs(obj["base"])
         candidates = tuple(ElementaryChange(op, tuple(lits)) for op, lits in obj["candidates"])

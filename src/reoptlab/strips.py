@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import SearchBudgetError
+from .errors import SearchBudgetError, unique_keys
 
 DEFAULT_SEARCH_BUDGET = 500_000
 
@@ -297,7 +297,7 @@ def _names(value) -> list[str]:
 
 
 def instance_from_json(text: str) -> StripsInstance:
-    obj = json.loads(text)
+    obj = json.loads(text, object_pairs_hook=unique_keys)
     try:
         operators = {}
         for name, parts in obj["operators"].items():

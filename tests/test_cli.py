@@ -255,6 +255,17 @@ def test_solve_vc_past_the_cover_search_cap_exits_3(tmp_path, monkeypatch, capsy
     assert captured.err == "budget exceeded: more than 1000 cover search nodes explored\n"
 
 
+def test_solve_vc_past_the_graph_node_limit_exits_3(tmp_path, capsys):
+    edges = tmp_path / "path.txt"
+    edges.write_text("".join(f"p{i:04d} p{i + 1:04d}\n"
+                             for i in range(graphs.MAX_COVER_GRAPH_NODES)))
+    assert run(["solve", "vc", "--input", edges, "--budget", 10]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("budget exceeded: 8193 graph nodes exceed the cover search limit "
+                            "of 8192\n")
+
+
 def test_solve_sat_past_the_dpll_step_cap_exits_3(tmp_path, monkeypatch, capsys):
     # Every sign pattern of three variables: DPLL refutes it in 10 steps.
     # With the real cap of 10^6 steps, a 6.5 KB random 3-CNF file of 120
@@ -759,11 +770,17 @@ def test_strips_experiment_reads_clause_sizes_above_three(capsys):
     assert outputs[0] != outputs[1]
 
 
-def test_oracle_limit_applies_only_to_problems_that_read_variables(capsys):
-    assert run(["experiment", "vc", "--trials", 1]) == 0
-    capsys.readouterr()
-    assert run(["experiment", "sat", "--variables", 21, "--trials", 1]) == 1
-    assert "exceeds the oracle limit 20" in capsys.readouterr().err
+def test_experiment_sizes_are_not_bounded_by_the_oracle_limits():
+    # Trials solve only with the capped searches, so the exhaustive
+    # oracles' limits (20 variables, 24 nodes) do not apply.
+    assert run(["experiment", "sat", "--variables", 21, "--trials", 1]) == 0
+    assert run(["experiment", "vc", "--nodes", 25, "--edges", 10, "--trials", 1]) == 0
+
+
+def test_experiment_on_a_dense_24_node_graph_finishes():
+    result = run_in_subprocess(["experiment", "vc", "--nodes", 24, "--edges", 275,
+                                "--trials", 20], timeout=20)
+    assert result.returncode == 0, result.stderr
 
 
 def test_top_level_takes_no_option_but_help(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from reoptlab import enumeration
 from reoptlab.cnf import is_tautology
+from reoptlab.errors import BudgetExceededError
 from reoptlab.enumeration import (
     SATISFIABLE_ATTEMPTS,
     all_clauses,
@@ -84,6 +85,15 @@ def test_random_graph_does_not_list_every_node_pair():
         tracemalloc.stop()
     assert len(g.nodes) == 2000 and len(g.edges) == 1
     assert peak < 5 * 2**20
+
+
+def test_random_graph_checks_the_construction_budget(monkeypatch):
+    monkeypatch.setattr(enumeration, "CONSTRUCTION_BUDGET", 18)
+    assert len(random_graph(random.Random(0), 8, 10).edges) == 10
+    monkeypatch.setattr(enumeration, "CONSTRUCTION_BUDGET", 17)
+    with pytest.raises(BudgetExceededError,
+                       match="8 nodes and 10 edges exceed the construction budget of 17"):
+        random_graph(random.Random(0), 8, 10)
 
 
 def test_random_plansat_instance_is_add_only():

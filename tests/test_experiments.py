@@ -1,15 +1,20 @@
 import csv
 import io
 import json
+import random
 import time
 from dataclasses import fields, replace
+from itertools import combinations
 
 import pytest
 
-from reoptlab.enumeration import all_clauses
+from reoptlab import experiments
+from reoptlab.dimacs import MAX_DIMACS_VARIABLES
+from reoptlab.enumeration import all_clauses, random_graph
 from reoptlab.errors import InvalidConfigError
 from reoptlab.experiments import (
     SCALE_FIELDS,
+    SCENARIOS,
     ExperimentConfig,
     check_formula_sizes,
     report_to_csv,
@@ -17,6 +22,7 @@ from reoptlab.experiments import (
     run_experiment,
     validate_config,
 )
+from reoptlab.graphs import is_cover, min_cover_brute, remove_edges, warm_start_cover_stats
 
 CSV_HEADER = ["trial_id", "problem", "change_id", "cold_verdict", "hinted_verdict",
               "cold_work", "hinted_work", "hint_used"]
@@ -61,6 +67,34 @@ def test_vc_rows_agree():
     assert all(row.cold_verdict == row.hinted_verdict for row in report.rows)
 
 
+def test_vc_budget_is_the_exhaustive_minimum_of_the_pre_change_graph(monkeypatch):
+    seen = []
+
+    def recording(g, old_cover, added_edges, budget):
+        seen.append((remove_edges(g, added_edges), old_cover, budget))
+        return warm_start_cover_stats(g, old_cover, added_edges, budget)
+
+    monkeypatch.setattr(experiments, "warm_start_cover_stats", recording)
+    for seed in range(4):
+        run_experiment(ExperimentConfig(seed=seed, problem="vc"))
+    assert len(seen) == 4 * ExperimentConfig().trials
+    for base, old_cover, budget in seen:
+        assert budget == len(old_cover) == min_cover_brute(base).size
+        assert is_cover(base, old_cover)
+
+
+def test_vc_trial_adds_the_non_edge_a_choice_over_all_of_them_would():
+    for seed, nodes, edges in [(0, 10, 14), (1, 14, 30), (2, 30, 400), (3, 6, 14), (4, 120, 300)]:
+        rng = random.Random(seed)
+        change_id = SCENARIOS["vc"]["edge-add"](rng, ExperimentConfig(nodes=nodes, edges=edges))[0]
+        listed = random.Random(seed)
+        base = random_graph(listed, nodes, edges)
+        u, v = listed.choice([p for p in combinations(sorted(base.nodes), 2)
+                              if p not in base.edges])
+        assert change_id == f"+{u}-{v}"
+        assert rng.getstate() == listed.getstate()
+
+
 def test_zero_trials_is_an_empty_report():
     report = run_experiment(ExperimentConfig(seed=1, problem="sat", trials=0))
     assert report.rows == []
@@ -74,8 +108,8 @@ def test_zero_trials_is_an_empty_report():
     (ExperimentConfig(problem="strips", clauses=0), "clauses"),
     (ExperimentConfig(problem="vc", nodes=1), "nodes"),
     (ExperimentConfig(problem="vc", nodes=4, edges=6), "edges"),
-    (ExperimentConfig(problem="vc", nodes=25, edges=10), "nodes"),
-    (ExperimentConfig(variables=30), "variables"),
+    (ExperimentConfig(problem="vc", nodes=0, edges=0), "nodes"),
+    (ExperimentConfig(variables=MAX_DIMACS_VARIABLES + 1), "variables"),
     (ExperimentConfig(clause_size=0), "clause_size"),
     (ExperimentConfig(variables=0, clauses=0), "variables"),
     (ExperimentConfig(variables=1, clauses=5), "clauses"),

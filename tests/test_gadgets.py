@@ -266,6 +266,13 @@ def test_gadget_json_round_trip():
     assert gadget_from_json(gadget_to_json(g)) == g
 
 
+def test_gadget_json_refuses_a_repeated_key():
+    text = gadget_to_json(build_gadget(PAPER_FORMULA))
+    assert text.startswith('{\n  "budget": ')
+    with pytest.raises(ValueError, match="JSON object repeats the key 'budget'"):
+        gadget_from_json(text.replace("{", '{"budget": 99, ', 1))
+
+
 def test_gadget_json_round_trips_every_case():
     for f, tag, gadget, _ in gadget_cases(2, 2, 20):
         assert gadget_from_json(gadget_to_json(gadget)) == gadget, (f, tag)

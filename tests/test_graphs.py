@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +78,21 @@ def test_graph_factory_absorbs_endpoints():
 def test_graph_rejects_unknown_endpoint():
     with pytest.raises(ValueError, match=r"edge \('a', 'b'\) has an endpoint outside the node set"):
         Graph(frozenset({"a"}), frozenset({("a", "b")}))
+
+
+def test_graph_names_the_least_bad_edge_under_every_hash_salt():
+    # Set order follows the string-hash salt of the process; the error must not.
+    script = ("from reoptlab.graphs import Graph\n"
+              "Graph(frozenset('ab'), frozenset([('a', 'z'), ('b', 'y'), ('a', 'x')]))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    errors = set()
+    for salt in ("0", "1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": salt,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, timeout=60)
+        errors.add(result.stderr.splitlines()[-1])
+    assert errors == {"ValueError: edge ('a', 'x') has an endpoint outside the node set"}
 
 
 def test_is_cover():
@@ -187,6 +206,16 @@ def test_decide_cover_raises_past_its_node_cap(monkeypatch):
     monkeypatch.setattr(graphs, "COVER_SEARCH_BUDGET", explored - 1)
     with pytest.raises(SearchBudgetError, match=f"more than {explored - 1} cover search nodes"):
         decide_cover_stats(REFUTED, 24)
+
+
+def test_decide_cover_refuses_a_graph_past_its_graph_node_limit(monkeypatch):
+    monkeypatch.setattr(graphs, "MAX_COVER_GRAPH_NODES", len(REFUTED.nodes))
+    assert decide_cover_stats(REFUTED, 24)[0] is None
+    monkeypatch.setattr(graphs, "MAX_COVER_GRAPH_NODES", len(REFUTED.nodes) - 1)
+    with pytest.raises(BudgetExceededError) as err:
+        decide_cover_stats(REFUTED, 24)
+    assert type(err.value) is BudgetExceededError
+    assert str(err.value) == "40 graph nodes exceed the cover search limit of 39"
 
 
 def test_decide_cover_on_long_path_needs_no_recursion():

@@ -211,6 +211,16 @@ def test_table_json_round_trip():
     assert '"0x3"' in text  # hex-keyed entries
 
 
+def test_table_json_refuses_a_repeated_entry_key():
+    table = compile_table(cnf([(1,), (1, -2)]), [add_change(2), del_change(1)], 2)
+    obj = json.loads(table_to_json(table))
+    entries = json.dumps(obj["entries"])
+    obj["entries"] = "ENTRIES"
+    text = json.dumps(obj).replace('"ENTRIES"', entries.replace("{", '{"0x3": null, ', 1))
+    with pytest.raises(ValueError, match="JSON object repeats the key '0x3'"):
+        table_from_json(text)
+
+
 def test_table_entries_and_index_are_read_only():
     table = compile_table(cnf([(1,), (1, -2)]), [add_change(2), del_change(1)], 2)
     with pytest.raises(TypeError):

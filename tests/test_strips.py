@@ -462,6 +462,15 @@ def test_instance_json_random_round_trips():
         assert instance_from_json(instance_to_json(inst)) == inst
 
 
+def test_instance_json_refuses_a_repeated_key():
+    # Plain JSON keeps only the second "a", which cannot reach the goal
+    # that the first one reaches.
+    text = ('{"conditions": ["p", "q"], "initial": [], "goal": {"must_true": ["q"], '
+            '"must_false": []}, "operators": {"a": [[], [], ["q"], []], "a": [[], [], ["p"], []]}}')
+    with pytest.raises(ValueError, match="JSON object repeats the key 'a'"):
+        instance_from_json(text)
+
+
 def test_instance_json_rejects_malformed():
     with pytest.raises(ValueError):
         instance_from_json('{"conditions": []}')
