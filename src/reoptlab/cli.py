@@ -5,7 +5,9 @@ export-dot.  ``generate``, ``solve`` and ``experiment`` take the problem
 (``sat``, ``vc`` or ``strips``) and ``verify`` the suite as a sub-command
 of their own, and the options follow it: ``solve vc --input g.edges
 --budget 2``.  Every option is declared on the parser of the command,
-problem or suite that reads it, so argparse refuses any other.  Exit
+problem or suite that reads it, so argparse refuses any other; a
+``verify`` suite's options and defaults are its ``SUITES`` function's
+parameters, and it gets only the options given.  Exit
 codes: 0 success, 1 usage or input error (an undeclared option, a
 negative size, or a size ``generate`` cannot honour among them), 2
 verification counterexample or verdict mismatch, 3 any
@@ -20,6 +22,7 @@ stdout.  Warnings raised while a subcommand runs print as
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import random
 import sys
@@ -34,6 +37,7 @@ from .enumeration import random_formula, random_graph, random_plansat_instance
 from .errors import BudgetExceededError, InvalidConfigError, VerdictMismatchError
 from .experiments import (
     SCALE_FIELDS,
+    SCENARIOS,
     ExperimentConfig,
     check_formula_sizes,
     report_to_csv,
@@ -46,7 +50,7 @@ from .reductions import make_nsat_instance, reduce_fixed_model, reduce_unique_mo
 from .replanning import sat_to_replanning
 from .solvers import solve_brute, solve_dpll_stats
 from .strips import StripsInstance, instance_from_json, instance_to_json, plan_exists_stats
-from .verification import DEFAULT_SEED, SUITES, run_suite, suite_reads
+from .verification import SUITES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,21 +90,21 @@ def build_parser() -> argparse.ArgumentParser:
                      help="change-list file; a gadget takes unit clauses only")
     mut.set_defaults(func=cmd_mutate)
 
-    ver = _nested(sub, "verify", "suite", cmd_verify, help="run oracle-equivalence sweeps",
-                  **dict.fromkeys(VERIFY_SCALES))
+    ver = _nested(sub, "verify", "suite", cmd_verify, help="run oracle-equivalence sweeps")
     for suite in (*sorted(SUITES), "all"):
-        reads = set().union(*map(suite_reads, SUITES if suite == "all" else [suite]))
-        sweeps = ver.add_parser(suite)
-        sweeps.add_argument("--seed", type=int, default=None,
-                            help=f"sample seed (default {DEFAULT_SEED})")
-        for name in VERIFY_SCALES:
-            if name in reads:
-                sweeps.add_argument("--" + name.replace("_", "-"), type=_size, default=None)
+        options = ver.add_parser(suite, conflict_handler="resolve")  # all: one flag per option
+        for run in SUITES.values() if suite == "all" else [SUITES[suite]]:
+            for name, param in inspect.signature(run).parameters.items():
+                default = "each suite's own" if suite == "all" else param.default
+                options.add_argument("--" + name.replace("_", "-"), default=argparse.SUPPRESS,
+                                     type=int if name == "seed" else _size,
+                                     help=f"(default: {default})")
 
     exp = _nested(sub, "experiment", "problem", cmd_experiment, help="cold-versus-hinted trials")
     for problem in SCALE_FIELDS:
         trials = exp.add_parser(problem, parents=[seed, out])
-        trials.add_argument("--scenario", default="", help="(default: the problem's first)")
+        trials.add_argument("--scenario", choices=SCENARIOS[problem],
+                            default=next(iter(SCENARIOS[problem])), help="(default: %(default)s)")
         trials.add_argument("--trials", type=int, default=ExperimentConfig.trials,
                             help="(default: %(default)s)")
         trials.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -112,10 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _nested(sub, command: str, dest: str, func, help: str, **defaults):
+def _nested(sub, command: str, dest: str, func, help: str):
     """Subcommand ``command``, whose problem or suite ``dest`` is a sub-command."""
     parser = sub.add_parser(command, help=help)
-    parser.set_defaults(func=func, **defaults)
+    parser.set_defaults(func=func)
     return parser.add_subparsers(dest=dest, required=True)
 
 
@@ -128,8 +132,6 @@ def _config_sizes(problem: str) -> dict:
 # instance directly, not from a formula.
 GENERATE_SIZES = {**{problem: _config_sizes(problem) for problem in SCALE_FIELDS},
                   "strips": {"conditions": 6, "operators": 6}}
-# The scale options of the sweeps, as ``run_suite`` takes them.
-VERIFY_SCALES = ("max_vars", "max_clauses", "samples")
 
 
 def _add_sizes(parser, sizes: dict) -> None:
@@ -251,11 +253,11 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    overrides = {name: getattr(args, name) for name in VERIFY_SCALES}
     bad = 0
-    for name in names:
-        failures = run_suite(name, **overrides, seed=args.seed)
+    for name in sorted(SUITES) if args.suite == "all" else [args.suite]:
+        suite = SUITES[name]
+        failures = suite(**{key: value for key, value in vars(args).items()
+                            if key in inspect.signature(suite).parameters})
         status = "PASS" if not failures else f"FAIL ({len(failures)} counterexamples)"
         print(f"suite {name}: {status}")
         for failure in failures[:5]:

@@ -55,8 +55,14 @@ def random_formula(rng: random.Random, num_vars: int, num_clauses: int,
     Clauses are drawn with ``random_clause``; if duplicates keep colliding,
     the rest are sampled from the clauses not yet chosen, so the count
     falls short only when it exceeds the pool of distinct clauses, which
-    ``experiments.check_formula_sizes`` refuses.
+    ``experiments.check_formula_sizes`` refuses.  More than
+    ``errors.CONSTRUCTION_BUDGET`` clauses times ``min(max_size, num_vars)``
+    literals raise ``BudgetExceededError`` before any clause is drawn.
     """
+    if num_clauses * min(max_size, num_vars) > CONSTRUCTION_BUDGET:
+        raise BudgetExceededError(
+            f"{num_clauses} clauses of up to {min(max_size, num_vars)} literals exceed "
+            f"the construction budget of {CONSTRUCTION_BUDGET}")
     alphabet = range(1, num_vars + 1)
     if num_vars == 0:
         return cnf((), alphabet=())

@@ -14,8 +14,9 @@ subclass ``SearchBudgetError``, raised when a search runs past its cap.
 from collections import Counter
 
 # The most nodes a cover gadget, conditions plus operators a replanning
-# case, or nodes plus edges a random graph may have; a larger one is
-# refused before anything is built.
+# case, nodes plus edges a random graph, or clauses times the clause size
+# a random formula may have; a larger one is refused before anything is
+# built.
 CONSTRUCTION_BUDGET = 1 << 16
 
 

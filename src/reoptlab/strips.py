@@ -26,7 +26,8 @@ from typing import Mapping
 
 from .errors import SearchBudgetError, unique_keys
 
-DEFAULT_SEARCH_BUDGET = 500_000
+# About as many seconds of search as the DPLL and cover caps allow.
+DEFAULT_SEARCH_BUDGET = 10_000
 
 Plan = tuple[str, ...]
 

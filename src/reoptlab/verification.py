@@ -3,12 +3,12 @@
 Each sweep returns a list of failure strings, one minimal reproducer per
 counterexample; an empty list is a pass.  The sweeps drive every
 construction against the exhaustive oracles.  Their random samples are
-drawn from ``DEFAULT_SEED`` unless a seed is given.
+drawn from ``DEFAULT_SEED`` unless a seed is given.  ``SUITES`` gives
+each ``verify`` suite one function, whose parameters are its options.
 """
 
 from __future__ import annotations
 
-import inspect
 import random
 from itertools import chain, combinations
 
@@ -202,32 +202,23 @@ def sweep_hint_tables(samples: int = 50, seed: int = DEFAULT_SEED) -> list[str]:
     return failures
 
 
+def suite_sat_reductions(max_vars: int = 3, max_clauses: int = 3,
+                         samples: int = 1000, seed: int = DEFAULT_SEED) -> list[str]:
+    """Solver agreement, then the fixed-model and unique-model constructions."""
+    return (sweep_solver_agreement(max_vars, max_clauses, samples, seed)
+            + sweep_fixed_model(max_vars, max_clauses)
+            + sweep_unique_model(max_vars, max_clauses))
+
+
+def suite_plan_reductions(max_vars: int = 3, max_clauses: int = 3,
+                          samples: int = 200, seed: int = DEFAULT_SEED) -> list[str]:
+    """Guard-deletion replanning, then goal compilation."""
+    return sweep_replanning(max_vars, max_clauses) + sweep_goal_compilation(samples, seed)
+
+
 SUITES = {
-    "sat-reductions": (sweep_solver_agreement, sweep_fixed_model, sweep_unique_model),
-    "vc-gadget": (sweep_vc_gadget,),
-    "plan-reductions": (sweep_replanning, sweep_goal_compilation),
-    "hint-tables": (sweep_hint_tables,),
+    "sat-reductions": suite_sat_reductions,
+    "vc-gadget": sweep_vc_gadget,
+    "plan-reductions": suite_plan_reductions,
+    "hint-tables": sweep_hint_tables,
 }
-
-
-def suite_reads(name: str) -> set[str]:
-    """The parameters that some sweep of suite ``name`` declares."""
-    return {param for sweep in SUITES[name] for param in inspect.signature(sweep).parameters}
-
-
-def run_suite(name: str, max_vars: int | None = None, max_clauses: int | None = None,
-              samples: int | None = None, seed: int | None = None) -> list[str]:
-    """Run one named suite with optional scale overrides; returns failures.
-
-    Each sweep receives the non-``None`` overrides its signature declares.
-    """
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    overrides = {"max_vars": max_vars, "max_clauses": max_clauses,
-                 "samples": samples, "seed": seed}
-    failures = []
-    for sweep in SUITES[name]:
-        declared = inspect.signature(sweep).parameters
-        failures.extend(sweep(**{k: v for k, v in overrides.items()
-                                 if v is not None and k in declared}))
-    return failures

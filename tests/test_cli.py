@@ -1,4 +1,5 @@
 import csv
+import functools
 import inspect
 import json
 import os
@@ -18,7 +19,7 @@ from reoptlab.cnf import cnf
 from reoptlab.dimacs import parse_dimacs
 from reoptlab.enumeration import random_formula, random_graph
 from reoptlab.errors import BudgetExceededError, SearchBudgetError
-from reoptlab.experiments import SCALE_FIELDS
+from reoptlab.experiments import SCALE_FIELDS, SCENARIOS
 from reoptlab.gadgets import build_gadget, gadget_to_json
 from reoptlab.graphs import graph, min_cover_brute, parse_edge_list, serialize_edge_list
 from reoptlab.hints import add_change, compile_table
@@ -337,10 +338,24 @@ def test_verify_suite_passes_at_small_scale(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_verify_counterexample_exit_code(monkeypatch, capsys):
-    import reoptlab.cli as cli
+def fake_suite(monkeypatch, name, result=list):
+    """Swap suite ``name`` for a stand-in with its signature that returns ``result()``.
 
-    monkeypatch.setattr(cli, "run_suite", lambda name, **kw: ["witness formula"])
+    Returns the list of option dicts the stand-in is called with.
+    """
+    calls = []
+
+    @functools.wraps(SUITES[name])
+    def suite(**options):
+        calls.append(options)
+        return result()
+
+    monkeypatch.setitem(SUITES, name, suite)
+    return calls
+
+
+def test_verify_counterexample_exit_code(monkeypatch, capsys):
+    fake_suite(monkeypatch, "vc-gadget", lambda: ["witness formula"])
     assert run(["verify", "vc-gadget"]) == 2
     out = capsys.readouterr().out
     assert "FAIL" in out and "witness formula" in out
@@ -373,25 +388,38 @@ def _dpll_refusal(monkeypatch):
                  "131072 entries exceed the table budget of 65536", id="TableBudgetError"),
 ])
 def test_every_budget_error_exits_3(monkeypatch, capsys, refuse, message):
-    import reoptlab.cli as cli
-
-    monkeypatch.setattr(cli, "run_suite", lambda name, **kw: refuse(monkeypatch))
+    fake_suite(monkeypatch, "vc-gadget", lambda: refuse(monkeypatch))
     assert run(["verify", "vc-gadget"]) == 3
     assert capsys.readouterr().err == f"budget exceeded: {message}\n"
 
 
 def test_verify_forwards_the_global_seed(monkeypatch):
-    import reoptlab.cli as cli
-
-    seen = []
-    monkeypatch.setattr(cli, "run_suite", lambda name, **kw: seen.append((name, kw)) or [])
+    seen = fake_suite(monkeypatch, "vc-gadget")
     assert run(["verify", "vc-gadget", "--seed", 5]) == 0
     # Without --seed the sweeps keep their own default, the acceptance tests' seed.
     assert run(["verify", "vc-gadget"]) == 0
-    assert seen == [("vc-gadget",
-                     {"max_vars": None, "max_clauses": None, "samples": None, "seed": 5}),
-                    ("vc-gadget",
-                     {"max_vars": None, "max_clauses": None, "samples": None, "seed": None})]
+    assert seen == [{"seed": 5}, {}]
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_help_shows_each_option_with_the_suite_default(capsys, suite):
+    assert run(["verify", suite, "-h"]) == 0
+    shown = " ".join(capsys.readouterr().out.split())
+    options = inspect.signature(SUITES[suite]).parameters.values()
+    assert options
+    for option in options:
+        flag = "--" + option.name.replace("_", "-")
+        assert f"{flag} {option.name.upper()} (default: {option.default})" in shown, flag
+
+
+def test_verify_all_gives_each_suite_the_given_options_it_declares(monkeypatch, capsys):
+    seen = {name: fake_suite(monkeypatch, name) for name in SUITES}
+    assert run(["verify", "all", "--samples", 3, "--max-vars", 2]) == 0
+    assert seen == {"sat-reductions": [{"samples": 3, "max_vars": 2}],
+                    "vc-gadget": [{"samples": 3, "max_vars": 2}],
+                    "plan-reductions": [{"samples": 3, "max_vars": 2}],
+                    "hint-tables": [{"samples": 3}]}
+    assert capsys.readouterr().out.count("PASS") == 4
 
 
 def test_verify_usage_errors():
@@ -625,6 +653,18 @@ def test_experiment_rejects_scale_options_its_problem_does_not_read(capsys, prob
     assert f"unrecognized arguments: {unread[0]}" in captured.err
 
 
+@pytest.mark.parametrize("problem", sorted(SCENARIOS))
+def test_experiment_scenario_is_a_choice_among_the_problem_own(capsys, problem):
+    assert run(["experiment", problem, "-h"]) == 0
+    shown = " ".join(capsys.readouterr().out.split())
+    assert f"(default: {next(iter(SCENARIOS[problem]))})" in shown
+    other = next(name for p in sorted(SCENARIOS) if p != problem for name in SCENARIOS[p])
+    assert run(["experiment", problem, "--scenario", other, "--trials", 1]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --scenario: invalid choice: '{other}'" in captured.err
+
+
 @pytest.mark.parametrize("problem, unread", [
     ("sat", ["--nodes", 40]),
     ("sat", ["--conditions", 2]),
@@ -689,7 +729,7 @@ SMALL_SIZES = st.fixed_dictionaries({
 @settings(max_examples=150, deadline=None)
 @given(command=st.sampled_from(["generate", "experiment"]),
        problem=st.sampled_from(["sat", "vc", "strips"]),
-       scenario=st.sampled_from(["", "unique-swap"]), sizes=SMALL_SIZES)
+       scenario=st.sampled_from([None, "unique-swap"]), sizes=SMALL_SIZES)
 def test_generate_and_experiment_exit_with_a_documented_code_on_small_sizes(
         command, problem, scenario, sizes):
     reads = {"sat": ["variables", "clauses", "clause-size"], "vc": ["nodes", "edges"],
@@ -699,7 +739,8 @@ def test_generate_and_experiment_exit_with_a_documented_code_on_small_sizes(
     for name in reads:
         args += ["--" + name, sizes[name]]
     if command == "experiment":
-        args += ["--trials", 1] + (["--scenario", scenario] if problem == "sat" else [])
+        args += ["--trials", 1] + (["--scenario", scenario] if problem == "sat" and scenario
+                                   else [])
     with tempfile.TemporaryDirectory() as scratch:
         assert run([*args, "--out", Path(scratch) / "out"]) in (0, 1, 2, 3), args
 
@@ -838,9 +879,8 @@ def test_a_negative_size_is_refused(tmp_path, capsys, command, option):
 ])
 def test_verify_refuses_scale_options_its_suites_do_not_read(monkeypatch, capsys,
                                                             suite, options, code):
-    import reoptlab.cli as cli
-
-    monkeypatch.setattr(cli, "run_suite", lambda name, **kw: [])
+    for name in SUITES:
+        fake_suite(monkeypatch, name)
     assert run(["verify", suite, *options]) == code
     captured = capsys.readouterr()
     assert (f"unrecognized arguments: {options[0]}" in captured.err) == bool(code)
@@ -866,8 +906,8 @@ def test_the_parsers_declare_exactly_the_sizes_the_library_reads():
                 parsed = _parses([command, problem, "--" + name.replace("_", "-"), 1])
                 assert parsed == (name in names), (command, problem, name)
     for suite in (*SUITES, "all"):
-        sweeps = [s for name in SUITES for s in SUITES[name] if suite in (name, "all")]
-        declared = {p for sweep in sweeps for p in inspect.signature(sweep).parameters}
+        declared = {p for name in SUITES if suite in (name, "all")
+                    for p in inspect.signature(SUITES[name]).parameters}
         for name in ("max_vars", "max_clauses", "samples"):
             parsed = _parses(["verify", suite, "--" + name.replace("_", "-"), 1])
             assert parsed == (name in declared), (suite, name)

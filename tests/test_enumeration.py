@@ -96,6 +96,18 @@ def test_random_graph_checks_the_construction_budget(monkeypatch):
         random_graph(random.Random(0), 8, 10)
 
 
+def test_random_formula_checks_the_construction_budget(monkeypatch):
+    # Five clauses of up to min(3, 4) = 3 literals are 15 literal slots.
+    monkeypatch.setattr(enumeration, "CONSTRUCTION_BUDGET", 15)
+    assert len(random_formula(random.Random(0), 4, 5).clauses) == 5
+    monkeypatch.setattr(enumeration, "CONSTRUCTION_BUDGET", 14)
+    with pytest.raises(BudgetExceededError,
+                       match="5 clauses of up to 3 literals exceed the construction budget of 14"):
+        random_formula(random.Random(0), 4, 5)
+    # The clause size is capped by the variables: two of them leave 10 slots.
+    assert len(random_formula(random.Random(0), 2, 5).clauses) == 5
+
+
 def test_random_plansat_instance_is_add_only():
     rng = random.Random(9)
     for _ in range(20):

@@ -10,6 +10,7 @@ from reoptlab.errors import SearchBudgetError
 from reoptlab.replanning import apply_initial_change, sat_to_replanning
 from reoptlab.solvers import solve_brute
 from reoptlab.strips import (
+    DEFAULT_SEARCH_BUDGET,
     Goal,
     StripsInstance,
     instance_from_json,
@@ -184,6 +185,26 @@ def test_plan_exists_budget():
     assert plan_exists_stats(inst) == (("one", "two"), 2)
     with pytest.raises(SearchBudgetError):
         plan_exists(inst, max_states=1)
+
+
+def test_a_planless_search_over_3_to_the_9_states_runs_past_the_default_cap():
+    # Each i sets p_i or q_i, not both, and either adds d_i; "wire" needs
+    # every d_i and adds w together with x, which kills "win".  The
+    # relaxation from any state without x reaches g, so nothing is cut and
+    # every partial choice of the nine switches (3^9 of them) is expanded.
+    n = 9
+    ops = {"win": make_operator(pos_pre=["w"], neg_pre=["x"], pos_post=["g"]),
+           "wire": make_operator(pos_pre=[f"d{i}" for i in range(n)], pos_post=["w", "x"])}
+    for i in range(n):
+        ops[f"p{i}"] = make_operator(neg_pre=[f"q{i}"], pos_post=[f"p{i}", f"d{i}"])
+        ops[f"q{i}"] = make_operator(neg_pre=[f"p{i}"], pos_post=[f"q{i}", f"d{i}"])
+    conditions = ["g", "w", "x", *(f"{c}{i}" for i in range(n) for c in "pqd")]
+    inst = make_instance(conditions, ops, goal_true=["g"])
+    assert DEFAULT_SEARCH_BUDGET < 3 ** n
+    with pytest.raises(SearchBudgetError, match=f"more than {DEFAULT_SEARCH_BUDGET} states"):
+        plan_exists(inst)
+    plan, expanded = plan_exists_stats(inst, max_states=2 * 3 ** n)
+    assert plan is None and expanded > 3 ** n
 
 
 def test_states_grow_monotonically_along_plans():

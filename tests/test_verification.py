@@ -11,7 +11,6 @@ from reoptlab.reductions import reduce_fixed_model
 from reoptlab.strips import make_instance
 from reoptlab.verification import (
     SUITES,
-    run_suite,
     sweep_fixed_model,
     sweep_goal_compilation,
     sweep_hint_tables,
@@ -96,32 +95,37 @@ def test_corrupted_sweep_keeps_its_reproducer(monkeypatch, sweep, name, replacem
     assert reproducer in failures[0]
 
 
-def test_run_suite_dispatch():
-    assert run_suite("hint-tables", samples=5) == []
-    assert run_suite("sat-reductions", max_vars=2, max_clauses=2, samples=20) == []
-    with pytest.raises(ValueError):
-        run_suite("nonsense")
+def test_suite_dispatch():
+    assert SUITES["hint-tables"](samples=5) == []
+    assert SUITES["sat-reductions"](max_vars=2, max_clauses=2, samples=20) == []
 
 
-def test_run_suite_forwards_only_declared_overrides(monkeypatch):
+# The suites of several sweeps, with their sweeps in the order they run.
+MULTI_SWEEP_SUITES = {
+    "sat-reductions": ["sweep_solver_agreement", "sweep_fixed_model", "sweep_unique_model"],
+    "plan-reductions": ["sweep_replanning", "sweep_goal_compilation"],
+}
+
+
+@pytest.mark.parametrize("given", [{}, {"max_vars": 2, "max_clauses": 1, "samples": 4, "seed": 5}],
+                         ids=["defaults", "all-given"])
+@pytest.mark.parametrize("suite", sorted(MULTI_SWEEP_SUITES))
+def test_a_suite_gives_each_sweep_the_options_it_declares(monkeypatch, suite, given):
+    # Each sweep gets the given options it declares and its own default for the rest.
+    names = MULTI_SWEEP_SUITES[suite]
+    signatures = {name: inspect.signature(getattr(verification, name)) for name in names}
     calls = []
-
-    def sampled(samples=1, seed=2):
-        calls.append(("sampled", {"samples": samples, "seed": seed}))
-        return []
-
-    def exhaustive(max_vars=3):
-        calls.append(("exhaustive", {"max_vars": max_vars}))
-        return ["counterexample"]
-
-    monkeypatch.setattr(verification, "SUITES", {"fake": (sampled, exhaustive)})
-    assert run_suite("fake", max_vars=4, samples=5, seed=6) == ["counterexample"]
-    assert calls == [("sampled", {"samples": 5, "seed": 6}),
-                     ("exhaustive", {"max_vars": 4})]
-    calls.clear()
-    assert run_suite("fake", max_clauses=7) == ["counterexample"]
-    assert calls == [("sampled", {"samples": 1, "seed": 2}),
-                     ("exhaustive", {"max_vars": 3})]
+    for name in names:
+        def sweep(*args, name=name, **kwargs):
+            bound = signatures[name].bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((name, bound.arguments))
+            return [name]
+        monkeypatch.setattr(verification, name, sweep)
+    assert SUITES[suite](**given) == names
+    assert calls == [(name, {p: given.get(p, param.default)
+                             for p, param in signatures[name].parameters.items()})
+                     for name in names]
 
 
 def test_suite_names():
