@@ -53,6 +53,8 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise ValueError(f"variable count in problem line exceeds "
                                  f"{MAX_DIMACS_VARIABLES}: {line!r}")
             continue
+        if nvars is None:
+            raise ValueError(f"clause line before the 'p cnf' header: {line!r}")
         literals.extend(int(tok) for tok in line.split())
     if nvars is None:
         raise ValueError("missing 'p cnf' header")

@@ -79,14 +79,21 @@ def random_formula(rng: random.Random, num_vars: int, num_clauses: int,
 
 def random_satisfiable_formula(rng: random.Random, num_vars: int, num_clauses: int,
                                max_size: int = 3):
-    """A satisfiable random formula together with one of its models."""
-    for _ in range(SATISFIABLE_ATTEMPTS):
+    """A satisfiable random formula together with one of its models.
+
+    The attempts share ``errors.CONSTRUCTION_BUDGET``: there are as many
+    as the budget holds formulas of this many literal slots, at least one
+    and at most ``SATISFIABLE_ATTEMPTS``.
+    """
+    slots = max(1, num_clauses * min(max_size, num_vars))
+    attempts = min(SATISFIABLE_ATTEMPTS, max(1, CONSTRUCTION_BUDGET // slots))
+    for _ in range(attempts):
         f = random_formula(rng, num_vars, num_clauses, max_size)
         model = solve_dpll(f)
         if model is not None:
             return f, model
     raise ValueError(f"no satisfiable formula of {num_vars} variables and {num_clauses} clauses"
-                     f" in {SATISFIABLE_ATTEMPTS} attempts")
+                     f" in {attempts} attempt{'' if attempts == 1 else 's'}")
 
 
 def random_graph(rng: random.Random, num_nodes: int, num_edges: int) -> Graph:

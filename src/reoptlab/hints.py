@@ -185,60 +185,47 @@ def reuse_plan(changed: StripsInstance, old_plan) -> ReuseOutcome:
     return ReuseOutcome(plan, False, expanded)
 
 
+def _keyed_entries(table: HintTable) -> dict[str, Assignment | None]:
+    """The table's entries keyed as files spell them: lowercase hex masks."""
+    return {f"0x{mask:x}": model for mask, model in table.entries.items()}
+
+
 def table_to_json(table: HintTable) -> str:
     """Canonical JSON with the base formula embedded as DIMACS text."""
     obj = {
         "base": serialize_dimacs(table.base),
         "bound": table.bound,
         "candidates": [[c.op, list(c.clause)] for c in table.candidates],
-        "entries": {
-            f"0x{mask:x}": None if model is None else sorted(model)
-            for mask, model in table.entries.items()
-        },
+        "entries": {key: None if model is None else sorted(model)
+                    for key, model in _keyed_entries(table).items()},
     }
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _entry_mask(key: str) -> int:
-    """The mask an entry key names, spelled only as ``table_to_json`` writes it.
-
-    ``int(key, 16)`` alone reads ``"0x03"``, ``"3"`` and ``"0x0_3"`` as
-    mask 3 too, and a later spelling would silently replace an earlier one.
-    """
-    try:
-        mask = int(key, 16)
-    except ValueError:
-        mask = None
-    if mask is None or key != f"0x{mask:x}":
-        raise ValueError(f"table entry key {key!r} is not a lowercase hex mask such as '0x3'")
-    return mask
 
 
 def table_from_json(text: str) -> HintTable:
     """Load a table only if it equals what ``compile_table`` builds from it.
 
-    The file's base, candidates and bound are compiled again and its
-    entries must equal the rebuilt ones, so every stored model and every
-    unsatisfiable marker is checked, and candidates ``compile_table``
-    refuses are refused here too, and each entry key must be spelled as
-    ``table_to_json`` writes it.  Loading thus costs one solve per entry,
-    as compiling does: six tables of 644 entries in all take about 0.1 s
-    on a 2-CPU machine.
+    The file's base, candidates and bound are compiled again, and its
+    entries, keys kept as written, must equal the rebuilt table's entries
+    keyed as ``table_to_json`` writes them.  That one comparison checks
+    every stored model and unsatisfiable marker, and refuses a missing
+    entry, a stray one and any other spelling of a key (``"0x03"``,
+    ``"3"``, ``"0X3"``).  Candidates ``compile_table`` refuses are refused
+    here too.  Loading thus costs one solve per entry, as compiling does.
     """
     obj = json.loads(text, object_pairs_hook=unique_keys)
     try:
         base = parse_dimacs(obj["base"])
         candidates = tuple(ElementaryChange(op, tuple(lits)) for op, lits in obj["candidates"])
-        entries = {
-            _entry_mask(key): None if model is None else frozenset(model)
-            for key, model in obj["entries"].items()
-        }
+        entries = {key: None if model is None else frozenset(model)
+                   for key, model in obj["entries"].items()}
         bound = operator.index(obj["bound"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"missing or malformed table field: {exc}") from None
     table = compile_table(base, candidates, bound)
-    if entries != table.entries:
-        differing = sorted({mask for mask, _ in entries.items() ^ table.entries.items()})
-        raise ValueError(f"entries {[hex(m) for m in differing]} contradict the table "
+    expected = _keyed_entries(table)
+    if entries != expected:
+        differing = sorted({key for key, _ in entries.items() ^ expected.items()})
+        raise ValueError(f"entries {differing} contradict the table "
                          f"compiled from its base, candidates and bound")
     return table

@@ -580,6 +580,14 @@ def test_solve_sat_rejects_a_huge_header_count(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("text", ["1 -2 0\np cnf 2 1\n", "1 -2\np cnf 2 1\n0\n"])
+def test_solve_sat_rejects_a_clause_before_the_header(tmp_path, capsys, text):
+    source = tmp_path / "late-header.cnf"
+    source.write_text(text)
+    assert run(["solve", "sat", "--input", source]) == 1
+    assert capsys.readouterr().err.startswith("error: clause line before the 'p cnf' header")
+
+
 @pytest.mark.parametrize("command, text", [
     (["solve", "strips"], "[]"),
     (["solve", "strips"], '"x"'),

@@ -92,6 +92,8 @@ def test_round_trip_generated_formulas(f):
     "p cnf 999999999 0\n",          # variable count far above the bound
     f"p cnf {MAX_DIMACS_VARIABLES + 1} 0\n",  # one above it
     "p cnf 5 1\n1 0\np cnf 2 1\n",  # a second problem line
+    "1 -2 0\np cnf 2 1\n",          # a clause before the header
+    "1 -2\np cnf 2 1\n0\n",         # a clause split across the header
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):

@@ -54,6 +54,24 @@ def test_random_satisfiable_formula_gives_up_after_its_attempts(monkeypatch):
     assert len(solved) == SATISFIABLE_ATTEMPTS
 
 
+def test_random_satisfiable_formula_shares_the_construction_budget(monkeypatch):
+    solved = []
+    real = enumeration.solve_dpll
+    monkeypatch.setattr(enumeration, "solve_dpll", lambda f: solved.append(f) or real(f))
+    # Two unit clauses over one variable fill 2 literal slots per attempt.
+    monkeypatch.setattr(enumeration, "CONSTRUCTION_BUDGET", 7)
+    with pytest.raises(ValueError, match="in 3 attempts$"):
+        random_satisfiable_formula(random.Random(0), 1, 2, 1)
+    assert len(solved) == 3
+    monkeypatch.setattr(enumeration, "CONSTRUCTION_BUDGET", 3)
+    with pytest.raises(ValueError, match="in 1 attempt$"):
+        random_satisfiable_formula(random.Random(0), 1, 2, 1)
+    assert len(solved) == 4
+    # No clauses fill no slots, and the first attempt finds the empty formula.
+    f, _ = random_satisfiable_formula(random.Random(0), 2, 0)
+    assert not f.clauses and len(solved) == 5
+
+
 def test_random_graph_is_seed_deterministic():
     a = random_graph(random.Random(1), 8, 10)
     b = random_graph(random.Random(1), 8, 10)

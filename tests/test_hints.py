@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -250,7 +251,7 @@ def test_table_json_rejects_a_second_spelling_of_a_mask():
     obj = json.loads(table_to_json(table))
     assert obj["entries"]["0x3"] is None
     obj["entries"] = {"0x03": [1], **obj["entries"]}
-    with pytest.raises(ValueError, match="^table entry key '0x03' is not a lowercase hex mask"):
+    with pytest.raises(ValueError, match=r"^entries \['0x03'\] contradict"):
         table_from_json(json.dumps(obj))
 
 
@@ -259,7 +260,7 @@ def test_table_json_reads_only_the_canonical_key_spelling(key):
     table = compile_table(cnf([(1, 2)]), [add_change(-1), add_change(-2)], 2)
     obj = json.loads(table_to_json(table))
     obj["entries"][key] = obj["entries"].pop("0x3")
-    with pytest.raises(ValueError, match=f"^table entry key {key!r} is not a lowercase hex mask"):
+    with pytest.raises(ValueError, match=f"^entries .*{re.escape(repr(key))}.* contradict"):
         table_from_json(json.dumps(obj))
 
 
@@ -312,7 +313,7 @@ def test_every_compiled_table_of_these_tests_loads():
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32), num_vars=st.integers(1, 3), num_clauses=st.integers(0, 3),
        num_candidates=st.integers(0, 3), bound=st.integers(0, 3),
-       edit=st.sampled_from(["swap-null", "drop", "stray"]), data=st.data())
+       edit=st.sampled_from(["swap-null", "drop", "stray", "respell"]), data=st.data())
 def test_table_json_loads_compiled_tables_and_nothing_one_edit_away(
         seed, num_vars, num_clauses, num_candidates, bound, edit, data):
     base, candidates = random_hint_setup(random.Random(seed), num_vars, num_clauses, num_candidates)
@@ -325,6 +326,11 @@ def test_table_json_loads_compiled_tables_and_nothing_one_edit_away(
         entries[key] = sorted(base.alphabet) if entries[key] is None else None
     elif edit == "drop":
         del entries[data.draw(st.sampled_from(sorted(entries)))]
+    elif edit == "respell":
+        key = data.draw(st.sampled_from(sorted(entries)))
+        mask = int(key, 16)
+        spelling = data.draw(st.sampled_from([f"0x0{mask:x}", f"0X{mask:x}", str(mask)]))
+        entries[spelling] = entries.pop(key)
     else:
         masks = sorted(set(range(1 << len(candidates) + 1)) - {int(key, 16) for key in entries})
         entries[f"0x{data.draw(st.sampled_from(masks)):x}"] = data.draw(
