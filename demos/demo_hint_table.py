@@ -29,11 +29,11 @@ table = compile_table(base, candidates, bound)
 print(f"compiled {len(table.entries)} entries "
       f"for {len(candidates)} candidates, bound {bound}")
 
-for mask, model in sorted(table.entries.items()):
-    names = [candidates[i] for i in range(len(candidates)) if mask >> i & 1]
-    label = ", ".join(f"{c.op} {c.clause}" for c in names) or "(no change)"
-    print(f"  {mask:#04x} {label:38s} -> "
-          f"{'UNSAT' if model is None else sorted(model)}")
+# Entries are keyed by candidate subsets and kept in compile order.
+for subset, model in table.entries.items():
+    names = [f"{c.op} {c.clause}" for c in candidates if c in subset]
+    label = ", ".join(names) or "(no change)"
+    print(f"  {label:38s} -> {'UNSAT' if model is None else sorted(model)}")
 
 # Lookups registered in the table come back instantly.
 hit = lookup(table, ChangeSet(additions=((-3,),)))

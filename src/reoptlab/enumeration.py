@@ -117,20 +117,33 @@ def random_graph(rng: random.Random, num_nodes: int, num_edges: int) -> Graph:
     return graph(labels, picked)
 
 
-def _random_subset(rng: random.Random, pool, max_size: int) -> list[str]:
+def _random_subset(rng: random.Random, pool, max_size: int) -> list:
     size = rng.randint(0, min(max_size, len(pool)))
     return rng.sample(pool, size)
 
 
 def random_plansat_instance(rng: random.Random, num_conditions: int,
                             num_operators: int) -> StripsInstance:
-    """A random add-only instance; goals are small so both verdicts occur."""
+    """A random add-only instance; goals are small so both verdicts occur.
+
+    More than ``errors.CONSTRUCTION_BUDGET`` conditions plus operators
+    raise ``BudgetExceededError`` before any is drawn.
+    """
+    if num_conditions + num_operators > CONSTRUCTION_BUDGET:
+        raise BudgetExceededError(f"{num_conditions} conditions and {num_operators} operators "
+                                  f"exceed the construction budget of {CONSTRUCTION_BUDGET}")
     conditions = [f"p{i}" for i in range(1, num_conditions + 1)]
     operators = {}
     for i in range(1, num_operators + 1):
-        pos_pre = _random_subset(rng, conditions, 2)
-        rest = [c for c in conditions if c not in pos_pre]
-        neg_pre = _random_subset(rng, rest, 1)
+        # Preconditions are drawn as indices, so an operator costs the same at
+        # any size; a range samples as a list of its length would.  The negative
+        # one indexes the conditions left over, so it steps past each taken one.
+        taken = _random_subset(rng, range(num_conditions), 2)
+        rest = _random_subset(rng, range(num_conditions - len(taken)), 1)
+        for t in sorted(taken):
+            rest = [j + 1 if j >= t else j for j in rest]
+        pos_pre = [conditions[j] for j in taken]
+        neg_pre = [conditions[j] for j in rest]
         pos_post = rng.sample(conditions, rng.randint(1, min(2, num_conditions)))
         operators[f"op{i}"] = make_operator(pos_pre, neg_pre, pos_post)
     initial = _random_subset(rng, conditions, max(1, num_conditions // 2))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple
@@ -65,21 +65,18 @@ MISS = _Miss()
 class HintTable:
     """Solutions for every change subset of size at most ``bound``.
 
-    Entries are keyed by candidate bitmask; a ``None`` value is an
+    Entries are keyed by the candidate subset itself, in compile order (a
+    hex mask is only how a file spells that key); a ``None`` value is an
     explicit marker that the changed formula is unsatisfiable.
     """
 
     base: CnfFormula
     candidates: tuple[ElementaryChange, ...]
     bound: int
-    entries: Mapping[int, Assignment | None]
-    # Candidate -> bit position, built once for ``lookup``.
-    index: Mapping[ElementaryChange, int] = field(init=False, compare=False, repr=False)
+    entries: Mapping[frozenset[ElementaryChange], Assignment | None]
 
     def __post_init__(self):
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
-        object.__setattr__(self, "index",
-                           MappingProxyType({c: i for i, c in enumerate(self.candidates)}))
 
 
 def subset_changes(candidates, indices) -> ChangeSet:
@@ -106,11 +103,11 @@ def compile_table(base: CnfFormula, candidates, bound: int) -> HintTable:
     if total > DEFAULT_TABLE_BUDGET:
         raise BudgetExceededError(
             f"{total} entries exceed the table budget of {DEFAULT_TABLE_BUDGET}")
-    entries: dict[int, Assignment | None] = {}
+    entries: dict[frozenset[ElementaryChange], Assignment | None] = {}
     for size in range(effective + 1):
         for combo in combinations(range(len(candidates)), size):
             changed = apply_changes(base, subset_changes(candidates, combo))
-            entries[sum(1 << i for i in combo)] = solve_dpll(changed)
+            entries[frozenset(candidates[i] for i in combo)] = solve_dpll(changed)
     return HintTable(base, candidates, bound, entries)
 
 
@@ -118,19 +115,12 @@ def lookup(table: HintTable, changes: ChangeSet):
     """Stored solution for a change set, or MISS if it is not in the table.
 
     A hit is either an assignment or None (recorded unsatisfiable); the
-    caller must solve cold on MISS.
+    caller must solve cold on MISS.  A set wider than the bound, or naming
+    a change outside the candidates, was never compiled, so it misses.
     """
     elements = {ElementaryChange("add", cl) for cl in changes.additions}
     elements |= {ElementaryChange("del", cl) for cl in changes.deletions}
-    if len(elements) > table.bound:
-        return MISS
-    mask = 0
-    for element in elements:
-        i = table.index.get(element)
-        if i is None:
-            return MISS
-        mask |= 1 << i
-    return table.entries[mask]
+    return table.entries.get(frozenset(elements), MISS)
 
 
 class ReuseOutcome(NamedTuple):
@@ -186,8 +176,14 @@ def reuse_plan(changed: StripsInstance, old_plan) -> ReuseOutcome:
 
 
 def _keyed_entries(table: HintTable) -> dict[str, Assignment | None]:
-    """The table's entries keyed as files spell them: lowercase hex masks."""
-    return {f"0x{mask:x}": model for mask, model in table.entries.items()}
+    """The table's entries keyed as files spell them: lowercase hex masks.
+
+    Candidate ``i`` is bit ``i`` of its subset's mask.  The mask is a sum,
+    so no set's iteration order reaches the file.
+    """
+    bit = {c: 1 << i for i, c in enumerate(table.candidates)}
+    return {f"0x{sum(bit[c] for c in subset):x}": model
+            for subset, model in table.entries.items()}
 
 
 def table_to_json(table: HintTable) -> str:

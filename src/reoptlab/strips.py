@@ -26,7 +26,9 @@ from typing import Mapping
 
 from .errors import SearchBudgetError, unique_keys
 
-# About as many seconds of search as the DPLL and cover caps allow.
+# The most states a plan search expands.  It counts expansions, not time:
+# one expansion, and the closures around it, cost more as the operators and
+# conditions grow, so the cap bounds the seconds only on small instances.
 DEFAULT_SEARCH_BUDGET = 10_000
 
 Plan = tuple[str, ...]

@@ -96,6 +96,14 @@ def test_generate_strips_and_solve(tmp_path):
     assert run(["solve", "strips", "--input", instance]) == 0
 
 
+def test_generate_strips_past_the_construction_budget_exits_3(capsys):
+    assert run(["generate", "strips", "--conditions", 65536, "--operators", 1]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("budget exceeded: 65536 conditions and 1 operators exceed "
+                            "the construction budget of 65536\n")
+
+
 def test_reduce_and_export_dot(tmp_path, capsys):
     source = tmp_path / "f.cnf"
     source.write_text(PAPER_CNF)

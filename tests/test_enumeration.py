@@ -134,6 +134,47 @@ def test_random_plansat_instance_is_add_only():
         assert inst.initial <= inst.conditions
 
 
+def _list_based_plansat_draw(rng, num_conditions, num_operators):
+    # Reference: the generator's draw, written over lists of condition names.
+    conditions = [f"p{i}" for i in range(1, num_conditions + 1)]
+
+    def subset(pool, max_size):
+        return rng.sample(pool, rng.randint(0, min(max_size, len(pool))))
+
+    drawn = []
+    for _ in range(num_operators):
+        pos_pre = subset(conditions, 2)
+        neg_pre = subset([c for c in conditions if c not in pos_pre], 1)
+        pos_post = rng.sample(conditions, rng.randint(1, min(2, num_conditions)))
+        drawn.append((frozenset(pos_pre), frozenset(neg_pre), frozenset(pos_post)))
+    initial = subset(conditions, max(1, num_conditions // 2))
+    goal_true = subset(conditions, 2)
+    goal_false = subset([c for c in conditions if c not in goal_true], 1)
+    return drawn, frozenset(initial), frozenset(goal_true), frozenset(goal_false)
+
+
+@pytest.mark.parametrize("num_conditions, num_operators",
+                         [(0, 0), (1, 0), (1, 3), (2, 5), (3, 3), (6, 6), (22, 40), (50, 200)])
+def test_random_plansat_instance_draws_as_over_condition_lists(num_conditions, num_operators):
+    for seed in range(5):
+        inst = random_plansat_instance(random.Random(seed), num_conditions, num_operators)
+        drawn, initial, goal_true, goal_false = _list_based_plansat_draw(
+            random.Random(seed), num_conditions, num_operators)
+        assert [(op.pos_pre, op.neg_pre, op.pos_post)
+                for op in inst.operators.values()] == drawn
+        goal = inst.goal
+        assert (inst.initial, goal.must_true, goal.must_false) == (initial, goal_true, goal_false)
+
+
+def test_random_plansat_instance_checks_the_construction_budget(monkeypatch):
+    monkeypatch.setattr(enumeration, "CONSTRUCTION_BUDGET", 9)
+    assert len(random_plansat_instance(random.Random(0), 4, 5).operators) == 5
+    monkeypatch.setattr(enumeration, "CONSTRUCTION_BUDGET", 8)
+    with pytest.raises(BudgetExceededError,
+                       match="4 conditions and 5 operators exceed the construction budget of 8"):
+        random_plansat_instance(random.Random(0), 4, 5)
+
+
 def test_random_hint_setup_candidates_are_compatible():
     rng = random.Random(4)
     for _ in range(20):
