@@ -7,7 +7,7 @@ additions, mirroring the order in which change sets apply.
 
 from __future__ import annotations
 
-from .cnf import ChangeSet, CnfFormula, clause, clause_sort_key
+from .cnf import ChangeSet, CnfFormula, _trusted_formula, clause, clause_sort_key
 
 # The alphabet is materialized from the header's variable count, so a
 # larger count is rejected before anything is allocated for it.
@@ -32,6 +32,12 @@ def serialize_dimacs(formula: CnfFormula) -> str:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
+    """Read DIMACS text over the alphabet ``1..nvars`` of its header.
+
+    Every literal is checked against the header's variable count, which
+    bounds every clause variable, so the formula is built without
+    ``CnfFormula``'s second walk over the clauses.
+    """
     nvars = nclauses = None
     literals: list[int] = []
     for raw in text.splitlines():
@@ -55,24 +61,24 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if nvars is None:
             raise ValueError(f"clause line before the 'p cnf' header: {line!r}")
-        literals.extend(int(tok) for tok in line.split())
+        literals.extend(map(int, line.split()))
     if nvars is None:
         raise ValueError("missing 'p cnf' header")
+    if literals and (max(literals) > nvars or min(literals) < -nvars):
+        lit = next(lit for lit in literals if abs(lit) > nvars)
+        raise ValueError(f"literal {lit} outside the declared {nvars} variables")
     clauses = []
-    current: list[int] = []
-    for lit in literals:
-        if lit == 0:
-            clauses.append(clause(*current))
-            current = []
-            continue
-        if abs(lit) > nvars:
-            raise ValueError(f"literal {lit} outside the declared {nvars} variables")
-        current.append(lit)
-    if current:
+    start = 0
+    for _ in range(literals.count(0)):
+        end = literals.index(0, start)
+        clauses.append(clause(*literals[start:end]))
+        start = end + 1
+    if start < len(literals):
         raise ValueError("unterminated clause (missing trailing 0)")
     if nclauses != len(clauses):
         raise ValueError(f"header declares {nclauses} clauses, found {len(clauses)}")
-    return CnfFormula(frozenset(range(1, nvars + 1)), frozenset(clauses))
+    cls = frozenset(clauses)
+    return _trusted_formula(frozenset(range(1, nvars + 1)), cls, tuple(sorted(cls)))
 
 
 def serialize_changes(changes: ChangeSet) -> str:

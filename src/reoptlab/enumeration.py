@@ -161,7 +161,7 @@ def random_hint_setup(rng: random.Random, num_vars: int = 3, num_clauses: int = 
     are fresh clauses, so no clause is offered as both.
     """
     base = random_formula(rng, num_vars, num_clauses)
-    existing = sorted(base.clauses)
+    existing = base.ordered
     num_dels = rng.randint(0, min(len(existing), num_candidates))
     dels = rng.sample(existing, num_dels)
     adds: set[Clause] = set()

@@ -21,7 +21,8 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple
 
-from .cnf import Assignment, ChangeSet, Clause, CnfFormula, apply_changes, clause, evaluate
+from .cnf import (Assignment, ChangeSet, Clause, CnfFormula, apply_changes, clause,
+                  clauses_true, evaluate)
 from .dimacs import parse_dimacs, serialize_dimacs
 from .errors import BudgetExceededError, InvalidHintError, unique_keys
 from .solvers import solve_dpll, solve_dpll_stats
@@ -143,14 +144,17 @@ def reuse_model(f: CnfFormula, changes: ChangeSet, hint) -> ReuseOutcome:
     """Try a remembered model of ``f`` against the changed formula.
 
     The hint must satisfy ``f``.  If it also satisfies the changed formula
-    it is returned after a single linear pass; otherwise the changed
-    formula is solved cold.
+    it is returned, and ``work_units`` counts one linear pass over the
+    changed formula's clauses; otherwise the changed formula is solved
+    cold.  Deleting a clause cannot falsify a model, so once the hint is
+    checked against ``f`` only the added clauses are checked, under the
+    changed alphabet.
     """
     hint = frozenset(hint)
     if not evaluate(f, hint):
         raise InvalidHintError("hint does not satisfy the base formula")
     changed = apply_changes(f, changes)
-    if evaluate(changed, hint):
+    if clauses_true(changed.alphabet, changes.additions, hint):
         return ReuseOutcome(hint, True, len(changed.clauses))
     model, work = solve_dpll_stats(changed)
     return ReuseOutcome(model, False, work)

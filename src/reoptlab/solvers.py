@@ -10,9 +10,10 @@ clauses that contain it, keyed by the signed literal itself, so negation
 is ``-lit``.  A bit-sliced counter holds how many literals of each
 clause are not false, so propagation, conflict detection and the choice
 of unit are a few whole-formula integer operations, not visits to single
-clauses.  Bit ``i`` is clause ``i`` of ``sorted(formula.clauses)``, the
-plain tuple order, so DPLL makes the same decisions as one that rescans
-the clauses in that order.  The masks grow with variables times clauses,
+clauses.  Bit ``i`` is clause ``i`` of ``formula.ordered``, the clauses
+in plain tuple order, which the formula carries from its construction, so
+DPLL sorts nothing and makes the same decisions as one that rescans the
+clauses in that order.  The masks grow with variables times clauses,
 which ``DPLL_BUDGET`` caps; ``DPLL_SEARCH_BUDGET`` caps the steps.
 """
 
@@ -81,10 +82,10 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
     decisions plus unit propagations, the solver-step currency of the hint
     reuse measurements.
 
-    Set-up sorts the clauses as plain tuples (the empty clause comes
-    first) and builds the masks straight from their signed literals: bit
-    ``i`` of every mask is clause ``i`` of ``sorted(formula.clauses)``, a
-    function of the formula alone.  The mentioned variables are read off
+    Set-up builds the masks straight from the signed literals of
+    ``formula.ordered``, the clauses already in plain tuple order (the
+    empty clause comes first): bit ``i`` of every mask is clause ``i`` of
+    that tuple, a function of the formula alone.  The mentioned variables are read off
     the mask keys, in id order.  Unit resolution reaches the same fixpoint
     in every order, and finds a conflict if there is one, so any clause
     order gives the same decisions and models; the order changes only the
@@ -136,7 +137,7 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
                 f" exceed the DPLL budget of {DPLL_BUDGET}"
             )
     cap = DPLL_SEARCH_BUDGET
-    clauses = sorted(formula.clauses)  # the empty clause sorts first
+    clauses = formula.ordered  # the empty clause sorts first
     if clauses and not clauses[0]:
         return None, 0
     occ: defaultdict[int, int] = defaultdict(int)

@@ -1,4 +1,6 @@
+import inspect
 import random
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,11 @@ from reoptlab.cnf import (
     evaluate,
     is_tautology,
 )
-from reoptlab.enumeration import all_clauses
+from reoptlab.dimacs import parse_dimacs
+from reoptlab.enumeration import all_clauses, random_hint_setup
+from reoptlab.gadgets import build_gadget, gadget_from_json, gadget_to_json
+from reoptlab.hints import compile_table, table_from_json, table_to_json
+from reoptlab.reductions import reduce_unique_model
 
 from oracles import clause_true, truth_assignments
 
@@ -165,3 +171,79 @@ def test_add_then_delete_round_trip():
     back = apply_changes(added, ChangeSet(deletions=((-1,),)))
     assert back == f  # the added clause stayed inside the alphabet
 
+
+
+def _carries_its_order(f):
+    assert f.ordered == tuple(sorted(f.clauses))
+    return f
+
+
+def test_clause_order_takes_no_part_in_equality_hash_or_repr():
+    assert list(inspect.signature(CnfFormula).parameters) == ["alphabet", "clauses"]
+    f = cnf([(1, 2), (-1,)])
+    g = cnf([(-1,), (2, 1)])
+    object.__setattr__(g, "ordered", ())
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert "ordered" not in repr(f)
+
+
+RAW_CLAUSES = st.lists(st.lists(LITERALS, max_size=4), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RAW_CLAUSES, st.lists(st.integers(0, 20), max_size=4), RAW_CLAUSES,
+       st.lists(st.integers(0, 20), max_size=3), RAW_CLAUSES)
+@example([[1, 1, 2], [-1]], [1, 1], [[3]], [0, 0], [[2, 1], [2, 1]])
+@example([], [], [[1]], [], [[1, 5], []])
+def test_formulas_and_their_changes_carry_their_clause_order(
+        raw, deleted_picks, deleted_extra, added_picks, added_extra):
+    # Deletions pick present clauses, possibly twice, plus arbitrary ones,
+    # which may be absent; additions repeat, pick present clauses and may
+    # bring in variables the base does not know.  A change set holds
+    # canonical clauses, so a raw clause such as (1, 1, 2) is absent.
+    built = _carries_its_order(cnf(raw))
+    direct = _carries_its_order(CnfFormula(built.alphabet, frozenset(map(tuple, raw))))
+    for f in (built, direct):
+        present = sorted(f.clauses)
+        deletions = [clause(*c) for c in deleted_extra]
+        deletions += [clause(*present[i % len(present)]) for i in deleted_picks if present]
+        additions = [clause(*c) for c in added_extra]
+        additions += [clause(*present[i % len(present)]) for i in added_picks if present]
+        additions = [cl for cl in additions if cl not in deletions]
+        changes = ChangeSet(additions=tuple(additions), deletions=tuple(deletions))
+        remaining, absent = set(f.clauses), 0
+        for cl in deletions:
+            if cl in remaining:
+                remaining.remove(cl)
+            else:
+                absent += 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            changed = _carries_its_order(apply_changes(f, changes))
+        assert [w.category for w in caught] == [UserWarning] * absent
+        assert changed.clauses == remaining | set(additions)
+        assert changed.alphabet == f.alphabet | {abs(lit) for cl in additions for lit in cl}
+        assert changed == CnfFormula(changed.alphabet, changed.clauses)
+        _carries_its_order(apply_changes(changed, ChangeSet(additions=tuple(deletions))))
+
+
+SMALL_LITERALS = st.builds(lambda v, sign: sign * v, st.integers(1, 4), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(SMALL_LITERALS, min_size=1, max_size=3), max_size=8),
+       st.integers(0, 2**32))
+@example([[2, 1, 2], [1, 2], [-3]], 0)
+def test_loaders_and_constructions_carry_their_clause_order(raw, seed):
+    # DIMACS text as written: literals out of order, repeated, and
+    # repeated clauses.
+    text = f"p cnf 4 {len(raw)}\n" + "".join(f"{' '.join(map(str, c))} 0\n" for c in raw)
+    parsed = _carries_its_order(parse_dimacs(text))
+    assert parsed == cnf(raw, alphabet=range(1, 5))
+    _carries_its_order(reduce_unique_model(parsed).formula)
+    source = cnf([c for c in parsed.clauses if not is_tautology(c)])
+    loaded = gadget_from_json(gadget_to_json(build_gadget(source)))
+    _carries_its_order(loaded.source)
+    base, candidates = random_hint_setup(random.Random(seed))
+    table = table_from_json(table_to_json(compile_table(base, candidates, 2)))
+    _carries_its_order(table.base)

@@ -4,11 +4,11 @@ import re
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reoptlab import hints
-from reoptlab.cnf import ChangeSet, apply_changes, cnf, evaluate
+from reoptlab.cnf import ChangeSet, apply_changes, clause, cnf, evaluate
 from reoptlab.enumeration import iter_small_formulas, random_hint_setup
 from reoptlab.errors import BudgetExceededError, InvalidHintError
 from reoptlab.hints import (
@@ -26,7 +26,7 @@ from reoptlab.hints import (
 )
 from reoptlab.reductions import reduce_fixed_model, reduce_unique_model, unique_model
 from reoptlab.replanning import apply_initial_change, sat_to_replanning
-from reoptlab.solvers import solve_dpll
+from reoptlab.solvers import solve_dpll, solve_dpll_stats
 from reoptlab.strips import make_instance, make_operator, validate_plan
 
 from oracles import brute_sat
@@ -155,6 +155,38 @@ def test_reuse_model_verdicts_match_cold_solver():
         assert (outcome.solution is not None) == (cold is not None)
         if outcome.hint_used:
             assert evaluate(apply_changes(f, changes), outcome.solution)
+
+
+LITERALS = st.builds(lambda v, sign: sign * v, st.integers(1, 6), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=st.sets(st.integers(1, 4)), raw=st.lists(st.lists(LITERALS, max_size=3), max_size=8),
+       deleted=st.lists(st.integers(0, 10), max_size=3),
+       added=st.lists(st.lists(LITERALS, max_size=3), max_size=3),
+       stray=st.sets(st.sampled_from((5, 6, 99))))
+@example(model={1}, raw=[[1, 2]], deleted=[], added=[[5]], stray={5})
+@example(model={1}, raw=[[1, 2], [-2]], deleted=[0], added=[[-6], []], stray=set())
+def test_reuse_model_checks_only_the_added_clauses(model, raw, deleted, added, stray):
+    # Against the whole-formula check it replaces.  The base over 1..4
+    # keeps the clauses its model satisfies; additions may bring in
+    # variables 5 and 6, and the hint may name those or 99, which no
+    # alphabet holds.
+    base = [cl for cl in (clause(*c) for c in raw)
+            if all(abs(lit) <= 4 for lit in cl) and any((lit > 0) == (abs(lit) in model) for lit in cl)]
+    f = cnf(base, alphabet=range(1, 5))
+    present = sorted(f.clauses)
+    deletions = {present[i % len(present)] for i in deleted if present}
+    additions = [cl for cl in (clause(*c) for c in added) if cl not in deletions]
+    changes = ChangeSet(additions=tuple(additions), deletions=tuple(sorted(deletions)))
+    hint = frozenset(model | stray)
+    changed = apply_changes(f, changes)
+    if evaluate(changed, hint):
+        expected = (hint, True, len(changed.clauses))
+    else:
+        cold, work = solve_dpll_stats(changed)
+        expected = (cold, False, work)
+    assert tuple(reuse_model(f, changes, hint)) == expected
 
 
 def test_reuse_plan_unchanged_instance_returns_full_plan():
