@@ -5,18 +5,25 @@ sign carries the polarity (DIMACS convention).  A clause is a canonical
 tuple of literals, sorted by variable id with the positive literal first
 and duplicates removed.  A formula is a frozen set of clauses over an
 explicit, finite alphabet; clause collections have set semantics.  Each
-formula also carries its clauses as a tuple in plain ``sorted()`` order,
-built when the formula is built; DPLL indexes its clause masks by it, and
-``apply_changes`` derives a child's tuple from its parent's by bisection.
-An assignment is the set of variables that are true; every other variable
-in the alphabet is false.
+formula also carries DPLL's clause index, built when the formula is
+built: its clauses as a tuple in plain ``sorted()`` order, and for each
+literal the integer mask of the clauses of that tuple that contain it.
+``apply_changes`` derives a child's tuple from its parent's by bisection
+and, for a few changes, splices the parent's masks to match.  A solve
+builds nothing: the cost of the index sits in construction, which every
+command that only parses a formula now pays too.  An assignment is the
+set of variables that are true; every other variable in the alphabet is
+false.
 """
 
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left, insort
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
+
+from .errors import DPLL_BUDGET
 
 Clause = tuple[int, ...]
 Assignment = frozenset[int]
@@ -49,17 +56,23 @@ class CnfFormula:
     """A set of clauses over a declared alphabet of variable ids.
 
     The alphabet may be larger than the set of mentioned variables; it may
-    not be smaller.  ``ordered`` is ``tuple(sorted(clauses))``, a function
-    of the clauses, so it takes no part in ``==``, ``hash`` or ``repr``.
-    It is built eagerly, never cached lazily on first use: a lazy cache
-    would charge the sort to whichever caller came first and make every
-    later solve of the same object look free, where the cost belongs to
-    building the formula.
+    not be smaller.  Two fields are functions of the clauses and take no
+    part in ``==``, ``hash`` or ``repr``: ``ordered`` is
+    ``tuple(sorted(clauses))``, and ``occ`` maps each literal that occurs
+    to the integer mask whose bit ``i`` is set iff clause ``i`` of
+    ``ordered`` contains it (no key maps to 0).  ``occ`` is ``None`` when
+    the mentioned variables times the clauses exceed ``DPLL_BUDGET``, the
+    size past which DPLL refuses the formula anyway.  Neither is mutated
+    once built.  Both are built eagerly, never cached lazily on first use:
+    a lazy cache would charge the sort and the masks to whichever caller
+    came first and make every later solve of the same object look free,
+    where the cost belongs to building the formula.
     """
 
     alphabet: frozenset[int]
     clauses: frozenset[Clause]
     ordered: tuple[Clause, ...] = field(init=False, compare=False, repr=False)
+    occ: dict[int, int] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if any(v < 1 for v in self.alphabet):
@@ -68,11 +81,37 @@ class CnfFormula:
         extra = mentioned - set(self.alphabet)
         if extra:
             raise ValueError(f"clause variables outside the alphabet: {sorted(extra)}")
-        object.__setattr__(self, "ordered", tuple(sorted(self.clauses)))
+        ordered = tuple(sorted(self.clauses))
+        object.__setattr__(self, "ordered", ordered)
+        object.__setattr__(self, "occ", _literal_masks(self.alphabet, ordered))
+
+
+def mentioned_past_budget(alphabet, clauses, budget: int) -> int:
+    """How many variables the clauses mention, if that times the clauses exceeds the budget; else 0.
+
+    The alphabet holds every mentioned variable, so they are counted only
+    when the alphabet times the clauses exceeds the budget.
+    """
+    if len(alphabet) * len(clauses) <= budget:
+        return 0
+    mentioned = len({abs(lit) for lit in set().union(*clauses)})
+    return mentioned if mentioned * len(clauses) > budget else 0
+
+
+def _literal_masks(alphabet: frozenset[int], ordered: tuple[Clause, ...]) -> dict[int, int] | None:
+    """``CnfFormula.occ`` from one pass over the literal occurrences; ``None`` past the budget."""
+    if mentioned_past_budget(alphabet, ordered, DPLL_BUDGET):
+        return None
+    occ: defaultdict[int, int] = defaultdict(int)
+    for index, cl in enumerate(ordered):
+        bit = 1 << index
+        for lit in cl:
+            occ[lit] |= bit
+    return dict(occ)
 
 
 def _trusted_formula(alphabet: frozenset[int], clauses: frozenset[Clause],
-                     ordered: tuple[Clause, ...]) -> CnfFormula:
+                     ordered: tuple[Clause, ...], occ: dict[int, int] | None = None) -> CnfFormula:
     """A formula built without ``__post_init__``'s alphabet walk and sort.
 
     Only for callers whose construction already guarantees every
@@ -80,12 +119,17 @@ def _trusted_formula(alphabet: frozenset[int], clauses: frozenset[Clause],
     ``ordered == tuple(sorted(clauses))``.  ``apply_changes`` qualifies
     because its parent was valid and every added variable widens the
     alphabet; ``dimacs.parse_dimacs`` because its alphabet is ``1..nvars``
-    and it refuses every literal beyond ``nvars``.
+    and it refuses every literal beyond ``nvars``;
+    ``reductions.reduce_unique_model`` because each product clause is over
+    the source's alphabet plus the one fresh variable it adds.  ``occ``,
+    if given, must equal the masks of ``ordered``; ``None`` builds them
+    (or leaves them ``None`` past the budget).
     """
     formula = object.__new__(CnfFormula)
     object.__setattr__(formula, "alphabet", alphabet)
     object.__setattr__(formula, "clauses", clauses)
     object.__setattr__(formula, "ordered", ordered)
+    object.__setattr__(formula, "occ", _literal_masks(alphabet, ordered) if occ is None else occ)
     return formula
 
 
@@ -146,20 +190,62 @@ def apply_changes(formula: CnfFormula, changes: ChangeSet) -> CnfFormula:
     Deleting a clause that is not present succeeds with a warning.  Added
     clauses may extend the alphabet; deletions never shrink it.  The
     child's ``ordered`` is the parent's with each deletion cut out and each
-    new addition inserted by bisection, so nothing is sorted again.
+    new addition inserted by bisection, so nothing is sorted again.  Its
+    ``occ`` is the parent's, spliced at each such index: cutting clause
+    ``i`` shifts every mask's bits above ``i`` down by one and drops the
+    masks that reach 0; inserting at ``i`` shifts them up by one and sets
+    bit ``i`` for the new clause's literals.  Masks are spliced only when
+    the changes times the parent's mask keys are at most its clauses
+    (beyond that a fresh build is cheaper) and the child's alphabet times
+    its most possible clauses stays within ``DPLL_BUDGET``; otherwise the
+    child builds its own masks, or none past the budget.
     """
     cls = set(formula.clauses)
     ordered = list(formula.ordered)
+    alphabet = formula.alphabet.union(abs(lit) for cl in changes.additions for lit in cl)
+    occ = formula.occ
+    # A splice passes over every mask once per change, a fresh build once
+    # over the literal occurrences, so only a few changes are spliced.
+    if occ is not None and (
+            (len(changes.deletions) + len(changes.additions)) * len(occ) > len(cls)
+            or len(alphabet) * (len(cls) + len(changes.additions)) > DPLL_BUDGET):
+        occ = None  # built afresh by _trusted_formula, or not at all past the budget
     for cl in changes.deletions:
         if cl in cls:
             cls.discard(cl)
-            del ordered[bisect_left(ordered, cl)]
+            i = bisect_left(ordered, cl)
+            del ordered[i]
+            if occ is not None:
+                low = (1 << i) - 1
+                occ = {lit: spliced for lit, m in occ.items()
+                       if (spliced := (m & low) | (m >> (i + 1) << i))}
         else:
             warnings.warn(f"deleted clause not present: {cl}", stacklevel=2)
     for cl in changes.additions:
         if cl not in cls:
             cls.add(cl)
-            insort(ordered, cl)
-    alphabet = formula.alphabet.union(abs(lit) for cl in changes.additions for lit in cl)
-    return _trusted_formula(alphabet, frozenset(cls), tuple(ordered))
+            i = bisect_left(ordered, cl)
+            ordered.insert(i, cl)
+            if occ is not None:
+                low = (1 << i) - 1
+                occ = {lit: (m & low) | (m >> i << (i + 1)) for lit, m in occ.items()}
+                for lit in cl:
+                    occ[lit] = occ.get(lit, 0) | 1 << i
+    return _trusted_formula(alphabet, frozenset(cls), tuple(ordered), occ)
 
+
+def count_changed_clauses(formula: CnfFormula, changes: ChangeSet) -> int:
+    """``len(apply_changes(formula, changes).clauses)`` without building the child.
+
+    Warns of each deletion of an absent clause, a second deletion of the
+    same clause included, exactly as ``apply_changes`` does.
+    """
+    present = formula.clauses
+    deleted = set()
+    for cl in changes.deletions:
+        if cl in present and cl not in deleted:
+            deleted.add(cl)
+        else:
+            warnings.warn(f"deleted clause not present: {cl}", stacklevel=2)
+    # No clause is both added and deleted, so an added clause is new iff it is absent.
+    return len(present) - len(deleted) + len(set(changes.additions) - present)

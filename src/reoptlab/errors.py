@@ -1,5 +1,5 @@
-"""Every exception type the library defines, the constructions' size cap,
-and the JSON hook with which every loader refuses a repeated key.
+"""Every exception type the library defines, the constructions' and DPLL's
+size caps, and the JSON hook with which every loader refuses a repeated key.
 
 No other module defines an exception type: any other refusal is a plain
 ``ValueError`` or ``KeyError`` whose message says what was refused.
@@ -18,6 +18,9 @@ from collections import Counter
 # a random formula may have; a larger one is refused before anything is
 # built.
 CONSTRUCTION_BUDGET = 1 << 16
+# Mentioned variables times clauses above which a formula carries no
+# literal masks and DPLL refuses it, so that the masks stay within 16 MiB.
+DPLL_BUDGET = 1 << 26
 
 
 class InvalidHintError(ValueError):

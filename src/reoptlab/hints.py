@@ -16,13 +16,13 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple
 
 from .cnf import (Assignment, ChangeSet, Clause, CnfFormula, apply_changes, clause,
-                  clauses_true, evaluate)
+                  clauses_true, count_changed_clauses, evaluate)
 from .dimacs import parse_dimacs, serialize_dimacs
 from .errors import BudgetExceededError, InvalidHintError, unique_keys
 from .solvers import solve_dpll, solve_dpll_stats
@@ -68,16 +68,24 @@ class HintTable:
 
     Entries are keyed by the candidate subset itself, in compile order (a
     hex mask is only how a file spells that key); a ``None`` value is an
-    explicit marker that the changed formula is unsatisfiable.
+    explicit marker that the changed formula is unsatisfiable.  ``index``
+    maps each candidate's ``(op, clause)`` pair to the candidate, so that
+    ``lookup`` finds the candidates a change set names without building
+    (and canonicalising) new ones; it is a function of the candidates and
+    takes no part in ``==`` or ``repr``.
     """
 
     base: CnfFormula
     candidates: tuple[ElementaryChange, ...]
     bound: int
     entries: Mapping[frozenset[ElementaryChange], Assignment | None]
+    index: Mapping[tuple[str, Clause], ElementaryChange] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "index", MappingProxyType(
+            {(c.op, c.clause): c for c in self.candidates}))
 
 
 def subset_changes(candidates, indices) -> ChangeSet:
@@ -118,10 +126,16 @@ def lookup(table: HintTable, changes: ChangeSet):
     A hit is either an assignment or None (recorded unsatisfiable); the
     caller must solve cold on MISS.  A set wider than the bound, or naming
     a change outside the candidates, was never compiled, so it misses.
+    The change set's clauses are canonical already, so its ``(op, clause)``
+    pairs are looked up in ``table.index`` as they are.
     """
-    elements = {ElementaryChange("add", cl) for cl in changes.additions}
-    elements |= {ElementaryChange("del", cl) for cl in changes.deletions}
-    return table.entries.get(frozenset(elements), MISS)
+    index = table.index
+    try:
+        elements = frozenset([*(index["add", cl] for cl in changes.additions),
+                              *(index["del", cl] for cl in changes.deletions)])
+    except KeyError:  # a change outside the candidates
+        return MISS
+    return table.entries.get(elements, MISS)
 
 
 class ReuseOutcome(NamedTuple):
@@ -147,16 +161,18 @@ def reuse_model(f: CnfFormula, changes: ChangeSet, hint) -> ReuseOutcome:
     it is returned, and ``work_units`` counts one linear pass over the
     changed formula's clauses; otherwise the changed formula is solved
     cold.  Deleting a clause cannot falsify a model, so once the hint is
-    checked against ``f`` only the added clauses are checked, under the
-    changed alphabet.
+    checked against ``f`` only the added clauses are checked, under
+    ``f``'s alphabet plus the variables they add.  The changed formula
+    is built only on a miss; a hit counts its clauses from ``f`` and the
+    change set, and warns of an absent deletion as ``apply_changes`` does.
     """
     hint = frozenset(hint)
     if not evaluate(f, hint):
         raise InvalidHintError("hint does not satisfy the base formula")
-    changed = apply_changes(f, changes)
-    if clauses_true(changed.alphabet, changes.additions, hint):
-        return ReuseOutcome(hint, True, len(changed.clauses))
-    model, work = solve_dpll_stats(changed)
+    alphabet = f.alphabet.union(abs(lit) for cl in changes.additions for lit in cl)
+    if clauses_true(alphabet, changes.additions, hint):
+        return ReuseOutcome(hint, True, count_changed_clauses(f, changes))
+    model, work = solve_dpll_stats(apply_changes(f, changes))
     return ReuseOutcome(model, False, work)
 
 

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import Assignment, Clause, CnfFormula, clause, evaluate
-from .errors import BudgetExceededError
-from .solvers import DPLL_BUDGET
+from .cnf import Assignment, Clause, CnfFormula, _trusted_formula, clause, evaluate
+from .errors import DPLL_BUDGET, BudgetExceededError
 
 
 def fresh_variable(formula: CnfFormula) -> int:
@@ -87,7 +86,8 @@ def reduce_unique_model(g: CnfFormula) -> UniqueModelInstance:
             f" of {DPLL_BUDGET}")
     a = fresh_variable(g)
     product = frozenset(clause(x, *c) for x in (*g.alphabet, a) for c in (*g.clauses, (-a,)))
-    formula = CnfFormula(g.alphabet | {a}, product | {(a,)})
+    clauses = product | {(a,)}
+    formula = _trusted_formula(g.alphabet | {a}, clauses, tuple(sorted(clauses)))
     return UniqueModelInstance(formula, clause(-a), clause(a))
 
 

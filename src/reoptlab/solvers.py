@@ -11,23 +11,19 @@ is ``-lit``.  A bit-sliced counter holds how many literals of each
 clause are not false, so propagation, conflict detection and the choice
 of unit are a few whole-formula integer operations, not visits to single
 clauses.  Bit ``i`` is clause ``i`` of ``formula.ordered``, the clauses
-in plain tuple order, which the formula carries from its construction, so
-DPLL sorts nothing and makes the same decisions as one that rescans the
-clauses in that order.  The masks grow with variables times clauses,
-which ``DPLL_BUDGET`` caps; ``DPLL_SEARCH_BUDGET`` caps the steps.
+in plain tuple order; the order and the literal masks, ``formula.occ``,
+come with the formula from its construction, so DPLL sorts and indexes
+nothing and makes the same decisions as one that rescans the clauses in
+that order.  The masks grow with variables times clauses, which
+``DPLL_BUDGET`` caps; ``DPLL_SEARCH_BUDGET`` caps the steps.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
-from .cnf import Assignment, CnfFormula, evaluate
-from .errors import BudgetExceededError, SearchBudgetError
+from .cnf import Assignment, CnfFormula, evaluate, mentioned_past_budget
+from .errors import DPLL_BUDGET, BudgetExceededError, SearchBudgetError
 
 ORACLE_LIMIT = 20
-# Mentioned variables times clauses above which DPLL refuses a formula,
-# so that its clause masks stay within 16 MiB.
-DPLL_BUDGET = 1 << 26
 # The most decisions plus propagations one DPLL call may make.
 DPLL_SEARCH_BUDGET = 1_000_000
 
@@ -82,18 +78,21 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
     decisions plus unit propagations, the solver-step currency of the hint
     reuse measurements.
 
-    Set-up builds the masks straight from the signed literals of
-    ``formula.ordered``, the clauses already in plain tuple order (the
-    empty clause comes first): bit ``i`` of every mask is clause ``i`` of
-    that tuple, a function of the formula alone.  The mentioned variables are read off
+    Set-up reads the masks the formula was built with, ``formula.occ``,
+    keyed by signed literal: bit ``i`` of every mask is clause ``i`` of
+    ``formula.ordered``, the clauses in plain tuple order (the empty
+    clause comes first), a function of the formula alone.  Indexing the
+    literal occurrences is thus paid once per formula, where it is parsed
+    or derived, not once per call.  The mentioned variables are read off
     the mask keys, in id order.  Unit resolution reaches the same fixpoint
     in every order, and finds a conflict if there is one, so any clause
     order gives the same decisions and models; the order changes only the
     propagations counted at levels that end in a conflict.
 
     The state is a few clause masks, Python ints.  ``occ[lit]`` holds
-    the clauses that contain a literal and ``unsat`` the clauses no true
-    literal satisfies yet.  ``planes`` is a bit-sliced counter: bit ``i``
+    the clauses that contain a literal (one that occurs nowhere has no
+    key and reads as 0) and ``unsat`` the clauses no true literal
+    satisfies yet.  ``planes`` is a bit-sliced counter: bit ``i``
     of ``planes[j]`` is bit ``j`` of how many literals of clause ``i``
     are not false, over ``max_len.bit_length()`` planes.  Set-up adds
     every ``occ[lit]`` to it with a carry chain, so a literal repeated in
@@ -122,29 +121,23 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
     Each open decision holds at most ``len(planes) + 1`` saved clause
     masks, and at most one decision per mentioned variable is open.
     A formula whose mentioned variables times clauses exceeds
-    ``DPLL_BUDGET`` raises ``BudgetExceededError`` before any mask is built.
-    The alphabet holds every mentioned variable, so the mentioned ones are
-    counted only when the alphabet times the clauses exceeds the budget.
+    ``DPLL_BUDGET`` carries no masks and raises ``BudgetExceededError``
+    (``cnf.mentioned_past_budget`` states the rule for both).
     Once ``work`` passes ``DPLL_SEARCH_BUDGET`` the call raises
     ``SearchBudgetError``, the conflict budget of MiniSat's
     ``setConfBudget`` counted in steps.
     """
-    if len(formula.alphabet) * len(formula.clauses) > DPLL_BUDGET:
-        mentioned = len({abs(lit) for lit in set().union(*formula.clauses)})
-        if mentioned * len(formula.clauses) > DPLL_BUDGET:
-            raise BudgetExceededError(
-                f"{mentioned} variables times {len(formula.clauses)} clauses"
-                f" exceed the DPLL budget of {DPLL_BUDGET}"
-            )
+    mentioned = mentioned_past_budget(formula.alphabet, formula.clauses, DPLL_BUDGET)
+    if mentioned:
+        raise BudgetExceededError(
+            f"{mentioned} variables times {len(formula.clauses)} clauses"
+            f" exceed the DPLL budget of {DPLL_BUDGET}"
+        )
     cap = DPLL_SEARCH_BUDGET
     clauses = formula.ordered  # the empty clause sorts first
     if clauses and not clauses[0]:
         return None, 0
-    occ: defaultdict[int, int] = defaultdict(int)
-    for index, cl in enumerate(clauses):
-        bit = 1 << index
-        for lit in cl:
-            occ[lit] |= bit
+    occ = formula.occ  # built under the same budget, so present here
     planes = [0] * max(map(len, clauses), default=1).bit_length()  # planes[0] always exists
     for carry in occ.values():  # count each clause's distinct literals
         for j, plane in enumerate(planes):
@@ -179,7 +172,7 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
         else:
             for rank in range(start, len(variables)):
                 lit = variables[rank]
-                if lit not in value and (occ[lit] | occ[-lit]) & unsat:
+                if lit not in value and (occ.get(lit, 0) | occ.get(-lit, 0)) & unsat:
                     break
             else:  # every clause is satisfied
                 return frozenset(lit for lit in trail if lit > 0), work
@@ -190,8 +183,8 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
         work += 1
         if work > cap:
             raise SearchBudgetError(f"more than {cap} DPLL decisions and propagations made")
-        unsat &= ~occ[lit]
-        borrow = occ[-lit]
+        unsat &= ~occ.get(lit, 0)
+        borrow = occ.get(-lit, 0)
         for j, plane in enumerate(planes):
             planes[j] = plane ^ borrow
             borrow &= ~plane

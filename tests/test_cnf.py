@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import inspect
+import pickle
 import random
 import warnings
 
@@ -18,11 +21,13 @@ from reoptlab.cnf import (
 )
 from reoptlab.dimacs import parse_dimacs
 from reoptlab.enumeration import all_clauses, random_hint_setup
+from reoptlab.errors import BudgetExceededError
 from reoptlab.gadgets import build_gadget, gadget_from_json, gadget_to_json
 from reoptlab.hints import compile_table, table_from_json, table_to_json
 from reoptlab.reductions import reduce_unique_model
+from reoptlab.solvers import solve_dpll, solve_dpll_stats
 
-from oracles import clause_true, truth_assignments
+from oracles import clause_true, reference_dpll, truth_assignments
 
 # Gapped and large ids; the assignment may also hold ids outside the alphabet.
 VARIABLE_IDS = (1, 2, 3, 5, 8, 40, 10**9)
@@ -173,8 +178,16 @@ def test_add_then_delete_round_trip():
 
 
 
+def _masks(ordered):
+    # Each literal's clause mask over ``ordered``, built from scratch.
+    return {lit: sum(1 << i for i, cl in enumerate(ordered) if lit in cl)
+            for lit in {lit for cl in ordered for lit in cl}}
+
+
 def _carries_its_order(f):
+    # The order and, built from it, the literal masks.
     assert f.ordered == tuple(sorted(f.clauses))
+    assert f.occ == _masks(f.ordered)
     return f
 
 
@@ -183,8 +196,9 @@ def test_clause_order_takes_no_part_in_equality_hash_or_repr():
     f = cnf([(1, 2), (-1,)])
     g = cnf([(-1,), (2, 1)])
     object.__setattr__(g, "ordered", ())
+    object.__setattr__(g, "occ", None)
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
-    assert "ordered" not in repr(f)
+    assert "ordered" not in repr(f) and "occ" not in repr(f)
 
 
 RAW_CLAUSES = st.lists(st.lists(LITERALS, max_size=4), max_size=10)
@@ -247,3 +261,76 @@ def test_loaders_and_constructions_carry_their_clause_order(raw, seed):
     base, candidates = random_hint_setup(random.Random(seed))
     table = table_from_json(table_to_json(compile_table(base, candidates, 2)))
     _carries_its_order(table.base)
+
+
+def test_every_construction_path_carries_the_masks_a_fresh_build_makes():
+    # A raw clause repeating a literal, and the empty clause, which holds no bit.
+    direct = CnfFormula(frozenset({1, 2, 3}), frozenset({(1, 1, 2), (-1,), (2, -3), ()}))
+    assert direct.occ == {1: 0b100, 2: 0b1100, -1: 0b10, -3: 0b1000}
+    paths = [
+        direct,
+        cnf([(2, 1), (-1,), (-3, 2)]),
+        parse_dimacs("p cnf 4 3\n2 -1 2 0\n3 0\n-4 1 0\n"),
+        apply_changes(direct, ChangeSet(additions=((3,), (1, 4)), deletions=((-1,),))),
+        reduce_unique_model(cnf([(1, 2), (-1,)])).formula,
+        dataclasses.replace(direct, clauses=direct.clauses | {(3,)}),
+        copy.deepcopy(direct),
+        pickle.loads(pickle.dumps(direct)),
+    ]
+    for f in paths:
+        _carries_its_order(f)
+    assert dataclasses.replace(direct).occ == copy.deepcopy(direct).occ == direct.occ
+
+
+def test_a_formula_past_the_dpll_budget_carries_no_masks():
+    units = cnf([(v,) for v in range(1, 8194)])  # 8,193 variables x 8,193 clauses > 2^26
+    assert units.occ is None
+    with pytest.raises(BudgetExceededError,
+                       match="^8193 variables times 8193 clauses exceed the DPLL budget of 67108864$"):
+        solve_dpll(units)
+    # 8,192 mentioned variables x 8,192 clauses is the budget itself, though
+    # the alphabet keeps all 8,193: the child builds the masks its parent lacks.
+    child = apply_changes(units, ChangeSet(deletions=((8193,),)))
+    assert child.occ == {v: 1 << (v - 1) for v in range(1, 8193)}
+    assert solve_dpll(child) == frozenset(range(1, 8193))
+
+
+# Every clause over 1..3 (at most six literal keys, so most single changes
+# are spliced), and added clauses that bring in new variables or are empty.
+DENSE_POOL = all_clauses(range(1, 4), 1, 3)
+ADDED_POOL = DENSE_POOL + [(), (4,), clause(1, -4), clause(-7, 2), (10**9,)]
+CHANGE_STEPS = st.lists(st.tuples(
+    st.lists(st.integers(0, 40), max_size=2),  # present clauses to delete
+    st.lists(st.sampled_from(ADDED_POOL), max_size=1),  # deletions, maybe absent
+    st.lists(st.integers(0, 40), max_size=1),  # earlier deletions added again
+    st.lists(st.sampled_from(ADDED_POOL), max_size=2),  # additions
+), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.sampled_from(DENSE_POOL), min_size=12), CHANGE_STEPS)
+@example({(1,), (1, 2), (-2, 3)}, [([0], [(4,)], [], [()]), ([], [], [0], [(10**9,)]),
+                                   ([0, 0], [], [], [(1, 2)])])
+def test_changed_formulas_carry_the_masks_a_fresh_build_makes(base, steps):
+    f = _carries_its_order(cnf(base, alphabet=range(1, 4)))
+    deleted = []
+    for picks, maybe_absent, again, added in steps:
+        present = f.ordered
+        deletions = [present[i % len(present)] for i in picks if present] + maybe_absent
+        additions = [deleted[i % len(deleted)] for i in again if deleted] + added
+        changes = ChangeSet(additions=tuple(cl for cl in additions if cl not in deletions),
+                            deletions=tuple(deletions))
+        remaining, absent = set(f.clauses), 0
+        for cl in deletions:
+            if cl in remaining:
+                remaining.remove(cl)
+            else:
+                absent += 1
+        if absent:
+            with pytest.warns(UserWarning, match="^deleted clause not present"):
+                f = apply_changes(f, changes)
+        else:
+            f = apply_changes(f, changes)
+        deleted += deletions
+        _carries_its_order(f)
+        assert solve_dpll_stats(f) == reference_dpll(f)

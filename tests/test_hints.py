@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import warnings
 from itertools import combinations
 
 import pytest
@@ -90,6 +91,20 @@ def test_lookup_hit_miss_and_bound():
     assert lookup(table, ChangeSet(deletions=((1,),))) is MISS  # wrong change kind
 
 
+def test_lookup_builds_no_changes(monkeypatch):
+    # The change set's canonical pairs are looked up in the table's index.
+    table = compile_table(cnf([(1,), (2,)]), (add_change(-1), add_change(3, 2), del_change(1)), 2)
+    assert dict(table.index) == {(c.op, c.clause): c for c in table.candidates}
+    stored = table.entries[frozenset({add_change(2, 3), del_change(1)})]
+    monkeypatch.setattr(ElementaryChange, "__post_init__",
+                        lambda self: pytest.fail("lookup built an ElementaryChange"))
+    assert lookup(table, ChangeSet(additions=((2, 3), (3, 2)), deletions=((1,),))) is stored
+    assert lookup(table, ChangeSet(additions=((-1,),))) is None
+    assert lookup(table, ChangeSet(deletions=((-1,),))) is MISS  # a candidate clause, the other op
+    assert lookup(table, ChangeSet(additions=((4,),))) is MISS  # not a candidate
+    assert lookup(table, ChangeSet(additions=((-1,), (2, 3)), deletions=((1,),))) is MISS  # past the bound
+
+
 def test_table_completeness_sweep():
     rng = random.Random(19)
     for _ in range(20):
@@ -117,6 +132,17 @@ def test_reuse_model_fast_path():
     assert outcome.hint_used
     assert outcome.solution == frozenset({1})
     assert outcome.work_units == 2  # one pass over the two clauses
+
+
+def test_reuse_model_decides_a_hit_before_building_the_changed_formula(monkeypatch):
+    f = cnf([(1,), (1, 2)])
+    monkeypatch.setattr(hints, "apply_changes", lambda *args: pytest.fail("built on a hit"))
+    changes = ChangeSet(additions=((1, 4), (1,), (1, 4)), deletions=((1, 2), (3,), (1, 2)))
+    with pytest.warns(UserWarning, match="^deleted clause not present") as caught:
+        outcome = reuse_model(f, changes, {1})
+    assert [str(w.message) for w in caught] == ["deleted clause not present: (3,)",
+                                                "deleted clause not present: (1, 2)"]
+    assert tuple(outcome) == (frozenset({1}), True, 2)  # (1,) and (1, 4)
 
 
 def test_reuse_model_requires_valid_hint():
@@ -187,6 +213,40 @@ def test_reuse_model_checks_only_the_added_clauses(model, raw, deleted, added, s
         cold, work = solve_dpll_stats(changed)
         expected = (cold, False, work)
     assert tuple(reuse_model(f, changes, hint)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.sets(st.integers(1, 4)), raw=st.lists(st.lists(LITERALS, max_size=3), max_size=8),
+       deleted=st.lists(st.lists(LITERALS, max_size=3), max_size=3),
+       added=st.lists(st.lists(LITERALS, max_size=3), max_size=3), data=st.data())
+def test_reuse_model_warns_and_counts_as_apply_changes_does(model, raw, deleted, added, data):
+    # Deletions may be absent or repeated and additions repeated or present;
+    # on a hit or a miss, the warnings and the outcome are those of the
+    # whole-formula route.
+    base = [cl for cl in (clause(*c) for c in raw)
+            if all(abs(lit) <= 4 for lit in cl) and any((lit > 0) == (abs(lit) in model) for lit in cl)]
+    f = cnf(base, alphabet=range(1, 5))
+    deletions = [clause(*c) for c in deleted]
+    if f.clauses:
+        deletions += data.draw(st.lists(st.sampled_from(sorted(f.clauses)), max_size=3))
+    additions = [clause(*c) for c in added] * 2
+    if f.clauses:
+        additions += data.draw(st.lists(st.sampled_from(sorted(f.clauses)), max_size=2))
+    changes = ChangeSet(additions=tuple(cl for cl in additions if cl not in deletions),
+                        deletions=tuple(deletions))
+    hint = frozenset(model)
+    with warnings.catch_warnings(record=True) as expected_warnings:
+        warnings.simplefilter("always")
+        changed = apply_changes(f, changes)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = reuse_model(f, changes, hint)
+    assert [str(w.message) for w in caught] == [str(w.message) for w in expected_warnings]
+    if evaluate(changed, hint):
+        assert tuple(outcome) == (hint, True, len(changed.clauses))
+    else:
+        cold, work = solve_dpll_stats(changed)
+        assert tuple(outcome) == (cold, False, work)
 
 
 def test_reuse_plan_unchanged_instance_returns_full_plan():
