@@ -8,19 +8,21 @@ explicit, finite alphabet; clause collections have set semantics.  Each
 formula also carries DPLL's clause index, built when the formula is
 built: its clauses as a tuple in plain ``sorted()`` order, and for each
 literal the integer mask of the clauses of that tuple that contain it.
-``apply_changes`` derives a child's tuple from its parent's by bisection
-and, for a few changes, splices the parent's masks to match.  A solve
-builds nothing: the cost of the index sits in construction, which every
-command that only parses a formula now pays too.  An assignment is the
-set of variables that are true; every other variable in the alphabet is
-false.
+Every loader and construction builds its formula through ``CnfFormula``,
+which checks each literal's variable against the alphabet as the literal
+first becomes a mask key, so the check costs no walk of its own.
+``apply_changes`` alone builds a formula without ``CnfFormula``'s checks:
+it derives the child's tuple from its parent's by bisection and, for a
+few changes, splices the parent's masks to match.  A solve builds
+nothing: the cost of the index sits in construction, which every command
+that only parses a formula pays too.  An assignment is the set of
+variables that are true; every other variable in the alphabet is false.
 """
 
 from __future__ import annotations
 
 import warnings
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import DPLL_BUDGET
@@ -56,13 +58,18 @@ class CnfFormula:
     """A set of clauses over a declared alphabet of variable ids.
 
     The alphabet may be larger than the set of mentioned variables; it may
-    not be smaller.  Two fields are functions of the clauses and take no
-    part in ``==``, ``hash`` or ``repr``: ``ordered`` is
-    ``tuple(sorted(clauses))``, and ``occ`` maps each literal that occurs
-    to the integer mask whose bit ``i`` is set iff clause ``i`` of
-    ``ordered`` contains it (no key maps to 0).  ``occ`` is ``None`` when
-    the mentioned variables times the clauses exceed ``DPLL_BUDGET``, the
-    size past which DPLL refuses the formula anyway.  Neither is mutated
+    not be smaller: construction raises ``ValueError`` on an id below 1
+    and on clause variables outside the alphabet, naming every one.  The
+    second check rides on building ``occ``, one literal key at a time, so
+    a malformed formula is refused before its masks grow.
+
+    Two fields are functions of the clauses and take no part in ``==``,
+    ``hash`` or ``repr``: ``ordered`` is ``tuple(sorted(clauses))``, and
+    ``occ`` maps each literal that occurs to the integer mask whose bit
+    ``i`` is set iff clause ``i`` of ``ordered`` contains it (no key maps
+    to 0).  ``occ`` is ``None`` exactly when the mentioned variables times
+    the clauses exceed ``DPLL_BUDGET``, the size past which DPLL refuses
+    the formula; that name alone decides the refusal.  Neither is mutated
     once built.  Both are built eagerly, never cached lazily on first use:
     a lazy cache would charge the sort and the masks to whichever caller
     came first and make every later solve of the same object look free,
@@ -75,62 +82,45 @@ class CnfFormula:
     occ: dict[int, int] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if any(v < 1 for v in self.alphabet):
+        if min(self.alphabet, default=1) < 1:
             raise ValueError("variable ids must be >= 1")
-        mentioned = {abs(lit) for cl in self.clauses for lit in cl}
-        extra = mentioned - set(self.alphabet)
-        if extra:
-            raise ValueError(f"clause variables outside the alphabet: {sorted(extra)}")
         ordered = tuple(sorted(self.clauses))
         object.__setattr__(self, "ordered", ordered)
         object.__setattr__(self, "occ", _literal_masks(self.alphabet, ordered))
 
 
-def mentioned_past_budget(alphabet, clauses, budget: int) -> int:
-    """How many variables the clauses mention, if that times the clauses exceeds the budget; else 0.
-
-    The alphabet holds every mentioned variable, so they are counted only
-    when the alphabet times the clauses exceeds the budget.
-    """
-    if len(alphabet) * len(clauses) <= budget:
-        return 0
-    mentioned = len({abs(lit) for lit in set().union(*clauses)})
-    return mentioned if mentioned * len(clauses) > budget else 0
-
-
 def _literal_masks(alphabet: frozenset[int], ordered: tuple[Clause, ...]) -> dict[int, int] | None:
-    """``CnfFormula.occ`` from one pass over the literal occurrences; ``None`` past the budget."""
-    if mentioned_past_budget(alphabet, ordered, DPLL_BUDGET):
+    """``CnfFormula.occ`` from one pass over the literal occurrences; ``None`` past the budget.
+
+    Raises ``ValueError`` naming every clause variable outside the
+    alphabet.  A literal's variable is checked when the literal first
+    becomes a key, so a stray variable stops the pass before the masks
+    grow any further.  Past the budget, where no masks are built, the
+    walk that counts the mentioned variables checks them instead.
+    """
+    if (len(alphabet) * len(ordered) > DPLL_BUDGET
+            and len(_mentioned(alphabet, ordered)) * len(ordered) > DPLL_BUDGET):
         return None
-    occ: defaultdict[int, int] = defaultdict(int)
+    occ: dict[int, int] = {}
     for index, cl in enumerate(ordered):
         bit = 1 << index
         for lit in cl:
-            occ[lit] |= bit
-    return dict(occ)
+            try:
+                occ[lit] |= bit
+            except KeyError:
+                if abs(lit) not in alphabet:
+                    _mentioned(alphabet, ordered)  # raises, naming every stray variable
+                occ[lit] = bit
+    return occ
 
 
-def _trusted_formula(alphabet: frozenset[int], clauses: frozenset[Clause],
-                     ordered: tuple[Clause, ...], occ: dict[int, int] | None = None) -> CnfFormula:
-    """A formula built without ``__post_init__``'s alphabet walk and sort.
-
-    Only for callers whose construction already guarantees every
-    invariant: ids ``>= 1``, every clause variable in the alphabet, and
-    ``ordered == tuple(sorted(clauses))``.  ``apply_changes`` qualifies
-    because its parent was valid and every added variable widens the
-    alphabet; ``dimacs.parse_dimacs`` because its alphabet is ``1..nvars``
-    and it refuses every literal beyond ``nvars``;
-    ``reductions.reduce_unique_model`` because each product clause is over
-    the source's alphabet plus the one fresh variable it adds.  ``occ``,
-    if given, must equal the masks of ``ordered``; ``None`` builds them
-    (or leaves them ``None`` past the budget).
-    """
-    formula = object.__new__(CnfFormula)
-    object.__setattr__(formula, "alphabet", alphabet)
-    object.__setattr__(formula, "clauses", clauses)
-    object.__setattr__(formula, "ordered", ordered)
-    object.__setattr__(formula, "occ", _literal_masks(alphabet, ordered) if occ is None else occ)
-    return formula
+def _mentioned(alphabet: frozenset[int], clauses) -> set[int]:
+    """The variables the clauses mention; ``ValueError`` if any is outside the alphabet."""
+    mentioned = {abs(lit) for lit in set().union(*clauses)}
+    extra = mentioned.difference(alphabet)
+    if extra:
+        raise ValueError(f"clause variables outside the alphabet: {sorted(extra)}")
+    return mentioned
 
 
 def cnf(clauses_in=(), alphabet=None) -> CnfFormula:
@@ -209,7 +199,7 @@ def apply_changes(formula: CnfFormula, changes: ChangeSet) -> CnfFormula:
     if occ is not None and (
             (len(changes.deletions) + len(changes.additions)) * len(occ) > len(cls)
             or len(alphabet) * (len(cls) + len(changes.additions)) > DPLL_BUDGET):
-        occ = None  # built afresh by _trusted_formula, or not at all past the budget
+        occ = None  # built afresh below, or not at all past the budget
     for cl in changes.deletions:
         if cl in cls:
             cls.discard(cl)
@@ -231,7 +221,15 @@ def apply_changes(formula: CnfFormula, changes: ChangeSet) -> CnfFormula:
                 occ = {lit: (m & low) | (m >> i << (i + 1)) for lit, m in occ.items()}
                 for lit in cl:
                     occ[lit] = occ.get(lit, 0) | 1 << i
-    return _trusted_formula(alphabet, frozenset(cls), tuple(ordered), occ)
+    ordered = tuple(ordered)
+    # The parent was checked and every added variable widens the alphabet,
+    # so the child skips ``__post_init__``: no new check, no new sort.
+    child = object.__new__(CnfFormula)
+    object.__setattr__(child, "alphabet", alphabet)
+    object.__setattr__(child, "clauses", frozenset(cls))
+    object.__setattr__(child, "ordered", ordered)
+    object.__setattr__(child, "occ", _literal_masks(alphabet, ordered) if occ is None else occ)
+    return child
 
 
 def count_changed_clauses(formula: CnfFormula, changes: ChangeSet) -> int:

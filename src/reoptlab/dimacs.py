@@ -7,7 +7,7 @@ additions, mirroring the order in which change sets apply.
 
 from __future__ import annotations
 
-from .cnf import ChangeSet, CnfFormula, _trusted_formula, clause, clause_sort_key
+from .cnf import ChangeSet, CnfFormula, clause, clause_sort_key
 
 # The alphabet is materialized from the header's variable count, so a
 # larger count is rejected before anything is allocated for it.
@@ -34,9 +34,8 @@ def serialize_dimacs(formula: CnfFormula) -> str:
 def parse_dimacs(text: str) -> CnfFormula:
     """Read DIMACS text over the alphabet ``1..nvars`` of its header.
 
-    Every literal is checked against the header's variable count, which
-    bounds every clause variable, so the formula is built without
-    ``CnfFormula``'s second walk over the clauses.
+    A literal beyond the header's variable count is refused with its own
+    message before any clause is built.
     """
     nvars = nclauses = None
     literals: list[int] = []
@@ -77,8 +76,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise ValueError("unterminated clause (missing trailing 0)")
     if nclauses != len(clauses):
         raise ValueError(f"header declares {nclauses} clauses, found {len(clauses)}")
-    cls = frozenset(clauses)
-    return _trusted_formula(frozenset(range(1, nvars + 1)), cls, tuple(sorted(cls)))
+    return CnfFormula(frozenset(range(1, nvars + 1)), frozenset(clauses))
 
 
 def serialize_changes(changes: ChangeSet) -> str:

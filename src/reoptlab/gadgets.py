@@ -40,7 +40,8 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cnf import ChangeSet, Clause, CnfFormula, clause, clause_sort_key, cnf, is_tautology
+from .cnf import (ChangeSet, Clause, CnfFormula, apply_changes, clause, clause_sort_key, cnf,
+                  is_tautology)
 from .dimacs import parse_dimacs, serialize_dimacs
 from .enumeration import all_clauses
 from .errors import CONSTRUCTION_BUDGET, BudgetExceededError, unique_keys
@@ -151,7 +152,7 @@ def gadget_add_unit(g: Gadget, lit: int) -> Gadget:
         raise AssertionError("inconsistent gadget: forcing edge without its unit or removal")
     else:
         new_graph = remove_edges(g.graph, [relaxing])
-    return Gadget(new_graph, CnfFormula(g.source.alphabet, g.source.clauses | {unit}))
+    return Gadget(new_graph, apply_changes(g.source, ChangeSet(additions=(unit,))))
 
 
 def gadget_remove_unit(g: Gadget, lit: int) -> Gadget:
@@ -163,7 +164,7 @@ def gadget_remove_unit(g: Gadget, lit: int) -> Gadget:
     if relaxing in g.graph.edges:
         raise AssertionError("inconsistent gadget: unit present with its removal edge")
     return Gadget(add_edges(g.graph, [relaxing]),
-                  CnfFormula(g.source.alphabet, g.source.clauses - {unit}))
+                  apply_changes(g.source, ChangeSet(deletions=(unit,))))
 
 
 def build_full_gadget(alphabet) -> Gadget:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cnf import Assignment, Clause, CnfFormula, _trusted_formula, clause, evaluate
+from .cnf import Assignment, Clause, CnfFormula, clause, evaluate
 from .errors import DPLL_BUDGET, BudgetExceededError
 
 
@@ -86,8 +86,7 @@ def reduce_unique_model(g: CnfFormula) -> UniqueModelInstance:
             f" of {DPLL_BUDGET}")
     a = fresh_variable(g)
     product = frozenset(clause(x, *c) for x in (*g.alphabet, a) for c in (*g.clauses, (-a,)))
-    clauses = product | {(a,)}
-    formula = _trusted_formula(g.alphabet | {a}, clauses, tuple(sorted(clauses)))
+    formula = CnfFormula(g.alphabet | {a}, product | {(a,)})
     return UniqueModelInstance(formula, clause(-a), clause(a))
 
 

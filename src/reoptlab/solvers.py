@@ -15,13 +15,14 @@ in plain tuple order; the order and the literal masks, ``formula.occ``,
 come with the formula from its construction, so DPLL sorts and indexes
 nothing and makes the same decisions as one that rescans the clauses in
 that order.  The masks grow with variables times clauses, which
-``DPLL_BUDGET`` caps; ``DPLL_SEARCH_BUDGET`` caps the steps.
+``cnf.DPLL_BUDGET`` caps; ``DPLL_SEARCH_BUDGET`` caps the steps.
 """
 
 from __future__ import annotations
 
-from .cnf import Assignment, CnfFormula, evaluate, mentioned_past_budget
-from .errors import DPLL_BUDGET, BudgetExceededError, SearchBudgetError
+from . import cnf
+from .cnf import Assignment, CnfFormula, evaluate
+from .errors import BudgetExceededError, SearchBudgetError
 
 ORACLE_LIMIT = 20
 # The most decisions plus propagations one DPLL call may make.
@@ -121,23 +122,24 @@ def solve_dpll_stats(formula: CnfFormula) -> tuple[Assignment | None, int]:
     Each open decision holds at most ``len(planes) + 1`` saved clause
     masks, and at most one decision per mentioned variable is open.
     A formula whose mentioned variables times clauses exceeds
-    ``DPLL_BUDGET`` carries no masks and raises ``BudgetExceededError``
-    (``cnf.mentioned_past_budget`` states the rule for both).
+    ``cnf.DPLL_BUDGET`` carries no masks, ``formula.occ is None``, and
+    raises ``BudgetExceededError``: the construction decides, and the
+    variables are counted here only for the message.
     Once ``work`` passes ``DPLL_SEARCH_BUDGET`` the call raises
     ``SearchBudgetError``, the conflict budget of MiniSat's
     ``setConfBudget`` counted in steps.
     """
-    mentioned = mentioned_past_budget(formula.alphabet, formula.clauses, DPLL_BUDGET)
-    if mentioned:
+    occ = formula.occ
+    if occ is None:
+        mentioned = len({abs(lit) for lit in set().union(*formula.clauses)})
         raise BudgetExceededError(
             f"{mentioned} variables times {len(formula.clauses)} clauses"
-            f" exceed the DPLL budget of {DPLL_BUDGET}"
+            f" exceed the DPLL budget of {cnf.DPLL_BUDGET}"
         )
     cap = DPLL_SEARCH_BUDGET
     clauses = formula.ordered  # the empty clause sorts first
     if clauses and not clauses[0]:
         return None, 0
-    occ = formula.occ  # built under the same budget, so present here
     planes = [0] * max(map(len, clauses), default=1).bit_length()  # planes[0] always exists
     for carry in occ.values():  # count each clause's distinct literals
         for j, plane in enumerate(planes):

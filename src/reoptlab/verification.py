@@ -126,10 +126,10 @@ def gadget_cases(max_vars: int = 3, max_clauses: int = 3, samples: int = 500,
                 unit = clause(lit)
                 if unit in f.clauses:
                     yield (f, f"remove {lit}", gadget_remove_unit(gadget, lit),
-                           CnfFormula(f.alphabet, f.clauses - {unit}))
+                           apply_changes(f, ChangeSet(deletions=(unit,))))
                 else:
                     yield (f, f"add {lit}", gadget_add_unit(gadget, lit),
-                           CnfFormula(f.alphabet, f.clauses | {unit}))
+                           apply_changes(f, ChangeSet(additions=(unit,))))
 
 
 def _satisfiable(f: CnfFormula) -> bool:

@@ -376,7 +376,7 @@ def _raise(error):
 
 
 def _dpll_refusal(monkeypatch):
-    monkeypatch.setattr(solvers, "DPLL_BUDGET", 5)
+    monkeypatch.setattr("reoptlab.cnf.DPLL_BUDGET", 5)
     solve_dpll_stats(cnf([(1,), (1, 2), (-2,)]))
 
 

@@ -3,7 +3,9 @@ import dataclasses
 import inspect
 import pickle
 import random
+import tracemalloc
 import warnings
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,13 +21,20 @@ from reoptlab.cnf import (
     evaluate,
     is_tautology,
 )
-from reoptlab.dimacs import parse_dimacs
+from reoptlab.dimacs import parse_dimacs, serialize_dimacs
 from reoptlab.enumeration import all_clauses, random_hint_setup
 from reoptlab.errors import BudgetExceededError
-from reoptlab.gadgets import build_gadget, gadget_from_json, gadget_to_json
+from reoptlab.gadgets import (
+    build_gadget,
+    gadget_add_unit,
+    gadget_from_json,
+    gadget_remove_unit,
+    gadget_to_json,
+)
 from reoptlab.hints import compile_table, table_from_json, table_to_json
 from reoptlab.reductions import reduce_unique_model
 from reoptlab.solvers import solve_dpll, solve_dpll_stats
+from reoptlab.verification import gadget_cases
 
 from oracles import clause_true, reference_dpll, truth_assignments
 
@@ -276,7 +285,13 @@ def test_every_construction_path_carries_the_masks_a_fresh_build_makes():
         dataclasses.replace(direct, clauses=direct.clauses | {(3,)}),
         copy.deepcopy(direct),
         pickle.loads(pickle.dumps(direct)),
+        gadget_add_unit(build_gadget(cnf([(1, 2), (-1,)])), 2).source,
+        gadget_remove_unit(build_gadget(cnf([(1, 2), (-1,)])), -1).source,
     ]
+    # Every gadget unit edit's source, and the target it encodes.
+    for _, tag, gadget, target in gadget_cases(2, 2, 20):
+        if tag is not None:
+            paths += [gadget.source, target]
     for f in paths:
         _carries_its_order(f)
     assert dataclasses.replace(direct).occ == copy.deepcopy(direct).occ == direct.occ
@@ -293,6 +308,76 @@ def test_a_formula_past_the_dpll_budget_carries_no_masks():
     child = apply_changes(units, ChangeSet(deletions=((8193,),)))
     assert child.occ == {v: 1 << (v - 1) for v in range(1, 8193)}
     assert solve_dpll(child) == frozenset(range(1, 8193))
+
+
+def test_a_stray_variable_is_refused_before_the_masks_grow():
+    # (1, v) for v in 2..20001 over the alphabet {1}: the masks of the
+    # 20,000 stray literals, built first, would hold about 200 million bits.
+    clauses = frozenset((1, v) for v in range(2, 20002))
+    expected = f"clause variables outside the alphabet: {list(range(2, 20002))}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            CnfFormula(frozenset({1}), clauses)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == expected
+    assert peak < 8 << 20
+
+
+def test_every_stray_variable_is_named_on_each_side_of_the_budget():
+    clauses = frozenset({(1, -7), (2,), (-5, 9)})
+    message = r"^clause variables outside the alphabet: \[5, 7, 9\]$"
+    for budget in (0, 5, 9, 10**6):  # mask-free past the alphabet budget, or not
+        with patch("reoptlab.cnf.DPLL_BUDGET", budget), pytest.raises(ValueError, match=message):
+            CnfFormula(frozenset({1, 2}), clauses)
+    with pytest.raises(ValueError, match="^variable ids must be >= 1$"):
+        CnfFormula(frozenset({0, 1}), frozenset({(3,)}))
+
+
+GADGET_CLAUSES = st.lists(st.lists(SMALL_LITERALS, min_size=1, max_size=3), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(GADGET_CLAUSES, GADGET_CLAUSES, st.integers(0, 40))
+@example([[1], [2]], [[3, 4], [-1, 2]], 4)  # 2 x 2 within, 4 x 4 past, and back
+@example([[1, 2], [-2, 3], [4]], [[1, -3]], 12)  # 4 x 3 within, 4 x 4 past
+def test_masks_are_absent_exactly_when_dpll_refuses(raw, added, budget):
+    # Each construction path, built under a drawn budget: a formula carries
+    # no masks iff its mentioned variables times clauses exceed the budget,
+    # and exactly then DPLL refuses it.  The changed formulas cross the
+    # budget both ways: additions can carry a child past it, and deleting
+    # them again brings the grandchild back within it.
+    with patch("reoptlab.cnf.DPLL_BUDGET", budget):
+        f = cnf(raw)
+        grown = apply_changes(f, ChangeSet(additions=tuple(map(tuple, added))))
+        new = tuple(grown.clauses - f.clauses)
+        paths = [
+            f,
+            CnfFormula(frozenset(range(1, 6)), f.clauses),
+            parse_dimacs(serialize_dimacs(f)),
+            grown,
+            apply_changes(grown, ChangeSet(deletions=new)),
+            dataclasses.replace(f),
+            pickle.loads(pickle.dumps(grown)),
+            reduce_unique_model(f).formula,
+        ]
+        source = cnf([cl for cl in f.clauses if not is_tautology(cl)], alphabet=range(1, 5))
+        gadget = build_gadget(source)
+        for lit in (1, -2):
+            edit = gadget_remove_unit if (lit,) in source.clauses else gadget_add_unit
+            paths.append(edit(gadget, lit).source)
+        for g in paths:
+            mentioned = len({abs(lit) for cl in g.clauses for lit in cl})
+            assert (g.occ is None) == (mentioned * len(g.clauses) > budget)
+            if g.occ is None:
+                with pytest.raises(BudgetExceededError, match=f"^{mentioned} variables times "
+                                   f"{len(g.clauses)} clauses exceed the DPLL budget of {budget}$"):
+                    solve_dpll_stats(g)
+            else:
+                _carries_its_order(g)
+                assert solve_dpll_stats(g) == reference_dpll(g)
 
 
 # Every clause over 1..3 (at most six literal keys, so most single changes

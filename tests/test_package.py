@@ -113,3 +113,16 @@ def test_every_name_the_benchmark_reads_exists():
     missing = sorted(f"{module}.{attr}" for module, attr in names
                      if not hasattr(importlib.import_module(module), attr))
     assert not missing, missing
+
+
+def test_no_library_module_imports_another_ones_private_name():
+    # An underscore name is its module's own; a second module that needs it
+    # needs a public name, so no promise about it crosses a module line.
+    imported = []
+    for path in sorted((ROOT / "src" / "reoptlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "reoptlab"):
+                imported += [f"{path.name}: {node.module or '.'}.{alias.name}"
+                             for alias in node.names if alias.name.startswith("_")]
+    assert not imported, imported

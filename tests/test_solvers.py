@@ -18,10 +18,9 @@ from reoptlab.cnf import (
     evaluate,
 )
 from reoptlab.enumeration import iter_small_formulas, random_formula
-from reoptlab.errors import BudgetExceededError, SearchBudgetError
+from reoptlab.errors import DPLL_BUDGET, BudgetExceededError, SearchBudgetError
 from reoptlab.reductions import reduce_unique_model
 from reoptlab.solvers import (
-    DPLL_BUDGET,
     count_models,
     iter_assignments,
     solve_brute,
@@ -240,13 +239,13 @@ def test_dpll_refuses_a_formula_past_its_budget_before_building_masks():
 
 def test_dpll_budget_is_mentioned_variables_times_clauses(monkeypatch):
     # Two mentioned variables and three clauses; x9 is declared but unmentioned.
-    f = cnf([(1,), (1, 2), (-2,)], alphabet={1, 2, 9})
-    monkeypatch.setattr(solvers, "DPLL_BUDGET", 6)
-    assert solve_dpll_stats(f) == (frozenset({1}), 2)
-    monkeypatch.setattr(solvers, "DPLL_BUDGET", 5)
+    raw = [(1,), (1, 2), (-2,)]
+    monkeypatch.setattr("reoptlab.cnf.DPLL_BUDGET", 6)
+    assert solve_dpll_stats(cnf(raw, alphabet={1, 2, 9})) == (frozenset({1}), 2)
+    monkeypatch.setattr("reoptlab.cnf.DPLL_BUDGET", 5)
     with pytest.raises(BudgetExceededError,
                        match="2 variables times 3 clauses exceed the DPLL budget of 5"):
-        solve_dpll_stats(f)
+        solve_dpll_stats(cnf(raw, alphabet={1, 2, 9}))
 
 
 @settings(max_examples=300, deadline=None)
@@ -256,10 +255,12 @@ def test_dpll_refuses_exactly_past_mentioned_variables_times_clauses(raw, unment
     # The alphabet may hold unmentioned variables, so the budget is drawn
     # around the span from mentioned to alphabet variables times clauses:
     # there the alphabet product can exceed it while the mentioned one does not.
-    f = cnf(raw, alphabet={abs(lit) for cl in raw for lit in cl} | unmentioned)
+    alphabet = {abs(lit) for cl in raw for lit in cl} | unmentioned
+    f = cnf(raw, alphabet=alphabet)
     product = len({abs(lit) for cl in f.clauses for lit in cl}) * len(f.clauses)
     budget = data.draw(st.integers(max(0, product - 3), len(f.alphabet) * len(f.clauses) + 3))
-    with patch.object(solvers, "DPLL_BUDGET", budget):
+    with patch("reoptlab.cnf.DPLL_BUDGET", budget):
+        f = cnf(raw, alphabet=alphabet)
         if product > budget:
             with pytest.raises(BudgetExceededError, match=f"variables times {len(f.clauses)} clauses"
                                                           f" exceed the DPLL budget of {budget}"):
