@@ -14,9 +14,10 @@ first becomes a mask key, so the check costs no walk of its own.
 ``apply_changes`` alone builds a formula without ``CnfFormula``'s checks:
 it derives the child's tuple from its parent's by bisection and, for a
 few changes, splices the parent's masks to match.  A solve builds
-nothing: the cost of the index sits in construction, which every command
-that only parses a formula pays too.  An assignment is the set of
-variables that are true; every other variable in the alphabet is false.
+nothing, and a model check reads the masks too: the cost of the index
+sits in construction, which every command that only parses a formula
+pays too.  An assignment is the set of variables that are true; every
+other variable in the alphabet is false.
 """
 
 from __future__ import annotations
@@ -135,20 +136,36 @@ def evaluate(formula: CnfFormula, assignment) -> bool:
     """True iff every clause contains a literal made true by the assignment.
 
     The empty formula is true and a formula containing the empty clause is
-    false under every assignment.
+    false under every assignment.  Variables outside the alphabet are
+    ignored.  Each alphabet variable contributes the mask in ``occ`` of
+    its one true literal; the formula is true iff the OR of those masks
+    is every clause of ``ordered``.  That is one big-integer OR per
+    variable, linear in the alphabet.  The empty clause has no bit in any
+    mask, so it stays false.  A formula past the budget (``occ`` is
+    ``None``) is checked by ``clauses_true``.
     """
-    return clauses_true(formula.alphabet, formula.clauses, assignment)
+    occ = formula.occ
+    if occ is None:
+        return clauses_true(formula.alphabet, formula.clauses, assignment)
+    true_vars = frozenset(assignment)
+    get = occ.get
+    met = 0
+    for v in formula.alphabet:
+        met |= get(v if v in true_vars else -v, 0)
+    return met == (1 << len(formula.ordered)) - 1
 
 
 def clauses_true(alphabet, clauses, assignment) -> bool:
     """True iff every clause, all of whose variables are in the alphabet,
     contains a literal made true by the assignment.
 
-    Each variable of the alphabet contributes the one literal of it that
-    the assignment makes true.  Every clause variable is in the alphabet,
-    so a clause is true iff it meets that set, which one C-level
-    ``isdisjoint`` per clause decides, stopping at the first false clause.
-    The cost is linear in the alphabet plus the clauses checked.
+    For clauses no formula's masks hold: those a change set adds, and a
+    formula past the budget.  Each variable of the alphabet contributes
+    the one literal of it that the assignment makes true.  Every clause
+    variable is in the alphabet, so a clause is true iff it meets that
+    set, which one C-level ``isdisjoint`` per clause decides, stopping at
+    the first false clause.  The cost is linear in the alphabet plus the
+    clauses checked.
     """
     true_vars = frozenset(assignment)
     true_lits = {v if v in true_vars else -v for v in alphabet}
@@ -174,76 +191,71 @@ class ChangeSet:
             raise ValueError(f"clauses both added and deleted: {sorted(both)}")
 
 
+def resolve_changes(formula: CnfFormula, changes: ChangeSet) -> tuple[set[Clause], set[Clause]]:
+    """The deletions present in the formula and the additions new to it.
+
+    Warns of each deletion of an absent clause, a second deletion of the
+    same clause included.  No clause is both added and deleted, so an
+    added clause is new iff it is absent from the formula.
+    """
+    present = formula.clauses
+    deleted: set[Clause] = set()
+    for cl in changes.deletions:
+        if cl in present and cl not in deleted:
+            deleted.add(cl)
+        else:
+            warnings.warn(f"deleted clause not present: {cl}", stacklevel=3)
+    return deleted, set(changes.additions).difference(present)
+
+
 def apply_changes(formula: CnfFormula, changes: ChangeSet) -> CnfFormula:
     """Apply a change set: deletions first, then additions.
 
-    Deleting a clause that is not present succeeds with a warning.  Added
-    clauses may extend the alphabet; deletions never shrink it.  The
-    child's ``ordered`` is the parent's with each deletion cut out and each
-    new addition inserted by bisection, so nothing is sorted again.  Its
-    ``occ`` is the parent's, spliced at each such index: cutting clause
-    ``i`` shifts every mask's bits above ``i`` down by one and drops the
-    masks that reach 0; inserting at ``i`` shifts them up by one and sets
-    bit ``i`` for the new clause's literals.  Masks are spliced only when
-    the changes times the parent's mask keys are at most its clauses
-    (beyond that a fresh build is cheaper) and the child's alphabet times
-    its most possible clauses stays within ``DPLL_BUDGET``; otherwise the
-    child builds its own masks, or none past the budget.
+    Deleting a clause that is not present succeeds with a warning (see
+    ``resolve_changes``).  Added clauses may extend the alphabet;
+    deletions never shrink it.  The child's ``ordered`` is the parent's
+    with each deletion cut out and each new addition inserted by
+    bisection, so nothing is sorted again.  Its ``occ`` is the parent's,
+    spliced at each such index: cutting clause ``i`` shifts every mask's
+    bits above ``i`` down by one and drops the masks that reach 0;
+    inserting at ``i`` shifts them up by one and sets bit ``i`` for the
+    new clause's literals.  Masks are spliced only when the changes times
+    the parent's mask keys are at most its clauses (beyond that a fresh
+    build is cheaper) and the child's alphabet times its clauses stays
+    within ``DPLL_BUDGET``; otherwise the child builds its own masks, or
+    none past the budget.
     """
-    cls = set(formula.clauses)
+    deleted, added = resolve_changes(formula, changes)
+    clauses = formula.clauses.difference(deleted).union(added)
     ordered = list(formula.ordered)
-    alphabet = formula.alphabet.union(abs(lit) for cl in changes.additions for lit in cl)
+    alphabet = formula.alphabet.union(abs(lit) for cl in added for lit in cl)
     occ = formula.occ
     # A splice passes over every mask once per change, a fresh build once
     # over the literal occurrences, so only a few changes are spliced.
-    if occ is not None and (
-            (len(changes.deletions) + len(changes.additions)) * len(occ) > len(cls)
-            or len(alphabet) * (len(cls) + len(changes.additions)) > DPLL_BUDGET):
+    if occ is not None and ((len(deleted) + len(added)) * len(occ) > len(formula.clauses)
+                            or len(alphabet) * len(clauses) > DPLL_BUDGET):
         occ = None  # built afresh below, or not at all past the budget
-    for cl in changes.deletions:
-        if cl in cls:
-            cls.discard(cl)
-            i = bisect_left(ordered, cl)
-            del ordered[i]
-            if occ is not None:
-                low = (1 << i) - 1
-                occ = {lit: spliced for lit, m in occ.items()
-                       if (spliced := (m & low) | (m >> (i + 1) << i))}
-        else:
-            warnings.warn(f"deleted clause not present: {cl}", stacklevel=2)
-    for cl in changes.additions:
-        if cl not in cls:
-            cls.add(cl)
-            i = bisect_left(ordered, cl)
-            ordered.insert(i, cl)
-            if occ is not None:
-                low = (1 << i) - 1
-                occ = {lit: (m & low) | (m >> i << (i + 1)) for lit, m in occ.items()}
-                for lit in cl:
-                    occ[lit] = occ.get(lit, 0) | 1 << i
+    for cl in deleted:
+        i = bisect_left(ordered, cl)
+        del ordered[i]
+        if occ is not None:
+            low = (1 << i) - 1
+            occ = {lit: spliced for lit, m in occ.items()
+                   if (spliced := (m & low) | (m >> (i + 1) << i))}
+    for cl in added:
+        i = bisect_left(ordered, cl)
+        ordered.insert(i, cl)
+        if occ is not None:
+            low = (1 << i) - 1
+            occ = {lit: (m & low) | (m >> i << (i + 1)) for lit, m in occ.items()}
+            for lit in cl:
+                occ[lit] = occ.get(lit, 0) | 1 << i
     ordered = tuple(ordered)
     # The parent was checked and every added variable widens the alphabet,
     # so the child skips ``__post_init__``: no new check, no new sort.
     child = object.__new__(CnfFormula)
     object.__setattr__(child, "alphabet", alphabet)
-    object.__setattr__(child, "clauses", frozenset(cls))
+    object.__setattr__(child, "clauses", clauses)
     object.__setattr__(child, "ordered", ordered)
     object.__setattr__(child, "occ", _literal_masks(alphabet, ordered) if occ is None else occ)
     return child
-
-
-def count_changed_clauses(formula: CnfFormula, changes: ChangeSet) -> int:
-    """``len(apply_changes(formula, changes).clauses)`` without building the child.
-
-    Warns of each deletion of an absent clause, a second deletion of the
-    same clause included, exactly as ``apply_changes`` does.
-    """
-    present = formula.clauses
-    deleted = set()
-    for cl in changes.deletions:
-        if cl in present and cl not in deleted:
-            deleted.add(cl)
-        else:
-            warnings.warn(f"deleted clause not present: {cl}", stacklevel=2)
-    # No clause is both added and deleted, so an added clause is new iff it is absent.
-    return len(present) - len(deleted) + len(set(changes.additions) - present)

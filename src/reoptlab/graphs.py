@@ -7,18 +7,25 @@ the at-most-k decision on graphs too large for subset enumeration.  It
 runs on integer node masks: each node's neighbours are one mask, live
 degrees are a bit-sliced counter over them, and every stack entry holds
 its whole state, so long paths do not hit the recursion limit.  It cuts
-a search node when a packing of disjoint triangles and edges, built at
-the root and inherited down the search path, already needs more cover
+a search node when a packing of disjoint triangles and edges, built with
+the graph and inherited down the search path, already needs more cover
 nodes than the budget left, which refutes a CNF gadget one node short (a
 union of such cliques) in a few dozen nodes.  The cut removes only
 subtrees without a cover, so the search returns the same cover as
-without it.  Past ``COVER_SEARCH_BUDGET`` search nodes it gives up, and
-it refuses a graph of more than ``MAX_COVER_GRAPH_NODES`` nodes.
+without it.  Past ``COVER_SEARCH_BUDGET`` search nodes it gives up.
+
+Each graph carries the search's root state, ``Graph.cover_index``, built
+when the graph is built: the sorted labels, the neighbour masks, the
+degree counter and the root packing.  A search builds nothing before its
+stack: the cost of the index sits in construction, which every command
+that only parses a graph pays too.  A graph of more than
+``MAX_COVER_GRAPH_NODES`` nodes carries no index, and the search
+refuses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
@@ -42,16 +49,47 @@ def edge(u: str, v: str) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+class CoverIndex(NamedTuple):
+    """The cover search's root state, a function of the graph alone.
+
+    Node ``i`` is ``labels[i]`` and bit ``i`` of every mask.  ``adjm[i]``
+    is node i's neighbour mask; bit i of ``planes[j]`` is bit j of node
+    i's degree.  ``free``, ``bound`` and ``clique`` are the root clique
+    packing (see ``decide_cover_stats``).  Every call on the graph shares
+    it, so it is kept in tuples and never changed in place.
+    """
+
+    labels: tuple[str, ...]
+    adjm: tuple[int, ...]
+    planes: tuple[int, ...]
+    free: int
+    bound: int
+    clique: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class Graph:
+    """Nodes and canonical edges, each endpoint in the node set.
+
+    ``cover_index`` is a function of the two and takes no part in ``==``,
+    ``hash`` or ``repr``.  It is ``None`` exactly when the graph has more
+    than ``MAX_COVER_GRAPH_NODES`` nodes, which alone decides the cover
+    search's refusal.  It is built eagerly, never cached lazily on first
+    use: a lazy cache would charge the set-up to whichever search came
+    first and make every later search of the same graph look free, where
+    the cost belongs to building the graph.
+    """
+
     nodes: frozenset[str]
     edges: frozenset[Edge]
+    cover_index: CoverIndex | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for u, v in self.edges:
             if u >= v or u not in self.nodes or v not in self.nodes:
                 break
         else:
+            object.__setattr__(self, "cover_index", _cover_index(self.nodes, self.edges))
             return
         # Set order follows the hash salt, so the error names the least bad edge.
         for u, v in sorted(self.edges):
@@ -59,6 +97,34 @@ class Graph:
                 raise ValueError(f"edge ({u!r}, {v!r}) is not in canonical order")
             if u not in self.nodes or v not in self.nodes:
                 raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint outside the node set")
+
+
+def _cover_index(nodes: frozenset[str], edges: frozenset[Edge]) -> CoverIndex | None:
+    """``Graph.cover_index`` of checked nodes and edges; ``None`` past ``MAX_COVER_GRAPH_NODES``."""
+    if len(nodes) > MAX_COVER_GRAPH_NODES:
+        return None
+    labels = sorted(nodes)
+    index = {label: i for i, label in enumerate(labels)}
+    adjm = [0] * len(labels)
+    for u, v in edges:
+        i, j = index[u], index[v]
+        adjm[i] |= 1 << j
+        adjm[j] |= 1 << i
+    by_degree = [0] * (len(labels) + 1)  # by_degree[d]: the mask of nodes of degree d
+    for i, nbrs in enumerate(adjm):
+        by_degree[nbrs.bit_count()] |= 1 << i
+    planes = []
+    for d, group in enumerate(by_degree):
+        if group:
+            planes += [0] * (d.bit_length() - len(planes))
+            for j in range(d.bit_length()):
+                if d >> j & 1:
+                    planes[j] |= group
+    live = (1 << len(labels)) - 1
+    # The free nodes are those outside a clique with another live member;
+    # clique[i] is the mask of i's packed clique, stale once i is free.
+    free, bound, clique = _pack(adjm, live, live, by_degree[1:], (0,) * len(labels), 0)
+    return CoverIndex(tuple(labels), tuple(adjm), tuple(planes), free, bound, tuple(clique))
 
 
 def graph(nodes=(), edges=()) -> Graph:
@@ -127,15 +193,16 @@ def decide_cover_stats(g: Graph, budget: int) -> tuple[frozenset[str] | None, in
     bit-sliced: bit i of ``planes[j]`` is bit j of node i's live degree,
     so removing a node subtracts its live neighbour mask from the planes
     with a borrow, and the pick is one top-down pass over them.  Every
-    stack entry carries its whole search state: masks, counts, and lists
-    that are copied before they change, never changed in place.  A
-    backtrack is therefore a pop, and the search depth is not limited by
-    recursion.
+    stack entry carries its whole search state: masks, counts, and
+    sequences that are copied before they change, never changed in place.
+    A backtrack is therefore a pop, and the search depth is not limited
+    by recursion.  The root state is the graph's ``cover_index``, built
+    with the graph, so the search builds nothing before its stack.
 
     A search node is cut when a packing of vertex-disjoint cliques in its
     live graph needs more than k cover nodes (a clique whose live part
     has s nodes needs s - 1).  The packing is greedy, triangles before
-    edges, built at the root from the lowest-degree nodes up and
+    edges, built with the graph from the lowest-degree nodes up and
     inherited down the search path: a removed node lowers the bound only
     when its clique still had another live member, and only the mates it
     leaves alone are offered to new cliques.  After each extension the live nodes outside a clique of two
@@ -145,36 +212,17 @@ def decide_cover_stats(g: Graph, budget: int) -> tuple[frozenset[str] | None, in
     without the bound, and the witness does not change.  ``explored``
     counts the search nodes entered, cut ones included; past
     ``COVER_SEARCH_BUDGET`` of them it raises ``SearchBudgetError``.  A
-    graph of more than ``MAX_COVER_GRAPH_NODES`` nodes raises
-    ``BudgetExceededError`` before any mask is built.
+    graph without an index (more than ``MAX_COVER_GRAPH_NODES`` nodes)
+    raises ``BudgetExceededError``.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    if len(g.nodes) > MAX_COVER_GRAPH_NODES:
+    if g.cover_index is None:
         raise BudgetExceededError(f"{len(g.nodes)} graph nodes exceed the cover search limit "
                                   f"of {MAX_COVER_GRAPH_NODES}")
     cap = COVER_SEARCH_BUDGET
-    labels = sorted(g.nodes)
-    index = {label: i for i, label in enumerate(labels)}
-    adjm = [0] * len(labels)
-    for u, v in g.edges:
-        i, j = index[u], index[v]
-        adjm[i] |= 1 << j
-        adjm[j] |= 1 << i
-    by_degree = [0] * (len(labels) + 1)  # by_degree[d]: the mask of nodes of degree d
-    for i, nbrs in enumerate(adjm):
-        by_degree[nbrs.bit_count()] |= 1 << i
-    planes = []
-    for d, nodes in enumerate(by_degree):
-        if nodes:
-            planes += [0] * (d.bit_length() - len(planes))
-            for j in range(d.bit_length()):
-                if d >> j & 1:
-                    planes[j] |= nodes
+    labels, adjm, planes, free, bound, clique = g.cover_index
     live = (1 << len(labels)) - 1
-    # The free nodes are those outside a clique with another live member;
-    # clique[i] is the mask of i's packed clique, stale once i is free.
-    free, bound, clique = _pack(adjm, live, live, by_degree[1:], [0] * len(labels), 0)
     stack = [(live, planes, budget, bound, free, clique, 0)]
     explored = 0
     while stack:
@@ -196,7 +244,7 @@ def decide_cover_stats(g: Graph, budget: int) -> tuple[frozenset[str] | None, in
                         alone |= mates
             if bound > k:
                 continue
-            planes = planes[:]
+            planes = list(planes)  # the root's planes are a shared tuple
             while take:
                 low = take & -take
                 take ^= low
@@ -231,13 +279,15 @@ def decide_cover_stats(g: Graph, budget: int) -> tuple[frozenset[str] | None, in
     return None, explored
 
 
-def _pack(adjm: list[int], live: int, free: int, seeds: Sequence[int], clique: list[int], bound: int):
+def _pack(adjm: Sequence[int], live: int, free: int, seeds: Sequence[int],
+          clique: Sequence[int], bound: int):
     """Extend a clique packing greedily with triangles, then edges, each through a node of ``seeds``.
 
     ``seeds`` is a sequence of masks, taken in order and each from its
     lowest bit up; only live nodes of ``free`` join a new clique.  Returns
     the free mask, the bound raised by s - 1 per new clique of s nodes,
-    and ``clique``, copied before its first change.
+    and ``clique``, copied to a list before its first change (it may be
+    the graph's shared tuple, whose ``[:]`` is itself).
     """
     copied = False
     unpaired = []  # seeds with a free neighbour but no triangle, for the edge pass
@@ -263,7 +313,7 @@ def _pack(adjm: list[int], live: int, free: int, seeds: Sequence[int], clique: l
             third = common & -common
             members = low | other | third
             if not copied:
-                clique, copied = clique[:], True
+                clique, copied = list(clique), True
             free &= ~members
             bound += 2
             for bit in (low, other, third):
@@ -275,7 +325,7 @@ def _pack(adjm: list[int], live: int, free: int, seeds: Sequence[int], clique: l
                 other = near & -near
                 members = low | other
                 if not copied:
-                    clique, copied = clique[:], True
+                    clique, copied = list(clique), True
                 free &= ~members
                 bound += 1
                 clique[low.bit_length() - 1] = clique[other.bit_length() - 1] = members

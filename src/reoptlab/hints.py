@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple
 
 from .cnf import (Assignment, ChangeSet, Clause, CnfFormula, apply_changes, clause,
-                  clauses_true, count_changed_clauses, evaluate)
+                  clauses_true, evaluate, resolve_changes)
 from .dimacs import parse_dimacs, serialize_dimacs
 from .errors import BudgetExceededError, InvalidHintError, unique_keys
 from .solvers import solve_dpll, solve_dpll_stats
@@ -163,15 +163,16 @@ def reuse_model(f: CnfFormula, changes: ChangeSet, hint) -> ReuseOutcome:
     cold.  Deleting a clause cannot falsify a model, so once the hint is
     checked against ``f`` only the added clauses are checked, under
     ``f``'s alphabet plus the variables they add.  The changed formula
-    is built only on a miss; a hit counts its clauses from ``f`` and the
-    change set, and warns of an absent deletion as ``apply_changes`` does.
+    is built only on a miss; a hit counts its clauses from
+    ``resolve_changes``, which warns of an absent deletion for both.
     """
     hint = frozenset(hint)
     if not evaluate(f, hint):
         raise InvalidHintError("hint does not satisfy the base formula")
     alphabet = f.alphabet.union(abs(lit) for cl in changes.additions for lit in cl)
     if clauses_true(alphabet, changes.additions, hint):
-        return ReuseOutcome(hint, True, count_changed_clauses(f, changes))
+        deleted, added = resolve_changes(f, changes)
+        return ReuseOutcome(hint, True, len(f.clauses) - len(deleted) + len(added))
     model, work = solve_dpll_stats(apply_changes(f, changes))
     return ReuseOutcome(model, False, work)
 

@@ -273,6 +273,16 @@ def test_solve_vc_past_the_graph_node_limit_exits_3(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("budget exceeded: 8193 graph nodes exceed the cover search limit "
                             "of 8192\n")
+    assert parse_edge_list(edges.read_text()).cover_index is None
+
+
+def test_solve_vc_at_the_graph_node_limit_searches(tmp_path, capsys):
+    edges = tmp_path / "path.txt"
+    edges.write_text("".join(f"p{i:04d} p{i + 1:04d}\n"
+                             for i in range(graphs.MAX_COVER_GRAPH_NODES - 1)))
+    assert run(["solve", "vc", "--input", edges, "--budget", 10]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "budget": 10, "within_budget": False, "cover": None, "work": 1}
 
 
 def test_solve_sat_past_the_dpll_step_cap_exits_3(tmp_path, monkeypatch, capsys):

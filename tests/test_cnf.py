@@ -17,13 +17,15 @@ from reoptlab.cnf import (
     apply_changes,
     clause,
     clause_sort_key,
+    clauses_true,
     cnf,
     evaluate,
     is_tautology,
+    resolve_changes,
 )
 from reoptlab.dimacs import parse_dimacs, serialize_dimacs
 from reoptlab.enumeration import all_clauses, random_hint_setup
-from reoptlab.errors import BudgetExceededError
+from reoptlab.errors import DPLL_BUDGET, BudgetExceededError
 from reoptlab.gadgets import (
     build_gadget,
     gadget_add_unit,
@@ -43,6 +45,8 @@ VARIABLE_IDS = (1, 2, 3, 5, 8, 40, 10**9)
 OUTSIDE_IDS = (4, 7, 10**9 - 1, 10**9 + 1)
 LITERALS = st.builds(lambda v, sign: sign * v,
                      st.sampled_from(VARIABLE_IDS), st.sampled_from((1, -1)))
+# Literals over the ids above plus some new to a formula, for added clauses.
+LITERAL_POOL = [sign * v for v in VARIABLE_IDS + (4, 7) for sign in (1, -1)]
 
 
 def test_clause_canonical_form():
@@ -146,6 +150,38 @@ def test_evaluate_matches_clause_oracle(raw, unmentioned, assignment):
     assert evaluate(f, frozenset(assignment)) == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(LITERALS, max_size=4), max_size=10),
+       st.sets(st.sampled_from(VARIABLE_IDS), max_size=3),
+       st.lists(st.integers(0, 20), max_size=3),
+       st.lists(st.lists(st.sampled_from(LITERAL_POOL), max_size=3), max_size=12),
+       st.sets(st.sampled_from(VARIABLE_IDS + OUTSIDE_IDS)),
+       st.sampled_from((0, 12, DPLL_BUDGET)))
+@example([], [], [], [], [], DPLL_BUDGET)
+@example([[]], [], [], [], [1], 0)  # no mentioned variable, so masks even at budget 0
+@example([[1], [2, -3]], [], [0], [[4], [-5], [1, 5], [], [8], [3]], [2, 4], DPLL_BUDGET)
+@example([[1, 2], [-40]], [5], [], [[-1, 2]], [10**9 + 1], 0)
+def test_mask_evaluate_equals_clauses_true(raw, unmentioned, deleted_picks, added, assignment, budget):
+    # Built directly, with unmentioned variables, and changed by
+    # ``apply_changes``: one addition is spliced into the parent's masks,
+    # many rebuild them.  Under a small budget most formulas carry no
+    # masks, and exactly those must take the ``clauses_true`` fallback.
+    with patch("reoptlab.cnf.DPLL_BUDGET", budget):
+        f = cnf(raw, alphabet={abs(lit) for cl in raw for lit in cl} | set(unmentioned))
+        present = sorted(f.clauses)
+        deletions = tuple({present[i % len(present)] for i in deleted_picks if present})
+        additions = tuple(cl for cl in (clause(*c) for c in added) if cl not in deletions)
+        paths = [f, apply_changes(f, ChangeSet(additions=additions[:1])),
+                 apply_changes(f, ChangeSet(additions=additions, deletions=deletions))]
+    for g in paths:
+        expected = all(clause_true(cl, assignment) for cl in g.clauses)
+        with patch("reoptlab.cnf.clauses_true", wraps=clauses_true) as fallback:
+            assert evaluate(g, assignment) == expected
+            assert evaluate(g, frozenset(assignment)) == expected
+        assert fallback.call_count == (2 if g.occ is None else 0)
+        assert clauses_true(g.alphabet, g.clauses, assignment) == expected
+
+
 def test_apply_changes_swap():
     f = cnf([(1,)])
     out = apply_changes(f, ChangeSet(additions=((-1,),), deletions=((1,),)))
@@ -167,6 +203,15 @@ def test_apply_changes_missing_deletion_warns_but_succeeds():
     with pytest.warns(UserWarning):
         out = apply_changes(f, ChangeSet(deletions=((2,),)))
     assert out.clauses == f.clauses
+
+
+def test_resolve_changes_keeps_present_deletions_and_new_additions():
+    f = cnf([(1,), (1, 2), (-3,)])
+    changes = ChangeSet(additions=((2,), (1, 2), (2,)), deletions=((1,), (5,), (1,), (-3,)))
+    with pytest.warns(UserWarning) as caught:
+        assert resolve_changes(f, changes) == ({(1,), (-3,)}, {(2,)})
+    assert [str(w.message) for w in caught] == ["deleted clause not present: (5,)",
+                                                "deleted clause not present: (1,)"]
 
 
 def test_apply_changes_extends_alphabet_with_added_variables():

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import os
 import random
 import subprocess
@@ -13,7 +15,9 @@ from reoptlab.dimacs import parse_dimacs
 from reoptlab.enumeration import random_graph
 from reoptlab import graphs
 from reoptlab.errors import BudgetExceededError, InvalidHintError, SearchBudgetError
-from reoptlab.gadgets import build_gadget, gadget_add_unit
+from reoptlab.cnf import cnf, is_tautology
+from reoptlab.gadgets import (build_gadget, gadget_add_unit, gadget_from_json,
+                              gadget_remove_unit, gadget_to_json)
 from reoptlab.graphs import (
     Graph,
     add_edges,
@@ -209,13 +213,114 @@ def test_decide_cover_raises_past_its_node_cap(monkeypatch):
 
 
 def test_decide_cover_refuses_a_graph_past_its_graph_node_limit(monkeypatch):
+    # The limit is read when the graph is built: a graph past it carries no index.
     monkeypatch.setattr(graphs, "MAX_COVER_GRAPH_NODES", len(REFUTED.nodes))
-    assert decide_cover_stats(REFUTED, 24)[0] is None
+    assert decide_cover_stats(Graph(REFUTED.nodes, REFUTED.edges), 24)[0] is None
     monkeypatch.setattr(graphs, "MAX_COVER_GRAPH_NODES", len(REFUTED.nodes) - 1)
+    past = Graph(REFUTED.nodes, REFUTED.edges)
+    assert past.cover_index is None and past == REFUTED
     with pytest.raises(BudgetExceededError) as err:
-        decide_cover_stats(REFUTED, 24)
+        decide_cover_stats(past, 24)
     assert type(err.value) is BudgetExceededError
     assert str(err.value) == "40 graph nodes exceed the cover search limit of 39"
+
+
+def _fresh_index(g):
+    """The cover index rebuilt from the node and edge sets alone, by scans over the edges."""
+    labels = sorted(g.nodes)
+    pos = {label: i for i, label in enumerate(labels)}
+    adjm = [sum(1 << pos[w] for e in g.edges if n in e for w in e if w != n) for n in labels]
+    degrees = [sum(n in e for e in g.edges) for n in labels]
+    planes = [sum(1 << i for i, d in enumerate(degrees) if d >> j & 1)
+              for j in range(max(degrees, default=0).bit_length())]
+    return labels, adjm, planes
+
+
+def _carries_a_fresh_index(g):
+    index = g.cover_index
+    assert all(type(part) is tuple for part in (index.labels, index.adjm, index.planes, index.clique))
+    assert (list(index.labels), list(index.adjm), list(index.planes)) == _fresh_index(g)
+    assert index == Graph(frozenset(g.nodes), frozenset(g.edges)).cover_index
+    # The root packing: disjoint cliques of two or three nodes, each
+    # bounding the cover by its size less one, and no edge between free nodes.
+    members = 0
+    packed = {index.clique[i] for i in range(len(index.labels)) if not index.free >> i & 1}
+    for mask in packed:
+        nodes = [i for i in range(len(index.labels)) if mask >> i & 1]
+        assert len(nodes) in (2, 3) and not members & mask
+        assert all(index.clique[i] == mask for i in nodes)
+        assert all(index.adjm[i] >> j & 1 for i, j in combinations(nodes, 2))
+        members |= mask
+    assert index.free == (1 << len(index.labels)) - 1 & ~members
+    assert index.bound == sum(mask.bit_count() - 1 for mask in packed)
+    assert all(not index.adjm[i] & index.free for i in range(len(index.labels)) if index.free >> i & 1)
+    return g
+
+
+LABELS = st.sampled_from([f"n{i}" for i in range(7)])
+PAIRS = st.lists(st.tuples(LABELS, LABELS).filter(lambda p: p[0] != p[1]), max_size=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(LABELS), PAIRS, PAIRS, PAIRS, st.integers(0, 2**32),
+       st.lists(st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=3), max_size=4))
+def test_every_graph_path_carries_the_index_a_fresh_build_makes(nodes, pairs, added, removed, seed, raw):
+    g = _carries_a_fresh_index(graph(nodes, pairs))
+    paths = [
+        Graph(g.nodes, g.edges),
+        add_edges(g, added),
+        remove_edges(g, removed),
+        remove_edges(add_edges(g, added), pairs),
+        parse_edge_list(serialize_edge_list(g)),
+        random_graph(random.Random(seed), seed % 9, seed % 13),
+    ]
+    source = cnf([cl for cl in cnf(raw).clauses if not is_tautology(cl)], alphabet=range(1, 4))
+    gadget = build_gadget(source)
+    paths += [gadget.graph, gadget_from_json(gadget_to_json(gadget)).graph]
+    for lit in (1, -2, 3):
+        edit = gadget_remove_unit if (lit,) in source.clauses else gadget_add_unit
+        edited = edit(gadget, lit)
+        paths += [edited.graph, gadget_from_json(gadget_to_json(edited)).graph]
+    for path in paths:
+        _carries_a_fresh_index(path)
+
+
+def test_the_cover_index_takes_no_part_in_equality_hash_or_repr():
+    assert [f.name for f in dataclasses.fields(Graph) if f.init] == ["nodes", "edges"]
+    g = graph(edges=[("a", "b"), ("b", "c")])
+    h = Graph(g.nodes, g.edges)  # the same sets, so the same repr
+    object.__setattr__(h, "cover_index", None)
+    assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+    assert "cover_index" not in repr(g)
+
+
+def test_searches_leave_the_shared_index_unchanged():
+    # Calls at every budget share the graph's root state; none may change
+    # it, so a second round, in the other order, answers as the first.
+    gadget = gadget_add_unit(build_gadget(parse_dimacs(CLIFF)), -1)
+    for g, budgets in ((REFUTED, (40, 24, 25, 0)), (gadget.graph, (gadget.budget, gadget.budget + 1)),
+                       (TRIANGLE, (2, 1, 3))):
+        before = copy.deepcopy(g.cover_index)
+        first = [decide_cover_stats(g, budget) for budget in budgets]
+        assert g.cover_index == before
+        assert [decide_cover_stats(g, budget) for budget in reversed(budgets)] == first[::-1]
+        assert g.cover_index == before
+        _carries_a_fresh_index(g)
+
+
+def test_a_graph_past_the_node_limit_carries_no_index():
+    limit = graphs.MAX_COVER_GRAPH_NODES
+    triangle = [("a", "b"), ("b", "c"), ("a", "c")]
+    at = graph([f"x{i:04d}" for i in range(limit - 3)], triangle)
+    past = add_edges(at, [("x0000", "y")])
+    assert len(at.nodes) == limit and len(past.nodes) == limit + 1
+    assert at.cover_index is not None and past.cover_index is None
+    assert decide_cover(at, 2) == reference_decide_cover(at.nodes, triangle, 2) == {"a", "b"}
+    with pytest.raises(BudgetExceededError) as err:
+        decide_cover(past, 2)
+    assert type(err.value) is BudgetExceededError
+    assert str(err.value) == "8193 graph nodes exceed the cover search limit of 8192"
+    assert remove_edges(past, [("x0000", "y")]).cover_index is None  # the node stays
 
 
 def test_decide_cover_on_long_path_needs_no_recursion():
