@@ -205,7 +205,7 @@ def resolve_changes(formula: CnfFormula, changes: ChangeSet) -> tuple[set[Clause
             deleted.add(cl)
         else:
             warnings.warn(f"deleted clause not present: {cl}", stacklevel=3)
-    return deleted, set(changes.additions).difference(present)
+    return deleted, set(changes.additions) - present
 
 
 def apply_changes(formula: CnfFormula, changes: ChangeSet) -> CnfFormula:
