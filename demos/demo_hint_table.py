@@ -29,9 +29,10 @@ table = compile_table(base, candidates, bound)
 print(f"compiled {len(table.entries)} entries "
       f"for {len(candidates)} candidates, bound {bound}")
 
-# Entries are keyed by candidate subsets and kept in compile order.
+# Entries are keyed by the (op, clause) pairs of candidate subsets and
+# kept in compile order.
 for subset, model in table.entries.items():
-    names = [f"{c.op} {c.clause}" for c in candidates if c in subset]
+    names = [f"{c.op} {c.clause}" for c in candidates if (c.op, c.clause) in subset]
     label = ", ".join(names) or "(no change)"
     print(f"  {label:38s} -> {'UNSAT' if model is None else sorted(model)}")
 

@@ -45,7 +45,9 @@ def clause(*literals: int) -> Clause:
 
 
 def clause_sort_key(cl: Clause) -> tuple[int, ...]:
-    """Total order on canonical clauses, used wherever clauses get indexed."""
+    """Total order on canonical clauses: of written files and of the gadget
+    and replanning numbering.  ``CnfFormula.ordered`` and DPLL use plain
+    ``sorted()`` order instead."""
     return tuple(map(_literal_key, cl))
 
 
@@ -159,12 +161,12 @@ def clauses_true(alphabet, clauses, assignment) -> bool:
     """True iff every clause, all of whose variables are in the alphabet,
     contains a literal made true by the assignment.
 
-    For clauses no formula's masks hold: those a change set adds, and a
-    formula past the budget.  Each variable of the alphabet contributes
-    the one literal of it that the assignment makes true.  Every clause
-    variable is in the alphabet, so a clause is true iff it meets that
-    set, which one C-level ``isdisjoint`` per clause decides, stopping at
-    the first false clause.  The cost is linear in the alphabet plus the
+    ``evaluate``'s check of a formula past the budget, which carries no
+    masks, and the tests' reference.  Each variable of the alphabet
+    contributes the one literal of it that the assignment makes true.
+    Every clause variable is in the alphabet, so a clause is true iff it
+    meets that set, which one C-level ``isdisjoint`` per clause decides,
+    stopping at the first false clause.  The cost is linear in the alphabet plus the
     clauses checked.
     """
     true_vars = frozenset(assignment)

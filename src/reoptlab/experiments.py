@@ -17,7 +17,7 @@ import io
 import json
 import random
 from collections import Counter
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 from .cnf import ChangeSet, apply_changes
 from .dimacs import MAX_DIMACS_VARIABLES, serialize_changes, serialize_dimacs
@@ -48,9 +48,6 @@ class ExperimentConfig:
     nodes: int = 10
     edges: int = 14
 
-    def resolved_scenario(self) -> str:
-        return self.scenario or next(iter(SCENARIOS[self.problem]))
-
 
 def check_formula_sizes(variables: int, clauses: int, clause_size: int) -> None:
     """Refuse formula sizes that ``random_formula`` would shrink or DIMACS could not hold."""
@@ -68,11 +65,15 @@ def check_formula_sizes(variables: int, clauses: int, clause_size: int) -> None:
         raise InvalidConfigError("clauses", f"at most {pool} distinct clauses fit these sizes")
 
 
-def validate_config(config: ExperimentConfig) -> None:
+def validate_config(config: ExperimentConfig) -> ExperimentConfig:
+    """Refuse a config no trial can run; return it with its scenario resolved.
+
+    An empty scenario is the problem's first, its default.
+    """
     if config.problem not in SCENARIOS:
         raise InvalidConfigError("problem", f"must be one of {sorted(SCENARIOS)}")
-    scenario = config.resolved_scenario()
-    if scenario not in SCENARIOS[config.problem]:
+    config = replace(config, scenario=config.scenario or next(iter(SCENARIOS[config.problem])))
+    if config.scenario not in SCENARIOS[config.problem]:
         raise InvalidConfigError(
             "scenario", f"must be one of {list(SCENARIOS[config.problem])} for {config.problem}"
         )
@@ -84,12 +85,13 @@ def validate_config(config: ExperimentConfig) -> None:
             raise InvalidConfigError("nodes", "need at least two nodes to add an edge")
         if config.edges >= config.nodes * (config.nodes - 1) // 2:
             raise InvalidConfigError("edges", "the base graph must be missing at least one edge")
-        return
+        return config
     if config.problem == "strips" and config.clauses < 1:
         raise InvalidConfigError("clauses", "the replanning scenario needs at least one clause")
-    if scenario == "add-clause" and config.variables < 1:
+    if config.scenario == "add-clause" and config.variables < 1:
         raise InvalidConfigError("variables", "the added clause needs at least one variable")
     check_formula_sizes(config.variables, config.clauses, config.clause_size)
+    return config
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ class ExperimentReport:
         return {
             "seed": self.config.seed,
             "problem": self.config.problem,
-            "scenario": self.config.resolved_scenario(),
+            "scenario": self.config.scenario,
             "trials": len(self.rows),
             "hints_used": used,
             "hint_rate": used / len(self.rows) if self.rows else 0.0,
@@ -124,10 +126,9 @@ class ExperimentReport:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    validate_config(config)
-    scenario = config.resolved_scenario()
+    config = validate_config(config)
     rng = random.Random(config.seed)
-    trial_fn = SCENARIOS[config.problem][scenario]
+    trial_fn = SCENARIOS[config.problem][config.scenario]
     report = ExperimentReport(config)
     for trial in range(config.trials):
         change_id, cold_solution, cold_work, hinted, reproducer = trial_fn(rng, config)
@@ -141,7 +142,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                         f"vs {hinted.solution!r}, work {cold_work} vs {hinted.work_units}")
         if mismatch:
             raise VerdictMismatchError(
-                f"trial {trial} (seed {config.seed}, {config.problem}/{scenario}, "
+                f"trial {trial} (seed {config.seed}, {config.problem}/{config.scenario}, "
                 f"change {change_id}): {mismatch}\n{reproducer}"
             )
         report.rows.append(

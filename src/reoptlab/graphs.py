@@ -335,10 +335,12 @@ def _pack(adjm: Sequence[int], live: int, free: int, seeds: Sequence[int],
 def warm_start_cover_stats(g, old_cover, added_edges, budget: int) -> ReuseOutcome:
     """Reuse a cover of the pre-change graph, falling back to a fresh decision.
 
-    ``old_cover`` must cover the graph minus ``added_edges``.  When it also
-    covers the added edges and fits the budget it is returned unchanged,
-    and ``work_units`` is the number of added edges; otherwise the full
-    graph is re-decided, and ``work_units`` is the search nodes explored.
+    ``old_cover`` must cover the graph minus ``added_edges``.  One pass over
+    the graph's edges collects those the old cover misses: any of them
+    not added breaks that precondition.  When none is missed and the
+    cover fits the budget it is returned unchanged, and ``work_units`` is
+    the number of added edges; otherwise the full graph is re-decided,
+    and ``work_units`` is the search nodes explored.
     """
     members = frozenset(old_cover)
     added = frozenset(edge(u, v) for u, v in added_edges)
@@ -348,10 +350,10 @@ def warm_start_cover_stats(g, old_cover, added_edges, budget: int) -> ReuseOutco
     unknown = members - g.nodes
     if unknown:
         raise ValueError(f"cover members outside the graph: {sorted(unknown)}")
-    base = g.edges - added
-    if not all(u in members or v in members for u, v in base):
+    missed = {e for e in g.edges if e[0] not in members and e[1] not in members}
+    if not missed <= added:
         raise InvalidHintError("old cover does not cover the pre-change graph")
-    if len(members) <= budget and all(u in members or v in members for u, v in added):
+    if not missed and len(members) <= budget:
         return ReuseOutcome(members, True, len(added))
     cover, explored = decide_cover_stats(g, budget)
     return ReuseOutcome(cover, False, explored)

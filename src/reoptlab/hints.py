@@ -6,9 +6,12 @@ falling back to the solver; ``reuse_plan`` scans the remembered plan's
 suffixes against a changed planning instance before replanning from
 scratch.  ``compile_table`` precomputes, for every subset of a declared
 candidate-change universe up to a size bound, the solution of the changed
-formula, so later lookups answer without any search at all.  Every reuse
-path reports whether the hint was used and how much solver work was done,
-so cold and hinted runs can be compared honestly.
+formula, so later lookups answer without any search at all.  Each route
+decides its hit with one check over what it is given: the added clauses
+against the model, the suffixes against the changed instance, and the
+change set's ``(op, clause)`` pairs against the table's keys.  Every
+reuse path reports whether the hint was used and how much solver work
+was done, so cold and hinted runs can be compared honestly.
 """
 
 from __future__ import annotations
@@ -16,13 +19,13 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple
 
-from .cnf import (Assignment, ChangeSet, Clause, CnfFormula, apply_changes, clause,
-                  clauses_true, evaluate, resolve_changes)
+from .cnf import (Assignment, ChangeSet, Clause, CnfFormula, apply_changes, clause, evaluate,
+                  resolve_changes)
 from .dimacs import parse_dimacs, serialize_dimacs
 from .errors import BudgetExceededError, InvalidHintError, unique_keys
 from .solvers import solve_dpll, solve_dpll_stats
@@ -66,26 +69,19 @@ MISS = _Miss()
 class HintTable:
     """Solutions for every change subset of size at most ``bound``.
 
-    Entries are keyed by the candidate subset itself, in compile order (a
-    hex mask is only how a file spells that key); a ``None`` value is an
-    explicit marker that the changed formula is unsatisfiable.  ``index``
-    maps each candidate's ``(op, clause)`` pair to the candidate, so that
-    ``lookup`` finds the candidates a change set names without building
-    (and canonicalising) new ones; it is a function of the candidates and
-    takes no part in ``==`` or ``repr``.
+    Entries are keyed by the ``(op, clause)`` pairs of a candidate subset,
+    which is exactly what a change set names, in compile order (a hex mask
+    is only how a file spells that key); a ``None`` value is an explicit
+    marker that the changed formula is unsatisfiable.
     """
 
     base: CnfFormula
     candidates: tuple[ElementaryChange, ...]
     bound: int
-    entries: Mapping[frozenset[ElementaryChange], Assignment | None]
-    index: Mapping[tuple[str, Clause], ElementaryChange] = field(
-        init=False, compare=False, repr=False)
+    entries: Mapping[frozenset[tuple[str, Clause]], Assignment | None]
 
     def __post_init__(self):
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
-        object.__setattr__(self, "index", MappingProxyType(
-            {(c.op, c.clause): c for c in self.candidates}))
 
 
 def subset_changes(candidates, indices) -> ChangeSet:
@@ -112,11 +108,12 @@ def compile_table(base: CnfFormula, candidates, bound: int) -> HintTable:
     if total > DEFAULT_TABLE_BUDGET:
         raise BudgetExceededError(
             f"{total} entries exceed the table budget of {DEFAULT_TABLE_BUDGET}")
-    entries: dict[frozenset[ElementaryChange], Assignment | None] = {}
+    pairs = [(c.op, c.clause) for c in candidates]
+    entries: dict[frozenset[tuple[str, Clause]], Assignment | None] = {}
     for size in range(effective + 1):
         for combo in combinations(range(len(candidates)), size):
             changed = apply_changes(base, subset_changes(candidates, combo))
-            entries[frozenset(candidates[i] for i in combo)] = solve_dpll(changed)
+            entries[frozenset(pairs[i] for i in combo)] = solve_dpll(changed)
     return HintTable(base, candidates, bound, entries)
 
 
@@ -124,18 +121,13 @@ def lookup(table: HintTable, changes: ChangeSet):
     """Stored solution for a change set, or MISS if it is not in the table.
 
     A hit is either an assignment or None (recorded unsatisfiable); the
-    caller must solve cold on MISS.  A set wider than the bound, or naming
-    a change outside the candidates, was never compiled, so it misses.
-    The change set's clauses are canonical already, so its ``(op, clause)``
-    pairs are looked up in ``table.index`` as they are.
+    caller must solve cold on MISS.  The change set's clauses are
+    canonical already, so its ``(op, clause)`` pairs are the entry key as
+    they are.  A set wider than the bound, or naming a change outside the
+    candidates, was never compiled, so it has no entry and misses.
     """
-    index = table.index
-    try:
-        elements = frozenset([*(index["add", cl] for cl in changes.additions),
-                              *(index["del", cl] for cl in changes.deletions)])
-    except KeyError:  # a change outside the candidates
-        return MISS
-    return table.entries.get(elements, MISS)
+    return table.entries.get(frozenset([*(("add", cl) for cl in changes.additions),
+                                        *(("del", cl) for cl in changes.deletions)]), MISS)
 
 
 class ReuseOutcome(NamedTuple):
@@ -161,16 +153,16 @@ def reuse_model(f: CnfFormula, changes: ChangeSet, hint) -> ReuseOutcome:
     it is returned, and ``work_units`` counts one linear pass over the
     changed formula's clauses; otherwise the changed formula is solved
     cold.  Deleting a clause cannot falsify a model, so once the hint is
-    checked against ``f`` only the added clauses are checked, under
-    ``f``'s alphabet plus the variables they add.  The changed formula
-    is built only on a miss; a hit counts its clauses from
-    ``resolve_changes``, which warns of an absent deletion for both.
+    checked against ``f`` only the added clauses are checked, literal by
+    literal: a literal is true iff its sign says whether its variable is
+    in the hint.  The changed formula is built only on a miss; a hit
+    counts its clauses from ``resolve_changes``, which warns of an absent
+    deletion for both.
     """
     hint = frozenset(hint)
     if not evaluate(f, hint):
         raise InvalidHintError("hint does not satisfy the base formula")
-    alphabet = f.alphabet.union(abs(lit) for cl in changes.additions for lit in cl)
-    if clauses_true(alphabet, changes.additions, hint):
+    if all(any((lit > 0) == (abs(lit) in hint) for lit in cl) for cl in changes.additions):
         deleted, added = resolve_changes(f, changes)
         return ReuseOutcome(hint, True, len(f.clauses) - len(deleted) + len(added))
     model, work = solve_dpll_stats(apply_changes(f, changes))
@@ -202,8 +194,8 @@ def _keyed_entries(table: HintTable) -> dict[str, Assignment | None]:
     Candidate ``i`` is bit ``i`` of its subset's mask.  The mask is a sum,
     so no set's iteration order reaches the file.
     """
-    bit = {c: 1 << i for i, c in enumerate(table.candidates)}
-    return {f"0x{sum(bit[c] for c in subset):x}": model
+    bit = {(c.op, c.clause): 1 << i for i, c in enumerate(table.candidates)}
+    return {f"0x{sum(bit[pair] for pair in subset):x}": model
             for subset, model in table.entries.items()}
 
 

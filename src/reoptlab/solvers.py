@@ -12,10 +12,11 @@ clause are not false, so propagation, conflict detection and the choice
 of unit are a few whole-formula integer operations, not visits to single
 clauses.  Bit ``i`` is clause ``i`` of ``formula.ordered``, the clauses
 in plain tuple order; the order and the literal masks, ``formula.occ``,
-come with the formula from its construction, so DPLL sorts and indexes
-nothing and makes the same decisions as one that rescans the clauses in
-that order.  The masks grow with variables times clauses, which
-``cnf.DPLL_BUDGET`` caps; ``DPLL_SEARCH_BUDGET`` caps the steps.
+come with the formula from its construction, so per call DPLL only
+sorts the mentioned variables and builds the counter planes, and makes
+the same decisions as one that rescans the clauses in that order.  The
+masks grow with variables times clauses, which ``cnf.DPLL_BUDGET``
+caps; ``DPLL_SEARCH_BUDGET`` caps the steps.
 """
 
 from __future__ import annotations

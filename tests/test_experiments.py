@@ -174,3 +174,11 @@ def test_json_embeds_seed_and_summary():
     assert obj["summary"]["seed"] == 9
     assert obj["summary"]["trials"] == 3
     assert len(obj["rows"]) == 3
+
+
+@pytest.mark.parametrize("problem", sorted(SCENARIOS))
+def test_json_config_names_the_default_scenario_that_ran(problem):
+    # A library call may leave the scenario empty; the report names the
+    # one that ran, the problem's first, in its config and its summary.
+    obj = json.loads(report_to_json(run_experiment(ExperimentConfig(problem=problem, trials=2))))
+    assert obj["config"]["scenario"] == obj["summary"]["scenario"] == next(iter(SCENARIOS[problem]))

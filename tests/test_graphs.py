@@ -380,6 +380,36 @@ def test_warm_start_rejects_invalid_hint():
         warm_start_cover_stats(g, {"b", "z"}, [("b", "c")], 2)
 
 
+@settings(max_examples=300, deadline=None)
+@given(g=small_graphs(), data=st.data())
+def test_warm_start_outcomes_follow_their_definitions(g, data):
+    # Any node subset as the old cover, any subset of the edges as the
+    # added ones (spelled either way round), any budget up to n.
+    members = frozenset(data.draw(st.sets(st.sampled_from(sorted(g.nodes)))))
+    added = data.draw(st.sets(st.sampled_from(sorted(g.edges)))) if g.edges else set()
+    spelled = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in sorted(added)]
+    budget = data.draw(st.integers(0, len(g.nodes)))
+    if not is_cover(remove_edges(g, added), members):
+        with pytest.raises(InvalidHintError, match="^old cover does not cover the pre-change graph$"):
+            warm_start_cover_stats(g, members, spelled, budget)
+        return
+    outcome = warm_start_cover_stats(g, members, spelled, budget)
+    assert outcome.hint_used == (is_cover(g, members) and len(members) <= budget)
+    if outcome.hint_used:
+        assert tuple(outcome) == (members, True, len(added))
+    else:
+        cover, explored = decide_cover_stats(g, budget)
+        assert tuple(outcome) == (cover, False, explored)
+
+
+def test_a_warm_start_hit_runs_no_search(monkeypatch):
+    monkeypatch.setattr(graphs, "decide_cover_stats",
+                        lambda g, budget: pytest.fail("a warm-start hit searched"))
+    grown = graph(edges=[("a", "b"), ("b", "c"), ("a", "c")])
+    old = frozenset({"a", "b"})
+    assert warm_start_cover_stats(grown, old, [("c", "a")], 2) == ReuseOutcome(old, True, 1)
+
+
 def test_warm_start_agrees_with_fresh_decision():
     rng = random.Random(23)
     for _ in range(200):

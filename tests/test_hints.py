@@ -2,6 +2,7 @@ import json
 import random
 import re
 import warnings
+from contextlib import nullcontext
 from itertools import combinations
 
 import pytest
@@ -42,7 +43,7 @@ def test_elementary_change_validation():
 def test_compile_table_single_candidate():
     table = compile_table(cnf([(1,)]), [add_change(-1)], 1)
     assert table.entries[frozenset()] == frozenset({1})
-    assert table.entries[frozenset({add_change(-1)})] is None  # recorded unsatisfiable
+    assert table.entries[frozenset({("add", (-1,))})] is None  # recorded unsatisfiable
 
 
 def test_compile_table_bound_zero():
@@ -54,8 +55,8 @@ def test_compile_table_conflicting_full_subset():
     base = cnf((), alphabet={1})
     table = compile_table(base, [add_change(1), add_change(-1)], 2)
     assert len(table.entries) == 4
-    assert table.entries[frozenset({add_change(1), add_change(-1)})] is None
-    assert table.entries[frozenset({add_change(1)})] == frozenset({1})
+    assert table.entries[frozenset({("add", (1,)), ("add", (-1,))})] is None
+    assert table.entries[frozenset({("add", (1,))})] == frozenset({1})
 
 
 def test_compile_table_rejects_bad_candidates():
@@ -92,10 +93,9 @@ def test_lookup_hit_miss_and_bound():
 
 
 def test_lookup_builds_no_changes(monkeypatch):
-    # The change set's canonical pairs are looked up in the table's index.
+    # The change set's canonical pairs are the entry key as they are.
     table = compile_table(cnf([(1,), (2,)]), (add_change(-1), add_change(3, 2), del_change(1)), 2)
-    assert dict(table.index) == {(c.op, c.clause): c for c in table.candidates}
-    stored = table.entries[frozenset({add_change(2, 3), del_change(1)})]
+    stored = table.entries[frozenset({("add", (2, 3)), ("del", (1,))})]
     monkeypatch.setattr(ElementaryChange, "__post_init__",
                         lambda self: pytest.fail("lookup built an ElementaryChange"))
     assert lookup(table, ChangeSet(additions=((2, 3), (3, 2)), deletions=((1,),))) is stored
@@ -119,7 +119,8 @@ def test_table_completeness_sweep():
                 if size > bound:
                     assert stored is MISS
                     continue
-                assert stored is table.entries[frozenset(candidates[i] for i in combo)]
+                assert stored is table.entries[frozenset((candidates[i].op, candidates[i].clause)
+                                                         for i in combo)]
                 changed = apply_changes(base, changes)
                 assert (stored is not None) == brute_sat(changed.clauses, changed.alphabet)
                 if stored is not None:
@@ -249,6 +250,33 @@ def test_reuse_model_warns_and_counts_as_apply_changes_does(model, raw, deleted,
         assert tuple(outcome) == (cold, False, work)
 
 
+@settings(max_examples=300, deadline=None)
+@given(model=st.sets(st.integers(1, 4)), raw=st.lists(st.lists(LITERALS, max_size=3), max_size=8),
+       added=st.lists(st.lists(LITERALS, max_size=3), max_size=3),
+       present=st.lists(st.integers(0, 10), max_size=2),
+       absent=st.lists(st.lists(LITERALS, min_size=1, max_size=3), max_size=2),
+       repeat=st.integers(1, 2))
+@example(model={1}, raw=[[1]], added=[[]], present=[], absent=[], repeat=1)
+@example(model={1}, raw=[[1]], added=[[5, -6]], present=[0], absent=[[-5]], repeat=2)
+def test_reuse_model_hits_iff_the_hint_satisfies_the_changed_formula(model, raw, added, present,
+                                                                     absent, repeat):
+    # Additions may bring in variables 5 and 6, be the empty clause, be
+    # repeated or be present already; each deletion names a clause the
+    # formula lacks, so it warns.
+    base = [cl for cl in (clause(*c) for c in raw)
+            if all(abs(lit) <= 4 for lit in cl) and any((lit > 0) == (abs(lit) in model) for lit in cl)]
+    f = cnf(base, alphabet=range(1, 5))
+    ordered = sorted(f.clauses)
+    additions = [clause(*c) for c in added] + [ordered[i % len(ordered)] for i in present if ordered]
+    deletions = [cl for cl in (clause(*c) for c in absent)
+                 if cl not in f.clauses and cl not in additions]
+    changes = ChangeSet(additions=tuple(additions * repeat), deletions=tuple(deletions))
+    hint = frozenset(model)
+    with pytest.warns(UserWarning, match="deleted clause not present") if deletions else nullcontext():
+        expected = evaluate(apply_changes(f, changes), hint)
+        assert reuse_model(f, changes, hint).hint_used == expected
+
+
 def test_reuse_plan_unchanged_instance_returns_full_plan():
     inst = make_instance(
         ["p", "q"],
@@ -322,7 +350,7 @@ def test_table_entries_are_read_only():
     with pytest.raises(TypeError):
         table.entries[frozenset()] = None
     assert table_from_json(table_to_json(table)) == table
-    assert lookup(table, ChangeSet(additions=((2,),))) == table.entries[frozenset({add_change(2)})]
+    assert lookup(table, ChangeSet(additions=((2,),))) == table.entries[frozenset({("add", (2,))})]
 
 
 @pytest.mark.parametrize("missing, stray", [("0x3", None), (None, "0x10"), ("0x3", "0x10")])
