@@ -46,7 +46,7 @@ from .experiments import (
 )
 from .gadgets import apply_unit_changes, build_gadget, gadget_from_json, gadget_to_json
 from .graphs import decide_cover_stats, parse_edge_list, serialize_edge_list
-from .reductions import make_nsat_instance, reduce_fixed_model, reduce_unique_model
+from .reductions import NsatInstance, reduce_fixed_model, reduce_unique_model
 from .replanning import sat_to_replanning
 from .solvers import solve_brute, solve_dpll_stats
 from .strips import StripsInstance, instance_from_json, instance_to_json, plan_exists_stats
@@ -191,7 +191,7 @@ def _indexed(path: Path, index: int) -> Path:
 # The record each ``reduce --kind`` but ``vc-gadget`` writes, one key per
 # field, and how a field of each type is written.
 _RECORD_BUILDERS = {"fixed-model": reduce_fixed_model, "unique-model": reduce_unique_model,
-                    "nsat": make_nsat_instance, "replanning": sat_to_replanning}
+                    "nsat": NsatInstance, "replanning": sat_to_replanning}
 _FIELD_TO_JSON = {CnfFormula: serialize_dimacs, frozenset: sorted, tuple: list, str: str,
                   StripsInstance: lambda instance: json.loads(instance_to_json(instance))}
 

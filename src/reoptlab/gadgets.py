@@ -7,21 +7,26 @@ literals becomes a clique whose members attach to their literal nodes; a
 unit clause is just the edge between its literal node and the literal's
 first reserve node.  With n variables, m literal occurrences and r
 clauses, the graph has a vertex cover of n + m - r nodes exactly when the
-formula is satisfiable.  A gadget holds only its graph and source: the
-budget is derived from both, and a node's role is read off its label.
-Clique ``c<i>`` is the i-th clause of two or three literals in
+formula is satisfiable.  A gadget holds only its source and the literals
+whose unit clause was deleted, ``removed``; the graph and the budget are
+derived from both, and a node's role is read off its label.  Clique
+``c<i>`` is the i-th clause of two or three literals in
 ``clause_sort_key`` order; unit clauses take no index, so unit edits never
-relabel a node and a loaded gadget must equal its rebuild exactly.
+relabel a node.
 
-Edits keep that correspondence:
+The graph has a forcing edge (l, l') for every unit clause l of the source
+and every removed literal, and a relaxing edge (l', l'') for every removed
+literal.  Unit edits change the source and ``removed``, so each changes
+exactly one edge:
 
 * adding the unit clause l adds the edge (l, l') and leaves the budget
   alone (the clause contributes one occurrence and one clause, a wash);
-* removing the unit clause l adds the relaxing edge (l', l''), which the
-  budget counts as one more node, freeing l' to neutralize (l, l');
-* re-adding a previously removed unit deletes its (l', l'') edge again,
-  restoring the original graph and budget, since the forcing edge is
-  still in place and merely needs to bite.
+* removing the unit clause l adds l to ``removed``: the forcing edge
+  stays and the relaxing edge (l', l'') joins it, which the budget counts
+  as one more node, freeing l' to neutralize (l, l');
+* re-adding a removed unit takes l out of ``removed`` again, so only its
+  (l', l'') edge goes, restoring the original graph and budget, since the
+  forcing edge is still in place and merely needs to bite.
 
 An edit these rules cannot express (adding a unit already present or
 over a variable outside the alphabet, removing an absent unit, editing a
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .cnf import (ChangeSet, Clause, CnfFormula, apply_changes, clause, clause_sort_key, cnf,
@@ -45,7 +50,7 @@ from .cnf import (ChangeSet, Clause, CnfFormula, apply_changes, clause, clause_s
 from .dimacs import parse_dimacs, serialize_dimacs
 from .enumeration import all_clauses
 from .errors import CONSTRUCTION_BUDGET, BudgetExceededError, unique_keys
-from .graphs import Graph, add_edges, edge, graph, remove_edges
+from .graphs import Graph, edge, remove_edges
 
 ROLE_LITERAL = "literal"
 ROLE_PRIME = "prime"
@@ -82,18 +87,61 @@ def node_role(label: str) -> str | None:
 
 @dataclass(frozen=True)
 class Gadget:
-    """A cover graph and the formula it encodes; the budget follows from both."""
+    """A formula and the literals whose unit clause was deleted; the graph follows.
 
-    graph: Graph
+    ``graph`` is a function of the two, built eagerly in ``__post_init__``,
+    and takes no part in ``==``, ``hash`` or ``repr``: the literal and
+    reserve nodes with their variable edges, a clique per clause of two or
+    three literals, a forcing edge (l, l') for every unit clause of the
+    source and every removed literal, and a relaxing edge (l', l'') for
+    every removed literal.  A clause outside 1..3 literals, a tautology or
+    a removed literal outside the alphabet or with its unit still in the
+    source raises ``ValueError``; a graph of more than
+    ``errors.CONSTRUCTION_BUDGET`` nodes raises ``BudgetExceededError``
+    before any node is made.
+    """
+
     source: CnfFormula
+    removed: frozenset[int] = frozenset()
+    graph: Graph = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        f = self.source
+        for cl in f.clauses:
+            if not 1 <= len(cl) <= 3:
+                raise ValueError(f"clause {cl} has {len(cl)} literals, need 1..3")
+            if is_tautology(cl):
+                raise ValueError(f"clause {cl} is tautological")
+        for lit in sorted(self.removed):
+            if abs(lit) not in f.alphabet:
+                raise ValueError(f"removed literal {lit} is not over the gadget alphabet")
+            if clause(lit) in f.clauses:
+                raise ValueError(f"removed literal {lit} still has its unit clause in the source")
+        size = 6 * len(f.alphabet) + sum(len(cl) for cl in f.clauses if len(cl) > 1)
+        if size > CONSTRUCTION_BUDGET:
+            raise BudgetExceededError(
+                f"the gadget's {size} nodes exceed the construction budget of {CONSTRUCTION_BUDGET}")
+
+        nodes, edges = [], []
+        for v in sorted(f.alphabet):
+            for lit in (v, -v):
+                nodes.extend((literal_node(lit), prime_node(lit), double_prime_node(lit)))
+            edges.append(edge(literal_node(v), literal_node(-v)))
+        forced = self.removed.union(cl[0] for cl in f.clauses if len(cl) == 1)
+        edges.extend(edge(literal_node(lit), prime_node(lit)) for lit in forced)
+        edges.extend(edge(prime_node(lit), double_prime_node(lit)) for lit in self.removed)
+        for index, cl in enumerate(ordered_clauses(f), start=1):
+            members = [clause_node(index, pos) for pos in range(1, len(cl) + 1)]
+            nodes.extend(members)
+            edges.extend(edge(a, b) for a, b in combinations(members, 2))
+            edges.extend(edge(member, literal_node(lit)) for member, lit in zip(members, cl))
+        object.__setattr__(self, "graph", Graph(frozenset(nodes), frozenset(edges)))
 
     @property
     def budget(self) -> int:
-        """|alphabet| + literal occurrences - |clauses| + relaxing edges present."""
+        """|alphabet| + literal occurrences - |clauses| + |removed|."""
         clauses = self.source.clauses
-        relaxing = sum(edge(prime_node(lit), double_prime_node(lit)) in self.graph.edges
-                       for v in self.source.alphabet for lit in (v, -v))
-        return len(self.source.alphabet) + sum(map(len, clauses)) - len(clauses) + relaxing
+        return len(self.source.alphabet) + sum(map(len, clauses)) - len(clauses) + len(self.removed)
 
 
 def ordered_clauses(formula: CnfFormula) -> list[Clause]:
@@ -102,69 +150,35 @@ def ordered_clauses(formula: CnfFormula) -> list[Clause]:
 
 
 def build_gadget(f: CnfFormula) -> Gadget:
-    """Translate a formula; a clause outside 1..3 literals or a tautology raises ``ValueError``.
-
-    A gadget of more than ``errors.CONSTRUCTION_BUDGET`` nodes raises
-    ``BudgetExceededError`` before any node is made.
-    """
-    for cl in f.clauses:
-        if not 1 <= len(cl) <= 3:
-            raise ValueError(f"clause {cl} has {len(cl)} literals, need 1..3")
-        if is_tautology(cl):
-            raise ValueError(f"clause {cl} is tautological")
-    size = 6 * len(f.alphabet) + sum(len(cl) for cl in f.clauses if len(cl) > 1)
-    if size > CONSTRUCTION_BUDGET:
-        raise BudgetExceededError(
-            f"the gadget's {size} nodes exceed the construction budget of {CONSTRUCTION_BUDGET}")
-
-    nodes: list[str] = []
-    edges: list[tuple[str, str]] = []
-    for v in sorted(f.alphabet):
-        for lit in (v, -v):
-            nodes.extend((literal_node(lit), prime_node(lit), double_prime_node(lit)))
-        edges.append(edge(literal_node(v), literal_node(-v)))
-
-    edges.extend(edge(literal_node(cl[0]), prime_node(cl[0])) for cl in f.clauses if len(cl) == 1)
-    for index, cl in enumerate(ordered_clauses(f), start=1):
-        members = [clause_node(index, pos) for pos in range(1, len(cl) + 1)]
-        nodes.extend(members)
-        edges.extend(edge(a, b) for a, b in combinations(members, 2))
-        edges.extend(edge(member, literal_node(lit)) for member, lit in zip(members, cl))
-    return Gadget(graph(nodes, edges), f)
+    """The gadget of a formula with no unit removed, ``Gadget(f)``."""
+    return Gadget(f)
 
 
 def gadget_add_unit(g: Gadget, lit: int) -> Gadget:
-    """Add the unit clause ``lit``: one new forcing edge (l, l').
+    """Add the unit clause ``lit``; ``lit`` is no longer a removed literal.
 
-    Re-adding a unit that was removed earlier instead deletes its relaxing
-    edge (l', l''), which gives the budget increment back.
+    The graph gains the forcing edge (l, l'), or, for a unit removed
+    earlier, loses its relaxing edge (l', l''), which gives the budget
+    increment back.
     """
     if abs(lit) not in g.source.alphabet:
         raise ValueError(f"variable {abs(lit)} is not in the gadget alphabet")
     unit = clause(lit)
     if unit in g.source.clauses:
         raise ValueError(f"unit clause {unit} already present")
-    forcing = edge(literal_node(lit), prime_node(lit))
-    relaxing = edge(prime_node(lit), double_prime_node(lit))
-    if forcing not in g.graph.edges:
-        new_graph = add_edges(g.graph, [forcing])
-    elif relaxing not in g.graph.edges:
-        raise AssertionError("inconsistent gadget: forcing edge without its unit or removal")
-    else:
-        new_graph = remove_edges(g.graph, [relaxing])
-    return Gadget(new_graph, apply_changes(g.source, ChangeSet(additions=(unit,))))
+    return Gadget(apply_changes(g.source, ChangeSet(additions=(unit,))), g.removed - {lit})
 
 
 def gadget_remove_unit(g: Gadget, lit: int) -> Gadget:
-    """Remove the unit clause ``lit``: one new relaxing edge (l', l'')."""
+    """Remove the unit clause ``lit`` and record ``lit`` as removed.
+
+    The graph keeps the forcing edge (l, l') and gains the relaxing edge
+    (l', l''), which the budget counts as one more node.
+    """
     unit = clause(lit)
     if unit not in g.source.clauses:
         raise ValueError(f"unit clause {unit} not present")
-    relaxing = edge(prime_node(lit), double_prime_node(lit))
-    if relaxing in g.graph.edges:
-        raise AssertionError("inconsistent gadget: unit present with its removal edge")
-    return Gadget(add_edges(g.graph, [relaxing]),
-                  apply_changes(g.source, ChangeSet(deletions=(unit,))))
+    return Gadget(apply_changes(g.source, ChangeSet(deletions=(unit,))), g.removed | {lit})
 
 
 def build_full_gadget(alphabet) -> Gadget:
@@ -227,35 +241,31 @@ def gadget_to_json(g: Gadget) -> str:
 
 
 def gadget_from_json(text: str) -> Gadget:
-    """Load a gadget, rejecting a ``"budget"`` other than the derived one
-    and a graph that the library's own build and unit edits do not produce.
-
-    A removed unit is a literal l whose unit clause the source lacks but
-    whose relaxing edge (l', l'') is present.  The graph must equal that
-    of ``build_gadget`` over the source plus the removed units, after
-    ``apply_unit_changes`` deletes those units again.
+    """Load a gadget, refusing a file that is not exactly the one its source gives.
 
     The alphabet is the DIMACS variables that have literal nodes, since the
-    header keeps only the largest variable id.  Any other key, such as the
-    role map of older files, is ignored.
+    header keeps only the largest variable id.  A removed literal is one
+    whose unit clause the source lacks but whose relaxing edge (l', l'') is
+    present.  The ``"budget"``, nodes and edges must then equal those of the
+    ``Gadget`` of that source and those removed literals.  Any other key,
+    such as the role map of older files, is ignored.
     """
     obj = json.loads(text, object_pairs_hook=unique_keys)
     try:
-        g = Graph(frozenset(obj["nodes"]), frozenset(edge(u, v) for u, v in obj["edges"]))
+        nodes = frozenset(obj["nodes"])
+        edges = frozenset(edge(u, v) for u, v in obj["edges"])
         parsed = parse_dimacs(obj["source"])
         budget = obj["budget"]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"missing or malformed gadget field: {exc}") from None
-    alphabet = frozenset(v for v in parsed.alphabet if literal_node(v) in g.nodes)
-    gadget = Gadget(g, CnfFormula(alphabet, parsed.clauses))
+    alphabet = frozenset(v for v in parsed.alphabet if literal_node(v) in nodes)
+    removed = frozenset(lit for v in alphabet for lit in (v, -v)
+                        if clause(lit) not in parsed.clauses
+                        and edge(prime_node(lit), double_prime_node(lit)) in edges)
+    gadget = Gadget(CnfFormula(alphabet, parsed.clauses), removed)
     if budget != gadget.budget:
         raise ValueError(f"gadget budget {budget!r} contradicts its source and graph "
                          f"(expected {gadget.budget})")
-    removed = [clause(lit) for v in sorted(alphabet) for lit in (v, -v)
-               if clause(lit) not in parsed.clauses
-               and edge(prime_node(lit), double_prime_node(lit)) in g.edges]
-    history = CnfFormula(alphabet, parsed.clauses.union(removed))
-    rebuilt = apply_unit_changes(build_gadget(history), ChangeSet(deletions=tuple(removed)))
-    if g != rebuilt.graph:
+    if nodes != gadget.graph.nodes or edges != gadget.graph.edges:
         raise ValueError("gadget edges contradict its source")
     return gadget

@@ -5,7 +5,7 @@ triple (F, change clause, known model) such that the known model satisfies
 F but tells you nothing about whether F plus the change clause is
 satisfiable.  ``reduce_unique_model`` strengthens this: it produces a
 formula with exactly one model, so that *no* choice of model can help
-once one clause is swapped for another.  ``make_nsat_instance`` pairs a
+once one clause is swapped for another.  ``NsatInstance`` pairs a
 formula with a unary string encoding its variable count, the shape used by
 the bounded-change compilation scenario.
 
@@ -18,7 +18,7 @@ as |X| times |G|, so one past the DPLL budget is refused before it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cnf import Assignment, Clause, CnfFormula, clause, evaluate
 from .errors import DPLL_BUDGET, BudgetExceededError
@@ -97,20 +97,16 @@ def unique_model(instance: UniqueModelInstance) -> Assignment:
 
 @dataclass(frozen=True)
 class NsatInstance:
-    """A formula paired with a unary encoding of its variable count."""
-
-    unary_part: str
-    formula: CnfFormula
-
-    def __post_init__(self):
-        if self.unary_part != "1" * len(self.formula.alphabet):
-            raise ValueError("unary part must be '1' repeated once per alphabet variable")
-
-
-def make_nsat_instance(y: CnfFormula) -> NsatInstance:
-    """Pair ``y`` with a unary string of length |alphabet|.
+    """A formula paired with a unary string of length |alphabet|, ``unary_part``.
 
     The declared alphabet is counted, not merely the mentioned variables,
-    so formulas over the same alphabet share a unary part.
+    so formulas over the same alphabet share a unary part.  ``unary_part``
+    is derived in ``__post_init__``, so no instance can contradict its
+    formula.
     """
-    return NsatInstance("1" * len(y.alphabet), y)
+
+    formula: CnfFormula
+    unary_part: str = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "unary_part", "1" * len(self.formula.alphabet))

@@ -11,6 +11,14 @@ from collections import deque
 from itertools import combinations, product
 
 from reoptlab.errors import SearchBudgetError
+from reoptlab.gadgets import (
+    clause_node,
+    double_prime_node,
+    literal_node,
+    ordered_clauses,
+    prime_node,
+)
+from reoptlab.graphs import add_edges, edge, graph, remove_edges
 from reoptlab.strips import (
     DEFAULT_SEARCH_BUDGET,
     Plan,
@@ -65,6 +73,47 @@ def brute_min_cover_size(nodes, edges):
             if all(u in members or v in members for u, v in edges):
                 return size
     raise AssertionError("unreachable: the full node set covers")
+
+
+def reference_gadget_graph(formula):
+    """A formula's cover gadget graph, as ``build_gadget`` first listed it."""
+    nodes, edges = [], []
+    for v in sorted(formula.alphabet):
+        for lit in (v, -v):
+            nodes.extend((literal_node(lit), prime_node(lit), double_prime_node(lit)))
+        edges.append((literal_node(v), literal_node(-v)))
+    edges.extend((literal_node(cl[0]), prime_node(cl[0])) for cl in formula.clauses if len(cl) == 1)
+    for index, cl in enumerate(ordered_clauses(formula), start=1):
+        members = [clause_node(index, pos) for pos in range(1, len(cl) + 1)]
+        nodes.extend(members)
+        edges.extend(combinations(members, 2))
+        edges.extend((member, literal_node(lit)) for member, lit in zip(members, cl))
+    return graph(nodes, edges)
+
+
+def reference_unit_edit(g, clauses, lit):
+    """A gadget graph after one unit edit, by the first edit rules.
+
+    Removing the unit clause ``lit`` (present in ``clauses``) adds the
+    relaxing edge (l', l''); adding it adds the forcing edge (l, l'), or,
+    when that edge is already there from an earlier removal, deletes the
+    relaxing edge again.  Each edit is one ``add_edges`` or ``remove_edges``.
+    """
+    forcing = (literal_node(lit), prime_node(lit))
+    relaxing = (prime_node(lit), double_prime_node(lit))
+    if (lit,) in clauses:
+        return add_edges(g, [relaxing])
+    if edge(*forcing) not in g.edges:
+        return add_edges(g, [forcing])
+    return remove_edges(g, [relaxing])
+
+
+def reference_gadget_budget(g, formula):
+    """|alphabet| + literal occurrences - |clauses| + relaxing edges present."""
+    relaxing = sum(edge(prime_node(lit), double_prime_node(lit)) in g.edges
+                   for v in formula.alphabet for lit in (v, -v))
+    occurrences = sum(len(cl) for cl in formula.clauses)
+    return len(formula.alphabet) + occurrences - len(formula.clauses) + relaxing
 
 
 def plan_reachable(conditions, operators, initial, goal_true, goal_false, max_nodes=300_000):

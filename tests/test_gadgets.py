@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reoptlab import gadgets
+from reoptlab import gadgets, graphs
 from reoptlab.cli import main
 from reoptlab.cnf import ChangeSet, clause, cnf
 from reoptlab.enumeration import all_clauses, iter_small_formulas, random_formula
@@ -17,19 +19,23 @@ from reoptlab.gadgets import (
     apply_unit_changes,
     build_full_gadget,
     build_gadget,
-    double_prime_node,
     gadget_add_unit,
     gadget_from_json,
     gadget_remove_unit,
     gadget_to_json,
     node_role,
-    prime_node,
     project_formula,
 )
-from reoptlab.graphs import add_edges, decide_cover, edge, min_cover_brute
+from reoptlab.graphs import decide_cover, edge, min_cover_brute
 from reoptlab.verification import gadget_cases
 
-from oracles import brute_min_cover_size, brute_sat
+from oracles import (
+    brute_min_cover_size,
+    brute_sat,
+    reference_gadget_budget,
+    reference_gadget_graph,
+    reference_unit_edit,
+)
 
 PAPER_FORMULA = cnf([(1, 2), (-1,)])
 
@@ -148,15 +154,33 @@ def test_remove_absent_unit_is_an_error():
         gadget_remove_unit(build_gadget(PAPER_FORMULA), 2)
 
 
-def test_unit_edits_refuse_a_graph_that_contradicts_its_source():
-    unit = build_gadget(cnf([(1,)]))
-    # The forcing edge (x1, x1') of a unit the source does not hold.
-    with pytest.raises(AssertionError, match="forcing edge without its unit"):
-        gadget_add_unit(Gadget(unit.graph, cnf((), alphabet={1})), 1)
+def test_a_gadget_is_its_source_and_its_removed_literals():
+    g = gadget_remove_unit(build_gadget(cnf([(1,), (-1, 2)])), 1)
+    assert [f.name for f in dataclasses.fields(Gadget) if f.init] == ["source", "removed"]
+    same = Gadget(cnf([(-1, 2)], alphabet={1, 2}), frozenset({1}))
+    assert g == same and hash(g) == hash(same) and g.graph == same.graph
+    assert repr(g) == f"Gadget(source={g.source!r}, removed=frozenset({{1}}))"
+    # The graph is derived, so it takes no part in equality.
+    object.__setattr__(same, "graph", build_gadget(cnf([(1,)])).graph)
+    assert g == same
+
+
+def test_a_gadget_refuses_a_removed_literal_it_cannot_hold():
+    with pytest.raises(ValueError, match="removed literal -3 is not over the gadget alphabet"):
+        Gadget(cnf([(1, 2)]), frozenset({-3}))
     # The relaxing edge (x1', x1'') of a unit the source still holds.
-    relaxed = add_edges(unit.graph, [edge(prime_node(1), double_prime_node(1))])
-    with pytest.raises(AssertionError, match="unit present with its removal edge"):
-        gadget_remove_unit(Gadget(relaxed, unit.source), 1)
+    with pytest.raises(ValueError, match="removed literal 1 still has its unit clause in the source"):
+        Gadget(cnf([(1,), (-1, 2)]), frozenset({1}))
+    assert Gadget(cnf([(-1, 2)], alphabet={1, 2}), frozenset({1, -1})).budget == 5
+
+
+def test_loading_a_gadget_builds_one_graph(monkeypatch):
+    g = gadget_remove_unit(build_gadget(cnf([(1, 2), (-1, 3), (1, -2, -3), (-2,)])), -2)
+    text = gadget_to_json(g)
+    index = mock.Mock(wraps=graphs._cover_index)
+    monkeypatch.setattr(graphs, "_cover_index", index)
+    assert gadget_from_json(text) == g
+    assert index.call_count == 1
 
 
 def test_remove_then_readd_restores_graph_and_budget():
@@ -190,6 +214,52 @@ def test_mutation_sequences_match_fresh_builds():
         fresh = build_gadget(mutated)
         fresh_verdict = decide_cover(fresh.graph, fresh.budget) is not None
         assert verdict == fresh_verdict == brute_sat(mutated.clauses, mutated.alphabet)
+
+
+@st.composite
+def unit_edit_histories(draw):
+    """A small formula over a possibly gapped or empty alphabet, then unit
+    edits: mostly over its literals, some refused (a unit already present,
+    an absent one, a variable outside the alphabet)."""
+    variables = sorted(draw(st.sets(st.integers(1, 5), max_size=3)))
+    clauses = []
+    if variables:
+        some_clause = st.lists(st.sampled_from(variables), min_size=1, max_size=3,
+                               unique=True).flatmap(
+            lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+        clauses = draw(st.lists(some_clause, max_size=5))
+    literals = [v * sign for v in variables for sign in (1, -1)]
+    literal = st.integers(-6, 6).filter(bool)
+    if literals:
+        # Two draws in three take one of the formula's own literals.
+        literal = st.one_of(st.sampled_from(literals), st.sampled_from(literals), literal)
+    edits = draw(st.lists(st.tuples(st.sampled_from(("add", "remove")), literal), max_size=8))
+    return cnf(clauses, alphabet=variables), edits
+
+
+def _assert_matches_reference(g, reference):
+    assert g.graph == reference
+    assert g.budget == reference_gadget_budget(reference, g.source)
+    assert gadget_from_json(gadget_to_json(g)) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(history=unit_edit_histories())
+def test_every_gadget_path_gives_the_graph_of_the_first_edit_rules(history):
+    f, edits = history
+    g, reference = build_gadget(f), reference_gadget_graph(f)
+    _assert_matches_reference(g, reference)
+    for op, lit in edits:
+        edit = gadget_add_unit if op == "add" else gadget_remove_unit
+        if (clause(lit) in g.source.clauses) == (op == "add") or abs(lit) not in g.source.alphabet:
+            with pytest.raises(ValueError):
+                edit(g, lit)
+            continue
+        edited = edit(g, lit)
+        assert edited.graph.nodes == g.graph.nodes
+        assert len(edited.graph.edges ^ g.graph.edges) == 1
+        g, reference = edited, reference_unit_edit(reference, g.source.clauses, lit)
+        _assert_matches_reference(g, reference)
 
 
 def test_gadget_equisatisfiability_sweep():
@@ -355,6 +425,15 @@ def test_gadget_json_rejects_any_single_edge_deleted_or_added():
             if (u, v) not in present:
                 with pytest.raises(ValueError, match="contradict"):
                     gadget_from_json(json.dumps(dict(obj, edges=obj["edges"] + [[u, v]])))
+
+
+def test_gadget_json_refuses_the_relaxing_edge_of_a_present_unit():
+    # A unit the source holds is not removed, so its relaxing edge is one
+    # edge more than the gadget of the source and its removed literals.
+    obj = json.loads(gadget_to_json(build_gadget(cnf([(1,), (-1, 2)]))))
+    obj["edges"].append(["x1'", "x1''"])
+    with pytest.raises(ValueError, match="gadget edges contradict its source"):
+        gadget_from_json(json.dumps(obj))
 
 
 def test_gadget_json_matches_cliques_whatever_their_index(tmp_path, capsys):

@@ -8,7 +8,6 @@ from reoptlab.reductions import (
     FixedModelInstance,
     NsatInstance,
     fresh_variable,
-    make_nsat_instance,
     reduce_fixed_model,
     reduce_unique_model,
     unique_model,
@@ -99,14 +98,9 @@ def test_unique_model_past_the_dpll_budget_is_refused(monkeypatch):
 
 
 def test_nsat_unary_counts_declared_alphabet():
-    assert make_nsat_instance(cnf([(1, 2)])).unary_part == "11"
-    assert make_nsat_instance(cnf()).unary_part == ""
-    assert make_nsat_instance(cnf([(1, -3)], alphabet={1, 2, 3})).unary_part == "111"
-
-
-def test_nsat_invariant_enforced():
-    with pytest.raises(ValueError):
-        NsatInstance("1", cnf([(1, 2)]))
+    assert NsatInstance(cnf([(1, 2)])).unary_part == "11"
+    assert NsatInstance(cnf()).unary_part == ""
+    assert NsatInstance(cnf([(1, -3)], alphabet={1, 2, 3})).unary_part == "111"
 
 
 def test_reduction_contracts_small_sweep():
