@@ -15,14 +15,24 @@ precondition a state hits stays unusable below it).  The plan it
 returns is the first one found, valid but not necessarily the shortest,
 and the cut does not change it.  ``validate_plan`` executes any plan,
 negative postconditions included.
+
+Each instance carries the plan index, ``StripsInstance.plan_index``,
+built when the instance is built: the condition bits, the masks of the
+initial state, the goal and every operator, and the search's relevant
+conditions and its kept, safe and unsafe operators.  The relevant
+conditions come from a worklist over the operators that add each
+condition, so building an instance stays linear in its size.  Neither a
+search nor a validation builds anything of its own: the cost of the
+index sits in construction, which every command that only parses an
+instance pays too.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import SearchBudgetError, unique_keys
 
@@ -62,12 +72,52 @@ class Goal:
             raise ValueError(f"goal conditions both required true and false: {sorted(both)}")
 
 
+Step = tuple[str, int, int, int]  # an operator's name and its pos_pre, neg_pre and pos_post masks
+
+
+class PlanIndex(NamedTuple):
+    """The plan search's and plan validation's view of an instance, a function of it alone.
+
+    Condition ``conditions[i]`` is bit ``i`` of every mask.  ``initial``,
+    ``need`` and ``forbid`` are the masks of the initial state and of the
+    goal's ``must_true`` and ``must_false``.  ``masks`` maps each operator
+    name to its ``pos_pre``, ``neg_pre``, ``pos_post`` and ``neg_post``
+    masks and the work ``validate_plan_stats`` counts for the step.
+    ``offenders`` names, in order, the operators with negative
+    postconditions.  ``relevant``, and the ``kept``, ``safe`` and ``unsafe``
+    operators as name-ordered ``Step`` tuples, are those of
+    ``plan_exists_stats``.  Every call on the instance shares it, so it is
+    kept in tuples and a read-only mapping and never changed in place.
+    """
+
+    conditions: tuple[str, ...]
+    initial: int
+    need: int
+    forbid: int
+    masks: Mapping[str, tuple[int, int, int, int, int]]
+    offenders: tuple[str, ...]
+    relevant: int
+    kept: tuple[Step, ...]
+    safe: tuple[Step, ...]
+    unsafe: tuple[Step, ...]
+
+
 @dataclass(frozen=True)
 class StripsInstance:
+    """Conditions, named operators, an initial state and a goal over the conditions.
+
+    ``plan_index`` is a function of the four and takes no part in ``==``,
+    ``hash`` or ``repr``.  It is built eagerly, never cached lazily on
+    first use: a lazy cache would charge the set-up to whichever search or
+    validation came first and make every later call on the same instance
+    look free, where the cost belongs to building the instance.
+    """
+
     conditions: frozenset[str]
     operators: Mapping[str, StripsOperator]
     initial: frozenset[str]
     goal: Goal
+    plan_index: PlanIndex = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "operators", MappingProxyType(dict(self.operators)))
@@ -76,10 +126,56 @@ class StripsInstance:
         for part in (self.goal.must_true, self.goal.must_false):
             if not part <= self.conditions:
                 raise ValueError(f"goal outside conditions: {sorted(part - self.conditions)}")
-        for name, op in self.operators.items():
+        object.__setattr__(self, "plan_index", _plan_index(self))
+
+
+def _plan_index(instance: StripsInstance) -> PlanIndex:
+    """``StripsInstance.plan_index`` of an instance whose initial state and goal are checked.
+
+    Raises ``ValueError`` on the first operator, in mapping order, that
+    uses a condition outside the instance, naming every such condition.
+    """
+    conditions = tuple(sorted(instance.conditions))
+    bit = {c: 1 << i for i, c in enumerate(conditions)}.__getitem__
+    goal = instance.goal
+    need, forbid = sum(map(bit, goal.must_true)), sum(map(bit, goal.must_false))
+    masks = {}
+    watched = forbid
+    adders: dict[str, list[frozenset[str]]] = {}  # a condition's adders' non-empty pos_pre
+    for name, op in instance.operators.items():
+        try:
+            pre, neg = sum(map(bit, op.pos_pre)), sum(map(bit, op.neg_pre))
+            post, drop = sum(map(bit, op.pos_post)), sum(map(bit, op.neg_post))
+        except KeyError:
             used = op.pos_pre | op.neg_pre | op.pos_post | op.neg_post
-            if not used <= self.conditions:
-                raise ValueError(f"operator {name!r} uses unknown conditions: {sorted(used - self.conditions)}")
+            raise ValueError(f"operator {name!r} uses unknown conditions: "
+                             f"{sorted(used - instance.conditions)}") from None
+        cost = len(op.pos_pre) + len(op.neg_pre) + len(op.pos_post) + len(op.neg_post) + 1
+        masks[name] = (pre, neg, post, drop, cost)
+        watched |= neg
+        if op.pos_pre:
+            for c in op.pos_post:
+                adders.setdefault(c, []).append(op.pos_pre)
+    # The least set holding must_true and the positive preconditions of
+    # every operator that adds one of its members: each condition is
+    # appended to ``order`` as it becomes relevant and, walked once, makes
+    # its adders' preconditions relevant.
+    found = set(goal.must_true)
+    order = list(found)
+    for c in order:
+        for pre in adders.get(c, ()):
+            for p in pre:
+                if p not in found:
+                    found.add(p)
+                    order.append(p)
+    relevant = sum(map(bit, found))
+    kept = tuple((name, pre, neg, post) for name, (pre, neg, post, _, _) in sorted(masks.items())
+                 if post & relevant)
+    safe = tuple(op for op in kept if not op[3] & watched)
+    unsafe = tuple(op for op in kept if op[3] & watched)
+    offenders = tuple(sorted(name for name, (_, _, _, drop, _) in masks.items() if drop))
+    return PlanIndex(conditions, sum(map(bit, instance.initial)), need, forbid, MappingProxyType(masks),
+                     offenders, relevant, kept, safe, unsafe)
 
 
 def make_instance(conditions, operators, initial=(), goal_true=(), goal_false=()) -> StripsInstance:
@@ -106,25 +202,30 @@ def validate_plan(instance: StripsInstance, plan) -> bool:
 def validate_plan_stats(instance: StripsInstance, plan) -> tuple[bool, int]:
     """Check a plan; returns (valid, work) with work linear in |plan| * |conditions|.
 
-    A step naming no operator of the instance raises ``KeyError``.
+    Each step costs its operator's four condition counts plus one, and the
+    goal test the goal's two counts plus one.  States are masks, and each
+    step reads its operator's masks and cost from the plan index built
+    with the instance, so no set is built per step.  A step naming no
+    operator of the instance raises ``KeyError``.
     """
-    state = instance.initial
+    index = instance.plan_index
+    state = index.initial
     work = 0
     for name in plan:
-        op = instance.operators[name]
-        work += len(op.pos_pre) + len(op.neg_pre) + len(op.pos_post) + len(op.neg_post) + 1
-        if not is_applicable(state, op):
+        pre, neg, post, drop, cost = index.masks[name]
+        work += cost
+        if state & pre != pre or state & neg:
             return False, work
-        state = (state | op.pos_post) - op.neg_post
+        state = (state | post) & ~drop
     work += len(instance.goal.must_true) + len(instance.goal.must_false) + 1
-    return satisfies_goal(state, instance.goal), work
+    return state & index.need == index.need and not state & index.forbid, work
 
 
 def require_add_only(instance: StripsInstance) -> None:
     """Raise ``ValueError`` naming the operators with negative postconditions."""
-    offenders = sorted(n for n, op in instance.operators.items() if op.neg_post)
+    offenders = instance.plan_index.offenders
     if offenders:
-        raise ValueError(f"operators with negative postconditions: {offenders}")
+        raise ValueError(f"operators with negative postconditions: {list(offenders)}")
 
 
 def plan_exists(instance: StripsInstance, max_states: int = DEFAULT_SEARCH_BUDGET) -> Plan | None:
@@ -153,6 +254,15 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
     order, tests each for the goal as it is made, and expands the
     first-named one next.  The witness is the first plan found,
     deterministic but not necessarily the shortest.
+
+    The masks, the relevant conditions, the watched set's split into safe
+    and unsafe operators and the list of operators with negative
+    postconditions are the instance's ``plan_index``, built with the
+    instance; the relevant conditions come from a worklist over the
+    operators that add each condition, which reaches the same least set as
+    passes over the operators would.  The search builds nothing before its
+    root closure, and the closure itself still makes one pass over its
+    operators per condition it adds.
 
     Relevance is sound and complete.  Any plan can be thinned to the steps
     that add a relevant condition not yet true.  The thinned plan has the
@@ -194,36 +304,20 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
 
     Each state keeps a pointer to its parent and the steps that led to
     it; the plan is rebuilt once, at the goal.  Raises ``ValueError`` on
-    instances outside the add-only fragment and ``SearchBudgetError``
-    past ``max_states`` expansions.
+    instances outside the add-only fragment, as the index's ``offenders``
+    alone decides, and ``SearchBudgetError`` past ``max_states``
+    expansions.
     """
     require_add_only(instance)
-    goal = instance.goal
+    index = instance.plan_index
+    need, forbid, relevant, safe = index.need, index.forbid, index.relevant, index.safe
     # Conditions never become false again, so any state overlapping
     # must_false is a dead end, the initial state included.  Saturation
     # adds no watched condition, so a root holding must_true is a goal.
-    if goal.must_false & instance.initial:
+    if index.initial & forbid:
         return None, 0
-    bit = {c: 1 << i for i, c in enumerate(sorted(instance.conditions))}.__getitem__
-    ops = [(name, sum(map(bit, op.pos_pre)), sum(map(bit, op.neg_pre)), sum(map(bit, op.pos_post)))
-           for name, op in sorted(instance.operators.items())]
-    need, forbid = sum(map(bit, goal.must_true)), sum(map(bit, goal.must_false))
-    watched = forbid
-    for _, _, neg, _ in ops:
-        watched |= neg
-    relevant = need
-    grew = True
-    while grew:
-        grew = False
-        for _, pre, _, post in ops:
-            if post & relevant and pre & ~relevant:
-                relevant |= pre
-                grew = True
-    ops = [op for op in ops if op[3] & relevant]
-    safe = [op for op in ops if not op[3] & watched]
-    unsafe = [op for op in ops if op[3] & watched]
 
-    def close(state: int, operators: list[tuple[str, int, int, int]]) -> tuple[int, Plan]:
+    def close(state: int, operators: tuple[Step, ...]) -> tuple[int, Plan]:
         start = state
         steps: list[str] = []
         grew = True
@@ -245,7 +339,7 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
             parts.append(steps)
         return tuple(name for steps in reversed(parts) for name in steps)
 
-    root, steps = close(sum(map(bit, instance.initial)), safe)
+    root, steps = close(index.initial, safe)
     parents: dict[int, tuple[int | None, Plan]] = {root: (None, steps)}
     if root & need == need:
         return plan_to(root), 0
@@ -257,7 +351,7 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
         if expanded > max_states:
             raise SearchBudgetError(f"more than {max_states} states expanded")
         successors = []
-        for name, pre, neg, post in unsafe:
+        for name, pre, neg, post in index.unsafe:
             if not post & relevant & ~state or state & pre != pre or state & neg:
                 continue
             successor = state | post
@@ -270,7 +364,7 @@ def plan_exists_stats(instance: StripsInstance, max_states: int = DEFAULT_SEARCH
             if successor & need == need:
                 return plan_to(successor), expanded
             successors.append(successor)
-        if successors and close(state, ops)[0] & need == need:
+        if successors and close(state, index.kept)[0] & need == need:
             stack.extend(reversed(successors))
     return None, expanded
 

@@ -46,6 +46,10 @@ GADGETS = "src/reoptlab/gadgets.py"
 WARM_START = "tests/test_graphs.py::test_warm_start_outcomes_follow_their_definitions"
 REUSE_MODEL = "tests/test_hints.py::test_reuse_model_hits_iff_the_hint_satisfies_the_changed_formula"
 GADGET_PATHS = "tests/test_gadgets.py::test_every_gadget_path_gives_the_graph_of_the_first_edit_rules"
+STRIPS = "src/reoptlab/strips.py"
+INDEX_PATHS = "tests/test_strips.py::test_every_instance_path_carries_the_index_a_fresh_build_makes"
+VALIDATE = "tests/test_strips.py::test_validate_plan_matches_the_reference_on_any_plan"
+UNCUT_PLAN = "tests/test_strips.py::test_dead_end_cut_keeps_the_uncut_plan"
 
 CATALOGUE = (
     # Hint routes check their hint once.
@@ -99,6 +103,39 @@ CATALOGUE = (
            (("if clause(lit) not in parsed.clauses\n                        and edge(",
              "if edge("),),
            ("tests/test_gadgets.py::test_gadget_json_refuses_the_relaxing_edge_of_a_present_unit",)),
+    # A STRIPS instance carries its plan index; the plan search's cuts.
+    Mutant("relevance-worklist-skips-a-new-condition", STRIPS,
+           (("found.add(p)\n                    order.append(p)", "found.add(p)"),),
+           (INDEX_PATHS,)),
+    Mutant("relevance-stops-at-the-goal", STRIPS,
+           (("order = list(found)", "order = []"),),
+           ("tests/test_strips.py::test_plan_exists_finds_chain", INDEX_PATHS)),
+    Mutant("validate-ignores-negative-preconditions", STRIPS,
+           (("if state & pre != pre or state & neg:\n            return False, work",
+             "if state & pre != pre:\n            return False, work"),),
+           (VALIDATE, "tests/test_strips.py::test_validate_plan_runs_negative_postconditions")),
+    Mutant("validate-ignores-negative-postconditions", STRIPS,
+           (("state = (state | post) & ~drop", "state = state | post"),),
+           (VALIDATE, "tests/test_strips.py::test_validate_plan_runs_negative_postconditions")),
+    Mutant("validate-swaps-need-and-forbid", STRIPS,
+           (("return state & index.need == index.need and not state & index.forbid, work",
+             "return state & index.forbid == index.forbid and not state & index.need, work"),),
+           (VALIDATE, "tests/test_strips.py::test_validate_plan")),
+    Mutant("safe-split-by-negative-preconditions", STRIPS,
+           (("safe = tuple(op for op in kept if not op[3] & watched)",
+             "safe = tuple(op for op in kept if not op[2])"),
+            ("unsafe = tuple(op for op in kept if op[3] & watched)",
+             "unsafe = tuple(op for op in kept if op[2])")),
+           (INDEX_PATHS, UNCUT_PLAN)),
+    Mutant("dead-end-test-over-safe-operators", STRIPS,
+           (("close(state, index.kept)[0]", "close(state, safe)[0]"),),
+           (UNCUT_PLAN,)),
+    Mutant("dead-end-liveness-in-the-growing-state", STRIPS,
+           (("and not start & neg:", "and not state & neg:"),),
+           (UNCUT_PLAN,)),
+    Mutant("dead-end-test-never-cuts", STRIPS,
+           (("if successors and close(state, index.kept)[0] & need == need:", "if successors:"),),
+           ("tests/test_strips.py::test_dead_end_cut_skips_a_dead_subtree[3]",)),
 )
 
 

@@ -22,6 +22,7 @@ from reoptlab.graphs import add_edges, edge, graph, remove_edges
 from reoptlab.strips import (
     DEFAULT_SEARCH_BUDGET,
     Plan,
+    is_applicable,
     satisfies_goal,
 )
 
@@ -272,6 +273,49 @@ def reference_dpll(formula, key=None):
         return None
 
     return search({}), work
+
+
+def reference_validate_plan(instance, plan):
+    """The library's plan check on condition sets: returns ``(valid, work)``.
+
+    Each step applies its operator's sets, negative postconditions
+    included, and costs its four condition counts plus one; the goal test
+    costs the goal's two counts plus one.  A step naming no operator of
+    the instance raises ``KeyError``.
+    """
+    state = instance.initial
+    work = 0
+    for name in plan:
+        op = instance.operators[name]
+        work += len(op.pos_pre) + len(op.neg_pre) + len(op.pos_post) + len(op.neg_post) + 1
+        if not is_applicable(state, op):
+            return False, work
+        state = (state | op.pos_post) - op.neg_post
+    work += len(instance.goal.must_true) + len(instance.goal.must_false) + 1
+    return satisfies_goal(state, instance.goal), work
+
+
+def reference_relevant(instance):
+    """The plan search's relevant conditions, by passes over the operators until one adds nothing.
+
+    The least set that holds the goal's ``must_true`` and the positive
+    preconditions of every operator that adds one of its members.
+    """
+    bits = {c: 1 << i for i, c in enumerate(sorted(instance.conditions))}
+
+    def mask(conditions) -> int:
+        return sum(bits[c] for c in conditions)
+
+    ops = [(mask(op.pos_pre), mask(op.pos_post)) for _, op in sorted(instance.operators.items())]
+    relevant = mask(instance.goal.must_true)
+    grew = True
+    while grew:
+        grew = False
+        for pre, post in ops:
+            if post & relevant and pre & ~relevant:
+                relevant |= pre
+                grew = True
+    return frozenset(c for c, b in bits.items() if relevant & b)
 
 
 def reference_plan_search(instance, max_states=DEFAULT_SEARCH_BUDGET):

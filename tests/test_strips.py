@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import strategies as st
 from reoptlab.cnf import cnf
 from reoptlab.enumeration import random_plansat_instance
 from reoptlab.errors import SearchBudgetError
-from reoptlab.replanning import apply_initial_change, sat_to_replanning
+from reoptlab.replanning import apply_initial_change, goal_compilation, sat_to_replanning
 from reoptlab.solvers import solve_brute
 from reoptlab.strips import (
     DEFAULT_SEARCH_BUDGET,
     Goal,
+    PlanIndex,
     StripsInstance,
     instance_from_json,
     instance_to_json,
@@ -25,7 +27,13 @@ from reoptlab.strips import (
     validate_plan_stats,
 )
 
-from oracles import plan_reachable, reference_plan_dfs, reference_plan_search
+from oracles import (
+    plan_reachable,
+    reference_plan_dfs,
+    reference_plan_search,
+    reference_relevant,
+    reference_validate_plan,
+)
 
 
 def guard_instance():
@@ -74,6 +82,8 @@ def test_validate_plan_runs_negative_postconditions():
     assert validate_plan(inst, ("swap",))
     assert validate_plan(inst, ("swap", "back"))
     assert not validate_plan(inst, ("back",))
+    blocked = make_instance(inst.conditions, inst.operators, initial=["p"], goal_true=["r"])
+    assert not validate_plan(blocked, ("back",))  # p holds, so "back" does not apply
     assert not validate_plan(inst, ("swap", "swap"))
     kept = make_instance(inst.conditions, inst.operators, initial=["p"], goal_true=["p", "q"])
     assert not validate_plan(kept, ("swap",))
@@ -95,6 +105,46 @@ def test_validate_plan_work_is_linear():
     for plan in ((), ("e",), ("e", "e"), ("e", "e", "e", "e")):
         _, work = validate_plan_stats(inst, plan)
         assert work <= 4 * len(plan) * sizes + 2 * sizes + len(plan) + 1
+
+
+def outcome(check, instance, plan):
+    try:
+        return check(instance, plan)
+    except KeyError as exc:
+        return KeyError, exc.args
+
+
+@st.composite
+def instances_with_deleters(draw):
+    # A random add-only instance plus up to three operators with negative
+    # postconditions, which only validation runs.
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    base = random_plansat_instance(rng, draw(st.integers(1, 6)), draw(st.integers(0, 6)))
+    conditions = sorted(base.conditions)
+    subsets = st.sets(st.sampled_from(conditions), max_size=2)
+    operators = dict(base.operators)
+    for i in range(draw(st.integers(0, 3))):
+        pos_pre = draw(subsets)
+        operators[f"del{i}"] = make_operator(pos_pre, draw(subsets) - pos_pre, draw(subsets),
+                                             draw(st.sets(st.sampled_from(conditions), min_size=1, max_size=2)))
+    return StripsInstance(base.conditions, operators, base.initial, base.goal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances_with_deleters(), st.data())
+def test_validate_plan_matches_the_reference_on_any_plan(inst, data):
+    names = st.sampled_from(sorted(inst.operators) + ["ghost"])
+    plans = [tuple(data.draw(st.lists(names, max_size=6)))]
+    kept = {name: op for name, op in inst.operators.items() if not op.neg_post}
+    add_only = StripsInstance(inst.conditions, kept, inst.initial, inst.goal)
+    found = plan_exists(add_only)
+    if found is not None:
+        plans += [found, found + ("ghost",)]
+    for plan in plans:
+        assert outcome(validate_plan_stats, inst, plan) == outcome(reference_validate_plan, inst, plan)
+    assert outcome(validate_plan_stats, inst, ("ghost",)) == (KeyError, ("ghost",))
+    if found is not None:
+        assert validate_plan_stats(inst, found)[0]
 
 
 def test_require_add_only():
@@ -453,6 +503,105 @@ def test_dead_end_cut_skips_a_dead_subtree(n):
     plan = (*(f"b{i}" for i in range(n + 1)), "win")
     assert plan_exists_stats(inst) == (plan, n + 2)
     assert reference_plan_dfs(inst) == (plan, 2 ** n + n + 1)
+
+
+def fresh_plan_index(inst):
+    """The plan index rebuilt by scans over the instance's condition sets."""
+    conditions = sorted(inst.conditions)
+
+    def mask(names):
+        return sum(1 << conditions.index(c) for c in names)
+
+    masks = {name: (mask(op.pos_pre), mask(op.neg_pre), mask(op.pos_post), mask(op.neg_post),
+                    len(op.pos_pre) + len(op.neg_pre) + len(op.pos_post) + len(op.neg_post) + 1)
+             for name, op in inst.operators.items()}
+    relevant = mask(reference_relevant(inst))
+    watched = mask(inst.goal.must_false.union(*(op.neg_pre for op in inst.operators.values())))
+    kept = [(name, *masks[name][:3]) for name in sorted(masks) if masks[name][2] & relevant]
+    return PlanIndex(
+        tuple(conditions), mask(inst.initial), mask(inst.goal.must_true), mask(inst.goal.must_false), masks,
+        tuple(sorted(name for name, op in inst.operators.items() if op.neg_post)), relevant, tuple(kept),
+        tuple(op for op in kept if not op[3] & watched), tuple(op for op in kept if op[3] & watched))
+
+
+def carries_a_fresh_plan_index(inst):
+    index = inst.plan_index
+    assert index == fresh_plan_index(inst)
+    assert index == StripsInstance(inst.conditions, dict(inst.operators), inst.initial, inst.goal).plan_index
+    assert {c for i, c in enumerate(index.conditions) if index.relevant >> i & 1} == reference_relevant(inst)
+    assert all(type(part) is tuple for part in (index.conditions, index.offenders, index.kept,
+                                                index.safe, index.unsafe))
+    with pytest.raises(TypeError):
+        index.masks["x"] = (0, 0, 0, 0, 1)
+    return inst
+
+
+@settings(max_examples=100, deadline=None)
+@given(addonly_instances(), instances_with_deleters(), small_3cnfs(), st.integers(0, 2 ** 32 - 1))
+def test_every_instance_path_carries_the_index_a_fresh_build_makes(inst, deleters, f, seed):
+    case = sat_to_replanning(f)
+    paths = [
+        inst,
+        deleters,
+        StripsInstance(inst.conditions, inst.operators, inst.initial, inst.goal),
+        instance_from_json(instance_to_json(inst)),
+        instance_from_json(instance_to_json(deleters)),
+        goal_compilation(inst),
+        goal_compilation(deleters),
+        case.instance,
+        apply_initial_change(case),
+        goal_compilation(apply_initial_change(case)),
+        random_plansat_instance(random.Random(seed), seed % 7 + 1, seed % 11),
+    ]
+    for path in paths:
+        carries_a_fresh_plan_index(path)
+
+
+@pytest.mark.parametrize("order", ["along", "against"])
+def test_relevance_reaches_along_a_long_chain_either_way_round(order):
+    # Operator i needs c<i> and adds c<i+1>; its name runs along the chain or
+    # against it, so relevance or the closure sees one new condition a pass.
+    n = 300
+    name = (lambda i: f"o{i:03d}") if order == "along" else (lambda i: f"o{n - i:03d}")
+    ops = {name(i): make_operator(pos_pre=[f"c{i:03d}"], pos_post=[f"c{i + 1:03d}"]) for i in range(n)}
+    inst = make_instance([f"c{i:03d}" for i in range(n + 1)], ops, initial=["c000"], goal_true=[f"c{n:03d}"])
+    carries_a_fresh_plan_index(inst)
+    assert len(inst.plan_index.kept) == len(inst.plan_index.safe) == n
+    assert plan_exists_stats(inst) == (tuple(name(i) for i in range(n)), 0)
+
+
+def test_the_plan_index_takes_no_part_in_equality_hash_or_repr():
+    assert [f.name for f in dataclasses.fields(StripsInstance) if f.init] == [
+        "conditions", "operators", "initial", "goal"]
+    (index_field,) = [f for f in dataclasses.fields(StripsInstance) if f.name == "plan_index"]
+    assert not index_field.compare and index_field.hash is None and not index_field.repr
+    inst = guard_instance()
+    other = StripsInstance(inst.conditions, inst.operators, inst.initial, inst.goal)
+    object.__setattr__(other, "plan_index", None)
+    assert inst == other and repr(inst) == repr(other)
+    assert "plan_index" not in repr(inst)
+
+
+def test_searches_leave_the_shared_index_unchanged():
+    # Every search and validation of an instance shares its index; none may
+    # change it, so a second round answers as the first.
+    guard = apply_initial_change(sat_to_replanning(cnf([(1, 2, 3), (-1, -2, 3), (1, -2, -3)])))
+    for inst in (dead_branch_instance(3), guard, guard_instance()):
+        before = fresh_plan_index(inst)
+        plan, expanded = plan_exists_stats(inst)
+        assert inst.plan_index == before
+        plans = [(), plan, plan[::-1], plan + plan]
+        checked = [validate_plan_stats(inst, p) for p in plans]
+        assert plan_exists_stats(inst) == (plan, expanded)
+        assert [validate_plan_stats(inst, p) for p in plans] == checked
+        assert inst.plan_index == before
+    budget = make_instance(["p", "q"], {"one": make_operator(pos_post=["p"]),
+                                        "two": make_operator(pos_pre=["p"], pos_post=["q"]),
+                                        "stop": make_operator(neg_pre=["p", "q"])}, goal_true=["q"])
+    before = fresh_plan_index(budget)
+    with pytest.raises(SearchBudgetError):
+        plan_exists(budget, max_states=1)
+    assert budget.plan_index == before
 
 
 def test_instance_json_round_trip():
