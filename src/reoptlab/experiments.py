@@ -17,7 +17,7 @@ import io
 import json
 import random
 from collections import Counter
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 from .cnf import ChangeSet, apply_changes
 from .dimacs import MAX_DIMACS_VARIABLES, serialize_changes, serialize_dimacs
@@ -106,10 +106,10 @@ class TrialRow:
     hint_used: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentReport:
     config: ExperimentConfig
-    rows: list[TrialRow] = field(default_factory=list)
+    rows: tuple[TrialRow, ...] = ()
 
     def summary(self) -> dict:
         used = sum(1 for row in self.rows if row.hint_used)
@@ -129,7 +129,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config = validate_config(config)
     rng = random.Random(config.seed)
     trial_fn = SCENARIOS[config.problem][config.scenario]
-    report = ExperimentReport(config)
+    rows = []
     for trial in range(config.trials):
         change_id, cold_solution, cold_work, hinted, reproducer = trial_fn(rng, config)
         cold_verdict, hinted_verdict = cold_solution is not None, hinted.solution is not None
@@ -145,11 +145,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 f"trial {trial} (seed {config.seed}, {config.problem}/{config.scenario}, "
                 f"change {change_id}): {mismatch}\n{reproducer}"
             )
-        report.rows.append(
+        rows.append(
             TrialRow(trial, config.problem, change_id, cold_verdict, hinted_verdict,
                      cold_work, hinted.work_units, hinted.hint_used)
         )
-    return report
+    return ExperimentReport(config, tuple(rows))
 
 
 def _sat_add_clause_trial(rng, config):

@@ -4,14 +4,17 @@ A hint never constrains the problem; it may only speed the search up.
 ``reuse_model`` tries a remembered model against a changed formula before
 falling back to the solver; ``reuse_plan`` scans the remembered plan's
 suffixes against a changed planning instance before replanning from
-scratch.  ``compile_table`` precomputes, for every subset of a declared
-candidate-change universe up to a size bound, the solution of the changed
-formula, so later lookups answer without any search at all.  Each route
-decides its hit with one check over what it is given: the added clauses
-against the model, the suffixes against the changed instance, and the
-change set's ``(op, clause)`` pairs against the table's keys.  Every
-reuse path reports whether the hint was used and how much solver work
-was done, so cold and hinted runs can be compared honestly.
+scratch.  A ``HintTable`` is a base formula, a declared candidate-change
+universe and a size bound; its entries, the solution of the changed
+formula for every candidate subset up to the bound, are derived from the
+three when the table is built (``compile_table`` builds one), so no table
+can contradict its base and later lookups answer without any search at
+all.  Each route decides its hit with one check over what it is given:
+the added clauses against the model, the suffixes against the changed
+instance, and the change set's ``(op, clause)`` pairs against the
+table's keys.  Every reuse path reports whether the hint was used and how
+much solver work was done, so cold and hinted runs can be compared
+honestly.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple
@@ -67,21 +70,48 @@ MISS = _Miss()
 
 @dataclass(frozen=True)
 class HintTable:
-    """Solutions for every change subset of size at most ``bound``.
+    """A base formula, candidate changes and a bound; the solved entries follow.
 
+    ``entries`` holds the solution of the changed formula for every
+    candidate subset of size at most ``bound``.  It is a function of the
+    three, built eagerly in ``__post_init__``, read-only, and takes no part
+    in ``==``, ``hash`` or ``repr``, so no table can contradict its base.
     Entries are keyed by the ``(op, clause)`` pairs of a candidate subset,
-    which is exactly what a change set names, in compile order (a hex mask
-    is only how a file spells that key); a ``None`` value is an explicit
-    marker that the changed formula is unsatisfiable.
+    which is exactly what a change set names (a hex mask is only how a
+    file spells that key), and made by size, then in ``combinations``
+    order, with one ``solve_dpll`` each; a ``None`` value is an explicit
+    marker that the changed formula is unsatisfiable.  ``candidates`` is
+    kept as a tuple.  A negative bound, duplicate candidates, a clause
+    both added and deleted, and a table of more than
+    ``DEFAULT_TABLE_BUDGET`` entries are refused before any solve.
     """
 
     base: CnfFormula
     candidates: tuple[ElementaryChange, ...]
     bound: int
-    entries: Mapping[frozenset[tuple[str, Clause]], Assignment | None]
+    entries: Mapping[frozenset[tuple[str, Clause]], Assignment | None] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        if self.bound < 0:
+            raise ValueError(f"bound {self.bound} is negative")
+        candidates = tuple(self.candidates)
+        object.__setattr__(self, "candidates", candidates)
+        if len(set(candidates)) != len(candidates):
+            raise ValueError("duplicate candidate changes")
+        subset_changes(candidates, range(len(candidates)))  # refuses a clause on both sides
+        effective = min(self.bound, len(candidates))
+        total = sum(math.comb(len(candidates), size) for size in range(effective + 1))
+        if total > DEFAULT_TABLE_BUDGET:
+            raise BudgetExceededError(
+                f"{total} entries exceed the table budget of {DEFAULT_TABLE_BUDGET}")
+        pairs = [(c.op, c.clause) for c in candidates]
+        entries: dict[frozenset[tuple[str, Clause]], Assignment | None] = {}
+        for size in range(effective + 1):
+            for combo in combinations(range(len(candidates)), size):
+                changed = apply_changes(self.base, subset_changes(candidates, combo))
+                entries[frozenset(pairs[i] for i in combo)] = solve_dpll(changed)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
 
 
 def subset_changes(candidates, indices) -> ChangeSet:
@@ -92,29 +122,12 @@ def subset_changes(candidates, indices) -> ChangeSet:
 
 
 def compile_table(base: CnfFormula, candidates, bound: int) -> HintTable:
-    """Solve the changed formula for every candidate subset up to the bound.
+    """The table of ``base``, ``candidates`` and ``bound``: ``HintTable(base, candidates, bound)``.
 
-    A negative bound, and a table of more than ``DEFAULT_TABLE_BUDGET``
-    entries, are refused before any solve.
+    Building the table solves every entry, so this costs one solve per
+    entry; the refusals are ``HintTable``'s.
     """
-    if bound < 0:
-        raise ValueError(f"bound {bound} is negative")
-    candidates = tuple(candidates)
-    if len(set(candidates)) != len(candidates):
-        raise ValueError("duplicate candidate changes")
-    subset_changes(candidates, range(len(candidates)))  # refuses a clause on both sides
-    effective = min(bound, len(candidates))
-    total = sum(math.comb(len(candidates), size) for size in range(effective + 1))
-    if total > DEFAULT_TABLE_BUDGET:
-        raise BudgetExceededError(
-            f"{total} entries exceed the table budget of {DEFAULT_TABLE_BUDGET}")
-    pairs = [(c.op, c.clause) for c in candidates]
-    entries: dict[frozenset[tuple[str, Clause]], Assignment | None] = {}
-    for size in range(effective + 1):
-        for combo in combinations(range(len(candidates)), size):
-            changed = apply_changes(base, subset_changes(candidates, combo))
-            entries[frozenset(pairs[i] for i in combo)] = solve_dpll(changed)
-    return HintTable(base, candidates, bound, entries)
+    return HintTable(base, candidates, bound)
 
 
 def lookup(table: HintTable, changes: ChangeSet):
@@ -212,10 +225,11 @@ def table_to_json(table: HintTable) -> str:
 
 
 def table_from_json(text: str) -> HintTable:
-    """Load a table only if it equals what ``compile_table`` builds from it.
+    """Load a table only if its entries equal those derived from its source.
 
-    The file's base, candidates and bound are compiled again, and its
-    entries, keys kept as written, must equal the rebuilt table's entries
+    A file stores entries, but a table derives them: the file's base,
+    candidates and bound go through ``compile_table``, and the file's
+    entries, keys kept as written, must equal the built table's entries
     keyed as ``table_to_json`` writes them.  That one comparison checks
     every stored model and unsatisfiable marker, and refuses a missing
     entry, a stray one and any other spelling of a key (``"0x03"``,

@@ -5,9 +5,11 @@ plan works only because a guard condition holds initially; deleting the
 guard from the initial state leaves an instance that has a plan exactly
 when the source formula is satisfiable.  The instance has exactly one
 irredundant plan, so the hardness of replanning does not depend on which
-plan was remembered.  ``goal_compilation`` folds an instance's goal into
-a fresh operator and condition so that the goal part of every instance
-becomes the constant "reach g".
+plan was remembered; ``count_irredundant_plans`` checks that claim by
+enumeration over the instance's ``plan_index`` masks, the same STRIPS
+semantics plan search and validation use.  ``goal_compilation`` folds an
+instance's goal into a fresh operator and condition so that the goal part
+of every instance becomes the constant "reach g".
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ from .strips import (
     Plan,
     StripsInstance,
     StripsOperator,
-    is_applicable,
     make_instance,
     make_operator,
     require_add_only,
-    satisfies_goal,
     validate_plan,
 )
 
@@ -104,10 +104,13 @@ def count_irredundant_plans(instance: StripsInstance) -> int:
     applicability-respecting sequences that grow the state each step is
     exhaustive, and no sequence is longer than |conditions|.  The
     enumeration runs depth-first on an explicit stack, operators in name
-    order.
+    order, over the instance's ``plan_index``: states are masks, and the
+    goal holds when a state has every ``need`` bit and no ``forbid`` bit.
     """
     require_add_only(instance)
-    ops = sorted(instance.operators.items())
+    index = instance.plan_index
+    ops = [(name, *index.masks[name][:3]) for name in sorted(index.masks)]
+    need, forbid = index.need, index.forbid
     nodes = 0
     count = 0
 
@@ -116,18 +119,18 @@ def count_irredundant_plans(instance: StripsInstance) -> int:
             validate_plan(instance, plan[:i] + plan[i + 1:]) for i in range(len(plan))
         )
 
-    stack: list[tuple[frozenset[str], Plan]] = [(instance.initial, ())]
+    stack: list[tuple[int, Plan]] = [(index.initial, ())]
     while stack:
         state, plan = stack.pop()
         nodes += 1
         if nodes > _MAX_PLAN_PREFIXES:
             raise SearchBudgetError(f"more than {_MAX_PLAN_PREFIXES} plan prefixes explored")
-        if satisfies_goal(state, instance.goal) and is_irredundant(plan):
+        if state & need == need and not state & forbid and is_irredundant(plan):
             count += 1
         children = [
-            (state | op.pos_post, plan + (name,))
-            for name, op in ops
-            if is_applicable(state, op) and not op.pos_post <= state
+            (state | post, plan + (name,))
+            for name, pre, neg, post in ops
+            if state & pre == pre and not state & neg and post & ~state
         ]
         stack.extend(reversed(children))
     return count

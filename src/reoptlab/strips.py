@@ -24,7 +24,10 @@ conditions come from a worklist over the operators that add each
 condition, so building an instance stays linear in its size.  Neither a
 search nor a validation builds anything of its own: the cost of the
 index sits in construction, which every command that only parses an
-instance pays too.
+instance pays too.  The index's masks are the library's one statement
+of STRIPS semantics: plan search, plan validation and
+``replanning.count_irredundant_plans`` all test applicability and the
+goal on them, and no set-based twin is kept.
 """
 
 from __future__ import annotations
@@ -106,6 +109,8 @@ class PlanIndex(NamedTuple):
 class StripsInstance:
     """Conditions, named operators, an initial state and a goal over the conditions.
 
+    ``operators`` is a read-only mapping, which has no hash, so it takes
+    part in ``==`` but not in ``hash``: equal instances still hash equal.
     ``plan_index`` is a function of the four and takes no part in ``==``,
     ``hash`` or ``repr``.  It is built eagerly, never cached lazily on
     first use: a lazy cache would charge the set-up to whichever search or
@@ -114,7 +119,7 @@ class StripsInstance:
     """
 
     conditions: frozenset[str]
-    operators: Mapping[str, StripsOperator]
+    operators: Mapping[str, StripsOperator] = field(hash=False)
     initial: frozenset[str]
     goal: Goal
     plan_index: PlanIndex = field(init=False, compare=False, repr=False)
@@ -185,14 +190,6 @@ def make_instance(conditions, operators, initial=(), goal_true=(), goal_false=()
         frozenset(initial),
         Goal(frozenset(goal_true), frozenset(goal_false)),
     )
-
-
-def is_applicable(state: frozenset[str], op: StripsOperator) -> bool:
-    return op.pos_pre <= state and not op.neg_pre & state
-
-
-def satisfies_goal(state: frozenset[str], goal: Goal) -> bool:
-    return goal.must_true <= state and not goal.must_false & state
 
 
 def validate_plan(instance: StripsInstance, plan) -> bool:

@@ -47,6 +47,7 @@ WARM_START = "tests/test_graphs.py::test_warm_start_outcomes_follow_their_defini
 REUSE_MODEL = "tests/test_hints.py::test_reuse_model_hits_iff_the_hint_satisfies_the_changed_formula"
 GADGET_PATHS = "tests/test_gadgets.py::test_every_gadget_path_gives_the_graph_of_the_first_edit_rules"
 STRIPS = "src/reoptlab/strips.py"
+SOLVERS = "src/reoptlab/solvers.py"
 INDEX_PATHS = "tests/test_strips.py::test_every_instance_path_carries_the_index_a_fresh_build_makes"
 VALIDATE = "tests/test_strips.py::test_validate_plan_matches_the_reference_on_any_plan"
 UNCUT_PLAN = "tests/test_strips.py::test_dead_end_cut_keeps_the_uncut_plan"
@@ -82,7 +83,8 @@ CATALOGUE = (
     Mutant("report-keeps-the-unresolved-scenario", "src/reoptlab/experiments.py",
            (("    config = validate_config(config)\n",
              "    original, config = config, validate_config(config)\n"),
-            ("report = ExperimentReport(config)", "report = ExperimentReport(original)")),
+            ("return ExperimentReport(config, tuple(rows))",
+             "return ExperimentReport(original, tuple(rows))")),
            ("tests/test_experiments.py::test_json_config_names_the_default_scenario_that_ran[vc]",)),
     # A gadget's graph is derived from its source and removed literals.
     Mutant("gadget-without-relaxing-edges", GADGETS,
@@ -136,6 +138,41 @@ CATALOGUE = (
     Mutant("dead-end-test-never-cuts", STRIPS,
            (("if successors and close(state, index.kept)[0] & need == need:", "if successors:"),),
            ("tests/test_strips.py::test_dead_end_cut_skips_a_dead_subtree[3]",)),
+    # A hint table's entries are derived from its base, candidates and bound.
+    Mutant("table-skips-the-largest-subsets", HINTS,
+           (("for size in range(effective + 1):", "for size in range(effective):"),),
+           ("tests/test_hints.py::test_compile_table_single_candidate",)),
+    Mutant("table-budget-unchecked", HINTS,
+           (("if total > DEFAULT_TABLE_BUDGET:", "if False:"),),
+           ("tests/test_hints.py::test_compile_table_budget",)),
+    Mutant("table-entries-compared", HINTS,
+           (("init=False, compare=False, repr=False)", "init=False, repr=False)"),),
+           ("tests/test_hints.py::test_a_hint_table_is_its_base_candidates_and_bound",)),
+    Mutant("irredundant-count-ignores-negative-preconditions", "src/reoptlab/replanning.py",
+           (("if state & pre == pre and not state & neg and post & ~state",
+             "if state & pre == pre and post & ~state"),),
+           ("tests/test_replanning.py::test_count_irredundant_plans_respects_negative_preconditions",
+            "tests/test_replanning.py::test_count_irredundant_plans_matches_brute_force")),
+    # Soundness-critical cuts and checks, each made unsound.
+    Mutant("cover-packing-cuts-at-the-budget", GRAPHS,
+           (("elif bound > k:", "elif bound >= k:"),),
+           ("tests/test_graphs.py::test_decide_cover_agrees_with_brute_oracle",)),
+    Mutant("dpll-conflict-on-any-even-count", SOLVERS,
+           (("if few & ~planes[0]:", "if unsat & ~planes[0]:"),),
+           ("tests/test_solvers.py::test_dpll_matches_recursive_reference_on_random_formulas",
+            "tests/test_solvers.py::test_dpll_matches_recursive_reference_on_small_formulas")),
+    Mutant("dpll-unit-takes-an-assigned-literal", SOLVERS,
+           (("if lit not in value:\n                    break", "if lit in value:\n                    break"),),
+           ("tests/test_solvers.py::test_dpll_matches_recursive_reference_on_random_formulas",
+            "tests/test_solvers.py::test_dpll_matches_recursive_reference_on_small_formulas")),
+    Mutant("splice-deletion-keeps-the-higher-bits-in-place", "src/reoptlab/cnf.py",
+           (("(m >> (i + 1) << i)", "(m >> (i + 1) << (i + 1))"),),
+           ("tests/test_cnf.py::test_every_construction_path_carries_the_masks_a_fresh_build_makes",)),
+    Mutant("table-file-keys-read-as-numbers", HINTS,
+           (("entries = {key: None if model is None else frozenset(model)",
+             "entries = {f\"0x{int(key, 16):x}\": None if model is None else frozenset(model)"),),
+           ("tests/test_hints.py::test_table_json_reads_only_the_canonical_key_spelling[0x03]",
+            "tests/test_hints.py::test_table_json_reads_only_the_canonical_key_spelling[0X3]")),
 )
 
 

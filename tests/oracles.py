@@ -8,7 +8,7 @@ witnesses or work can be compared with them.
 """
 
 from collections import deque
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from reoptlab.errors import SearchBudgetError
 from reoptlab.gadgets import (
@@ -19,12 +19,15 @@ from reoptlab.gadgets import (
     prime_node,
 )
 from reoptlab.graphs import add_edges, edge, graph, remove_edges
-from reoptlab.strips import (
-    DEFAULT_SEARCH_BUDGET,
-    Plan,
-    is_applicable,
-    satisfies_goal,
-)
+from reoptlab.strips import DEFAULT_SEARCH_BUDGET, Plan
+
+
+def is_applicable(state, op):
+    return op.pos_pre <= state and not op.neg_pre & state
+
+
+def satisfies_goal(state, goal):
+    return goal.must_true <= state and not goal.must_false & state
 
 
 def truth_assignments(variables):
@@ -293,6 +296,21 @@ def reference_validate_plan(instance, plan):
         state = (state | op.pos_post) - op.neg_post
     work += len(instance.goal.must_true) + len(instance.goal.must_false) + 1
     return satisfies_goal(state, instance.goal), work
+
+
+def brute_irredundant_plans(instance):
+    """Valid plans of an add-only instance no single step of which can be removed.
+
+    A repeated step adds nothing the second time, since conditions never
+    become false, so it can be removed: every irredundant plan is a
+    sequence of distinct operators, and all of those are tried.
+    """
+    def valid(plan):
+        return reference_validate_plan(instance, plan)[0]
+
+    names = sorted(instance.operators)
+    return sum(1 for size in range(len(names) + 1) for plan in permutations(names, size)
+               if valid(plan) and not any(valid(plan[:i] + plan[i + 1:]) for i in range(size)))
 
 
 def reference_relevant(instance):

@@ -97,7 +97,7 @@ def test_vc_trial_adds_the_non_edge_a_choice_over_all_of_them_would():
 
 def test_zero_trials_is_an_empty_report():
     report = run_experiment(ExperimentConfig(seed=1, problem="sat", trials=0))
-    assert report.rows == []
+    assert report.rows == ()
     assert report.summary()["trials"] == 0
 
 

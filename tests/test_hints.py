@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -16,6 +17,7 @@ from reoptlab.errors import BudgetExceededError, InvalidHintError
 from reoptlab.hints import (
     MISS,
     ElementaryChange,
+    HintTable,
     add_change,
     compile_table,
     del_change,
@@ -38,6 +40,22 @@ def test_elementary_change_validation():
     assert add_change(2, -1).clause == (-1, 2)
     with pytest.raises(ValueError):
         ElementaryChange("swap", (1,))
+
+
+def test_a_hint_table_is_its_base_candidates_and_bound():
+    assert [f.name for f in dataclasses.fields(HintTable) if f.init] == ["base", "candidates", "bound"]
+    base, candidates = cnf([(1,), (1, -2)]), [add_change(2), del_change(1)]
+    with pytest.raises(TypeError):
+        HintTable(base, candidates, 2, {})
+    table = compile_table(base, candidates, 2)
+    same = HintTable(base, iter(candidates), 2)
+    assert same.candidates == tuple(candidates)
+    assert table == same and hash(table) == hash(same) and len({table, same}) == 1
+    assert dict(table.entries) == dict(same.entries)
+    assert repr(table) == f"HintTable(base={base!r}, candidates={tuple(candidates)!r}, bound=2)"
+    # The entries are derived, so they take no part in equality or hash.
+    object.__setattr__(same, "entries", {})
+    assert table == same and hash(table) == hash(same)
 
 
 def test_compile_table_single_candidate():

@@ -1,5 +1,6 @@
 import ast
 import builtins
+import dataclasses
 import importlib
 import inspect
 import os
@@ -57,16 +58,20 @@ def _reoptlab_names_read(tree: ast.Module) -> set[tuple[str, str]]:
     return names
 
 
-def _exception_types() -> list[tuple[str, type]]:
-    """(qualified name, class) of every exception class a library module defines."""
+def _defined_classes() -> list[tuple[str, type]]:
+    """(qualified name, class) of every class a library module defines."""
     package = importlib.import_module("reoptlab")
     modules = [importlib.import_module(f"reoptlab.{info.name}")
                for info in pkgutil.iter_modules(package.__path__)]
     assert len(modules) > 10
     return [(f"{module.__name__}.{name}", value) for module in modules
             for name, value in vars(module).items()
-            if isinstance(value, type) and issubclass(value, BaseException)
-            and value.__module__ == module.__name__]
+            if isinstance(value, type) and value.__module__ == module.__name__]
+
+
+def _exception_types() -> list[tuple[str, type]]:
+    """(qualified name, class) of every exception class a library module defines."""
+    return [(name, value) for name, value in _defined_classes() if issubclass(value, BaseException)]
 
 
 def test_only_errors_defines_exception_types():
@@ -126,3 +131,78 @@ def test_no_library_module_imports_another_ones_private_name():
                 imported += [f"{path.name}: {node.module or '.'}.{alias.name}"
                              for alias in node.names if alias.name.startswith("_")]
     assert not imported, imported
+
+
+def _equal_values():
+    """A builder of one value for each frozen dataclass, by qualified name."""
+    from reoptlab.cnf import ChangeSet, cnf
+    from reoptlab.experiments import ExperimentConfig, TrialRow, run_experiment
+    from reoptlab.gadgets import Gadget
+    from reoptlab.graphs import graph
+    from reoptlab.hints import add_change, compile_table, del_change
+    from reoptlab.reductions import NsatInstance, reduce_fixed_model, reduce_unique_model
+    from reoptlab.replanning import sat_to_replanning
+    from reoptlab.strips import Goal, make_instance, make_operator
+
+    formula = [(1, -2), (2, 3)]
+    return {
+        "reoptlab.cnf.CnfFormula": lambda: cnf(formula),
+        "reoptlab.cnf.ChangeSet": lambda: ChangeSet(additions=((2, 1),), deletions=((1, -2),)),
+        "reoptlab.experiments.ExperimentConfig": lambda: ExperimentConfig(seed=1, trials=2),
+        "reoptlab.experiments.TrialRow": lambda: TrialRow(0, "sat", "+1", True, True, 3, 1, True),
+        "reoptlab.experiments.ExperimentReport":
+            lambda: run_experiment(ExperimentConfig(seed=1, trials=2)),
+        "reoptlab.gadgets.Gadget": lambda: Gadget(cnf([(1,), (-1, 2)]), frozenset({-2})),
+        "reoptlab.graphs.Graph": lambda: graph(["c"], [("a", "b")]),
+        "reoptlab.hints.ElementaryChange": lambda: add_change(2, 1),
+        "reoptlab.hints.HintTable":
+            lambda: compile_table(cnf(formula), [add_change(-1), del_change(2, 3)], 2),
+        "reoptlab.reductions.FixedModelInstance": lambda: reduce_fixed_model(cnf(formula)),
+        "reoptlab.reductions.UniqueModelInstance": lambda: reduce_unique_model(cnf(formula)),
+        "reoptlab.reductions.NsatInstance": lambda: NsatInstance(cnf(formula)),
+        "reoptlab.replanning.ReplanningCase": lambda: sat_to_replanning(cnf(formula)),
+        "reoptlab.strips.StripsOperator": lambda: make_operator(["p"], ["q"], ["r"], ["p"]),
+        "reoptlab.strips.Goal": lambda: Goal(frozenset({"p"}), frozenset({"q"})),
+        "reoptlab.strips.StripsInstance": lambda: make_instance(
+            ["p", "q"], {"a": make_operator(pos_post=["p"])}, goal_true=["p"], goal_false=["q"]),
+    }
+
+
+def test_every_frozen_value_hashes_as_it_compares():
+    # Equal values must hash equal, so any of them can key a dict or join a set.
+    frozen = {name for name, value in _defined_classes()
+              if dataclasses.is_dataclass(value) and value.__dataclass_params__.frozen}
+    builders = _equal_values()
+    assert frozen == set(builders)
+    for name, build in builders.items():
+        first, second = build(), build()
+        assert first is not second and first == second, name
+        assert hash(first) == hash(second), name
+        assert len({first, second}) == 1, name
+
+
+# What the oracles may take from the library: graph and gadget-label
+# builders, and the search budget's constant, type and error.  Anything
+# else would let a library bug reach the judge of the library.
+ORACLE_IMPORTS = {
+    "reoptlab.graphs": {"graph", "edge", "add_edges", "remove_edges"},
+    "reoptlab.gadgets": {"literal_node", "prime_node", "double_prime_node", "clause_node",
+                         "ordered_clauses"},
+    "reoptlab.strips": {"DEFAULT_SEARCH_BUDGET", "Plan"},
+    "reoptlab.errors": {"SearchBudgetError"},
+}
+
+
+def test_the_oracles_import_only_their_allowed_library_names():
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, "*") for alias in node.names
+                         if alias.name.split(".")[0] == "reoptlab"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "reoptlab":
+            imported |= {(node.module, alias.name) for alias in node.names}
+    assert ("reoptlab.graphs", "graph") in imported  # the walk saw the imports
+    strays = sorted(f"{module}.{name}" for module, name in imported
+                    if name not in ORACLE_IMPORTS.get(module, ()))
+    assert not strays, strays

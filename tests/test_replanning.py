@@ -11,16 +11,10 @@ from reoptlab.replanning import (
     goal_compilation,
     sat_to_replanning,
 )
-from reoptlab.strips import (
-    is_applicable,
-    make_instance,
-    make_operator,
-    plan_exists,
-    satisfies_goal,
-    validate_plan,
-)
+from reoptlab.strips import make_instance, make_operator, plan_exists, validate_plan
 
-from oracles import brute_sat, truth_assignments
+from oracles import (brute_irredundant_plans, brute_sat, is_applicable, satisfies_goal,
+                     truth_assignments)
 
 import random
 
@@ -114,6 +108,24 @@ def test_count_irredundant_plans_multiple_routes():
         goal_true=["p"],
     )
     assert count_irredundant_plans(inst) == 2
+
+
+def test_count_irredundant_plans_respects_negative_preconditions():
+    # "b" needs p false, so (b, a) reaches the goal and (a, b) does not,
+    # though neither of its steps could be dropped if it did.
+    inst = make_instance(
+        ["p", "q"],
+        {"a": make_operator(pos_post=["p"]), "b": make_operator(neg_pre=["p"], pos_post=["q"])},
+        goal_true=["p", "q"],
+    )
+    assert count_irredundant_plans(inst) == 1
+
+
+def test_count_irredundant_plans_matches_brute_force():
+    rng = random.Random(11)
+    for _ in range(150):
+        inst = random_plansat_instance(rng, rng.randint(1, 5), rng.randint(1, 5))
+        assert count_irredundant_plans(inst) == brute_irredundant_plans(inst), inst
 
 
 def test_count_irredundant_plans_budget_and_preconditions(monkeypatch):

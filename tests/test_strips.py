@@ -17,7 +17,6 @@ from reoptlab.strips import (
     StripsInstance,
     instance_from_json,
     instance_to_json,
-    is_applicable,
     make_instance,
     make_operator,
     plan_exists,
@@ -28,6 +27,7 @@ from reoptlab.strips import (
 )
 
 from oracles import (
+    is_applicable,
     plan_reachable,
     reference_plan_dfs,
     reference_plan_search,
