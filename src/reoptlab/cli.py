@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import random
 import sys
 import warnings
@@ -34,7 +33,7 @@ from .cnf import CnfFormula, apply_changes
 from .dimacs import parse_changes, parse_dimacs, serialize_dimacs
 from .dot import gadget_to_dot
 from .enumeration import random_formula, random_graph, random_plansat_instance
-from .errors import BudgetExceededError, InvalidConfigError, VerdictMismatchError
+from .errors import BudgetExceededError, InvalidConfigError, VerdictMismatchError, from_json, to_json
 from .experiments import (
     SCALE_FIELDS,
     SCENARIOS,
@@ -165,8 +164,6 @@ def cmd_generate(args) -> int:
         most = args.nodes * (args.nodes - 1) // 2
         if args.edges > most:
             raise InvalidConfigError("edges", f"{args.nodes} nodes hold at most {most} edges")
-    elif args.conditions < 1 and args.operators > 0:
-        raise InvalidConfigError("conditions", "operators need at least one condition")
     if args.count < 1:
         raise InvalidConfigError("count", "must be at least 1")
     if args.count > 1 and args.out is None:
@@ -193,7 +190,7 @@ def _indexed(path: Path, index: int) -> Path:
 _RECORD_BUILDERS = {"fixed-model": reduce_fixed_model, "unique-model": reduce_unique_model,
                     "nsat": NsatInstance, "replanning": sat_to_replanning}
 _FIELD_TO_JSON = {CnfFormula: serialize_dimacs, frozenset: sorted, tuple: list, str: str,
-                  StripsInstance: lambda instance: json.loads(instance_to_json(instance))}
+                  StripsInstance: lambda instance: from_json(instance_to_json(instance))}
 
 
 def cmd_reduce(args) -> int:
@@ -206,7 +203,7 @@ def cmd_reduce(args) -> int:
     for field in fields(record):
         value = getattr(record, field.name)
         obj[field.name] = _FIELD_TO_JSON[type(value)](value)
-    _emit(args, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _emit(args, to_json(obj))
     return 0
 
 
@@ -237,7 +234,7 @@ def cmd_solve(args) -> int:
         instance = instance_from_json(args.input.read_text())
         plan, expanded = plan_exists_stats(instance)
         obj = {"plan": None if plan is None else list(plan), "work": expanded}
-    _emit(args, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _emit(args, to_json(obj))
     return 0
 
 

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from itertools import accumulate, combinations, product
 
 from .cnf import Clause, CnfFormula, clause, cnf
-from .errors import CONSTRUCTION_BUDGET, BudgetExceededError
+from .errors import CONSTRUCTION_BUDGET, BudgetExceededError, InvalidConfigError
 from .graphs import Graph, graph
 from .hints import ElementaryChange
 from .solvers import solve_dpll
@@ -126,9 +126,13 @@ def random_plansat_instance(rng: random.Random, num_conditions: int,
                             num_operators: int) -> StripsInstance:
     """A random add-only instance; goals are small so both verdicts occur.
 
-    More than ``errors.CONSTRUCTION_BUDGET`` conditions plus operators
-    raise ``BudgetExceededError`` before any is drawn.
+    Every operator adds a condition, so operators without a condition to
+    add raise ``InvalidConfigError`` naming ``conditions``.  More than
+    ``errors.CONSTRUCTION_BUDGET`` conditions plus operators raise
+    ``BudgetExceededError``.  Both are refused before anything is drawn.
     """
+    if num_conditions < 1 and num_operators > 0:
+        raise InvalidConfigError("conditions", "operators need at least one condition")
     if num_conditions + num_operators > CONSTRUCTION_BUDGET:
         raise BudgetExceededError(f"{num_conditions} conditions and {num_operators} operators "
                                   f"exceed the construction budget of {CONSTRUCTION_BUDGET}")

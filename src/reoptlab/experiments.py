@@ -1,7 +1,9 @@
 """Cold-versus-hinted experiments over seeded random modified instances.
 
-Each trial builds an instance, remembers a solution, applies a change,
-then solves the changed instance both cold and through the hint engine.
+An ``ExperimentConfig`` checks itself when it is built, so a config that
+exists can run and names its scenario.  Each trial builds an instance,
+remembers a solution, applies a change, then solves the changed instance
+both cold and through the hint engine.
 The two verdicts must agree on every row, and a row whose hint went
 unused must carry the cold route's witness and work, since the fallback
 ran the same solver on the same instance; a mismatch is a hard failure
@@ -14,10 +16,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import random
 from collections import Counter
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 
 from .cnf import ChangeSet, apply_changes
 from .dimacs import MAX_DIMACS_VARIABLES, serialize_changes, serialize_dimacs
@@ -27,7 +28,7 @@ from .enumeration import (
     random_graph,
     random_satisfiable_formula,
 )
-from .errors import InvalidConfigError, VerdictMismatchError
+from .errors import InvalidConfigError, VerdictMismatchError, to_json
 from .graphs import add_edges, decide_cover, decide_cover_stats, warm_start_cover_stats
 from .hints import reuse_model, reuse_plan
 from .reductions import reduce_unique_model, unique_model
@@ -38,6 +39,15 @@ from .strips import instance_to_json, plan_exists_stats
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's seed, problem, scenario, trial count and sizes.
+
+    Construction refuses a config no trial can run, with an
+    ``InvalidConfigError`` naming the first field at fault, and resolves
+    an empty scenario to the problem's first, its default; so every
+    config is checked and names the scenario that runs.  Only the size
+    fields the problem reads, ``SCALE_FIELDS[problem]``, are checked.
+    """
+
     seed: int = 0
     problem: str = "sat"
     scenario: str = ""
@@ -47,6 +57,29 @@ class ExperimentConfig:
     clause_size: int = 3
     nodes: int = 10
     edges: int = 14
+
+    def __post_init__(self):
+        if self.problem not in SCENARIOS:
+            raise InvalidConfigError("problem", f"must be one of {sorted(SCENARIOS)}")
+        object.__setattr__(self, "scenario", self.scenario or next(iter(SCENARIOS[self.problem])))
+        if self.scenario not in SCENARIOS[self.problem]:
+            raise InvalidConfigError(
+                "scenario", f"must be one of {list(SCENARIOS[self.problem])} for {self.problem}"
+            )
+        for f in fields(self):
+            if f.name in {"trials", *SCALE_FIELDS[self.problem]} and getattr(self, f.name) < 0:
+                raise InvalidConfigError(f.name, "must be non-negative")
+        if self.problem == "vc":
+            if self.nodes < 2:
+                raise InvalidConfigError("nodes", "need at least two nodes to add an edge")
+            if self.edges >= self.nodes * (self.nodes - 1) // 2:
+                raise InvalidConfigError("edges", "the base graph must be missing at least one edge")
+            return
+        if self.problem == "strips" and self.clauses < 1:
+            raise InvalidConfigError("clauses", "the replanning scenario needs at least one clause")
+        if self.scenario == "add-clause" and self.variables < 1:
+            raise InvalidConfigError("variables", "the added clause needs at least one variable")
+        check_formula_sizes(self.variables, self.clauses, self.clause_size)
 
 
 def check_formula_sizes(variables: int, clauses: int, clause_size: int) -> None:
@@ -63,35 +96,6 @@ def check_formula_sizes(variables: int, clauses: int, clause_size: int) -> None:
         pool += term
     if clauses > pool:
         raise InvalidConfigError("clauses", f"at most {pool} distinct clauses fit these sizes")
-
-
-def validate_config(config: ExperimentConfig) -> ExperimentConfig:
-    """Refuse a config no trial can run; return it with its scenario resolved.
-
-    An empty scenario is the problem's first, its default.
-    """
-    if config.problem not in SCENARIOS:
-        raise InvalidConfigError("problem", f"must be one of {sorted(SCENARIOS)}")
-    config = replace(config, scenario=config.scenario or next(iter(SCENARIOS[config.problem])))
-    if config.scenario not in SCENARIOS[config.problem]:
-        raise InvalidConfigError(
-            "scenario", f"must be one of {list(SCENARIOS[config.problem])} for {config.problem}"
-        )
-    for f in fields(ExperimentConfig):
-        if f.name in {"trials", *SCALE_FIELDS[config.problem]} and getattr(config, f.name) < 0:
-            raise InvalidConfigError(f.name, "must be non-negative")
-    if config.problem == "vc":
-        if config.nodes < 2:
-            raise InvalidConfigError("nodes", "need at least two nodes to add an edge")
-        if config.edges >= config.nodes * (config.nodes - 1) // 2:
-            raise InvalidConfigError("edges", "the base graph must be missing at least one edge")
-        return config
-    if config.problem == "strips" and config.clauses < 1:
-        raise InvalidConfigError("clauses", "the replanning scenario needs at least one clause")
-    if config.scenario == "add-clause" and config.variables < 1:
-        raise InvalidConfigError("variables", "the added clause needs at least one variable")
-    check_formula_sizes(config.variables, config.clauses, config.clause_size)
-    return config
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,6 @@ class ExperimentReport:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    config = validate_config(config)
     rng = random.Random(config.seed)
     trial_fn = SCENARIOS[config.problem][config.scenario]
     rows = []
@@ -220,7 +223,7 @@ SCENARIOS = {
     "strips": {"initial-removal": _strips_removal_trial},
 }
 
-# The size fields each problem's trials read: ``validate_config`` checks
+# The size fields each problem's trials read: ``ExperimentConfig`` checks
 # these and no others, and the CLI declares only these.
 SCALE_FIELDS = {
     "sat": {"variables", "clauses", "clause_size"},
@@ -245,4 +248,4 @@ def report_to_json(report: ExperimentReport) -> str:
         "summary": report.summary(),
         "rows": [asdict(row) for row in report.rows],
     }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return to_json(obj)

@@ -40,7 +40,6 @@ the alphabet is a subgraph of one fixed graph with one fixed budget.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -49,7 +48,7 @@ from .cnf import (ChangeSet, Clause, CnfFormula, apply_changes, clause, clause_s
                   is_tautology)
 from .dimacs import parse_dimacs, serialize_dimacs
 from .enumeration import all_clauses
-from .errors import CONSTRUCTION_BUDGET, BudgetExceededError, unique_keys
+from .errors import CONSTRUCTION_BUDGET, BudgetExceededError, fields_of, from_json, to_json
 from .graphs import Graph, edge, remove_edges
 
 ROLE_LITERAL = "literal"
@@ -237,7 +236,7 @@ def gadget_to_json(g: Gadget) -> str:
         "nodes": sorted(g.graph.nodes),
         "edges": [list(e) for e in sorted(g.graph.edges)],
     }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return to_json(obj)
 
 
 def gadget_from_json(text: str) -> Gadget:
@@ -248,16 +247,15 @@ def gadget_from_json(text: str) -> Gadget:
     whose unit clause the source lacks but whose relaxing edge (l', l'') is
     present.  The ``"budget"``, nodes and edges must then equal those of the
     ``Gadget`` of that source and those removed literals.  Any other key,
-    such as the role map of older files, is ignored.
+    such as the role map of older files, is ignored.  A repeated key and a
+    missing or malformed field are ``ValueError``s.
     """
-    obj = json.loads(text, object_pairs_hook=unique_keys)
-    try:
+    obj = from_json(text)
+    with fields_of("gadget"):
         nodes = frozenset(obj["nodes"])
         edges = frozenset(edge(u, v) for u, v in obj["edges"])
         parsed = parse_dimacs(obj["source"])
         budget = obj["budget"]
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"missing or malformed gadget field: {exc}") from None
     alphabet = frozenset(v for v in parsed.alphabet if literal_node(v) in nodes)
     removed = frozenset(lit for v in alphabet for lit in (v, -v)
                         if clause(lit) not in parsed.clauses

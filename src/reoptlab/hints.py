@@ -19,7 +19,6 @@ honestly.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from typing import Any, Mapping, NamedTuple
 from .cnf import (Assignment, ChangeSet, Clause, CnfFormula, apply_changes, clause, evaluate,
                   resolve_changes)
 from .dimacs import parse_dimacs, serialize_dimacs
-from .errors import BudgetExceededError, InvalidHintError, unique_keys
+from .errors import BudgetExceededError, InvalidHintError, fields_of, from_json, to_json
 from .solvers import solve_dpll, solve_dpll_stats
 from .strips import StripsInstance, plan_exists_stats, validate_plan_stats
 
@@ -221,7 +220,7 @@ def table_to_json(table: HintTable) -> str:
         "entries": {key: None if model is None else sorted(model)
                     for key, model in _keyed_entries(table).items()},
     }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return to_json(obj)
 
 
 def table_from_json(text: str) -> HintTable:
@@ -235,16 +234,15 @@ def table_from_json(text: str) -> HintTable:
     entry, a stray one and any other spelling of a key (``"0x03"``,
     ``"3"``, ``"0X3"``).  Candidates ``compile_table`` refuses are refused
     here too.  Loading thus costs one solve per entry, as compiling does.
+    A repeated key and a missing or malformed field are ``ValueError``s.
     """
-    obj = json.loads(text, object_pairs_hook=unique_keys)
-    try:
+    obj = from_json(text)
+    with fields_of("table"):
         base = parse_dimacs(obj["base"])
         candidates = tuple(ElementaryChange(op, tuple(lits)) for op, lits in obj["candidates"])
         entries = {key: None if model is None else frozenset(model)
                    for key, model in obj["entries"].items()}
         bound = operator.index(obj["bound"])
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"missing or malformed table field: {exc}") from None
     table = compile_table(base, candidates, bound)
     expected = _keyed_entries(table)
     if entries != expected:

@@ -32,12 +32,11 @@ goal on them, and no set-based twin is kept.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .errors import SearchBudgetError, unique_keys
+from .errors import SearchBudgetError, fields_of, from_json, to_json
 
 # The most states a plan search expands.  It counts expansions, not time:
 # one expansion, and the closures around it, cost more as the operators and
@@ -380,7 +379,7 @@ def instance_to_json(instance: StripsInstance) -> str:
             "must_false": sorted(instance.goal.must_false),
         },
     }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return to_json(obj)
 
 
 def _names(value) -> list[str]:
@@ -391,8 +390,13 @@ def _names(value) -> list[str]:
 
 
 def instance_from_json(text: str) -> StripsInstance:
-    obj = json.loads(text, object_pairs_hook=unique_keys)
-    try:
+    """Load an instance written as ``instance_to_json`` writes one.
+
+    A repeated key, a missing or malformed field and an operator without
+    exactly four condition arrays are ``ValueError``s.
+    """
+    obj = from_json(text)
+    with fields_of("instance"):
         operators = {}
         for name, parts in obj["operators"].items():
             if len(parts) != 4:
@@ -405,5 +409,3 @@ def instance_from_json(text: str) -> StripsInstance:
             _names(obj["goal"]["must_true"]),
             _names(obj["goal"]["must_false"]),
         )
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"missing or malformed instance field: {exc}") from None

@@ -31,7 +31,7 @@ from .replanning import (
     sat_to_replanning,
 )
 from .solvers import count_models, solve_brute, solve_dpll
-from .strips import instance_to_json, plan_exists, validate_plan
+from .strips import instance_to_json, plan_exists
 
 DEFAULT_SEED = 20260808
 
@@ -57,15 +57,17 @@ def sweep_solver_agreement(max_vars: int = 3, max_clauses: int = 3,
 
 
 def sweep_fixed_model(max_vars: int = 3, max_clauses: int = 3) -> list[str]:
-    """Known-model construction: hint satisfies, change is equisatisfiable, fresh var clean."""
+    """Known-model construction: change is equisatisfiable, fresh var clean.
+
+    That the hint satisfies the base formula is not checked here:
+    ``FixedModelInstance`` refuses to be built otherwise.
+    """
     failures = []
     for g in iter_small_formulas(max_vars, max_clauses):
         inst = reduce_fixed_model(g)
         fresh = abs(inst.change_clause[0])
         modified = apply_changes(inst.formula, ChangeSet(additions=(inst.change_clause,)))
         problems = []
-        if not evaluate(inst.formula, inst.hint_model):
-            problems.append("hint fails the base formula")
         if fresh in g.alphabet:
             problems.append("fresh variable collides with the alphabet")
         if (solve_brute(g) is None) != (solve_brute(modified) is None):
@@ -137,13 +139,15 @@ def _satisfiable(f: CnfFormula) -> bool:
 
 
 def sweep_replanning(max_vars: int = 3, max_clauses: int = 3) -> list[str]:
-    """Guard-deletion replanning: plan validity, unique irredundancy, equivalence."""
+    """Guard-deletion replanning: unique irredundancy, equivalence.
+
+    That the original plan solves the instance is not checked here:
+    ``ReplanningCase`` refuses to be built otherwise.
+    """
     failures = []
     for f in iter_small_formulas(max_vars, max_clauses):
         case = sat_to_replanning(f)
         problems = []
-        if not validate_plan(case.instance, case.original_plan):
-            problems.append("original plan invalid")
         if count_irredundant_plans(case.instance) != 1:
             problems.append("irredundant plan not unique")
         changed = apply_initial_change(case)

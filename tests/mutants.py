@@ -51,6 +51,13 @@ SOLVERS = "src/reoptlab/solvers.py"
 INDEX_PATHS = "tests/test_strips.py::test_every_instance_path_carries_the_index_a_fresh_build_makes"
 VALIDATE = "tests/test_strips.py::test_validate_plan_matches_the_reference_on_any_plan"
 UNCUT_PLAN = "tests/test_strips.py::test_dead_end_cut_keeps_the_uncut_plan"
+EXPERIMENTS = "src/reoptlab/experiments.py"
+ERRORS = "src/reoptlab/errors.py"
+CNF = "src/reoptlab/cnf.py"
+CHANGED_MASKS = "tests/test_cnf.py::test_changed_formulas_carry_the_masks_a_fresh_build_makes"
+RESOLVE = "tests/test_cnf.py::test_resolve_changes_keeps_present_deletions_and_new_additions"
+DPLL_REFERENCE = ("tests/test_solvers.py::test_dpll_matches_recursive_reference_on_random_formulas",
+                  "tests/test_solvers.py::test_dpll_matches_recursive_reference_on_small_formulas")
 
 CATALOGUE = (
     # Hint routes check their hint once.
@@ -80,12 +87,17 @@ CATALOGUE = (
              "frozenset([*changes.additions, *changes.deletions])"),
             ("bit = {(c.op, c.clause): 1 << i", "bit = {c.clause: 1 << i")),
            ("tests/test_hints.py::test_lookup_builds_no_changes",)),
-    Mutant("report-keeps-the-unresolved-scenario", "src/reoptlab/experiments.py",
-           (("    config = validate_config(config)\n",
-             "    original, config = config, validate_config(config)\n"),
-            ("return ExperimentReport(config, tuple(rows))",
-             "return ExperimentReport(original, tuple(rows))")),
-           ("tests/test_experiments.py::test_json_config_names_the_default_scenario_that_ran[vc]",)),
+    Mutant("config-keeps-the-empty-scenario", EXPERIMENTS,
+           (('        object.__setattr__(self, "scenario", self.scenario or '
+             'next(iter(SCENARIOS[self.problem])))\n', ""),
+            ("if self.scenario not in SCENARIOS[self.problem]:",
+             "if (self.scenario or next(iter(SCENARIOS[self.problem]))) "
+             "not in SCENARIOS[self.problem]:"),
+            ("trial_fn = SCENARIOS[config.problem][config.scenario]",
+             "trial_fn = SCENARIOS[config.problem][config.scenario "
+             "or next(iter(SCENARIOS[config.problem]))]")),
+           ("tests/test_experiments.py::test_json_config_names_the_default_scenario_that_ran[vc]",
+            "tests/test_experiments.py::test_a_config_names_the_scenario_it_runs[vc]")),
     # A gadget's graph is derived from its source and removed literals.
     Mutant("gadget-without-relaxing-edges", GADGETS,
            (("edges.extend(edge(prime_node(lit), double_prime_node(lit)) for lit in self.removed)",
@@ -168,6 +180,58 @@ CATALOGUE = (
     Mutant("splice-deletion-keeps-the-higher-bits-in-place", "src/reoptlab/cnf.py",
            (("(m >> (i + 1) << i)", "(m >> (i + 1) << (i + 1))"),),
            ("tests/test_cnf.py::test_every_construction_path_carries_the_masks_a_fresh_build_makes",)),
+    Mutant("splice-addition-appends", CNF,
+           (("    for cl in added:\n        i = bisect_left(ordered, cl)",
+             "    for cl in added:\n        i = len(ordered)"),),
+           (CHANGED_MASKS,)),
+    Mutant("splice-addition-sets-no-bit", CNF,
+           (("occ[lit] = occ.get(lit, 0) | 1 << i", "occ[lit] = occ.get(lit, 0)"),),
+           (CHANGED_MASKS,)),
+    Mutant("splice-deletion-keeps-zero-masks", CNF,
+           (("occ = {lit: spliced for lit, m in occ.items()\n"
+             "                   if (spliced := (m & low) | (m >> (i + 1) << i))}",
+             "occ = {lit: (m & low) | (m >> (i + 1) << i) for lit, m in occ.items()}"),),
+           (CHANGED_MASKS,)),
+    Mutant("resolve-counts-a-repeated-deletion-twice", CNF,
+           (("deleted: set[Clause] = set()", "deleted: list[Clause] = []"),
+            ("if cl in present and cl not in deleted:", "if cl in present:"),
+            ("deleted.add(cl)", "deleted.append(cl)")),
+           (RESOLVE, CHANGED_MASKS)),
+    Mutant("resolve-counts-present-additions", CNF,
+           (("return deleted, set(changes.additions) - present",
+             "return deleted, set(changes.additions)"),),
+           (RESOLVE, CHANGED_MASKS)),
+    Mutant("masks-built-past-the-budget", CNF,
+           (("    if (len(alphabet) * len(ordered) > DPLL_BUDGET\n"
+             "            and len(_mentioned(alphabet, ordered)) * len(ordered) > DPLL_BUDGET):\n"
+             "        return None\n", ""),),
+           ("tests/test_cnf.py::test_a_formula_past_the_dpll_budget_carries_no_masks",
+            "tests/test_cnf.py::test_masks_are_absent_exactly_when_dpll_refuses")),
+    Mutant("dpll-propagates-the-highest-unit", SOLVERS,
+           (("for lit in clauses[(few & -few).bit_length() - 1]:",
+             "for lit in clauses[few.bit_length() - 1]:"),),
+           DPLL_REFERENCE),
+    # One home per rule: the config, the JSON codec and the generator's refusal.
+    Mutant("config-allows-a-complete-graph", EXPERIMENTS,
+           (("if self.edges >= self.nodes * (self.nodes - 1) // 2:",
+             "if self.edges > self.nodes * (self.nodes - 1) // 2:"),),
+           ("tests/test_experiments.py::test_invalid_configs[config5-edges]",)),
+    Mutant("json-reader-keeps-a-repeated-key", ERRORS,
+           (("return json.loads(text, object_pairs_hook=_unique_keys)", "return json.loads(text)"),),
+           ("tests/test_strips.py::test_instance_json_refuses_a_repeated_key",
+            "tests/test_gadgets.py::test_gadget_json_refuses_a_repeated_key",
+            "tests/test_hints.py::test_table_json_refuses_a_repeated_entry_key")),
+    Mutant("fields-of-translates-only-key-errors", ERRORS,
+           (("except (KeyError, TypeError, AttributeError) as exc:", "except KeyError as exc:"),),
+           ("tests/test_hints.py::test_table_json_rejects_a_malformed_field[candidates-5]",
+            "tests/test_hints.py::test_table_json_rejects_a_malformed_field[bound-2]")),
+    Mutant("generator-accepts-operators-without-conditions", "src/reoptlab/enumeration.py",
+           (("    if num_conditions < 1 and num_operators > 0:\n"
+             "        raise InvalidConfigError(\"conditions\", "
+             "\"operators need at least one condition\")\n", ""),),
+           ("tests/test_enumeration.py::"
+            "test_random_plansat_instance_refuses_operators_without_conditions",
+            "tests/test_cli.py::test_generate_refuses_sizes_it_cannot_honour[strips-sizes4-conditions]")),
     Mutant("table-file-keys-read-as-numbers", HINTS,
            (("entries = {key: None if model is None else frozenset(model)",
              "entries = {f\"0x{int(key, 16):x}\": None if model is None else frozenset(model)"),),

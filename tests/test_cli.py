@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from reoptlab import graphs, solvers
 from reoptlab.cli import build_parser, main
-from reoptlab.cnf import cnf
-from reoptlab.dimacs import parse_dimacs
+from reoptlab.cnf import ChangeSet, cnf
+from reoptlab.dimacs import parse_changes, parse_dimacs
 from reoptlab.enumeration import random_formula, random_graph
 from reoptlab.errors import BudgetExceededError, SearchBudgetError
 from reoptlab.experiments import SCALE_FIELDS, SCENARIOS
@@ -307,6 +307,18 @@ def test_mutate_applies_change_file(tmp_path, capsys):
     changes.write_text("- 1 0\n+ -1 0\n")
     assert run(["mutate", "--input", source, "--changes", changes]) == 0
     assert capsys.readouterr().out == "p cnf 1 1\n-1 0\n"
+
+
+def test_change_lists_skip_blank_lines_and_comments(tmp_path, capsys):
+    plain, noisy = "- 1 0\n+ -1 0\n", "c swap the unit\n\n- 1 0\n   \n  c then\n+ -1 0\n\n"
+    assert parse_changes(noisy) == parse_changes(plain) == ChangeSet(((-1,),), ((1,),))
+    source = tmp_path / "f.cnf"
+    source.write_text("p cnf 1 1\n1 0\n")
+    changes = tmp_path / "d.changes"
+    for text in (plain, noisy):
+        changes.write_text(text)
+        assert run(["mutate", "--input", source, "--changes", changes]) == 0
+        assert capsys.readouterr().out == "p cnf 1 1\n-1 0\n"
 
 
 @pytest.mark.parametrize("command, text", [

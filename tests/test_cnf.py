@@ -441,6 +441,8 @@ CHANGE_STEPS = st.lists(st.tuples(
 @given(st.sets(st.sampled_from(DENSE_POOL), min_size=12), CHANGE_STEPS)
 @example({(1,), (1, 2), (-2, 3)}, [([0], [(4,)], [], [()]), ([], [], [0], [(10**9,)]),
                                    ([0, 0], [], [], [(1, 2)])])
+# Spliced both ways: the literal 4 gains a mask, then its mask falls to 0 and goes.
+@example(set(DENSE_POOL[:12]), [([], [], [], [(4,)]), ([], [(4,)], [], [])])
 def test_changed_formulas_carry_the_masks_a_fresh_build_makes(base, steps):
     f = _carries_its_order(cnf(base, alphabet=range(1, 4)))
     deleted = []

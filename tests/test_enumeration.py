@@ -6,7 +6,7 @@ import pytest
 
 from reoptlab import enumeration
 from reoptlab.cnf import is_tautology
-from reoptlab.errors import BudgetExceededError
+from reoptlab.errors import BudgetExceededError, InvalidConfigError
 from reoptlab.enumeration import (
     SATISFIABLE_ATTEMPTS,
     all_clauses,
@@ -173,6 +173,15 @@ def test_random_plansat_instance_checks_the_construction_budget(monkeypatch):
     with pytest.raises(BudgetExceededError,
                        match="4 conditions and 5 operators exceed the construction budget of 8"):
         random_plansat_instance(random.Random(0), 4, 5)
+
+
+def test_random_plansat_instance_refuses_operators_without_conditions():
+    rng = random.Random(0)
+    with pytest.raises(InvalidConfigError,
+                       match="^conditions: operators need at least one condition$") as err:
+        random_plansat_instance(rng, 0, 1)
+    assert err.value.field == "conditions"
+    assert rng.getstate() == random.Random(0).getstate()  # refused before any draw
 
 
 def test_random_hint_setup_candidates_are_compatible():

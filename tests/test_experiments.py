@@ -20,7 +20,6 @@ from reoptlab.experiments import (
     report_to_csv,
     report_to_json,
     run_experiment,
-    validate_config,
 )
 from reoptlab.graphs import is_cover, min_cover_brute, remove_edges, warm_start_cover_stats
 
@@ -101,28 +100,29 @@ def test_zero_trials_is_an_empty_report():
     assert report.summary()["trials"] == 0
 
 
+# Each config is given as its fields, since building it raises.
 @pytest.mark.parametrize("config, field", [
-    (ExperimentConfig(problem="tsp"), "problem"),
-    (ExperimentConfig(problem="sat", scenario="edge-add"), "scenario"),
-    (ExperimentConfig(trials=-1), "trials"),
-    (ExperimentConfig(problem="strips", clauses=0), "clauses"),
-    (ExperimentConfig(problem="vc", nodes=1), "nodes"),
-    (ExperimentConfig(problem="vc", nodes=4, edges=6), "edges"),
-    (ExperimentConfig(problem="vc", nodes=0, edges=0), "nodes"),
-    (ExperimentConfig(variables=MAX_DIMACS_VARIABLES + 1), "variables"),
-    (ExperimentConfig(clause_size=0), "clause_size"),
-    (ExperimentConfig(variables=0, clauses=0), "variables"),
-    (ExperimentConfig(variables=1, clauses=5), "clauses"),
-    (ExperimentConfig(variables=2, clauses=5, clause_size=1), "clauses"),
-    (ExperimentConfig(problem="strips", variables=1, clauses=5), "clauses"),
-    (ExperimentConfig(problem="vc", edges=-1), "edges"),
-    (ExperimentConfig(variables=-1), "variables"),
-    (ExperimentConfig(clauses=-1), "clauses"),
-    (ExperimentConfig(problem="vc", nodes=-3, edges=-1), "nodes"),
+    (dict(problem="tsp"), "problem"),
+    (dict(problem="sat", scenario="edge-add"), "scenario"),
+    (dict(trials=-1), "trials"),
+    (dict(problem="strips", clauses=0), "clauses"),
+    (dict(problem="vc", nodes=1), "nodes"),
+    (dict(problem="vc", nodes=4, edges=6), "edges"),
+    (dict(problem="vc", nodes=0, edges=0), "nodes"),
+    (dict(variables=MAX_DIMACS_VARIABLES + 1), "variables"),
+    (dict(clause_size=0), "clause_size"),
+    (dict(variables=0, clauses=0), "variables"),
+    (dict(variables=1, clauses=5), "clauses"),
+    (dict(variables=2, clauses=5, clause_size=1), "clauses"),
+    (dict(problem="strips", variables=1, clauses=5), "clauses"),
+    (dict(problem="vc", edges=-1), "edges"),
+    (dict(variables=-1), "variables"),
+    (dict(clauses=-1), "clauses"),
+    (dict(problem="vc", nodes=-3, edges=-1), "nodes"),
 ])
 def test_invalid_configs(config, field):
     with pytest.raises(InvalidConfigError) as err:
-        validate_config(config)
+        ExperimentConfig(**config)
     assert err.value.field == field
 
 
@@ -139,7 +139,7 @@ def test_every_config_field_is_common_or_read_by_some_problem():
 def test_sizes_a_problem_does_not_read_are_not_checked(problem):
     for name in sorted(SIZE_FIELDS - SCALE_FIELDS[problem]):
         for value in (-1, 2**21):
-            validate_config(replace(ExperimentConfig(problem=problem), **{name: value}))
+            assert getattr(ExperimentConfig(problem=problem, **{name: value}), name) == value
 
 
 @pytest.mark.parametrize("variables", range(6))
@@ -182,3 +182,14 @@ def test_json_config_names_the_default_scenario_that_ran(problem):
     # one that ran, the problem's first, in its config and its summary.
     obj = json.loads(report_to_json(run_experiment(ExperimentConfig(problem=problem, trials=2))))
     assert obj["config"]["scenario"] == obj["summary"]["scenario"] == next(iter(SCENARIOS[problem]))
+
+
+@pytest.mark.parametrize("problem", sorted(SCENARIOS))
+def test_a_config_names_the_scenario_it_runs(problem):
+    # ``replace`` builds a new config, so it resolves and checks it again.
+    default = next(iter(SCENARIOS[problem]))
+    config = ExperimentConfig(problem=problem, trials=3)
+    assert config == ExperimentConfig(problem=problem, scenario=default, trials=3)
+    assert replace(config, scenario="") == config
+    with pytest.raises(InvalidConfigError, match="trials: must be non-negative"):
+        replace(config, trials=-1)

@@ -83,6 +83,23 @@ def test_only_errors_defines_exception_types():
     assert not strays, "\n".join(strays)
 
 
+def test_only_errors_imports_json():
+    # ``errors`` holds the one JSON codec: the canonical text every writer
+    # emits and the strict reading every loader shares.
+    importers = set()
+    for path in sorted((ROOT / "src" / "reoptlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] == "json" for module in modules):
+                importers.add(path.name)
+    assert importers == {"errors.py"}, sorted(importers)
+
+
 def test_every_runtime_error_is_a_budget_error():
     # The CLI exits 3 on BudgetExceededError; any other RuntimeError would
     # escape its exit-code contract, except the verdict mismatch (exit 2).

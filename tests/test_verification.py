@@ -64,7 +64,6 @@ def _fixed_model_reusing_variable_1(g):
 @pytest.mark.parametrize("sweep, name, replacement, problem, reproducer", [
     (sweep_solver_agreement, "solve_dpll", lambda f: None, "solver disagreement", "p cnf"),
     (sweep_solver_agreement, "evaluate", lambda f, a: False, "dpll returned a non-model", "p cnf"),
-    (sweep_fixed_model, "evaluate", lambda f, a: False, "hint fails the base formula", "p cnf"),
     (sweep_fixed_model, "reduce_fixed_model", _fixed_model_reusing_variable_1,
      "fresh variable collides with the alphabet", "p cnf"),
     (sweep_fixed_model, "apply_changes", lambda f, c: UNSATISFIABLE,
@@ -74,7 +73,6 @@ def _fixed_model_reusing_variable_1(g):
      "p cnf"),
     (sweep_unique_model, "apply_changes", lambda f, c: UNSATISFIABLE,
      "swap equisatisfiability broken", "p cnf"),
-    (sweep_replanning, "validate_plan", lambda i, p: False, "original plan invalid", "p cnf"),
     (sweep_replanning, "count_irredundant_plans", lambda i: 2, "irredundant plan not unique",
      "p cnf"),
     (sweep_replanning, "plan_exists", lambda i: None, "replanning verdict wrong", "p cnf"),
